@@ -100,7 +100,7 @@ class ConditioningInput:
     context_upload_waiver: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix_ids", tuple(int(i) for i in self.prefix_ids))
+        object.__setattr__(self, "prefix_ids", tuple(map(int, self.prefix_ids)))
         if (
             self.receiver_role == Role.LARGE_CLOUD
             and self.context is not None
@@ -132,9 +132,11 @@ class Backend:
             and not request.context_upload_waiver
         ):
             raise PrivacyContractError("large_cloud backend given context")
-        for tid in request.prefix_ids:
-            if not 0 <= tid < self.vocab.size:
-                raise InvalidInputError(f"token id {tid} outside vocab of size {self.vocab.size}")
+        ids = request.prefix_ids
+        size = self.vocab.size
+        if ids and (min(ids) < 0 or max(ids) >= size):
+            bad = next(tid for tid in ids if not 0 <= tid < size)
+            raise InvalidInputError(f"token id {bad} outside vocab of size {size}")
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         raise NotImplementedError
@@ -303,7 +305,8 @@ class NGramBackend(Backend):
     Only the last n-1 tokens of the concatenated conditioning stream
     matter, which is exactly the point: a context-holding instance trained
     on a user's text behaves differently from a context-blind one trained
-    on everyone's.
+    on everyone's. Once the prefix alone holds n-1 tokens, the instruction
+    and context can no longer reach the window and are not tokenized.
     """
 
     kind = BackendKind.NGRAM
@@ -315,6 +318,8 @@ class NGramBackend(Backend):
         self._tok = Tokenizer(model.vocab, model.policy)
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
+        if len(request.prefix_ids) >= self.model.n - 1:
+            return TokenDistribution.dense(self.model.conditional(request.prefix_ids))
         stream = self._tok.tokenize(request.instruction)
         if request.context is not None and not request.context.is_empty():
             stream += self._tok.tokenize(request.context.as_text())

@@ -87,11 +87,11 @@ def _check_top10(name: str, vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (TOP_K,):
         raise InvalidInputError(f"{name} must hold exactly {TOP_K} probabilities")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if np.any(arr < 0) or np.any(arr > 1 + 1e-12):
+    if arr.min() < 0 or arr.max() > 1 + 1e-12:
         raise InvalidInputError(f"{name} entries must lie in [0, 1]")
-    if np.any(np.diff(arr) > 1e-12):
+    if (np.diff(arr) > 1e-12).any():
         raise InvalidInputError(f"{name} must be sorted in descending order")
     return arr
 
@@ -135,8 +135,7 @@ def comb_init(seed: int) -> CombModelParams:
 
     def layer(fan_in: int, fan_out: int) -> np.ndarray:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        flat = [rng.uniform(-limit, limit) for _ in range(fan_in * fan_out)]
-        return np.array(flat, dtype=np.float64).reshape(fan_in, fan_out)
+        return rng.uniforms(-limit, limit, fan_in * fan_out).reshape(fan_in, fan_out)
 
     return CombModelParams(
         w1=layer(IN_DIM, HIDDEN1),

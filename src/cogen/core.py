@@ -122,9 +122,9 @@ class TokenDistribution:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidDistributionError("dense distribution must be a non-empty vector")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise InvalidDistributionError("probabilities must be finite")
-        if np.any(probs < 0) or np.any(probs > 1 + 1e-12):
+        if probs.min() < 0 or probs.max() > 1 + 1e-12:
             raise InvalidDistributionError("probabilities must lie in [0, 1]")
         mass = float(probs.sum())
         if abs(mass - 1.0) > DENSE_SUM_TOL:
@@ -217,7 +217,7 @@ def apply_temperature(logits, temperature: float) -> np.ndarray:
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
     """Indices sorted by descending probability, ties by ascending id."""
-    return np.lexsort((np.arange(probs.size), -probs))
+    return np.argsort(-probs, kind="stable")
 
 
 def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -228,15 +228,13 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
     """
     if temperature == 1.0:
         return probs
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    scaled = logp / temperature
+    positive = probs > 0
+    scaled = np.full(probs.size, -np.inf)
+    scaled[positive] = np.log(probs[positive]) / temperature
     finite = scaled[np.isfinite(scaled)]
     if finite.size == 0:
         raise InvalidDistributionError("distribution has no support")
-    shifted = scaled - finite.max()
-    with np.errstate(invalid="ignore"):
-        out = np.exp(shifted)
+    out = np.exp(scaled - finite.max())
     out[~np.isfinite(out)] = 0.0
     total = out.sum()
     if total <= 0:

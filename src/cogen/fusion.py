@@ -113,7 +113,8 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
 def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
     if pair.support.size == pair.vocab_size:
         return TokenDistribution(vocab_size=pair.vocab_size, dense_probs=_readonly(vec))
-    order = np.lexsort((pair.support, -vec))
+    # The support is sorted, so a stable sort breaks ties toward the lower id.
+    order = np.argsort(-vec, kind="stable")
     return TokenDistribution(
         vocab_size=pair.vocab_size,
         sparse_ids=np.asarray(pair.support[order], dtype=np.int64),

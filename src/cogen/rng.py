@@ -9,7 +9,10 @@ output sequence is pinned in docs/rng.md.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class Splitmix64:
@@ -21,7 +24,7 @@ class Splitmix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -45,3 +48,17 @@ class Splitmix64:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
+
+    def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
+        """The next ``n`` ``uniform(low, high)`` draws as one float64 array.
+
+        The stream is counter-based (the i-th state is seed + i*gamma), so
+        the whole block is computed at once in wrapping uint64 arithmetic
+        and matches n scalar calls bit for bit.
+        """
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53)

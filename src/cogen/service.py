@@ -87,7 +87,10 @@ def read_frame(read_exactly) -> tuple[dict, bytes]:
     return obj, body
 
 
-def validate_request(obj: dict) -> dict:
+def validate_request(obj: dict, vocab_size: int) -> dict:
+    """Schema check of one request. Prefix ids must also fall inside the
+    served vocabulary, so a client's bad id is a schema error rather than
+    a backend failure."""
     kind = obj.get("kind")
     if kind not in _REQUEST_FIELDS:
         raise ProtocolError(f"unknown request kind {kind!r}")
@@ -107,11 +110,15 @@ def validate_request(obj: dict) -> dict:
         if not isinstance(obj["instruction"], str):
             raise ProtocolError("instruction must be a string")
         ids = obj["prefix_ids"]
-        if not isinstance(ids, list) or not all(isinstance(i, int) and i >= 0 for i in ids):
+        # bool is an int subclass, so JSON true/false would pass isinstance.
+        if not isinstance(ids, list) or not all(type(i) is int and i >= 0 for i in ids):
             raise ProtocolError("prefix_ids must be a list of non-negative integers")
+        if ids and max(ids) >= vocab_size:
+            bad = next(i for i in ids if i >= vocab_size)
+            raise ProtocolError(f"prefix_ids entry {bad} outside vocab of size {vocab_size}")
     if kind == "logits":
         top_k = obj.get("top_k", DEFAULT_TOP_K)
-        if not isinstance(top_k, int) or top_k < 1:
+        if type(top_k) is not int or top_k < 1:
             raise ProtocolError("top_k must be a positive integer")
     if kind == "generate":
         sampling = obj["sampling"]
@@ -184,7 +191,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
             service.log_request(obj, raw)
             try:
-                validate_request(obj)
+                validate_request(obj, service.backend.vocab.size)
                 response = service.answer(obj)
             except ProtocolError as exc:
                 self._send({"version": PROTOCOL_VERSION, "kind": "error", "error": str(exc)})

@@ -143,6 +143,65 @@ class TestNGramBackend:
         assert np.array_equal(d1.dense_probs, d2.dense_probs)
 
 
+class TestNGramConditioning:
+    """Only the last n-1 ids of instruction + context + prefix reach the model."""
+
+    def test_full_prefix_ignores_instruction_and_context(self, world0, world0_backends):
+        record = world0.test_records[0]
+        slm = world0_backends[1][record.user_id]
+        prefix = (3, 7)  # the small model is a bigram: one id fills its window
+        assert slm.model.n == 2
+        variants = [
+            ConditioningInput(record.task, prefix, record.context_bundle()),
+            ConditioningInput("", prefix, None),
+            ConditioningInput("some other instruction", prefix, ContextBundle(profile="x y z")),
+        ]
+        expected = slm.model.conditional(list(prefix))
+        for request in variants:
+            got = slm.next_distribution(request).dense_probs
+            assert got.tobytes() == expected.tobytes()
+
+    def test_short_prefix_still_reads_context(self):
+        model = train_ngram(["a b c", "x b d"], n=3, alpha=0.1, append_eos=False)
+        backend = NGramBackend(model, Role.SMALL_DEVICE)
+        vocab = model.vocab
+        prefix = (vocab.id_of("b"),)  # one id short of the trigram window
+        plain = backend.next_distribution(ConditioningInput("a", prefix))
+        with_ctx = backend.next_distribution(
+            ConditioningInput("a", prefix, ContextBundle(profile="x"))
+        )
+        assert plain.top1()[0] == vocab.id_of("c")
+        assert with_ctx.top1()[0] == vocab.id_of("d")
+        full = (vocab.id_of("x"), vocab.id_of("b"))
+        assert (
+            backend.next_distribution(ConditioningInput("a", full)).dense_probs.tobytes()
+            == backend.next_distribution(
+                ConditioningInput("q", full, ContextBundle(profile="a"))
+            ).dense_probs.tobytes()
+        )
+
+    def test_empty_prefix_reads_context(self):
+        model = train_ngram(["alpha beta", "gamma delta"], n=2, alpha=0.1, append_eos=False)
+        backend = NGramBackend(model, Role.SMALL_DEVICE)
+        vocab = model.vocab
+        plain = backend.next_distribution(ConditioningInput("alpha", ()))
+        with_ctx = backend.next_distribution(
+            ConditioningInput("alpha", (), ContextBundle(history=("gamma",)))
+        )
+        assert plain.top1()[0] == vocab.id_of("beta")
+        assert with_ctx.top1()[0] == vocab.id_of("delta")
+
+    def test_large_cloud_given_context_still_raises(self, world0_backends):
+        llm, _ = world0_backends
+        # Addressed to the small side, so the request itself builds; the
+        # prefix fills the window, so the context would never be read.
+        request = ConditioningInput(
+            "hello", (1, 2, 3), ContextBundle(profile="secret"), Role.SMALL_DEVICE
+        )
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            llm.next_distribution(request)
+
+
 class TestPerplexity:
     def test_certain_path_scores_one(self, abc_vocab):
         backend = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])

@@ -23,6 +23,7 @@ from cogen.combmodel import (
 from cogen.core import TokenDistribution, top_k_project
 from cogen.errors import InvalidInputError, ModelIOError
 from cogen.fusion import align_supports
+from cogen.rng import Splitmix64
 from helpers import one_sided_examples, perturbed_params, random_comb_example
 
 # frozen during bring-up from the seed-0 reference forward pass
@@ -52,6 +53,17 @@ class TestInit:
     def test_biases_zero(self):
         params = comb_init(3)
         assert not params.b1.any() and not params.b2.any() and not params.b3.any()
+
+    def test_matches_scalar_draw_order(self):
+        # One stream, consumed layer by layer in row-major order, one
+        # scalar uniform per weight: the init every saved model relies on.
+        for seed in (0, 5, 123456789, 2**64 - 1):
+            rng = Splitmix64(seed)
+            params = comb_init(seed)
+            for arr in (params.w1, params.w2, params.w3):
+                limit = math.sqrt(6.0 / sum(arr.shape))
+                want = [rng.uniform(-limit, limit) for _ in range(arr.size)]
+                assert arr.ravel().tolist() == want
 
     def test_fan_balanced_bounds(self):
         params = comb_init(0)

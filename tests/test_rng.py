@@ -1,5 +1,7 @@
 """The RNG must match its published sequence bit for bit (docs/rng.md)."""
 
+import numpy as np
+
 from cogen.rng import Splitmix64
 
 # First三 outputs of splitmix64 for the reference seeds; these match the
@@ -49,3 +51,16 @@ def test_shuffle_deterministic():
 def test_next_below_range():
     rng = Splitmix64(1)
     assert all(0 <= rng.next_below(7) < 7 for _ in range(200))
+
+
+def test_uniform_block_matches_scalar_stream():
+    # The block form relies on splitmix64 being counter-based; it must give
+    # the scalar draws bit for bit and leave the stream where they would.
+    for seed in (0, 5, 123456789, 2**64 - 1):
+        for n in (0, 1, 3, 1000):
+            block, scalar = Splitmix64(seed), Splitmix64(seed)
+            got = block.uniforms(-0.25, 0.75, n)
+            want = [scalar.uniform(-0.25, 0.75) for _ in range(n)]
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tolist() == want
+            assert block.next_u64() == scalar.next_u64()

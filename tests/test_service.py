@@ -132,6 +132,9 @@ class TestWireCodec:
             read_frame(frame_reader(bad))
 
 
+VOCAB_SIZE = 100
+
+
 class TestRequestValidation:
     def base_logits(self):
         return {
@@ -144,35 +147,56 @@ class TestRequestValidation:
         }
 
     def test_valid_request_passes(self):
-        validate_request(self.base_logits())
+        validate_request(self.base_logits(), VOCAB_SIZE)
 
     def test_unknown_field_rejected(self):
         req = self.base_logits()
         req["context"] = "smuggled"
         with pytest.raises(ProtocolError, match="unknown field"):
-            validate_request(req)
+            validate_request(req, VOCAB_SIZE)
 
     def test_missing_field_rejected(self):
         req = self.base_logits()
         del req["instruction"]
         with pytest.raises(ProtocolError, match="missing"):
-            validate_request(req)
+            validate_request(req, VOCAB_SIZE)
 
     def test_version_mismatch_rejected(self):
         req = self.base_logits()
         req["version"] = 2
         with pytest.raises(ProtocolError, match="version"):
-            validate_request(req)
+            validate_request(req, VOCAB_SIZE)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError, match="kind"):
-            validate_request({"version": 1, "kind": "exfiltrate"})
+            validate_request({"version": 1, "kind": "exfiltrate"}, VOCAB_SIZE)
 
     def test_bad_prefix_ids_rejected(self):
         req = self.base_logits()
         req["prefix_ids"] = ["a"]
         with pytest.raises(ProtocolError):
-            validate_request(req)
+            validate_request(req, VOCAB_SIZE)
+
+    @pytest.mark.parametrize("ids", [[True], [0, False]])
+    def test_boolean_prefix_ids_rejected(self, ids):
+        req = self.base_logits()
+        req["prefix_ids"] = ids
+        with pytest.raises(ProtocolError, match="non-negative integers"):
+            validate_request(req, VOCAB_SIZE)
+
+    def test_boolean_top_k_rejected(self):
+        req = self.base_logits()
+        req["top_k"] = True
+        with pytest.raises(ProtocolError, match="top_k"):
+            validate_request(req, VOCAB_SIZE)
+
+    def test_out_of_vocab_prefix_id_rejected(self):
+        req = self.base_logits()
+        req["prefix_ids"] = [0, 49, 50, 70]
+        with pytest.raises(ProtocolError, match="entry 50 outside vocab of size 50"):
+            validate_request(req, 50)
+        req["prefix_ids"] = [0, 49]
+        validate_request(req, 50)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +272,37 @@ class TestServiceRoundTrip:
             obj, _ = read_frame(read_exactly)
         assert obj["kind"] == "error"
         assert "unknown field" in obj["error"]
+
+    @pytest.mark.parametrize("kind", ["logits", "generate"])
+    def test_out_of_vocab_prefix_is_the_clients_fault(self, served_world, kind):
+        world, _, _, handle = served_world
+        client = ServiceClient(handle.address)
+        client.hello(world.vocab.digest())
+        prefix = (0, world.vocab.size)
+        with pytest.raises(ProtocolError) as info:
+            if kind == "logits":
+                client.next_logits("hi", prefix, 5, world.vocab.size)
+            else:
+                client.generate("hi", prefix, SamplingConfig(max_new_tokens=2))
+        client.close()
+        message = str(info.value)
+        assert f"entry {world.vocab.size} outside vocab" in message
+        assert "internal" not in message
+
+    def test_boolean_prefix_id_is_the_clients_fault(self, served_world):
+        _, _, _, handle = served_world
+        payload = {
+            "version": 1,
+            "kind": "logits",
+            "session": "x",
+            "instruction": "hi",
+            "prefix_ids": [True],
+        }
+        with socket.create_connection(handle.address, timeout=5) as sock:
+            sock.sendall(encode_frame(payload))
+            obj, _ = read_frame(sock.makefile("rb").read)
+        assert obj["kind"] == "error"
+        assert obj["error"] == "prefix_ids must be a list of non-negative integers"
 
     def test_generate_matches_local_decode(self, served_world):
         world, llm, _, handle = served_world
