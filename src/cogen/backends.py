@@ -45,20 +45,6 @@ class BackendKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class BackendDescriptor:
-    kind: BackendKind
-    role: Role
-    vocab_ref: str
-    params_uri: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, BackendKind):
-            object.__setattr__(self, "kind", BackendKind(self.kind))
-        if not isinstance(self.role, Role):
-            object.__setattr__(self, "role", Role(self.role))
-
-
-@dataclass(frozen=True)
 class ContextBundle:
     """Private conditioning material: profile, writing history, activity logs."""
 
@@ -140,11 +126,6 @@ class Backend:
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         raise NotImplementedError
-
-    def describe(self) -> BackendDescriptor:
-        return BackendDescriptor(
-            kind=self.kind, role=self.role, vocab_ref=self.vocab.digest(), params_uri="in-process"
-        )
 
 
 def _resolve_dist(vocab: Vocab, mapping) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .combmodel import CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
+from .combmodel import TOP_K, CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
 from .corpus import (
     corpus_stats,
@@ -250,7 +250,7 @@ def _cmd_generate(args) -> int:
         use_remote = args.remote or (llm_spec is not None and llm_spec.kind.value == "remote")
         if use_remote:
             client = ServiceClient(config.service_address)
-            llm = RemoteBackend(client, slm.vocab, top_k=mode.top_k)
+            llm = RemoteBackend(client, slm.vocab, top_k=TOP_K)
         elif llm_spec is not None and llm_spec.kind.value == "external_http":
             from .external import ExternalBackend, HttpCompletionsClient
 

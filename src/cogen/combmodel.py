@@ -20,15 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import ConditioningInput
-from .core import TokenDistribution, top_k_project
+from .core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import AlignedPair, FusionStrategy, align_supports, fuse
+from .fusion import AlignedPair, top_k_pair
 from .rng import Splitmix64
 
 IN_DIM = 20
 HIDDEN1 = 512
 HIDDEN2 = 16
 OUT_DIM = 1
+# Size of each source's truncated view: the fused step's cut and the net's input.
 TOP_K = 10
 
 _MAGIC = b"CGCM"
@@ -188,19 +189,35 @@ class LossStats:
     degenerate: int = 0
 
 
-def _fused_target_prob(example: CombExample, w: float) -> float:
-    dist, _ = fuse(example.aligned, FusionStrategy.fixed(w))
-    return dist.prob_of(example.target_id)
+def _fused_target_prob(pair: AlignedPair, y: int, w: float) -> float:
+    """Probability of support slot ``y`` after blending the pair with weight w.
+
+    The same arithmetic as ``fuse`` with a fixed weight: the blend is
+    divided by its mass only when that mass is off 1 by more than the
+    dense tolerance, so the result equals the fused distribution's entry
+    bit for bit.
+    """
+    fused = w * pair.p_s + (1.0 - w) * pair.p_l
+    total = fused.sum()
+    if total <= 0:
+        raise InvalidInputError("fused distribution has no mass")
+    if abs(total - 1.0) <= DENSE_SUM_TOL:
+        return float(fused[y])
+    return float(fused[y] / total)
 
 
-def _loss_arrays(arrs, example: CombExample, stats: "LossStats | None" = None) -> float:
-    w, _ = _forward(arrs, _example_x(example))
-    p = _fused_target_prob(example, w)
+def _loss_at(example: CombExample, y: int, w: float, stats: "LossStats | None") -> float:
+    p = _fused_target_prob(example.aligned, y, w)
     if p < _PROB_FLOOR:
         p = _PROB_FLOOR
         if stats is not None:
             stats.degenerate += 1
     return -math.log(p)
+
+
+def _loss_arrays(arrs, example: CombExample, stats: "LossStats | None" = None) -> float:
+    w, _ = _forward(arrs, _example_x(example))
+    return _loss_at(example, example.target_index(), w, stats)
 
 
 def comb_loss(params: CombModelParams, example: CombExample, stats: LossStats | None = None) -> float:
@@ -225,11 +242,9 @@ class CombGradients:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
 
-def _grad_arrays(arrs, example: CombExample) -> tuple[np.ndarray, ...]:
+def _backward(arrs, example: CombExample, y: int, w: float, cache) -> tuple[np.ndarray, ...]:
     w1, b1, w2, b2, w3, b3 = arrs
-    w, (x, z1, h1, z2, h2) = _forward(arrs, _example_x(example))
-
-    y = example.target_index()
+    x, z1, h1, z2, h2 = cache
     a = example.aligned.p_s
     b = example.aligned.p_l
     a_y, b_y = float(a[y]), float(b[y])
@@ -265,7 +280,9 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     renormalization correction and vanishes on dense inputs where both
     masses are 1. ReLU uses subgradient 0 at 0.
     """
-    dw1, db1, dw2, db2, dw3, db3 = _grad_arrays(params.arrays(), example)
+    arrs = params.arrays()
+    w, cache = _forward(arrs, _example_x(example))
+    dw1, db1, dw2, db2, dw3, db3 = _backward(arrs, example, example.target_index(), w, cache)
     return CombGradients(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
@@ -319,10 +336,13 @@ def comb_train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[start : start + config.batch_size]]
-            batch_losses.extend(_loss_arrays(current, ex, stats) for ex in batch)
             grads = [np.zeros_like(a) for a in current]
             for ex in batch:
-                for acc, g in zip(grads, _grad_arrays(current, ex)):
+                # One forward pass feeds both the reported loss and the gradient.
+                y = ex.target_index()
+                w, cache = _forward(current, _example_x(ex))
+                batch_losses.append(_loss_at(ex, y, w, stats))
+                for acc, g in zip(grads, _backward(current, ex, y, w, cache)):
                     acc += g
             for arr, g in zip(current, grads):
                 arr -= config.learning_rate * (g / len(batch))
@@ -401,27 +421,18 @@ class HarvestStats:
     skipped_missing_target: int = 0
 
 
-def harvest_examples(
-    slm,
-    llm,
-    records,
-    tokenizer,
-    top_k: int = TOP_K,
-    include_eos: bool = True,
-) -> tuple[list[CombExample], HarvestStats]:
+def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], HarvestStats]:
     """Teacher-forced training examples from reference outputs.
 
-    For each position in a record's reference, both backends are queried
-    with the true prefix, truncated to their top-k views, and aligned.
-    Steps whose gold token fell out of both top-k supports are skipped and
-    counted rather than trained on.
+    For each position in a record's reference plus the closing EOS, both
+    backends are queried with the true prefix, truncated to their top-k
+    views, and aligned. Steps whose gold token fell out of both top-k
+    supports are skipped and counted rather than trained on.
     """
     examples: list[CombExample] = []
     stats = HarvestStats()
     for record in records:
-        ref_ids = tokenizer.tokenize(record.reference)
-        if include_eos:
-            ref_ids = ref_ids + [tokenizer.vocab.eos_id]
+        ref_ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
         context = record.context_bundle()
         llm_instruction = record.general_task or record.task
         for i, target in enumerate(ref_ids):
@@ -432,16 +443,14 @@ def harvest_examples(
             p_l = llm.next_distribution(
                 ConditioningInput(llm_instruction, prefix, None, llm.role)
             )
-            ps_k = p_s if p_s.is_sparse else top_k_project(p_s, top_k)
-            pl_k = p_l if p_l.is_sparse else top_k_project(p_l, top_k)
-            pair = align_supports(ps_k, pl_k)
+            ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
             if not np.isin(target, pair.support):
                 stats.skipped_missing_target += 1
                 continue
             examples.append(
                 CombExample(
-                    top10_l=padded_top_probs(pl_k, top_k),
-                    top10_s=padded_top_probs(ps_k, top_k),
+                    top10_l=padded_top_probs(pl_k),
+                    top10_s=padded_top_probs(ps_k),
                     aligned=pair,
                     target_id=int(target),
                 )

@@ -113,7 +113,7 @@ def _vocab_from_obj(obj: dict) -> Vocab:
     return Vocab(tokens=tokens, eos_id=tokens.index(eos), unk_id=tokens.index(unk))
 
 
-def build_backend(spec: BackendSpec, top_k: int = 10, service_address: str | None = None):
+def build_backend(spec: BackendSpec):
     """Instantiate a live backend from its config entry.
 
     Table params: {"vocab": {...}, "rules": [{"prefix": [...], "next": {...}}],

@@ -20,25 +20,18 @@ import math
 from dataclasses import dataclass, field
 
 from .backends import ConditioningInput, ContextBundle, Role
-from .combmodel import comb_forward, padded_top_probs
-from .core import (
-    SamplingConfig,
-    TokenDistribution,
-    argmax_token,
-    sample_top_p,
-    top_k_project,
-)
+from .combmodel import TOP_K, comb_forward, padded_top_probs
+from .core import SamplingConfig, TokenDistribution, _readonly, argmax_token, sample_top_p
 from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
+    InvalidDistributionError,
     PrivacyContractError,
     SessionError,
     TransportError,
 )
-from .fusion import FusionStrategy, align_supports, fuse
+from .fusion import FusionStrategy, fuse, top_k_pair
 from .rng import Splitmix64
-
-DEFAULT_FUSION_TOP_K = 10
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class DecodeMode:
     kind: str
     strategy: FusionStrategy | None = None
     first_k: int | None = None
-    top_k: int = DEFAULT_FUSION_TOP_K
     sketch_conditioning: str = "sketch"
 
     KINDS = (
@@ -65,8 +57,6 @@ class DecodeMode:
             raise InvalidConfigError(f"{self.kind} requires a fusion strategy")
         if self.kind == "first_k" and (self.first_k is None or self.first_k < 0):
             raise InvalidConfigError("first_k count must be >= 0")
-        if self.top_k < 1:
-            raise InvalidConfigError("top_k must be >= 1")
         if self.sketch_conditioning not in ("sketch", "full_content"):
             raise InvalidConfigError("sketch conditioning must be 'sketch' or 'full_content'")
 
@@ -83,12 +73,12 @@ class DecodeMode:
         return cls(kind="llm_only_no_context")
 
     @classmethod
-    def fusion(cls, strategy: FusionStrategy, top_k: int = DEFAULT_FUSION_TOP_K):
-        return cls(kind="logit_fusion", strategy=strategy, top_k=top_k)
+    def fusion(cls, strategy: FusionStrategy):
+        return cls(kind="logit_fusion", strategy=strategy)
 
     @classmethod
-    def first_k_mode(cls, n: int, strategy: FusionStrategy, top_k: int = DEFAULT_FUSION_TOP_K):
-        return cls(kind="first_k", strategy=strategy, first_k=n, top_k=top_k)
+    def first_k_mode(cls, n: int, strategy: FusionStrategy):
+        return cls(kind="first_k", strategy=strategy, first_k=n)
 
     @classmethod
     def sketch(cls, conditioning: str = "sketch"):
@@ -186,7 +176,31 @@ def _pick_token(dist: TokenDistribution, sampling: SamplingConfig, rng: Splitmix
 def _dense(dist: TokenDistribution) -> TokenDistribution:
     if dist.is_dense:
         return dist
-    return TokenDistribution.dense(dist.to_dense_array() / dist.mass)
+    mass = dist.mass
+    if not mass > 0:
+        raise InvalidDistributionError("distribution has no mass to sample from")
+    # Sparse entries are finite and non-negative from where they enter the
+    # program, so dividing by a positive mass needs no second validation.
+    return TokenDistribution(
+        vocab_size=dist.vocab_size, dense_probs=_readonly(dist.to_dense_array() / mass)
+    )
+
+
+def blend_step(
+    p_s: TokenDistribution, p_l: TokenDistribution, strategy: FusionStrategy
+) -> tuple[TokenDistribution, float, TokenDistribution, TokenDistribution]:
+    """One fused step: both sources' top-k views, aligned and blended.
+
+    A learnable strategy gets its weight from the weight network on the
+    two padded top-k views. Returns the fused distribution, the weight
+    used, and the small and large top-k views.
+    """
+    ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
+    w_override = None
+    if strategy.kind == "learnable":
+        w_override = comb_forward(strategy.model, padded_top_probs(pl_k), padded_top_probs(ps_k))
+    fused, w = fuse(pair, strategy, w_override=w_override)
+    return fused, w, ps_k, pl_k
 
 
 def decode_single(
@@ -346,17 +360,7 @@ def decode(
                 llm_down = True
                 fused_step = False
         if fused_step:
-            ps_k = top_k_project(p_s, mode.top_k)
-            pl_k = p_l if p_l.is_sparse else top_k_project(p_l, mode.top_k)
-            pair = align_supports(ps_k, pl_k)
-            w_override = None
-            if mode.strategy.kind == "learnable":
-                w_override = comb_forward(
-                    mode.strategy.model,
-                    padded_top_probs(pl_k),
-                    padded_top_probs(ps_k),
-                )
-            fused, w = fuse(pair, mode.strategy, w_override=w_override)
+            fused, w, ps_k, pl_k = blend_step(p_s, p_l, mode.strategy)
             dist = _dense(fused)
             ps1, pl1 = ps_k.top1()[1], pl_k.top1()[1]
         else:
@@ -371,33 +375,23 @@ def decode(
     return DecodeResult(token_ids=tuple(tokens), trace=trace)
 
 
-def decode_first_k(session: GenerationSession, **kwargs) -> DecodeResult:
-    if session.mode.kind != "first_k":
-        raise InvalidConfigError("decode_first_k requires a first_k session")
-    return decode(session, **kwargs)
-
-
 def fused_teacher_forced_ppl(
     slm,
     llm,
     record,
     tokenizer,
     strategy: FusionStrategy | None,
-    top_k: int = DEFAULT_FUSION_TOP_K,
     first_k: int | None = None,
-    include_eos: bool = True,
 ) -> float:
-    """Perplexity of the record's reference under the fused next-token
-    distribution, teacher-forced.
+    """Perplexity of the record's reference plus the closing EOS under the
+    fused next-token distribution, teacher-forced.
 
     ``strategy`` None scores the small model alone; ``first_k`` limits
     fusion to the opening steps with the remainder scored on the small
     model, mirroring the generation-time first-k split. A target outside
     the fused support yields infinite perplexity.
     """
-    ids = tokenizer.tokenize(record.reference)
-    if include_eos:
-        ids = ids + [tokenizer.vocab.eos_id]
+    ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
     context = record.context_bundle()
     llm_instruction = record.general_task or record.task
     nll = 0.0
@@ -411,15 +405,7 @@ def fused_teacher_forced_ppl(
             p_l = llm.next_distribution(
                 ConditioningInput(llm_instruction, prefix, None, llm.role)
             )
-            ps_k = top_k_project(p_s, top_k)
-            pl_k = p_l if p_l.is_sparse else top_k_project(p_l, top_k)
-            pair = align_supports(ps_k, pl_k)
-            w_override = None
-            if strategy.kind == "learnable":
-                w_override = comb_forward(
-                    strategy.model, padded_top_probs(pl_k), padded_top_probs(ps_k)
-                )
-            fused, _ = fuse(pair, strategy, w_override=w_override)
+            fused, _, _, _ = blend_step(p_s, p_l, strategy)
             p = fused.prob_of(target)
         else:
             p = p_s.prob_of(target)

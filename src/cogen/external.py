@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .backends import BackendDescriptor, BackendKind, ConditioningInput, Role
+from .backends import BackendKind, ConditioningInput, Role
 from .core import TokenDistribution, Vocab
 from .errors import InvalidConfigError, TransportError
 from .tokenizer import Tokenizer
@@ -92,7 +92,13 @@ def external_next_logits(
     probs_by_id: dict[int, float] = {}
     lost = 0.0
     for token_text, logprob in raw.items():
-        p = math.exp(float(logprob))
+        if type(logprob) not in (int, float) or not math.isfinite(logprob):
+            raise TransportError(
+                f"external service sent logprob {logprob!r} for {token_text!r}; "
+                "expected a finite number",
+                retryable=False,
+            )
+        p = math.exp(logprob)
         if token_text in vocab:
             tid = vocab.id_of(token_text)
         elif token_text.strip() in vocab and token_text.strip():
@@ -142,11 +148,3 @@ class ExternalBackend:
         )
         self.last_result = result
         return result.distribution
-
-    def describe(self) -> BackendDescriptor:
-        return BackendDescriptor(
-            kind=self.kind,
-            role=self.role,
-            vocab_ref=self.vocab.digest(),
-            params_uri=getattr(self.client, "endpoint", "external"),
-        )

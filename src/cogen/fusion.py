@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DENSE_SUM_TOL, TokenDistribution, _readonly
+from .core import DENSE_SUM_TOL, TokenDistribution, _readonly, top_k_project
 from .errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
 
 
@@ -93,6 +93,19 @@ def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPai
     out_s[np.searchsorted(ids, p_s.sparse_ids)] = p_s.sparse_probs
     out_l[np.searchsorted(ids, p_l.sparse_ids)] = p_l.sparse_probs
     return AlignedPair(ids.astype(np.int64), out_s, out_l, size)
+
+
+def top_k_pair(
+    p_s: TokenDistribution, p_l: TokenDistribution, k: int
+) -> tuple[TokenDistribution, TokenDistribution, AlignedPair]:
+    """Both sources' top-k views and their alignment.
+
+    A sparse input already is a truncated view and passes through
+    unchanged; a dense one is cut to its k highest entries.
+    """
+    ps_k = p_s if p_s.is_sparse else top_k_project(p_s, k)
+    pl_k = p_l if p_l.is_sparse else top_k_project(p_l, k)
+    return ps_k, pl_k, align_supports(ps_k, pl_k)
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:

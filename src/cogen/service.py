@@ -23,16 +23,16 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
 
 from .audit import AuditLog
-from .backends import Backend, BackendDescriptor, BackendKind, ConditioningInput, Role
+from .backends import Backend, BackendKind, ConditioningInput, Role
 from .core import SamplingConfig, TokenDistribution, top_k_project
 from .decoder import decode_single
 from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
+    InvalidDistributionError,
     ProtocolError,
     ServiceStartupError,
     TransportError,
@@ -69,6 +69,19 @@ def encode_frame(obj: dict) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError("frame exceeds the size cap")
     return struct.pack(">I", len(body)) + body
+
+
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    """Exactly ``n`` bytes from ``sock``; ConnectionError if the peer closes first."""
+    chunks = []
+    remaining = n
+    while remaining:
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise ConnectionError("peer closed mid-frame")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_frame(read_exactly) -> tuple[dict, bytes]:
@@ -168,22 +181,12 @@ class RequestLogEntry:
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    def _read_exactly(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self.request.recv(remaining)
-            if not chunk:
-                raise ConnectionError("peer closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def handle(self) -> None:
         service = self.server.service
+        read_exactly = partial(_recv_exactly, self.request)
         while True:
             try:
-                obj, raw = read_frame(self._read_exactly)
+                obj, raw = read_frame(read_exactly)
             except ConnectionError:
                 return
             except ProtocolError as exc:
@@ -362,24 +365,13 @@ class ServiceClient:
         except OSError as exc:
             raise TransportError(f"cannot reach the logit service at {self.address}: {exc}") from exc
 
-    def _read_exactly(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
-                raise ConnectionError("service closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def _roundtrip(self, payload: dict) -> dict:
         if self._sock is None:
             self.connect()
             self.hello_unchecked()
         try:
             self._sock.sendall(encode_frame(payload))
-            obj, _ = read_frame(self._read_exactly)
+            obj, _ = read_frame(partial(_recv_exactly, self._sock))
         except (OSError, ConnectionError) as exc:
             self.close()
             raise TransportError(f"transport failure: {exc}") from exc
@@ -419,6 +411,8 @@ class ServiceClient:
         return self.server_vocab_hash
 
     def next_logits(self, instruction: str, prefix_ids, top_k: int, vocab_size: int) -> TokenDistribution:
+        """The server's top-k slice, checked like any sparse distribution;
+        a malformed reply is the server's fault and raises ProtocolError."""
         response = self._roundtrip(
             {
                 "version": PROTOCOL_VERSION,
@@ -429,10 +423,16 @@ class ServiceClient:
                 "top_k": int(top_k),
             }
         )
-        entries = response["entries"]
-        ids = np.array([int(e[0]) for e in entries], dtype=np.int64)
-        probs = np.array([bits_to_float(e[1]) for e in entries], dtype=np.float64)
-        return TokenDistribution(vocab_size=vocab_size, sparse_ids=ids, sparse_probs=probs)
+        entries = response.get("entries")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and type(e[0]) is int for e in entries
+        ):
+            raise ProtocolError("logits reply entries must be [token id, float bits] pairs")
+        probs = [bits_to_float(e[1]) for e in entries]
+        try:
+            return TokenDistribution.sparse([e[0] for e in entries], probs, vocab_size)
+        except InvalidDistributionError as exc:
+            raise ProtocolError(f"service sent a malformed distribution: {exc}") from exc
 
     def generate(self, instruction: str, prefix_ids, sampling: SamplingConfig) -> list[int]:
         response = self._roundtrip(
@@ -481,11 +481,3 @@ class RemoteBackend:
 
     def generate_remote(self, instruction: str, prefix_ids, sampling: SamplingConfig) -> list[int]:
         return self.client.generate(instruction, prefix_ids, sampling)
-
-    def describe(self) -> BackendDescriptor:
-        return BackendDescriptor(
-            kind=self.kind,
-            role=self.role,
-            vocab_ref=self.vocab.digest(),
-            params_uri=f"tcp://{self.client.address[0]}:{self.client.address[1]}",
-        )

@@ -2,9 +2,10 @@
 
 ``tests/goldens/decode_digests.json`` holds, per decode mode, a SHA-256
 over the token ids (or the error class) of each session on
-``build_world(0..4)``, three test records per world. A speed-up that
-changes any sampled token changes a digest. Regenerate the file only
-for a change that is meant to alter tokens:
+``build_world(0..4)``, three test records per world, and over each
+record's teacher-forced perplexity under three scorers. A speed-up that
+changes any sampled token or score changes a digest. Regenerate the
+file only for a change that is meant to alter tokens or scores:
 
     PYTHONPATH=src python tests/test_decode_golden.py
 """
@@ -42,10 +43,17 @@ MODES = {
     "full_content": lambda comb: DecodeMode.sketch("full_content"),
 }
 
+# Teacher-forced scorers: (strategy, first_k) for fused_teacher_forced_ppl.
+SCORERS = {
+    "teacher_forced[mean]": lambda comb: (FusionStrategy.mean(), None),
+    "teacher_forced[learnable]": lambda comb: (FusionStrategy.learnable(comb), None),
+    "teacher_forced[first_k(8)]": lambda comb: (FusionStrategy.mean(), 8),
+}
+
 
 def decode_digests() -> dict[str, str]:
     lines: dict[str, list[str]] = {name: [] for name in MODES}
-    lines["teacher_forced[mean]"] = []
+    lines.update({name: [] for name in SCORERS})
     comb = comb_init(0)
     for world_seed in WORLD_SEEDS:
         world = build_world(world_seed)
@@ -61,10 +69,12 @@ def decode_digests() -> dict[str, str]:
                 except CogenError as exc:
                     outcome = type(exc).__name__
                 lines[name].append(f"{world_seed}/{r}: {outcome}")
-            ppl = fused_teacher_forced_ppl(
-                slm, llm, record, world.tokenizer, FusionStrategy.mean()
-            )
-            lines["teacher_forced[mean]"].append(f"{world_seed}/{r}: {ppl!r}")
+            for name, make in SCORERS.items():
+                strategy, first_k = make(comb)
+                ppl = fused_teacher_forced_ppl(
+                    slm, llm, record, world.tokenizer, strategy, first_k=first_k
+                )
+                lines[name].append(f"{world_seed}/{r}: {ppl!r}")
     return {
         name: hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
         for name, rows in lines.items()

@@ -7,7 +7,6 @@ from cogen.core import SamplingConfig
 from cogen.decoder import (
     DecodeMode,
     decode,
-    decode_first_k,
     decode_single,
     fused_teacher_forced_ppl,
     read_trace,
@@ -16,7 +15,6 @@ from cogen.decoder import (
 )
 from cogen.errors import (
     IncompatibleVocabError,
-    InvalidConfigError,
     SessionError,
     TransportError,
 )
@@ -177,12 +175,6 @@ class TestFirstK:
         decode(session)
         assert len(counting.requests) == 1
         assert all(len(r.prefix_ids) <= 0 for r in counting.requests)
-
-    def test_wrapper_requires_first_k_mode(self, path_backends, simple_record):
-        slm, llm = path_backends
-        session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
-        with pytest.raises(InvalidConfigError):
-            decode_first_k(session)
 
 
 class TestSingleBackendModes:

@@ -2,9 +2,10 @@
 
 Each ``ref_*`` function below is the original, plainer implementation of
 a hot-path primitive (lexsort orderings, ``np.errstate`` guarded logs,
-per-id range checks, full re-tokenization of the conditioning). The
-faster forms in ``cogen`` must return the same bits and raise the same
-error class with the same message on every input.
+per-id range checks, full re-tokenization of the conditioning, a whole
+fused distribution built to read one probability, a re-validated dense
+copy). The faster forms in ``cogen`` must return the same bits and
+raise the same error class with the same message on every input.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogen import combmodel, core, fusion
+from cogen import combmodel, core, decoder, fusion
 from cogen.backends import ConditioningInput, ContextBundle, NGramBackend, Role, train_ngram
 from cogen.core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, sample_top_p, top_k_project
 from cogen.errors import InvalidDistributionError, InvalidInputError, PrivacyContractError
-from cogen.fusion import AlignedPair
+from cogen.fusion import AlignedPair, FusionStrategy, fuse
 from cogen.rng import Splitmix64
 from cogen.tokenizer import Tokenizer
 
@@ -100,6 +101,15 @@ def ref_check_top10(name, vec):
     if np.any(np.diff(arr) > 1e-12):
         raise InvalidInputError(f"{name} must be sorted in descending order")
     return arr
+
+
+def ref_fused_target_prob(pair, target_id, w):
+    dist, _ = fuse(pair, FusionStrategy.fixed(w))
+    return dist.prob_of(target_id)
+
+
+def ref_dense_from_sparse(dist):
+    return TokenDistribution.dense(dist.to_dense_array() / dist.mass)
 
 
 def ref_backend_check(backend, request):
@@ -243,6 +253,72 @@ def test_to_distribution_order_matches(data, vocab_size):
     order = ref_to_distribution_order(support, vec)
     assert same_bits(dist.sparse_ids, support[order])
     assert same_bits(dist.sparse_probs, vec[order])
+
+
+@st.composite
+def sparse_distributions(draw, vocab_size):
+    """Valid top-k style distributions: descending, unique ids, mass <= 1."""
+    size = draw(st.integers(1, vocab_size))
+    ids = draw(st.permutations(range(vocab_size)))[:size]
+    probs = np.sort(draw(prob_vectors(min_size=size, max_size=size)))[::-1]
+    probs = probs * draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]))
+    return TokenDistribution.sparse(ids, probs, vocab_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), vocab_size=st.integers(2, 40))
+def test_dense_from_sparse_matches(data, vocab_size):
+    dist = data.draw(sparse_distributions(vocab_size))
+    got = decoder._dense(dist)
+    want = ref_dense_from_sparse(dist)
+    assert same_bits(got.dense_probs, want.dense_probs)
+    assert got.vocab_size == want.vocab_size
+
+
+# Mass kinds: normalized (no division), truncated (renormalized), empty.
+SIDES = st.sampled_from(["normalized", "truncated", "zero"])
+BLEND_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def aligned_targets(draw):
+    """An aligned pair over a sparse or full-vocabulary support, plus a target slot."""
+    vocab_size = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        support = np.arange(vocab_size, dtype=np.int64)
+    else:
+        size = draw(st.integers(1, vocab_size))
+        support = np.array(sorted(draw(st.permutations(range(vocab_size)))[:size]), dtype=np.int64)
+
+    def side():
+        kind = draw(SIDES)
+        if kind == "zero":
+            return np.zeros(support.size)
+        vec = draw(prob_vectors(min_size=support.size, max_size=support.size))
+        if kind == "truncated":
+            vec = vec * draw(st.floats(min_value=1e-3, max_value=0.99))
+        return vec
+
+    pair = AlignedPair(support, side(), side(), vocab_size)
+    return pair, draw(st.integers(0, support.size - 1))
+
+
+NO_MASS = (AlignedPair(np.arange(3, dtype=np.int64), np.zeros(3), np.zeros(3), 3), 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(target=aligned_targets(), w=BLEND_WEIGHTS)
+@example(target=NO_MASS, w=0.5)
+def test_fused_target_prob_matches_fuse(target, w):
+    pair, y = target
+    got = outcome(combmodel._fused_target_prob, pair, y, w)
+    want = outcome(ref_fused_target_prob, pair, int(pair.support[y]), w)
+    assert got[1] == want[1]
+    if want[1] is None:
+        assert same_bits(np.float64(got[0]), np.float64(want[0]))
 
 
 # --- input checks: same error class, same message ---------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.core import Vocab
-from cogen.errors import PrivacyContractError, TransportError
+from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
 from cogen.external import ExternalBackend, external_next_logits
 
 VOCAB = Vocab(tokens=("yes", "no", "maybe", "</s>", "<unk>"), eos_id=3, unk_id=4)
@@ -83,6 +83,13 @@ class TestExternalNextLogits:
         with pytest.raises(TransportError):
             external_next_logits(Bad(), request(), top_k=5, vocab=VOCAB)
 
+    @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, "-0.5", None])
+    def test_unusable_logprob_is_permanent_transport_error(self, logprob):
+        client = StubClient({"yes": -0.5, "no": logprob})
+        with pytest.raises(TransportError, match="expected a finite number") as info:
+            external_next_logits(client, request(), top_k=5, vocab=VOCAB)
+        assert info.value.retryable is False
+
 
 class TestExternalBackend:
     def test_context_refused_at_request_construction(self):
@@ -119,3 +126,21 @@ class TestExternalBackend:
         result = decode(session, on_transport_error="degrade")
         assert [VOCAB.token(t) for t in result.token_ids] == ["yes", "no"]
         assert result.trace.events
+
+    def test_reply_with_no_mass_cannot_be_sampled(self):
+        from cogen.backends import TableBackend
+        from cogen.core import SamplingConfig
+        from cogen.corpus import CorpusRecord
+        from cogen.decoder import DecodeMode, decode, session_for_record
+
+        slm = TableBackend.from_path(VOCAB, Role.SMALL_DEVICE, ["yes"])
+        llm = ExternalBackend(StubClient({"zzz_not_in_vocab": -0.1}), VOCAB)
+        record = CorpusRecord(
+            user_id="u", dataset_kind="email", task="pick one", reference="yes",
+        )
+        session = session_for_record(
+            record, DecodeMode.llm_no_context(),
+            SamplingConfig(greedy=True, max_new_tokens=4), slm, llm,
+        )
+        with pytest.raises(InvalidDistributionError):
+            decode(session)

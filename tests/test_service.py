@@ -328,6 +328,63 @@ class TestServiceRoundTrip:
             serve(small, ("127.0.0.1", 0))
 
 
+def serve_tampered(llm, entries):
+    """Serve ``llm``, but answer every logits request with ``entries``."""
+    handle = serve(llm, ("127.0.0.1", 0))
+    answer = handle.service.answer
+
+    def tampered(obj):
+        reply = answer(obj)
+        if obj["kind"] == "logits":
+            reply["entries"] = entries
+        return reply
+
+    handle.service.answer = tampered
+    return handle
+
+
+HALF, QUARTER, NAN = float_to_bits(0.5), float_to_bits(0.25), "7ff8000000000000"
+
+
+class TestMalformedLogitsReply:
+    """A malformed logits reply is the server's fault: the client rejects
+    it where it enters the program, as a ProtocolError."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[0, HALF], [6, QUARTER]], "out of vocab range"),
+            ([[0, NAN]], "finite"),
+            ([[0, QUARTER], [1, HALF]], "sorted"),
+            ([[0, HALF], [0, QUARTER]], "unique"),
+            ([["0", HALF]], "pairs"),
+        ],
+        ids=["out-of-vocab", "nan-bits", "unsorted", "duplicate-ids", "string-id"],
+    )
+    def test_client_rejects(self, path_backends, abc_vocab, entries, message):
+        _, llm = path_backends
+        with serve_tampered(llm, entries) as handle:
+            client = ServiceClient(handle.address)
+            client.hello(abc_vocab.digest())
+            with pytest.raises(ProtocolError, match=message):
+                client.next_logits("A", (), 5, abc_vocab.size)
+            client.close()
+
+    def test_out_of_vocab_reply_fails_decode_as_protocol_error(
+        self, path_backends, abc_vocab, simple_record, greedy_sampling
+    ):
+        slm, llm = path_backends
+        with serve_tampered(llm, [[6, HALF]]) as handle:
+            client = ServiceClient(handle.address)
+            session = session_for_record(
+                simple_record, DecodeMode.fusion(FusionStrategy.mean()), greedy_sampling,
+                slm, RemoteBackend(client, abc_vocab),
+            )
+            with pytest.raises(ProtocolError, match="out of vocab range"):
+                decode(session)
+            client.close()
+
+
 class TestSplitExecutionEquivalence:
     @pytest.mark.parametrize(
         "strategy",
