@@ -128,19 +128,19 @@ class Backend:
         raise NotImplementedError
 
 
-def _resolve_dist(vocab: Vocab, mapping) -> np.ndarray:
-    """Token->probability mapping resolved to a normalized dense vector."""
+def _resolve_dist(vocab: Vocab, mapping) -> TokenDistribution:
+    """Token->probability mapping resolved to a normalized dense distribution."""
     vec = np.zeros(vocab.size, dtype=np.float64)
     for token, p in mapping.items():
-        if p < 0:
-            raise InvalidConfigError("table probabilities must be non-negative")
+        if not 0 <= p < math.inf:
+            raise InvalidConfigError("table probabilities must be finite and non-negative")
         if token not in vocab:
             raise InvalidConfigError(f"table rule names unknown token {token!r}")
         vec[vocab.id_of(token)] += float(p)
     total = vec.sum()
     if total <= 0:
         raise InvalidConfigError("table rule has no probability mass")
-    return vec / total
+    return TokenDistribution.dense(vec / total)
 
 
 class TableBackend(Backend):
@@ -168,7 +168,7 @@ class TableBackend(Backend):
         self._default = None if default is None else _resolve_dist(vocab, default)
         eos = np.zeros(vocab.size, dtype=np.float64)
         eos[vocab.eos_id] = 1.0
-        self._eos = eos
+        self._eos = TokenDistribution.dense(eos)
 
     @staticmethod
     def path_rules(vocab: Vocab, path_tokens) -> dict:
@@ -195,10 +195,10 @@ class TableBackend(Backend):
                 rules = ruleset
                 break
         key = tuple(self.vocab.token(i) for i in request.prefix_ids)
-        vec = rules.get(key)
-        if vec is None:
-            vec = self._default if self._default is not None else self._eos
-        return TokenDistribution.dense(vec)
+        dist = rules.get(key)
+        if dist is None:
+            dist = self._default if self._default is not None else self._eos
+        return dist
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,13 @@ class NGramModel:
     counts: dict = field(repr=False)  # (n-1)-gram id tuple -> {token_id: count}
     totals: dict = field(repr=False)  # (n-1)-gram id tuple -> total count
 
+    def history_key(self, history_ids) -> tuple:
+        """The last n-1 ids of a history: all that ``conditional`` reads."""
+        return tuple(history_ids[-(self.n - 1):]) if self.n > 1 else ()
+
     def conditional(self, history_ids) -> np.ndarray:
         """P(. | history) with add-alpha smoothing; always normalized."""
-        h = tuple(history_ids[-(self.n - 1):]) if self.n > 1 else ()
+        h = self.history_key(history_ids)
         vec = np.full(self.vocab.size, self.alpha, dtype=np.float64)
         for tid, c in self.counts.get(h, {}).items():
             vec[tid] += c
@@ -288,6 +292,14 @@ class NGramBackend(Backend):
     on a user's text behaves differently from a context-blind one trained
     on everyone's. Once the prefix alone holds n-1 tokens, the instruction
     and context can no longer reach the window and are not tokenized.
+
+    Each history's distribution is built once and memoized. Every history
+    the model never counted gets the same uniform distribution, so all of
+    them share one entry (key ``None``) and the memo holds at most
+    ``len(model.counts) + 1`` distributions, each with at most one cached
+    sampling nucleus (see ``TokenDistribution``). Service handler threads
+    share one backend; a racy fill is harmless because the entries are
+    immutable and a lost race only builds the same distribution twice.
     """
 
     kind = BackendKind.NGRAM
@@ -297,15 +309,22 @@ class NGramBackend(Backend):
         self.vocab = model.vocab
         self.role = Role(role)
         self._tok = Tokenizer(model.vocab, model.policy)
+        self._memo: dict = {}
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
-        if len(request.prefix_ids) >= self.model.n - 1:
-            return TokenDistribution.dense(self.model.conditional(request.prefix_ids))
-        stream = self._tok.tokenize(request.instruction)
-        if request.context is not None and not request.context.is_empty():
-            stream += self._tok.tokenize(request.context.as_text())
-        stream += list(request.prefix_ids)
-        return TokenDistribution.dense(self.model.conditional(stream))
+        ids = request.prefix_ids
+        if len(ids) < self.model.n - 1:
+            stream = self._tok.tokenize(request.instruction)
+            if request.context is not None and not request.context.is_empty():
+                stream += self._tok.tokenize(request.context.as_text())
+            ids = stream + list(ids)
+        h = self.model.history_key(ids)
+        slot = h if h in self.model.counts else None
+        dist = self._memo.get(slot)
+        if dist is None:
+            dist = TokenDistribution.dense(self.model.conditional(h))
+            self._memo[slot] = dist
+        return dist
 
 
 def perplexity(backend, token_ids, instruction: str = "", context=None) -> float:

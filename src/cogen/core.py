@@ -2,6 +2,8 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
+The one mutable piece, a distribution's single cached sampling nucleus,
+only ever holds a pure function of the immutable fields.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -110,12 +112,21 @@ class TokenDistribution:
     Sparse form carries (id, probability) entries sorted by descending
     probability (ties by ascending id) with total mass at most 1; it is
     what survives a top-K cut and is never renormalized by the cut itself.
+
+    ``_nucleus`` caches ``sample_top_p``'s deterministic part for the last
+    ``(temperature, top_p)`` it was sampled with: one slot, overwritten
+    when the pair changes, so a distribution never holds more than one
+    nucleus however many configs sample it. Concurrent samplers may race
+    on the slot; each entry is an immutable tuple stored in one assignment
+    and checked against its key on read, so a lost race only computes a
+    nucleus again.
     """
 
     vocab_size: int
     dense_probs: np.ndarray | None = None
     sparse_ids: np.ndarray | None = None
     sparse_probs: np.ndarray | None = None
+    _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def dense(cls, probs) -> "TokenDistribution":
@@ -242,28 +253,42 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
     return out / total
 
 
+def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
+    """Token ids of the top-p nucleus after tempering, most probable first,
+    and the cumulative sum of their renormalized probabilities."""
+    key = (temperature, top_p)
+    slot = dist._nucleus
+    if slot is not None and slot[0] == key:
+        return slot[1], slot[2]
+    if not dist.is_dense:
+        raise InvalidDistributionError("sample_top_p requires a dense distribution")
+    if abs(dist.mass - 1.0) > DENSE_SUM_TOL:
+        raise InvalidDistributionError("sample_top_p requires a normalized distribution")
+    probs = _temper_probs(np.asarray(dist.dense_probs), temperature)
+    order = _descending_order(probs)
+    sorted_probs = probs[order]
+    cum = np.cumsum(sorted_probs)
+    cut = int(np.searchsorted(cum, top_p, side="left")) + 1
+    cut = min(cut, probs.size)
+    nucleus = sorted_probs[:cut]
+    # A copy, so the cache does not keep the whole vocabulary's order alive.
+    ids, cum = order[:cut].copy(), np.cumsum(nucleus / nucleus.sum())
+    object.__setattr__(dist, "_nucleus", (key, ids, cum))
+    return ids, cum
+
+
 def sample_top_p(dist: TokenDistribution, config: SamplingConfig, rng: Splitmix64) -> int:
     """Nucleus sampling after temperature scaling.
 
     Sorts by descending probability (ties toward lower ids), keeps the
     smallest prefix whose cumulative mass reaches ``top_p``, renormalizes
-    it, and draws one token using exactly one RNG float.
+    it, and draws one token using exactly one RNG float. The nucleus of the
+    last ``(temperature, top_p)`` is cached on the distribution.
     """
-    if not dist.is_dense:
-        raise InvalidDistributionError("sample_top_p requires a dense distribution")
-    if abs(dist.mass - 1.0) > DENSE_SUM_TOL:
-        raise InvalidDistributionError("sample_top_p requires a normalized distribution")
-    probs = _temper_probs(np.asarray(dist.dense_probs), config.temperature)
-    order = _descending_order(probs)
-    sorted_probs = probs[order]
-    cum = np.cumsum(sorted_probs)
-    cut = int(np.searchsorted(cum, config.top_p, side="left")) + 1
-    cut = min(cut, probs.size)
-    nucleus = sorted_probs[:cut]
-    nucleus = nucleus / nucleus.sum()
+    order, cum = _nucleus(dist, config.temperature, config.top_p)
     u = rng.next_float()
-    pick = int(np.searchsorted(np.cumsum(nucleus), u, side="right"))
-    pick = min(pick, cut - 1)
+    pick = int(np.searchsorted(cum, u, side="right"))
+    pick = min(pick, cum.size - 1)
     return int(order[pick])
 
 

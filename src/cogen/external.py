@@ -116,10 +116,12 @@ def external_next_logits(
             degraded=True,
         )
     items = sorted(probs_by_id.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    ids = np.array([i for i, _ in items], dtype=np.int64)
     probs = np.array([min(p, 1.0) for _, p in items], dtype=np.float64)
+    kept = probs.sum()
+    if kept > 1.0:
+        probs = probs / kept
     return ExternalLogits(
-        distribution=TokenDistribution(vocab_size=vocab.size, sparse_ids=ids, sparse_probs=probs),
+        distribution=TokenDistribution.sparse([i for i, _ in items], probs, vocab.size),
         lost_mass=lost,
         degraded=degraded,
     )

@@ -376,6 +376,8 @@ class ServiceClient:
             self.close()
             raise TransportError(f"transport failure: {exc}") from exc
         if obj.get("kind") == "error":
+            # The server closes the connection after every error frame.
+            self.close()
             raise ProtocolError(f"service rejected the request: {obj.get('error')}")
         return obj
 
@@ -434,7 +436,9 @@ class ServiceClient:
         except InvalidDistributionError as exc:
             raise ProtocolError(f"service sent a malformed distribution: {exc}") from exc
 
-    def generate(self, instruction: str, prefix_ids, sampling: SamplingConfig) -> list[int]:
+    def generate(self, instruction: str, prefix_ids, sampling: SamplingConfig, vocab_size: int) -> list[int]:
+        """Token ids the server sampled; any that is not an in-vocab int
+        makes the reply malformed and raises ProtocolError."""
         response = self._roundtrip(
             {
                 "version": PROTOCOL_VERSION,
@@ -445,7 +449,12 @@ class ServiceClient:
                 "sampling": sampling_to_wire(sampling),
             }
         )
-        return [int(t) for t in response["tokens"]]
+        tokens = response.get("tokens")
+        if not isinstance(tokens, list) or not all(
+            type(t) is int and 0 <= t < vocab_size for t in tokens
+        ):
+            raise ProtocolError(f"generate reply tokens must be ids in a vocab of size {vocab_size}")
+        return tokens
 
     def close(self) -> None:
         if self._sock is not None:
@@ -480,4 +489,4 @@ class RemoteBackend:
         )
 
     def generate_remote(self, instruction: str, prefix_ids, sampling: SamplingConfig) -> list[int]:
-        return self.client.generate(instruction, prefix_ids, sampling)
+        return self.client.generate(instruction, prefix_ids, sampling, self.vocab.size)

@@ -77,6 +77,11 @@ class TestTableBackend:
         with pytest.raises(InvalidInputError):
             backend.next_distribution(ConditioningInput("x", (99,)))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -0.5])
+    def test_unusable_rule_probability_rejected_at_construction(self, abc_vocab, p):
+        with pytest.raises(InvalidConfigError, match="finite and non-negative"):
+            TableBackend(abc_vocab, Role.SMALL_DEVICE, rules={(): {"A": 1.0, "B": p}})
+
 
 class TestTrainNGram:
     def test_direct_count(self):

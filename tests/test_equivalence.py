@@ -4,13 +4,18 @@ Each ``ref_*`` function below is the original, plainer implementation of
 a hot-path primitive (lexsort orderings, ``np.errstate`` guarded logs,
 per-id range checks, full re-tokenization of the conditioning, a whole
 fused distribution built to read one probability, a re-validated dense
-copy). The faster forms in ``cogen`` must return the same bits and
-raise the same error class with the same message on every input.
+copy, an n-gram conditional and a nucleus rebuilt on every call). The
+faster forms in ``cogen`` must return the same bits and raise the same
+error class with the same message on every input.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,13 +130,21 @@ def ref_backend_check(backend, request):
             raise InvalidInputError(f"token id {tid} outside vocab of size {backend.vocab.size}")
 
 
+def ref_conditional(model, history_ids):
+    h = tuple(history_ids[-(model.n - 1):]) if model.n > 1 else ()
+    vec = np.full(model.vocab.size, model.alpha, dtype=np.float64)
+    for tid, c in model.counts.get(h, {}).items():
+        vec[tid] += c
+    return vec / (model.totals.get(h, 0) + model.alpha * model.vocab.size)
+
+
 def ref_ngram_distribution(backend, request):
     tok = Tokenizer(backend.model.vocab, backend.model.policy)
     stream = tok.tokenize(request.instruction)
     if request.context is not None and not request.context.is_empty():
         stream += tok.tokenize(request.context.as_text())
     stream += list(request.prefix_ids)
-    return backend.model.conditional(stream)
+    return TokenDistribution.dense(ref_conditional(backend.model, stream)).dense_probs
 
 
 # --- helpers ---------------------------------------------------------------
@@ -386,21 +399,181 @@ def test_backend_check_matches(ngram_pair, prefix, use_large, with_context, waiv
     assert outcome(backend._check, request) == outcome(ref_backend_check, backend, request)
 
 
+CONTEXTS = st.sampled_from(
+    [None, ContextBundle(), ContextBundle(profile="x"), ContextBundle(history=("c", "d a"))]
+)
+
+
+def fresh_ngram(ngram_pair, use_large):
+    """A backend with an empty memo over one of the shared models."""
+    shared = ngram_pair[1 if use_large else 0]
+    return NGramBackend(shared.model, shared.role)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    prefix=st.lists(st.integers(0, 6), max_size=5),
-    instruction=st.sampled_from(["", "a", "b x", "q a c"]),
-    context=st.sampled_from([None, ContextBundle(), ContextBundle(profile="x"),
-                             ContextBundle(history=("c", "d a"))]),
+    requests=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 6), max_size=5),
+            st.sampled_from(["", "a", "b x", "q a c"]),
+            CONTEXTS,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
     use_large=st.booleans(),
 )
-def test_ngram_distribution_matches_full_stream(ngram_pair, prefix, instruction, context, use_large):
-    backend = ngram_pair[1] if use_large else ngram_pair[0]
-    request = ConditioningInput(
-        instruction, tuple(np.int64(i) for i in prefix), context, backend.role,
-        context_upload_waiver=True,
-    )
-    assert request.prefix_ids == tuple(prefix)
-    assert all(type(i) is int for i in request.prefix_ids)
-    got = backend.next_distribution(request).dense_probs
-    assert same_bits(got, ref_ngram_distribution(backend, request))
+def test_ngram_distribution_matches_full_stream(ngram_pair, requests, use_large):
+    """Memo hits and misses, seen and unseen histories, and the short-prefix
+    path with and without context all return the freshly built bits."""
+    backend = fresh_ngram(ngram_pair, use_large)
+    for prefix, instruction, context in requests:
+        request = ConditioningInput(
+            instruction, tuple(np.int64(i) for i in prefix), context, backend.role,
+            context_upload_waiver=True,
+        )
+        assert request.prefix_ids == tuple(prefix)
+        assert all(type(i) is int for i in request.prefix_ids)
+        got = backend.next_distribution(request)
+        assert got.vocab_size == backend.vocab.size
+        assert same_bits(got.dense_probs, ref_ngram_distribution(backend, request))
+
+
+# --- the n-gram memo and the nucleus cache ------------------------------------
+
+
+def test_memo_serves_seen_and_unseen_histories(ngram_pair):
+    small, large = (fresh_ngram(ngram_pair, use_large) for use_large in (False, True))
+    unseen = (6, 6)
+    assert unseen not in large.model.counts and (6,) not in small.model.counts
+    for backend in (small, large):
+        seen = next(iter(backend.model.counts))
+        for prefix in (seen, unseen, seen, unseen):
+            request = ConditioningInput("", prefix, None, backend.role)
+            got = backend.next_distribution(request)
+            assert same_bits(got.dense_probs, ref_ngram_distribution(backend, request))
+        assert len(backend._memo) == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(walk=st.lists(st.integers(0, 6), min_size=20, max_size=300), use_large=st.booleans())
+@example(walk=[i for a in range(7) for b in range(7) for i in (a, b)], use_large=True)
+def test_memo_never_outgrows_the_counted_histories(ngram_pair, walk, use_large):
+    backend = fresh_ngram(ngram_pair, use_large)
+    for end in range(len(walk) + 1):
+        backend.next_distribution(ConditioningInput("a b", tuple(walk[:end]), None, backend.role))
+    assert len(backend._memo) <= len(backend.model.counts) + 1
+
+
+CONFIG_STEPS = st.tuples(
+    st.integers(0, 1),
+    st.sampled_from([0.5, 0.7, 1.0]),
+    st.sampled_from([0.3, 0.9, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=prob_vectors(min_size=2),
+    second=prob_vectors(min_size=2),
+    steps=st.lists(CONFIG_STEPS, min_size=2, max_size=12),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(
+    first=np.array([0.5, 0.3, 0.2]),
+    second=np.array([0.25, 0.75]),
+    steps=[(0, 0.7, 0.3), (0, 0.7, 1.0), (1, 0.7, 0.3), (0, 0.7, 0.3)] * 4,
+    seed=1,
+)
+def test_cached_nucleus_sampling_matches_uncached(first, second, steps, seed):
+    """Two distributions sampled in turn from one RNG stream, the config
+    changing between calls, give the ids of the uncached function."""
+    dists = [TokenDistribution.dense(first), TokenDistribution.dense(second)]
+    got, want = Splitmix64(seed), Splitmix64(seed)
+    for which, temperature, top_p in steps:
+        config = SamplingConfig(temperature=temperature, top_p=top_p, seed=seed)
+        assert outcome(sample_top_p, dists[which], config, got) == outcome(
+            ref_sample_top_p, dists[which], config, want
+        )
+    assert got.next_u64() == want.next_u64()
+
+
+def test_nucleus_cache_keeps_the_error_paths():
+    config = SamplingConfig()
+    sparse = top_k_project(TokenDistribution.dense(np.array([0.5, 0.5])), 1)
+    unnormalized = TokenDistribution(vocab_size=2, dense_probs=np.array([0.5, 0.4]))
+    for dist, message in ((sparse, "dense"), (unnormalized, "normalized")):
+        rng = Splitmix64(3)
+        for _ in range(2):
+            with pytest.raises(InvalidDistributionError, match=message):
+                sample_top_p(dist, config, rng)
+        assert dist._nucleus is None
+        assert rng.next_u64() == Splitmix64(3).next_u64()
+
+
+def test_nucleus_cache_does_not_grow_with_distinct_configs():
+    """A service client picks ``temperature`` and ``top_p`` per request, and
+    backend distributions live as long as the server. However many
+    distinct pairs sample one distribution, it keeps a single nucleus."""
+    dist = TokenDistribution.dense(np.full(123, 1 / 123))
+    rng = Splitmix64(0)
+    sample_top_p(dist, SamplingConfig(temperature=0.5, top_p=1.0), rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(500):
+            config = SamplingConfig(temperature=0.5 + (i + 1) / 1000, top_p=1.0)
+            sample_top_p(dist, config, rng)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dist._nucleus[0] == (config.temperature, config.top_p)
+    # One full-vocabulary nucleus is about 2 KB; one per config would be 1 MB.
+    assert grown < 16 * 1024
+
+
+def test_threads_sharing_one_distribution_and_backend_match_serial(ngram_pair):
+    """Handler threads share backends and their distributions; racing to
+    fill the memo and the nucleus cache must not change what any sees."""
+    backend = fresh_ngram(ngram_pair, True)
+    shared = TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1]))
+    configs = [SamplingConfig(temperature=t, top_p=p) for t in (0.5, 1.0) for p in (0.5, 0.95)]
+
+    def work(seed):
+        rng = Splitmix64(seed)
+        picks = []
+        for i in range(200):
+            config = configs[i % len(configs)]
+            picks.append(sample_top_p(shared, config, rng))
+            prefix = (i % 7, (i * 3) % 7)
+            dist = backend.next_distribution(ConditioningInput("", prefix, None, backend.role))
+            picks.append(sample_top_p(dist, config, rng))
+        return picks
+
+    def serial(seed):
+        rng = Splitmix64(seed)
+        picks = []
+        for i in range(200):
+            config = configs[i % len(configs)]
+            picks.append(ref_sample_top_p(shared, config, rng))
+            request = ConditioningInput("", (i % 7, (i * 3) % 7), None, backend.role)
+            dense = TokenDistribution.dense(ref_ngram_distribution(backend, request))
+            picks.append(ref_sample_top_p(dense, config, rng))
+        return picks
+
+    results = {}
+    threads = [
+        threading.Thread(target=lambda s=seed: results.__setitem__(s, work(s))) for seed in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {seed: serial(seed) for seed in range(4)}

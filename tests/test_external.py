@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cogen.backends import ConditioningInput, ContextBundle, Role
-from cogen.core import Vocab
+from cogen.core import SPARSE_MASS_TOL, TokenDistribution, Vocab
 from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
 from cogen.external import ExternalBackend, external_next_logits
 
@@ -82,6 +82,14 @@ class TestExternalNextLogits:
 
         with pytest.raises(TransportError):
             external_next_logits(Bad(), request(), top_k=5, vocab=VOCAB)
+
+    def test_kept_mass_above_one_is_renormalized(self):
+        client = StubClient({"yes": 0.0, "no": 0.0, "maybe": 0.0})
+        dist = external_next_logits(client, request(), top_k=5, vocab=VOCAB).distribution
+        assert dist.mass <= 1.0 + SPARSE_MASS_TOL
+        assert dist.sparse_probs.tolist() == [1 / 3] * 3
+        assert dist.sparse_ids.tolist() == [0, 1, 2]
+        TokenDistribution.sparse(dist.sparse_ids, dist.sparse_probs, VOCAB.size)
 
     @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, "-0.5", None])
     def test_unusable_logprob_is_permanent_transport_error(self, logprob):

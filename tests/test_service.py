@@ -283,7 +283,7 @@ class TestServiceRoundTrip:
             if kind == "logits":
                 client.next_logits("hi", prefix, 5, world.vocab.size)
             else:
-                client.generate("hi", prefix, SamplingConfig(max_new_tokens=2))
+                client.generate("hi", prefix, SamplingConfig(max_new_tokens=2), world.vocab.size)
         client.close()
         message = str(info.value)
         assert f"entry {world.vocab.size} outside vocab" in message
@@ -312,7 +312,7 @@ class TestServiceRoundTrip:
         sampling = SamplingConfig(seed=77, max_new_tokens=20)
         client = ServiceClient(handle.address)
         client.hello(world.vocab.digest())
-        remote = client.generate(record.general_task, (), sampling)
+        remote = client.generate(record.general_task, (), sampling, world.vocab.size)
         local = decode_single(llm, (record.general_task, None), sampling)
         assert remote == local
         client.close()
@@ -328,15 +328,18 @@ class TestServiceRoundTrip:
             serve(small, ("127.0.0.1", 0))
 
 
-def serve_tampered(llm, entries):
-    """Serve ``llm``, but answer every logits request with ``entries``."""
+def serve_tampered(llm, entries=None, tokens=None):
+    """Serve ``llm``, but answer every logits request with ``entries`` and
+    every generate request with ``tokens`` (when given)."""
     handle = serve(llm, ("127.0.0.1", 0))
     answer = handle.service.answer
 
     def tampered(obj):
         reply = answer(obj)
-        if obj["kind"] == "logits":
+        if obj["kind"] == "logits" and entries is not None:
             reply["entries"] = entries
+        if obj["kind"] == "generate" and tokens is not None:
+            reply["tokens"] = tokens
         return reply
 
     handle.service.answer = tampered
@@ -383,6 +386,56 @@ class TestMalformedLogitsReply:
             with pytest.raises(ProtocolError, match="out of vocab range"):
                 decode(session)
             client.close()
+
+
+class TestMalformedGenerateReply:
+    """A generate reply's tokens must be in-vocab ints, or the reply is the
+    server's fault and fails as a ProtocolError."""
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [[0, 99], [0, -1], [True], [0, 1.0], ["0"], "0 1"],
+        ids=["out-of-vocab", "negative", "bool", "float", "string", "not-a-list"],
+    )
+    def test_client_rejects(self, path_backends, abc_vocab, tokens):
+        _, llm = path_backends
+        with serve_tampered(llm, tokens=tokens) as handle:
+            client = ServiceClient(handle.address)
+            client.hello(abc_vocab.digest())
+            with pytest.raises(ProtocolError, match="vocab of size 6"):
+                client.generate("A", (), SamplingConfig(max_new_tokens=2), abc_vocab.size)
+            client.close()
+
+    def test_out_of_vocab_tokens_fail_decode_as_protocol_error(
+        self, path_backends, abc_vocab, simple_record, greedy_sampling
+    ):
+        slm, llm = path_backends
+        with serve_tampered(llm, tokens=[0, 99]) as handle:
+            client = ServiceClient(handle.address)
+            session = session_for_record(
+                simple_record, DecodeMode.llm_no_context(), greedy_sampling,
+                slm, RemoteBackend(client, abc_vocab),
+            )
+            with pytest.raises(ProtocolError, match="vocab of size 6"):
+                decode(session)
+            client.close()
+
+
+def test_client_reconnects_after_an_error_frame(served_world):
+    """The server closes the connection after an error frame; the client
+    drops that socket, so its next request opens a fresh one."""
+    world, llm, _, handle = served_world
+    client = ServiceClient(handle.address)
+    client.hello(world.vocab.digest())
+    with pytest.raises(ProtocolError, match="outside vocab"):
+        client.next_logits("hi", (world.vocab.size,), 5, world.vocab.size)
+    got = client.next_logits("hi", (0,), 5, world.vocab.size)
+    want = top_k_project(
+        llm.next_distribution(ConditioningInput("hi", (0,), None, Role.LARGE_CLOUD)), 5
+    )
+    assert got.sparse_ids.tolist() == want.sparse_ids.tolist()
+    assert got.sparse_probs.tolist() == want.sparse_probs.tolist()
+    client.close()
 
 
 class TestSplitExecutionEquivalence:
