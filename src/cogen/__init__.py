@@ -28,7 +28,6 @@ from .core import (
     SamplingConfig,
     TokenDistribution,
     Vocab,
-    apply_temperature,
     argmax_token,
     sample_top_p,
     softmax,
@@ -74,7 +73,6 @@ __all__ = [
     "Vocab",
     "WeightTrace",
     "align_supports",
-    "apply_temperature",
     "argmax_token",
     "build_vocab",
     "comb_forward",

@@ -421,6 +421,27 @@ class HarvestStats:
     skipped_missing_target: int = 0
 
 
+def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = None):
+    """Walk the record's reference plus the closing EOS, teacher-forced.
+
+    Yields ``(target, p_s, p_l)`` per position. The small backend gets the
+    personal task and the record's context; the large backend gets the
+    context-free task variant and no context, and is queried (after the
+    small one) only at the first ``fused_limit`` positions, or at every
+    position when that is None. Past the limit ``p_l`` is None.
+    """
+    ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
+    context = record.context_bundle()
+    llm_instruction = record.general_task or record.task
+    for i, target in enumerate(ids):
+        prefix = tuple(ids[:i])
+        p_s = slm.next_distribution(ConditioningInput(record.task, prefix, context, slm.role))
+        p_l = None
+        if fused_limit is None or i < fused_limit:
+            p_l = llm.next_distribution(ConditioningInput(llm_instruction, prefix, None, llm.role))
+        yield target, p_s, p_l
+
+
 def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], HarvestStats]:
     """Teacher-forced training examples from reference outputs.
 
@@ -432,17 +453,7 @@ def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], H
     examples: list[CombExample] = []
     stats = HarvestStats()
     for record in records:
-        ref_ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
-        context = record.context_bundle()
-        llm_instruction = record.general_task or record.task
-        for i, target in enumerate(ref_ids):
-            prefix = tuple(ref_ids[:i])
-            p_s = slm.next_distribution(
-                ConditioningInput(record.task, prefix, context, slm.role)
-            )
-            p_l = llm.next_distribution(
-                ConditioningInput(llm_instruction, prefix, None, llm.role)
-            )
+        for target, p_s, p_l in teacher_forced_steps(slm, llm, record, tokenizer):
             ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
             if not np.isin(target, pair.support):
                 stats.skipped_missing_target += 1

@@ -26,9 +26,6 @@ from .rng import Splitmix64
 
 DENSE_SUM_TOL = 1e-9
 SPARSE_MASS_TOL = 1e-9
-# Below this deviation a distribution counts as already normalized and is
-# left untouched, preserving bit-exact pass-through of clean inputs.
-RENORM_SKIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,16 +211,6 @@ def softmax(logits) -> TokenDistribution:
     exps = np.exp(shifted)
     probs = exps / exps.sum()
     return TokenDistribution(vocab_size=probs.size, dense_probs=_readonly(probs))
-
-
-def apply_temperature(logits, temperature: float) -> np.ndarray:
-    """Divide logits by a positive temperature."""
-    if not (temperature > 0):
-        raise InvalidConfigError("temperature must be > 0")
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInputError("logits must be finite")
-    return logits / temperature
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ later visualization.
 
 first-k mode restricts collaboration to the opening tokens: after step k
 the large backend is never queried again and the loop continues on the
-small model alone.
+small model alone. slm-only is the same loop with fusion limited to 0
+steps, so one step rule serves all three modes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .backends import ConditioningInput, ContextBundle, Role
-from .combmodel import TOP_K, comb_forward, padded_top_probs
+from .combmodel import TOP_K, comb_forward, padded_top_probs, teacher_forced_steps
 from .core import SamplingConfig, TokenDistribution, _readonly, argmax_token, sample_top_p
 from .errors import (
     IncompatibleVocabError,
@@ -38,7 +39,7 @@ from .rng import Splitmix64
 class DecodeMode:
     kind: str
     strategy: FusionStrategy | None = None
-    first_k: int | None = None
+    first_k: int | None = None  # logit_fusion fuses only the opening first_k steps; None: all
     sketch_conditioning: str = "sketch"
 
     KINDS = (
@@ -46,16 +47,15 @@ class DecodeMode:
         "llm_only_with_context",
         "llm_only_no_context",
         "logit_fusion",
-        "first_k",
         "sketch_then_fill",
     )
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise InvalidConfigError(f"unknown decode mode {self.kind!r}")
-        if self.kind in ("logit_fusion", "first_k") and self.strategy is None:
-            raise InvalidConfigError(f"{self.kind} requires a fusion strategy")
-        if self.kind == "first_k" and (self.first_k is None or self.first_k < 0):
+        if self.kind == "logit_fusion" and self.strategy is None:
+            raise InvalidConfigError("logit_fusion requires a fusion strategy")
+        if self.first_k is not None and self.first_k < 0:
             raise InvalidConfigError("first_k count must be >= 0")
         if self.sketch_conditioning not in ("sketch", "full_content"):
             raise InvalidConfigError("sketch conditioning must be 'sketch' or 'full_content'")
@@ -78,7 +78,7 @@ class DecodeMode:
 
     @classmethod
     def first_k_mode(cls, n: int, strategy: FusionStrategy):
-        return cls(kind="first_k", strategy=strategy, first_k=n)
+        return cls(kind="logit_fusion", strategy=strategy, first_k=n)
 
     @classmethod
     def sketch(cls, conditioning: str = "sketch"):
@@ -86,9 +86,8 @@ class DecodeMode:
 
     def label(self) -> str:
         if self.kind == "logit_fusion":
-            return f"logit_fusion[{self.strategy.label()}]"
-        if self.kind == "first_k":
-            return f"first_k({self.first_k})[{self.strategy.label()}]"
+            head = "logit_fusion" if self.first_k is None else f"first_k({self.first_k})"
+            return f"{head}[{self.strategy.label()}]"
         if self.kind == "sketch_then_fill":
             return f"sketch_then_fill[{self.sketch_conditioning}]"
         return self.kind
@@ -143,7 +142,7 @@ class GenerationSession:
     def __post_init__(self) -> None:
         if self.mode.kind != "slm_only" and self.llm is None:
             raise InvalidConfigError(f"mode {self.mode.kind} needs a large backend")
-        if self.mode.kind in ("logit_fusion", "first_k"):
+        if self.mode.kind == "logit_fusion":
             if self.slm.vocab.digest() != self.llm.vocab.digest():
                 raise IncompatibleVocabError(
                     "fused modes require both backends to share one vocabulary"
@@ -304,16 +303,6 @@ def decode(
         )
         return DecodeResult(token_ids=tuple(tokens), trace=trace, sketch=artifact)
 
-    if mode.kind == "slm_only":
-        tokens = decode_single(
-            session.slm,
-            (session.slm_instruction, session.context),
-            sampling,
-            trace=trace,
-            trace_w=1.0,
-        )
-        return DecodeResult(token_ids=tuple(tokens), trace=trace)
-
     if mode.kind in ("llm_only_with_context", "llm_only_no_context"):
         with_ctx = mode.kind == "llm_only_with_context"
         tokens = decode_single(
@@ -330,11 +319,17 @@ def decode(
         )
         return DecodeResult(token_ids=tuple(tokens), trace=trace)
 
-    # logit_fusion / first_k
+    # logit_fusion, limited to the opening first_k steps when set; slm_only
+    # is the same loop limited to 0 steps, so it never touches session.llm.
+    if mode.kind == "slm_only":
+        fused_limit = 0
+    elif mode.first_k is None:
+        fused_limit = sampling.max_new_tokens
+    else:
+        fused_limit = mode.first_k
     rng = Splitmix64(sampling.seed)
     vocab = session.slm.vocab
     tokens: list[int] = []
-    fused_limit = sampling.max_new_tokens if mode.kind == "logit_fusion" else mode.first_k
     llm_down = False
 
     for step in range(1, sampling.max_new_tokens + 1):
@@ -391,28 +386,19 @@ def fused_teacher_forced_ppl(
     model, mirroring the generation-time first-k split. A target outside
     the fused support yields infinite perplexity.
     """
-    ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
-    context = record.context_bundle()
-    llm_instruction = record.general_task or record.task
+    fused_limit = 0 if strategy is None else first_k
     nll = 0.0
-    for i, target in enumerate(ids):
-        prefix = tuple(ids[:i])
-        p_s = slm.next_distribution(
-            ConditioningInput(record.task, prefix, context, slm.role)
-        )
-        fused_step = strategy is not None and (first_k is None or i + 1 <= first_k)
-        if fused_step:
-            p_l = llm.next_distribution(
-                ConditioningInput(llm_instruction, prefix, None, llm.role)
-            )
+    steps = teacher_forced_steps(slm, llm, record, tokenizer, fused_limit)
+    for positions, (target, p_s, p_l) in enumerate(steps, start=1):
+        if p_l is None:
+            p = p_s.prob_of(target)
+        else:
             fused, _, _, _ = blend_step(p_s, p_l, strategy)
             p = fused.prob_of(target)
-        else:
-            p = p_s.prob_of(target)
         if p <= 0.0:
             return math.inf
         nll -= math.log(p)
-    return math.exp(nll / len(ids))
+    return math.exp(nll / positions)
 
 
 def write_trace(trace: WeightTrace, path) -> None:

@@ -227,14 +227,14 @@ def run_sketch_then_fill(
     dataset_kind: str = "context_aware",
     library: TemplateLibrary = _DEFAULT_LIBRARY,
     tokenizer=None,
-    retry_on_parse_failure: bool = True,
     audit_log=None,
     trace=None,
 ):
     """Two-step collaboration: the context-blind large model drafts a
     skeleton (or full draft) from the general instruction only, then the
     context-holding small model writes the response conditioned on
-    instruction, context, and that reference.
+    instruction, context, and that reference. A sketch that does not
+    parse is drafted once more with the next seed.
 
     Returns (response token ids, SketchArtifact or draft text).
     """
@@ -255,8 +255,6 @@ def run_sketch_then_fill(
         try:
             artifact = parse_sketch(raw, source_backend=_backend_name(llm_backend))
         except SketchParseError:
-            if not retry_on_parse_failure:
-                raise
             retry_sampling = _reseeded(sampling)
             sketch_ids = decode_single(
                 llm_backend, (sketch_prompt, None), retry_sampling, audit_log=audit_log

@@ -41,6 +41,8 @@ from .errors import (
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 24
 DEFAULT_TOP_K = 10
+# Most entries one logits reply carries, whatever top_k the client asks for.
+TOP_K_CAP = 64
 
 _REQUEST_FIELDS = {
     "hello": {"version", "kind", "session", "vocab_hash"},
@@ -168,7 +170,6 @@ class ServeConfig:
     log_path: str | None = None
     debug_payloads: bool = False
     capture_payloads: bool = False
-    top_k_cap: int = 64
 
 
 @dataclass
@@ -270,7 +271,7 @@ class LogitService:
                 "vocab_hash": self.vocab_hash,
             }
         if kind == "logits":
-            top_k = min(obj.get("top_k", DEFAULT_TOP_K), self.config.top_k_cap)
+            top_k = min(obj.get("top_k", DEFAULT_TOP_K), TOP_K_CAP)
             request = ConditioningInput(
                 instruction=obj["instruction"],
                 prefix_ids=tuple(obj["prefix_ids"]),
@@ -359,16 +360,14 @@ class ServiceClient:
         self._sock: socket.socket | None = None
         self.server_vocab_hash: str | None = None
 
-    def connect(self) -> None:
-        try:
-            self._sock = socket.create_connection(self.address, timeout=self.timeout)
-        except OSError as exc:
-            raise TransportError(f"cannot reach the logit service at {self.address}: {exc}") from exc
-
     def _roundtrip(self, payload: dict) -> dict:
         if self._sock is None:
-            self.connect()
-            self.hello_unchecked()
+            try:
+                self._sock = socket.create_connection(self.address, timeout=self.timeout)
+            except OSError as exc:
+                raise TransportError(f"cannot reach the logit service at {self.address}: {exc}") from exc
+            if payload["kind"] != "hello":
+                self.hello(self.server_vocab_hash)
         try:
             self._sock.sendall(encode_frame(payload))
             obj, _ = read_frame(partial(_recv_exactly, self._sock))
@@ -381,36 +380,30 @@ class ServiceClient:
             raise ProtocolError(f"service rejected the request: {obj.get('error')}")
         return obj
 
-    def hello_unchecked(self) -> str:
-        response = self._roundtrip(
-            {
-                "version": PROTOCOL_VERSION,
-                "kind": "hello",
-                "session": self.session_id,
-                "vocab_hash": self.server_vocab_hash or "0" * 16,
-            }
-        )
-        self.server_vocab_hash = response["vocab_hash"]
-        return self.server_vocab_hash
+    def hello(self, expected_vocab_hash: str | None = None) -> str:
+        """Handshake: agree on protocol version and vocabulary identity.
 
-    def hello(self, expected_vocab_hash: str) -> str:
-        """Handshake: agree on protocol version and vocabulary identity."""
-        if self._sock is None:
-            self.connect()
+        With no expected hash the server's is accepted. The agreed hash is
+        remembered and every reconnect repeats the handshake expecting it;
+        a mismatch drops the socket, so a service that comes back with
+        another vocabulary fails every call.
+        """
         response = self._roundtrip(
             {
                 "version": PROTOCOL_VERSION,
                 "kind": "hello",
                 "session": self.session_id,
-                "vocab_hash": expected_vocab_hash,
+                "vocab_hash": expected_vocab_hash or "0" * 16,
             }
         )
-        self.server_vocab_hash = response["vocab_hash"]
-        if self.server_vocab_hash != expected_vocab_hash:
+        served = response["vocab_hash"]
+        if expected_vocab_hash is not None and served != expected_vocab_hash:
+            self.close()
             raise IncompatibleVocabError(
-                f"service vocabulary {self.server_vocab_hash} does not match {expected_vocab_hash}"
+                f"service vocabulary {served} does not match {expected_vocab_hash}"
             )
-        return self.server_vocab_hash
+        self.server_vocab_hash = served
+        return served
 
     def next_logits(self, instruction: str, prefix_ids, top_k: int, vocab_size: int) -> TokenDistribution:
         """The server's top-k slice, checked like any sparse distribution;

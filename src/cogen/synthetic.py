@@ -66,9 +66,6 @@ class SyntheticWorld:
     vocab: object
     tokenizer: Tokenizer
 
-    def all_records(self) -> list[CorpusRecord]:
-        return self.train_records + self.test_records
-
 
 def _tail(user: SyntheticUser, pattern: int) -> str:
     """Tail from the user's fixed repertoire of topic pairings.

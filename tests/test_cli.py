@@ -366,7 +366,7 @@ class TestServeCommand:
             client = ServiceClient(("127.0.0.1", port))
             for _ in range(20):
                 try:
-                    assert len(client.hello_unchecked()) == 16
+                    assert len(client.hello()) == 16
                     break
                 except Exception:
                     time.sleep(0.05)

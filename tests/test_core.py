@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cogen.core import (
     SamplingConfig,
     TokenDistribution,
-    apply_temperature,
     argmax_token,
     sample_top_p,
     softmax,
@@ -81,23 +80,9 @@ class TestSoftmax:
         assert probs[0] > probs[2] > probs[1]
 
 
-class TestApplyTemperature:
-    def test_identity_at_one(self):
-        logits = np.array([0.5, -2.0, 3.0])
-        assert np.array_equal(apply_temperature(logits, 1.0), logits)
-
-    def test_forced_arithmetic(self):
-        assert np.array_equal(apply_temperature([2.0, 4.0], 2.0), [1.0, 2.0])
-
     def test_low_temperature_sharpens_to_argmax(self):
-        dist = softmax(apply_temperature([1.0, 2.0, 3.0], 1e-3))
+        dist = softmax(np.array([1.0, 2.0, 3.0]) / 1e-3)
         assert dist.dense_probs[2] > 0.999999
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(InvalidConfigError):
-            apply_temperature([1.0], 0.0)
-        with pytest.raises(InvalidConfigError):
-            apply_temperature([1.0], -1.0)
 
 
 class TestSamplingConfig:

@@ -3,6 +3,7 @@
 import pytest
 
 from cogen.backends import Role, TableBackend, perplexity
+from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig
 from cogen.decoder import (
     DecodeMode,
@@ -15,10 +16,12 @@ from cogen.decoder import (
 )
 from cogen.errors import (
     IncompatibleVocabError,
+    InvalidConfigError,
     SessionError,
     TransportError,
 )
 from cogen.fusion import FusionStrategy
+from cogen.tokenizer import Tokenizer
 
 
 class FlakyBackend:
@@ -53,6 +56,37 @@ class CountingBackend:
 def make_session(record, mode, slm, llm, **sampling_kwargs):
     sampling = SamplingConfig(greedy=True, max_new_tokens=16, **sampling_kwargs)
     return session_for_record(record, mode, sampling, slm, llm)
+
+
+class TestDecodeMode:
+    @pytest.mark.parametrize(
+        "make, label",
+        [
+            (lambda: DecodeMode.slm_only(), "slm_only"),
+            (lambda: DecodeMode.llm_with_context(), "llm_only_with_context"),
+            (lambda: DecodeMode.llm_no_context(), "llm_only_no_context"),
+            (lambda: DecodeMode.fusion(FusionStrategy.mean()), "logit_fusion[mean]"),
+            (lambda: DecodeMode.fusion(FusionStrategy.fixed(0.25)), "logit_fusion[fixed(0.25)]"),
+            (lambda: DecodeMode.fusion(FusionStrategy.max_pool()), "logit_fusion[max]"),
+            (lambda: DecodeMode.fusion(FusionStrategy.learnable(comb_init(0))), "logit_fusion[learnable]"),
+            (lambda: DecodeMode.first_k_mode(0, FusionStrategy.mean()), "first_k(0)[mean]"),
+            (lambda: DecodeMode.first_k_mode(8, FusionStrategy.max_pool()), "first_k(8)[max]"),
+            (lambda: DecodeMode.sketch(), "sketch_then_fill[sketch]"),
+            (lambda: DecodeMode.sketch("full_content"), "sketch_then_fill[full_content]"),
+        ],
+    )
+    def test_labels(self, make, label):
+        # Trace files and benchmark mode names carry these strings.
+        assert make().label() == label
+
+    def test_rejects_negative_first_k(self):
+        with pytest.raises(InvalidConfigError, match="first_k"):
+            DecodeMode.first_k_mode(-1, FusionStrategy.mean())
+
+    @pytest.mark.parametrize("first_k", [None, 3])
+    def test_fused_mode_needs_a_strategy(self, first_k):
+        with pytest.raises(InvalidConfigError, match="strategy"):
+            DecodeMode(kind="logit_fusion", first_k=first_k)
 
 
 class TestFusedEndpoints:
@@ -267,3 +301,34 @@ class TestTeacherForcedScoring:
             alone.append(fused_teacher_forced_ppl(slm, llm, record, tok, None))
             fused.append(fused_teacher_forced_ppl(slm, llm, record, tok, FusionStrategy.mean()))
         assert sum(fused) / len(fused) < sum(alone) / len(alone)
+
+    @pytest.mark.parametrize("first_k", [0, 1, 3, 4, 10])
+    def test_first_k_limits_large_queries(self, path_backends, simple_record, abc_vocab, first_k):
+        slm, llm = path_backends
+        counting = CountingBackend(llm)
+        ppl = fused_teacher_forced_ppl(
+            slm, counting, simple_record, Tokenizer(abc_vocab, "whitespace"),
+            FusionStrategy.mean(), first_k=first_k,
+        )
+        assert ppl < float("inf")
+        positions = len(simple_record.reference.split()) + 1
+        expected = min(first_k, positions)
+        assert [len(r.prefix_ids) for r in counting.requests] == list(range(expected))
+        assert all(r.instruction == simple_record.general_task for r in counting.requests)
+        assert all(r.context is None for r in counting.requests)
+
+    def test_small_alone_never_queries_large(self, path_backends, simple_record, abc_vocab):
+        slm, llm = path_backends
+        counting = CountingBackend(llm)
+        fused_teacher_forced_ppl(
+            slm, counting, simple_record, Tokenizer(abc_vocab, "whitespace"), None, first_k=3
+        )
+        assert counting.requests == []
+
+    def test_harvest_queries_large_at_every_position(self, world0, world0_backends):
+        llm, slms = world0_backends
+        counting = CountingBackend(llm)
+        record = world0.train_records[0]
+        harvest_examples(slms[record.user_id], counting, [record], world0.tokenizer)
+        positions = len(world0.tokenizer.tokenize(record.reference)) + 1
+        assert [len(r.prefix_ids) for r in counting.requests] == list(range(positions))

@@ -438,6 +438,36 @@ def test_client_reconnects_after_an_error_frame(served_world):
     client.close()
 
 
+def test_reconnect_rejects_a_service_with_another_vocabulary(served_world, path_backends, abc_vocab):
+    """The handshake repeated on reconnect checks the hash agreed at first
+    connect: a service that comes back serving another vocabulary fails
+    every call instead of answering it."""
+    world, _, _, handle = served_world
+    _, other_llm = path_backends
+    assert abc_vocab.digest() != world.vocab.digest()
+    client = ServiceClient(handle.address)
+    client.hello(world.vocab.digest())
+    with serve(other_llm, ("127.0.0.1", 0)) as other:
+        client.close()
+        client.address = other.address
+        for _ in range(2):
+            with pytest.raises(IncompatibleVocabError):
+                client.next_logits("A", (), 5, abc_vocab.size)
+        assert client.server_vocab_hash == world.vocab.digest()
+    client.close()
+
+
+def test_top_k_is_capped_at_64_entries(world0_backends, world0):
+    llm, _ = world0_backends
+    assert world0.vocab.size == 123
+    with serve(llm, ("127.0.0.1", 0)) as handle:
+        client = ServiceClient(handle.address)
+        client.hello(world0.vocab.digest())
+        reply = client.next_logits("anything", (), 1000, world0.vocab.size)
+        client.close()
+    assert reply.sparse_ids.size == 64
+
+
 class TestSplitExecutionEquivalence:
     @pytest.mark.parametrize(
         "strategy",
