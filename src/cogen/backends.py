@@ -10,7 +10,8 @@ The privacy boundary is enforced structurally here: a request addressed
 to a context-blind (large_cloud) backend cannot be constructed with
 context attached. The only exception is an explicit waiver used by the
 context-uploading baseline, which exists precisely to measure what that
-privacy sacrifice buys.
+privacy sacrifice buys. ``check_context_blind`` is the one gate every
+path toward a large backend goes through.
 """
 
 from __future__ import annotations
@@ -63,9 +64,23 @@ class ContextBundle:
     def is_empty(self) -> bool:
         return not (self.profile or self.history or self.activities)
 
+    def __bool__(self) -> bool:
+        return not self.is_empty()
+
     def as_text(self) -> str:
         parts = [self.profile] + list(self.history) + list(self.activities)
         return "\n".join(p for p in parts if p)
+
+
+def check_context_blind(role: Role, context: ContextBundle | None, waiver: bool = False) -> None:
+    """The privacy gate: a large_cloud receiver never gets context.
+
+    ``waiver`` lets the context-uploading baseline through in process;
+    the service client and the external adapter never pass it, so that
+    baseline cannot leave the process.
+    """
+    if role == Role.LARGE_CLOUD and context and not waiver:
+        raise PrivacyContractError("large_cloud backend given context")
 
 
 @dataclass(frozen=True)
@@ -87,16 +102,7 @@ class ConditioningInput:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix_ids", tuple(map(int, self.prefix_ids)))
-        if (
-            self.receiver_role == Role.LARGE_CLOUD
-            and self.context is not None
-            and not self.context.is_empty()
-            and not self.context_upload_waiver
-        ):
-            raise PrivacyContractError(
-                "context attached to a large_cloud request; "
-                "the context-blind backend must receive instruction and prefix only"
-            )
+        check_context_blind(self.receiver_role, self.context, self.context_upload_waiver)
 
 
 class Backend:
@@ -111,13 +117,7 @@ class Backend:
         return self._distribution(request)
 
     def _check(self, request: ConditioningInput) -> None:
-        if (
-            self.role == Role.LARGE_CLOUD
-            and request.context is not None
-            and not request.context.is_empty()
-            and not request.context_upload_waiver
-        ):
-            raise PrivacyContractError("large_cloud backend given context")
+        check_context_blind(self.role, request.context, request.context_upload_waiver)
         ids = request.prefix_ids
         size = self.vocab.size
         if ids and (min(ids) < 0 or max(ids) >= size):
@@ -315,7 +315,7 @@ class NGramBackend(Backend):
         ids = request.prefix_ids
         if len(ids) < self.model.n - 1:
             stream = self._tok.tokenize(request.instruction)
-            if request.context is not None and not request.context.is_empty():
+            if request.context:
                 stream += self._tok.tokenize(request.context.as_text())
             ids = stream + list(ids)
         h = self.model.history_key(ids)

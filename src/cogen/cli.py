@@ -34,6 +34,7 @@ from .errors import (
     InvalidInputError,
     ProtocolError,
     ServiceStartupError,
+    SessionError,
     TransportError,
 )
 from .fusion import FusionStrategy
@@ -429,15 +430,20 @@ _COMMANDS = {
 }
 
 
+_TRANSPORT_ERRORS = (TransportError, ProtocolError, ServiceStartupError)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TransportError, ProtocolError, ServiceStartupError) as exc:
-        print(f"cogen: transport error in {args.command}: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except CogenError as exc:
+        # A session that aborted on a transport failure is a transport error.
+        cause = exc.cause if isinstance(exc, SessionError) else exc
+        if isinstance(cause, _TRANSPORT_ERRORS):
+            print(f"cogen: transport error in {args.command}: {exc}", file=sys.stderr)
+            return EXIT_TRANSPORT
         print(f"cogen: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

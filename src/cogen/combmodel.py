@@ -25,38 +25,45 @@ from .errors import InvalidConfigError, InvalidInputError, ModelIOError
 from .fusion import AlignedPair, top_k_pair
 from .rng import Splitmix64
 
-IN_DIM = 20
+# Size of each source's truncated view: the fused step's cut and the net's input.
+TOP_K = 10
+IN_DIM = 2 * TOP_K  # both sources' top-k probabilities
 HIDDEN1 = 512
 HIDDEN2 = 16
 OUT_DIM = 1
-# Size of each source's truncated view: the fused step's cut and the net's input.
-TOP_K = 10
+# Every parameter tensor, in container and draw order: field name and shape.
+_LAYOUT = (
+    ("w1", (IN_DIM, HIDDEN1)),
+    ("b1", (HIDDEN1,)),
+    ("w2", (HIDDEN1, HIDDEN2)),
+    ("b2", (HIDDEN2,)),
+    ("w3", (HIDDEN2, OUT_DIM)),
+    ("b3", (OUT_DIM,)),
+)
 
 _MAGIC = b"CGCM"
 _VERSION = 1
+_DIMS = (IN_DIM, HIDDEN1, HIDDEN2, OUT_DIM)
+# The container header after the magic: version, dim count, dims, init seed.
+_HEADER = struct.Struct("<HHIIIIQ")
+_BODY_OFFSET = len(_MAGIC) + _HEADER.size
 _PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class CombModelParams:
-    w1: np.ndarray  # (20, 512)
-    b1: np.ndarray  # (512,)
-    w2: np.ndarray  # (512, 16)
-    b2: np.ndarray  # (16,)
-    w3: np.ndarray  # (16, 1)
-    b3: np.ndarray  # (1,)
+    """The weight net's tensors, each shaped as ``_LAYOUT`` says."""
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    w3: np.ndarray
+    b3: np.ndarray
     seed: int = 0
 
     def __post_init__(self) -> None:
-        shapes = {
-            "w1": (IN_DIM, HIDDEN1),
-            "b1": (HIDDEN1,),
-            "w2": (HIDDEN1, HIDDEN2),
-            "b2": (HIDDEN2,),
-            "w3": (HIDDEN2, OUT_DIM),
-            "b3": (OUT_DIM,),
-        }
-        for name, want in shapes.items():
+        for name, want in _LAYOUT:
             arr = getattr(self, name)
             if arr.shape != want:
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected {want}")
@@ -133,20 +140,15 @@ def comb_init(seed: int) -> CombModelParams:
     """Fan-balanced uniform init, U(-sqrt(6/(fan_in+fan_out)), +same);
     biases start at zero. Fully determined by the seed."""
     rng = Splitmix64(seed)
-
-    def layer(fan_in: int, fan_out: int) -> np.ndarray:
+    arrays = {}
+    for name, shape in _LAYOUT:
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+            continue
+        fan_in, fan_out = shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniforms(-limit, limit, fan_in * fan_out).reshape(fan_in, fan_out)
-
-    return CombModelParams(
-        w1=layer(IN_DIM, HIDDEN1),
-        b1=np.zeros(HIDDEN1),
-        w2=layer(HIDDEN1, HIDDEN2),
-        b2=np.zeros(HIDDEN2),
-        w3=layer(HIDDEN2, OUT_DIM),
-        b3=np.zeros(OUT_DIM),
-        seed=seed,
-    )
+        arrays[name] = rng.uniforms(-limit, limit, fan_in * fan_out).reshape(shape)
+    return CombModelParams(**arrays, seed=seed)
 
 
 def _sigmoid(z: float) -> float:
@@ -282,8 +284,7 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     """
     arrs = params.arrays()
     w, cache = _forward(arrs, _example_x(example))
-    dw1, db1, dw2, db2, dw3, db3 = _backward(arrs, example, example.target_index(), w, cache)
-    return CombGradients(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+    return CombGradients(*_backward(arrs, example, example.target_index(), w, cache))
 
 
 @dataclass(frozen=True)
@@ -324,11 +325,6 @@ def comb_train(
     stats = LossStats()
     report = TrainReport()
     best = [a.copy() for a in current]
-
-    def as_params(arrays) -> CombModelParams:
-        w1, b1, w2, b2, w3, b3 = (a.copy() for a in arrays)
-        return CombModelParams(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, seed=config.seed)
-
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(len(train)))
@@ -361,16 +357,14 @@ def comb_train(
                 report.stopped_early = True
                 break
     report.degenerate_examples = stats.degenerate
-    return as_params(best), report
+    return CombModelParams(*best, seed=config.seed), report
 
 
 def comb_save(params: CombModelParams, path) -> None:
     """Write the container: magic "CGCM", version u16, dim count u16,
     the four layer dims as u32, the init seed as u64 (all little-endian),
     then every tensor as little-endian float64 in row-major order."""
-    header = _MAGIC + struct.pack(
-        "<HHIIIIQ", _VERSION, 4, IN_DIM, HIDDEN1, HIDDEN2, OUT_DIM, params.seed
-    )
+    header = _MAGIC + _HEADER.pack(_VERSION, len(_DIMS), *_DIMS, params.seed)
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays())
     with open(path, "wb") as fh:
         fh.write(header + body)
@@ -379,40 +373,22 @@ def comb_save(params: CombModelParams, path) -> None:
 def comb_load(path) -> CombModelParams:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 32 or blob[:4] != _MAGIC:
+    if len(blob) < _BODY_OFFSET or blob[: len(_MAGIC)] != _MAGIC:
         raise ModelIOError("not a weight-model container (bad magic)")
-    version, ndims, d0, d1, d2, d3, seed = struct.unpack("<HHIIIIQ", blob[4:32])
+    version, ndims, *dims, seed = _HEADER.unpack_from(blob, len(_MAGIC))
     if version != _VERSION:
         raise ModelIOError(f"unsupported container version {version}")
-    if (ndims, d0, d1, d2, d3) != (4, IN_DIM, HIDDEN1, HIDDEN2, OUT_DIM):
-        raise ModelIOError(
-            f"shape mismatch: container declares {(d0, d1, d2, d3)}, "
-            f"expected {(IN_DIM, HIDDEN1, HIDDEN2, OUT_DIM)}"
-        )
-    counts = [
-        IN_DIM * HIDDEN1,
-        HIDDEN1,
-        HIDDEN1 * HIDDEN2,
-        HIDDEN2,
-        HIDDEN2 * OUT_DIM,
-        OUT_DIM,
-    ]
-    if len(blob) != 32 + 8 * sum(counts):
+    if (ndims, *dims) != (len(_DIMS), *_DIMS):
+        raise ModelIOError(f"shape mismatch: container declares {tuple(dims)}, expected {_DIMS}")
+    if len(blob) != _BODY_OFFSET + 8 * sum(math.prod(shape) for _, shape in _LAYOUT):
         raise ModelIOError("container truncated or padded")
-    flat = np.frombuffer(blob, dtype="<f8", offset=32)
-    arrays, cursor = [], 0
-    for count in counts:
-        arrays.append(np.array(flat[cursor : cursor + count], dtype=np.float64))
+    flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET)
+    arrays, cursor = {}, 0
+    for name, shape in _LAYOUT:
+        count = math.prod(shape)
+        arrays[name] = np.array(flat[cursor : cursor + count], dtype=np.float64).reshape(shape)
         cursor += count
-    return CombModelParams(
-        w1=arrays[0].reshape(IN_DIM, HIDDEN1),
-        b1=arrays[1],
-        w2=arrays[2].reshape(HIDDEN1, HIDDEN2),
-        b2=arrays[3],
-        w3=arrays[4].reshape(HIDDEN2, OUT_DIM),
-        b3=arrays[5],
-        seed=seed,
-    )
+    return CombModelParams(**arrays, seed=seed)
 
 
 @dataclass
@@ -432,13 +408,12 @@ def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = 
     """
     ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
     context = record.context_bundle()
-    llm_instruction = record.general_task or record.task
     for i, target in enumerate(ids):
         prefix = tuple(ids[:i])
         p_s = slm.next_distribution(ConditioningInput(record.task, prefix, context, slm.role))
         p_l = None
         if fused_limit is None or i < fused_limit:
-            p_l = llm.next_distribution(ConditioningInput(llm_instruction, prefix, None, llm.role))
+            p_l = llm.next_distribution(ConditioningInput(record.llm_task, prefix, None, llm.role))
         yield target, p_s, p_l
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .backends import BackendKind, NGramBackend, Role, TableBackend, train_ngram
@@ -20,7 +20,6 @@ LISTEN_ENV = "COGEN_LISTEN"
 
 _TOP_KEYS = {"backends", "templates_dir", "sampling", "service_address", "audit", "external"}
 _BACKEND_KEYS = {"kind", "role", "params"}
-_SAMPLING_KEYS = {"temperature", "top_p", "max_new_tokens", "seed", "greedy"}
 _EXTERNAL_KEYS = {"endpoint", "top_k"}
 
 
@@ -41,7 +40,6 @@ class AppConfig:
     audit: bool = True
     external_endpoint: str | None = None
     external_top_k: int = 10
-    base_dir: Path = field(default_factory=Path)
 
 
 def _reject_unknown(obj: dict, allowed: set, what: str) -> None:
@@ -82,7 +80,7 @@ def load_config(path) -> AppConfig:
         )
 
     sampling_obj = obj.get("sampling", {})
-    _reject_unknown(sampling_obj, _SAMPLING_KEYS, "sampling")
+    _reject_unknown(sampling_obj, {f.name for f in fields(SamplingConfig)}, "sampling")
     sampling = SamplingConfig(**sampling_obj)
 
     templates_dir = None
@@ -102,7 +100,6 @@ def load_config(path) -> AppConfig:
         audit=bool(obj.get("audit", True)),
         external_endpoint=external.get("endpoint"),
         external_top_k=int(external.get("top_k", 10)),
-        base_dir=base,
     )
 
 

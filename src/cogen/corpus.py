@@ -52,6 +52,12 @@ class CorpusRecord:
     def context_bundle(self) -> ContextBundle:
         return ContextBundle(profile=self.profile, history=self.history)
 
+    @property
+    def llm_task(self) -> str:
+        """The task the context-blind model sees: the general variant, or
+        the task itself when the record has none."""
+        return self.general_task or self.task
+
     def to_json_obj(self) -> dict:
         return {
             "user_id": self.user_id,

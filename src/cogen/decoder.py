@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .backends import ConditioningInput, ContextBundle, Role
+from .backends import ConditioningInput, ContextBundle, Role, check_context_blind
 from .combmodel import TOP_K, comb_forward, padded_top_probs, teacher_forced_steps
 from .core import SamplingConfig, TokenDistribution, _readonly, argmax_token, sample_top_p
 from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
     InvalidDistributionError,
-    PrivacyContractError,
     SessionError,
     TransportError,
 )
@@ -160,7 +159,7 @@ def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSessi
         mode=mode,
         sampling=sampling,
         slm_instruction=record.task,
-        llm_instruction=record.general_task or record.task,
+        llm_instruction=record.llm_task,
         context=record.context_bundle(),
         record=record,
     )
@@ -222,8 +221,7 @@ def decode_single(
     """
     instruction, context = prompt_parts
     if hasattr(backend, "generate_remote"):
-        if context is not None and not context.is_empty():
-            raise PrivacyContractError("the wire protocol carries no context fields")
+        check_context_blind(backend.role, context)
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
             for i, tid in enumerate(token_ids, start=1):
@@ -402,26 +400,12 @@ def fused_teacher_forced_ppl(
 
 
 def write_trace(trace: WeightTrace, path) -> None:
-    """Line-delimited trace: a metadata line, then one record per step
-    with the step index, token id, token string, blend weight, and both
-    sources' top-1 probabilities."""
+    """Line-delimited trace: a metadata line, then one ``TraceStep`` per
+    line, keyed by its field names."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"mode": trace.mode, "seed": trace.seed, "events": trace.events}) + "\n")
         for s in trace.steps:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": s.step,
-                        "token_id": s.token_id,
-                        "token": s.token,
-                        "w": s.w,
-                        "p_s_top1": s.p_s_top1,
-                        "p_l_top1": s.p_l_top1,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
 def read_trace(path) -> WeightTrace:
@@ -433,14 +417,5 @@ def read_trace(path) -> WeightTrace:
     trace = WeightTrace(mode=meta["mode"], seed=meta["seed"], events=list(meta.get("events", [])))
     for line in lines[1:]:
         row = json.loads(line)
-        trace.steps.append(
-            TraceStep(
-                step=row["step"],
-                token_id=row["token_id"],
-                token=row["token"],
-                w=row["w"],
-                p_s_top1=row["p_s_top1"],
-                p_l_top1=row["p_l_top1"],
-            )
-        )
+        trace.steps.append(TraceStep(**{f.name: row[f.name] for f in fields(TraceStep)}))
     return trace

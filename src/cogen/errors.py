@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the engine.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/contract
-problems exit 2, transport problems exit 3.
+problems exit 2, transport problems exit 3, also when they abort a
+session midway.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .backends import BackendKind, ConditioningInput, Role
+from .backends import BackendKind, ConditioningInput, Role, check_context_blind
 from .core import TokenDistribution, Vocab
 from .errors import InvalidConfigError, TransportError
 from .tokenizer import Tokenizer
@@ -130,8 +130,9 @@ def external_next_logits(
 class ExternalBackend:
     """Backend facade over an external completions service.
 
-    Role is fixed to large_cloud: requests cannot carry context, and the
-    adapter only ever uploads the instruction plus the emitted prefix.
+    Role is fixed to large_cloud: a request carrying context is refused,
+    waiver or not, and the adapter only ever uploads the instruction plus
+    the emitted prefix.
     """
 
     kind = BackendKind.EXTERNAL_HTTP
@@ -145,6 +146,7 @@ class ExternalBackend:
         self.last_result: ExternalLogits | None = None
 
     def next_distribution(self, request: ConditioningInput) -> TokenDistribution:
+        check_context_blind(self.role, request.context)
         result = external_next_logits(
             self.client, request, self.top_k, self.vocab, self.tokenizer
         )

@@ -116,7 +116,7 @@ def build_request_prompt(
     else:
         system_id = "request_system_no_context"
         user_id = f"request_user_no_context_{dataset_kind}"
-        values = {"task": record.general_task or record.task}
+        values = {"task": record.llm_task}
     return RenderedPrompt(
         system=library.text(system_id),
         user=library.render(user_id, values),
@@ -193,8 +193,7 @@ def build_fill_prompt(
         header, body = "## Reference Content", str(conditioning)
     if not body:
         raise InvalidInputError("fill prompt conditioning is empty")
-    context = record.context_bundle()
-    if context is None or context.is_empty():
+    if not record.context_bundle():
         raise InvalidInputError("fill prompts require a record with context")
 
     if dataset_kind == "context_aware":
@@ -244,10 +243,8 @@ def run_sketch_then_fill(
 
     if tokenizer is None:
         tokenizer = Tokenizer(slm_backend.vocab, "whitespace")
-    general_task = record.general_task or record.task
-
     if conditioning == "sketch":
-        sketch_prompt = build_sketch_prompt(general_task, dataset_kind, library)
+        sketch_prompt = build_sketch_prompt(record.llm_task, dataset_kind, library)
         sketch_ids = decode_single(
             llm_backend, (sketch_prompt, None), sampling, audit_log=audit_log
         )

@@ -22,11 +22,11 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 from .audit import AuditLog
-from .backends import Backend, BackendKind, ConditioningInput, Role
+from .backends import Backend, BackendKind, ConditioningInput, Role, check_context_blind
 from .core import SamplingConfig, TokenDistribution, top_k_project
 from .decoder import decode_single
 from .errors import (
@@ -50,7 +50,6 @@ _REQUEST_FIELDS = {
     "generate": {"version", "kind", "session", "instruction", "prefix_ids", "sampling"},
 }
 _OPTIONAL_FIELDS = {"logits": {"top_k"}}
-_SAMPLING_FIELDS = {"temperature", "top_p", "max_new_tokens", "seed", "greedy"}
 
 
 def float_to_bits(x: float) -> str:
@@ -137,32 +136,32 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
             raise ProtocolError("top_k must be a positive integer")
     if kind == "generate":
         sampling = obj["sampling"]
-        if not isinstance(sampling, dict) or set(sampling) != _SAMPLING_FIELDS:
-            raise ProtocolError(f"sampling must carry exactly {sorted(_SAMPLING_FIELDS)}")
+        keys = {f.name for f in fields(SamplingConfig)}
+        if not isinstance(sampling, dict) or set(sampling) != keys:
+            raise ProtocolError(f"sampling must carry exactly {sorted(keys)}")
     return obj
 
 
 def sampling_to_wire(config: SamplingConfig) -> dict:
-    return {
-        "temperature": config.temperature,
-        "top_p": config.top_p,
-        "max_new_tokens": config.max_new_tokens,
-        "seed": config.seed,
-        "greedy": config.greedy,
-    }
+    return asdict(config)
 
 
 def sampling_from_wire(obj: dict) -> SamplingConfig:
+    # Each field's default fixes the type its wire value is converted to.
+    values = {f.name: type(f.default)(obj[f.name]) for f in fields(SamplingConfig)}
     try:
-        return SamplingConfig(
-            temperature=float(obj["temperature"]),
-            top_p=float(obj["top_p"]),
-            max_new_tokens=int(obj["max_new_tokens"]),
-            seed=int(obj["seed"]),
-            greedy=bool(obj["greedy"]),
-        )
+        return SamplingConfig(**values)
     except InvalidConfigError as exc:
         raise ProtocolError(f"bad sampling config on the wire: {exc}") from exc
+
+
+def _parse_address(address: tuple[str, int] | str) -> tuple[str, int]:
+    """A (host, port) pair from itself or from "host:port"; an empty host
+    means 127.0.0.1."""
+    if isinstance(address, str):
+        host, _, port = address.rpartition(":")
+        return host or "127.0.0.1", int(port)
+    return address
 
 
 @dataclass
@@ -191,21 +190,20 @@ class _Handler(socketserver.BaseRequestHandler):
             except ConnectionError:
                 return
             except ProtocolError as exc:
-                self._send({"version": PROTOCOL_VERSION, "kind": "error", "error": str(exc)})
-                return
+                return self._send_error(str(exc))
             service.log_request(obj, raw)
             try:
                 validate_request(obj, service.backend.vocab.size)
                 response = service.answer(obj)
             except ProtocolError as exc:
-                self._send({"version": PROTOCOL_VERSION, "kind": "error", "error": str(exc)})
-                return
+                return self._send_error(str(exc))
             except Exception as exc:  # keep the connection's failure local
-                self._send(
-                    {"version": PROTOCOL_VERSION, "kind": "error", "error": f"internal: {exc}"}
-                )
-                return
+                return self._send_error(f"internal: {exc}")
             self._send(response)
+
+    def _send_error(self, message: str) -> None:
+        """The error reply; the caller then closes the connection."""
+        self._send({"version": PROTOCOL_VERSION, "kind": "error", "error": message})
 
     def _send(self, obj: dict) -> None:
         try:
@@ -264,12 +262,8 @@ class LogitService:
 
     def answer(self, obj: dict) -> dict:
         kind = obj["kind"]
-        if kind == "hello":
-            return {
-                "version": PROTOCOL_VERSION,
-                "kind": "hello",
-                "vocab_hash": self.vocab_hash,
-            }
+        # A hello reply is this envelope alone.
+        reply = {"version": PROTOCOL_VERSION, "kind": kind, "vocab_hash": self.vocab_hash}
         if kind == "logits":
             top_k = min(obj.get("top_k", DEFAULT_TOP_K), TOP_K_CAP)
             request = ConditioningInput(
@@ -280,30 +274,20 @@ class LogitService:
             )
             dense = self.backend.next_distribution(request)
             sparse = top_k_project(dense, top_k)
-            entries = [
+            reply["entries"] = [
                 [int(tid), float_to_bits(float(p))]
                 for tid, p in zip(sparse.sparse_ids, sparse.sparse_probs)
             ]
-            return {
-                "version": PROTOCOL_VERSION,
-                "kind": "logits",
-                "entries": entries,
-                "vocab_hash": self.vocab_hash,
-            }
-        # generate
-        sampling = sampling_from_wire(obj["sampling"])
-        tokens = decode_single(
-            self.backend,
-            (obj["instruction"], None),
-            sampling,
-            initial_prefix=tuple(obj["prefix_ids"]),
-        )
-        return {
-            "version": PROTOCOL_VERSION,
-            "kind": "generate",
-            "tokens": [int(t) for t in tokens],
-            "vocab_hash": self.vocab_hash,
-        }
+        elif kind == "generate":
+            sampling = sampling_from_wire(obj["sampling"])
+            tokens = decode_single(
+                self.backend,
+                (obj["instruction"], None),
+                sampling,
+                initial_prefix=tuple(obj["prefix_ids"]),
+            )
+            reply["tokens"] = [int(t) for t in tokens]
+        return reply
 
     @property
     def entries(self) -> list[RequestLogEntry]:
@@ -333,9 +317,7 @@ class ServiceHandle:
 def serve(backend: Backend, listen_address: tuple[str, int] | str, config: ServeConfig | None = None) -> ServiceHandle:
     """Start the service on ``listen_address`` (host, port) — port 0 picks
     a free port — and return a handle exposing the bound address."""
-    if isinstance(listen_address, str):
-        host, _, port = listen_address.rpartition(":")
-        listen_address = (host or "127.0.0.1", int(port))
+    listen_address = _parse_address(listen_address)
     service = LogitService(backend, config)
     try:
         server = _Server(listen_address, _Handler)
@@ -351,23 +333,24 @@ class ServiceClient:
     """Single-session, sequential client for the logit service."""
 
     def __init__(self, address: tuple[str, int] | str, session_id: str = "session", timeout: float = 10.0) -> None:
-        if isinstance(address, str):
-            host, _, port = address.rpartition(":")
-            address = (host or "127.0.0.1", int(port))
-        self.address = address
+        self.address = _parse_address(address)
         self.session_id = session_id
         self.timeout = timeout
         self._sock: socket.socket | None = None
         self.server_vocab_hash: str | None = None
 
-    def _roundtrip(self, payload: dict) -> dict:
+    def _roundtrip(self, kind: str, **body) -> dict:
+        """One request of ``kind`` carrying ``body`` in the shared
+        envelope, and its reply; a fresh connection first repeats the
+        handshake."""
         if self._sock is None:
             try:
                 self._sock = socket.create_connection(self.address, timeout=self.timeout)
             except OSError as exc:
                 raise TransportError(f"cannot reach the logit service at {self.address}: {exc}") from exc
-            if payload["kind"] != "hello":
+            if kind != "hello":
                 self.hello(self.server_vocab_hash)
+        payload = {"version": PROTOCOL_VERSION, "kind": kind, "session": self.session_id, **body}
         try:
             self._sock.sendall(encode_frame(payload))
             obj, _ = read_frame(partial(_recv_exactly, self._sock))
@@ -388,15 +371,11 @@ class ServiceClient:
         a mismatch drops the socket, so a service that comes back with
         another vocabulary fails every call.
         """
-        response = self._roundtrip(
-            {
-                "version": PROTOCOL_VERSION,
-                "kind": "hello",
-                "session": self.session_id,
-                "vocab_hash": expected_vocab_hash or "0" * 16,
-            }
-        )
-        served = response["vocab_hash"]
+        response = self._roundtrip("hello", vocab_hash=expected_vocab_hash or "0" * 16)
+        served = response.get("vocab_hash")
+        if not isinstance(served, str):
+            self.close()
+            raise ProtocolError("hello reply carries no vocab_hash string")
         if expected_vocab_hash is not None and served != expected_vocab_hash:
             self.close()
             raise IncompatibleVocabError(
@@ -409,14 +388,10 @@ class ServiceClient:
         """The server's top-k slice, checked like any sparse distribution;
         a malformed reply is the server's fault and raises ProtocolError."""
         response = self._roundtrip(
-            {
-                "version": PROTOCOL_VERSION,
-                "kind": "logits",
-                "session": self.session_id,
-                "instruction": instruction,
-                "prefix_ids": [int(i) for i in prefix_ids],
-                "top_k": int(top_k),
-            }
+            "logits",
+            instruction=instruction,
+            prefix_ids=[int(i) for i in prefix_ids],
+            top_k=int(top_k),
         )
         entries = response.get("entries")
         if not isinstance(entries, list) or not all(
@@ -433,14 +408,10 @@ class ServiceClient:
         """Token ids the server sampled; any that is not an in-vocab int
         makes the reply malformed and raises ProtocolError."""
         response = self._roundtrip(
-            {
-                "version": PROTOCOL_VERSION,
-                "kind": "generate",
-                "session": self.session_id,
-                "instruction": instruction,
-                "prefix_ids": [int(i) for i in prefix_ids],
-                "sampling": sampling_to_wire(sampling),
-            }
+            "generate",
+            instruction=instruction,
+            prefix_ids=[int(i) for i in prefix_ids],
+            sampling=sampling_to_wire(sampling),
         )
         tokens = response.get("tokens")
         if not isinstance(tokens, list) or not all(
@@ -463,6 +434,7 @@ class RemoteBackend:
     ``next_distribution`` returns the top-k slice of the server's dense
     distribution with bit patterns intact; the fused decoding path
     truncates its local operand identically, so placement is invisible.
+    A request carrying context is refused, waiver or not.
     """
 
     kind = BackendKind.REMOTE
@@ -475,8 +447,7 @@ class RemoteBackend:
         client.hello(vocab.digest())
 
     def next_distribution(self, request: ConditioningInput) -> TokenDistribution:
-        if request.context is not None and not request.context.is_empty():
-            raise InvalidConfigError("the wire protocol has no context field")
+        check_context_blind(self.role, request.context)
         return self.client.next_logits(
             request.instruction, request.prefix_ids, self.top_k, self.vocab.size
         )

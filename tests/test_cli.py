@@ -2,15 +2,19 @@
 
 import json
 import shutil
+import socket
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from cogen import service
 from cogen.backends import Role
 from cogen.cli import main
 from cogen.config import build_backend, load_config
+from cogen.core import SamplingConfig
 from cogen.errors import InvalidConfigError
-from cogen.service import ServeConfig, serve
+from cogen.service import ServeConfig, sampling_to_wire, serve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -157,6 +161,35 @@ class TestGenerate:
             assert out.strip() == "A B D"
         finally:
             handle.stop()
+
+    def test_service_lost_mid_session_exits_3(self, workdir, capsys, monkeypatch):
+        # The service answers the first logits request, then drops the
+        # connection and stops: the fused session aborts with a
+        # SessionError whose cause is a transport failure.
+        config = load_config(workdir / "config.json")
+        handle = serve(build_backend(config.backends["llm"]), ("127.0.0.1", 0), ServeConfig())
+        send = service._Handler._send
+
+        def send_then_stop(handler, obj):
+            send(handler, obj)
+            if obj.get("kind") == "logits":
+                handler.request.shutdown(socket.SHUT_RDWR)
+                handle.stop()
+
+        monkeypatch.setattr(service._Handler, "_send", send_then_stop)
+        try:
+            cfg = json.loads((workdir / "config.json").read_text())
+            cfg["service_address"] = f"127.0.0.1:{handle.address[1]}"
+            (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            code, _, err = run(
+                capsys, "generate", "--config", workdir / "config.json",
+                "--corpus", workdir / "corpus.jsonl", "--mode", "fuse",
+                "--strategy", "mean", "--seed", "0", "--remote",
+            )
+        finally:
+            handle.stop()
+        assert code == 3
+        assert "transport" in err.lower() and "step 2" in err
 
     def test_missing_corpus_exits_2(self, workdir, capsys):
         code, _, err = run(
@@ -330,6 +363,21 @@ class TestConfig:
         cfg["backends"]["slm"]["params"] = "nowhere.json"
         (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
         with pytest.raises(InvalidConfigError, match="does not exist"):
+            load_config(workdir / "config.json")
+
+    def test_sampling_keys_are_the_wire_keys(self, workdir):
+        # One list of sampling keys: the config accepts exactly the keys
+        # a generate request carries.
+        wanted = SamplingConfig(temperature=0.5, top_p=0.8, max_new_tokens=7, seed=3, greedy=True)
+        wire = sampling_to_wire(wanted)
+        assert set(wire) == {f.name for f in fields(SamplingConfig)}
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["sampling"] = wire
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert load_config(workdir / "config.json").sampling == wanted
+        cfg["sampling"]["top_k"] = 5
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InvalidConfigError, match="unknown keys in sampling"):
             load_config(workdir / "config.json")
 
     def test_listen_env_overrides_address(self, workdir, monkeypatch):

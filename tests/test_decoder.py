@@ -1,12 +1,16 @@
 """The generation loop: mode semantics, traces, degeneracies, failure policy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogen.backends import Role, TableBackend, perplexity
 from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig
 from cogen.decoder import (
     DecodeMode,
+    TraceStep,
+    WeightTrace,
     decode,
     decode_single,
     fused_teacher_forced_ppl,
@@ -152,6 +156,30 @@ class TestTraces:
         assert loaded.seed == result.trace.seed
         assert loaded.steps == result.trace.steps
         assert loaded.events == result.trace.events
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(
+            st.builds(
+                TraceStep,
+                step=st.integers(1, 10**6),
+                token_id=st.integers(0, 10**6),
+                token=st.text(),
+                w=st.floats(0.0, 1.0),
+                p_s_top1=st.floats(0.0, 1.0),
+                p_l_top1=st.floats(0.0, 1.0),
+            ),
+            max_size=6,
+        ),
+        events=st.lists(st.text(), max_size=3),
+        mode=st.text(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_trace_round_trips_field_for_field(self, tmp_path_factory, steps, events, mode, seed):
+        path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+        trace = WeightTrace(mode=mode, seed=seed, steps=steps, events=events)
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
 
 class TestFirstK:

@@ -135,6 +135,28 @@ class TestExternalBackend:
         assert [VOCAB.token(t) for t in result.token_ids] == ["yes", "no"]
         assert result.trace.events
 
+    def test_context_upload_baseline_never_reaches_the_service(self):
+        # decode waives the gate for the in-process baseline, but the
+        # adapter refuses context regardless, before any upload
+        from cogen.backends import TableBackend
+        from cogen.core import SamplingConfig
+        from cogen.corpus import CorpusRecord
+        from cogen.decoder import DecodeMode, decode, session_for_record
+
+        client = StubClient({"yes": -0.1})
+        slm = TableBackend.from_path(VOCAB, Role.SMALL_DEVICE, ["yes"])
+        record = CorpusRecord(
+            user_id="u", dataset_kind="email", task="pick one", reference="yes",
+            profile="private profile text", history=("an earlier private email",),
+        )
+        session = session_for_record(
+            record, DecodeMode.llm_with_context(),
+            SamplingConfig(greedy=True, max_new_tokens=4), slm, ExternalBackend(client, VOCAB),
+        )
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            decode(session)
+        assert client.prompts == []
+
     def test_reply_with_no_mass_cannot_be_sampled(self):
         from cogen.backends import TableBackend
         from cogen.core import SamplingConfig

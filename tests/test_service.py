@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogen.audit import privacy_audit
-from cogen.backends import ConditioningInput, Role, TableBackend
+from cogen.backends import ConditioningInput, ContextBundle, Role, TableBackend
 from cogen.core import SamplingConfig, top_k_project
 from cogen.decoder import DecodeMode, decode, session_for_record
 from cogen.errors import (
     IncompatibleVocabError,
     InvalidConfigError,
+    PrivacyContractError,
     ProtocolError,
     TransportError,
 )
@@ -28,6 +29,8 @@ from cogen.service import (
     encode_frame,
     float_to_bits,
     read_frame,
+    sampling_from_wire,
+    sampling_to_wire,
     serve,
     validate_request,
 )
@@ -455,6 +458,99 @@ def test_reconnect_rejects_a_service_with_another_vocabulary(served_world, path_
                 client.next_logits("A", (), 5, abc_vocab.size)
         assert client.server_vocab_hash == world.vocab.digest()
     client.close()
+
+
+@pytest.mark.parametrize("vocab_hash", [None, 7], ids=["missing", "not-a-string"])
+def test_hello_reply_without_a_vocab_hash_is_the_servers_fault(path_backends, abc_vocab, vocab_hash):
+    _, llm = path_backends
+    with serve(llm, ("127.0.0.1", 0)) as handle:
+        answer = handle.service.answer
+
+        def tampered(obj):
+            reply = answer(obj)
+            if vocab_hash is None:
+                del reply["vocab_hash"]
+            else:
+                reply["vocab_hash"] = vocab_hash
+            return reply
+
+        handle.service.answer = tampered
+        client = ServiceClient(handle.address)
+        with pytest.raises(ProtocolError, match="vocab_hash"):
+            client.hello(abc_vocab.digest())
+        client.close()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        SamplingConfig,
+        temperature=st.floats(0.01, 10.0),
+        top_p=st.floats(0.01, 1.0),
+        max_new_tokens=st.integers(1, 5000),
+        seed=st.integers(0, 2**64 - 1),
+        greedy=st.booleans(),
+    )
+)
+def test_sampling_round_trips_through_a_generate_frame(config):
+    frame = encode_frame(
+        {
+            "version": PROTOCOL_VERSION,
+            "kind": "generate",
+            "session": "s",
+            "instruction": "x",
+            "prefix_ids": [],
+            "sampling": sampling_to_wire(config),
+        }
+    )
+    obj, _ = read_frame(frame_reader(frame))
+    validate_request(obj, vocab_size=4)
+    assert sampling_from_wire(obj["sampling"]) == config
+
+
+class TestRemoteBackendPrivacy:
+    """The client refuses context itself, whatever the request's waiver
+    says: the context-upload baseline works in process only."""
+
+    class StubClient:
+        def __init__(self):
+            self.calls = []
+
+        def hello(self, expected_vocab_hash=None):
+            return expected_vocab_hash
+
+        def next_logits(self, *args):
+            self.calls.append(("logits", args))
+
+        def generate(self, *args):
+            self.calls.append(("generate", args))
+
+    @pytest.mark.parametrize("waived", [False, True])
+    def test_next_distribution_refuses_context(self, abc_vocab, waived):
+        client = self.StubClient()
+        remote = RemoteBackend(client, abc_vocab)
+        # Without the waiver the request can only be built addressed to
+        # the small side; the backend must still refuse it.
+        role = Role.LARGE_CLOUD if waived else Role.SMALL_DEVICE
+        request = ConditioningInput(
+            "A", (), ContextBundle(profile="secret profile"), role, context_upload_waiver=waived
+        )
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            remote.next_distribution(request)
+        assert client.calls == []
+
+    def test_context_upload_baseline_is_refused_before_generate(
+        self, abc_vocab, simple_record, greedy_sampling
+    ):
+        client = self.StubClient()
+        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        session = session_for_record(
+            simple_record, DecodeMode.llm_with_context(), greedy_sampling,
+            slm, RemoteBackend(client, abc_vocab),
+        )
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            decode(session)
+        assert client.calls == []
 
 
 def test_top_k_is_capped_at_64_entries(world0_backends, world0):
