@@ -1,24 +1,29 @@
 """The collaborative generation loop and its baseline modes.
 
-Each step queries the context-holding small backend with instruction,
-context, and the emitted prefix, and (in fused modes) the context-blind
-large backend with instruction and prefix only. Both views are truncated
-to their top-k entries, aligned, blended by the active fusion strategy,
-and one token is sampled from the result. The per-step blend weight,
-chosen token, and both sources' top-1 probabilities go into a trace for
-later visualization.
+Every mode samples through one per-token loop, ``_sample``. It owns the
+RNG, the pick, the EOS stop and the trace row; a mode only supplies the
+step that returns each position's distribution, blend weight and the
+two sources' top-1 probabilities.
 
-first-k mode restricts collaboration to the opening tokens: after step k
-the large backend is never queried again and the loop continues on the
-small model alone. slm-only is the same loop with fusion limited to 0
-steps, so one step rule serves all three modes.
+A fused step queries the context-holding small backend with
+instruction, context, and the emitted prefix, and the context-blind
+large backend with instruction and prefix only. Both views are truncated
+to their top-k entries, aligned, and blended by the active fusion
+strategy. first-k mode restricts collaboration to the opening tokens:
+after step k the large backend is never queried again and the loop
+continues on the small model alone. slm-only is the same step with
+fusion limited to 0 steps.
+
+The llm-only baselines and both halves of sketch-then-fill (the large
+model's draft, the small model's fill) step one backend through
+``decode_single``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind
 from .combmodel import TOP_K, comb_forward, padded_top_probs, teacher_forced_steps
@@ -27,11 +32,22 @@ from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
     InvalidDistributionError,
+    InvalidInputError,
     SessionError,
+    SketchParseError,
     TransportError,
 )
 from .fusion import FusionStrategy, fuse, top_k_pair
+from .prompting import (
+    DEFAULT_LIBRARY,
+    TemplateLibrary,
+    build_fill_prompt,
+    build_request_prompt,
+    build_sketch_prompt,
+    parse_sketch,
+)
 from .rng import Splitmix64
+from .tokenizer import Tokenizer
 
 
 @dataclass(frozen=True)
@@ -124,19 +140,16 @@ class DecodeResult:
 class GenerationSession:
     """Everything one generation run needs, with the privacy split baked in.
 
-    ``slm_instruction`` is the full (possibly personal) task; the large
-    backend only ever sees ``llm_instruction``, populated from the
-    record's context-free task variant.
+    The small backend gets the record's full (possibly personal) task
+    and its context; the large backend only ever sees ``record.llm_task``,
+    the context-free task variant.
     """
 
     slm: object
     llm: object | None
     mode: DecodeMode
     sampling: SamplingConfig
-    slm_instruction: str
-    llm_instruction: str
-    context: ContextBundle | None = None
-    record: object | None = None
+    record: object
 
     def __post_init__(self) -> None:
         if self.mode.kind != "slm_only" and self.llm is None:
@@ -146,29 +159,12 @@ class GenerationSession:
                 raise IncompatibleVocabError(
                     "fused modes require both backends to share one vocabulary"
                 )
-        if self.mode.kind == "sketch_then_fill" and self.record is None:
-            raise InvalidConfigError("sketch mode needs the corpus record for the fill prompt")
 
 
 def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSession:
     """Session from a corpus record: the small model gets the personal
     task plus private context, the large model the context-free variant."""
-    return GenerationSession(
-        slm=slm,
-        llm=llm,
-        mode=mode,
-        sampling=sampling,
-        slm_instruction=record.task,
-        llm_instruction=record.llm_task,
-        context=record.context_bundle(),
-        record=record,
-    )
-
-
-def _pick_token(dist: TokenDistribution, sampling: SamplingConfig, rng: Splitmix64) -> int:
-    if sampling.greedy:
-        return argmax_token(dist)
-    return sample_top_p(dist, sampling, rng)
+    return GenerationSession(slm=slm, llm=llm, mode=mode, sampling=sampling, record=record)
 
 
 def _dense(dist: TokenDistribution) -> TokenDistribution:
@@ -201,6 +197,27 @@ def blend_step(
     return fused, w, ps_k, pl_k
 
 
+def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> list[int]:
+    """The per-token loop of every decode mode; returns the new tokens.
+
+    ``step(prefix, i)`` gives step ``i`` (from 1) its dense distribution,
+    blend weight, and the small and large top-1 probabilities. This loop
+    draws from the session's splitmix64 stream, stops at EOS, and appends
+    one trace row per emitted token when ``trace`` is given.
+    """
+    rng = Splitmix64(sampling.seed)
+    tokens = list(initial_prefix)
+    for i in range(1, sampling.max_new_tokens + 1):
+        dist, w, ps1, pl1 = step(tuple(tokens), i)
+        token_id = argmax_token(dist) if sampling.greedy else sample_top_p(dist, sampling, rng)
+        if token_id == vocab.eos_id:
+            break
+        tokens.append(token_id)
+        if trace is not None:
+            trace.steps.append(TraceStep(i, token_id, vocab.token(token_id), w, ps1, pl1))
+    return tokens[len(initial_prefix):]
+
+
 def decode_single(
     backend,
     prompt_parts: tuple[str, ContextBundle | None],
@@ -208,164 +225,172 @@ def decode_single(
     audit_log=None,
     context_upload_waiver: bool = False,
     trace: WeightTrace | None = None,
-    trace_w: float = 1.0,
     initial_prefix: tuple[int, ...] = (),
 ) -> list[int]:
     """Ancestral sampling against one backend; returns the new tokens.
 
     Remote backends delegate the loop to the service's generate call,
     which runs this same function server-side, so local and remote
-    placements emit identical sequences for identical seeds. When a trace
-    is supplied, each emitted token is recorded with the constant weight
-    ``trace_w`` (1.0 for small-model decodes, 0.0 for large).
+    placements emit identical sequences for identical seeds. A traced
+    token carries weight 1.0 from a small_device backend and 0.0 from a
+    large_cloud one.
     """
     instruction, context = prompt_parts
+    small = backend.role == Role.SMALL_DEVICE
+    w = 1.0 if small else 0.0
     if hasattr(backend, "generate_remote"):
         check_context_blind(backend.role, context)
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
             for i, tid in enumerate(token_ids, start=1):
-                trace.steps.append(
-                    TraceStep(i, tid, backend.vocab.token(tid), trace_w, 0.0, 0.0)
-                )
+                trace.steps.append(TraceStep(i, tid, backend.vocab.token(tid), w, 0.0, 0.0))
         return token_ids
-    rng = Splitmix64(sampling.seed)
-    tokens: list[int] = list(initial_prefix)
-    emitted: list[int] = []
-    for step in range(1, sampling.max_new_tokens + 1):
+    audited = audit_log is not None and not small and not context_upload_waiver
+
+    def step(prefix, i):
         request = ConditioningInput(
-            instruction,
-            tuple(tokens),
-            context,
-            backend.role,
-            context_upload_waiver=context_upload_waiver,
+            instruction, prefix, context, backend.role, context_upload_waiver=context_upload_waiver
         )
-        if audit_log is not None and backend.role == Role.LARGE_CLOUD and not context_upload_waiver:
+        if audited:
             audit_log.record_input(request)
         dist = _dense(backend.next_distribution(request))
-        token_id = _pick_token(dist, sampling, rng)
-        if token_id == backend.vocab.eos_id:
-            break
-        tokens.append(token_id)
-        emitted.append(token_id)
-        if trace is not None:
-            top1 = dist.top1()[1]
-            small = trace_w >= 0.5
-            trace.steps.append(
-                TraceStep(
-                    step,
-                    token_id,
-                    backend.vocab.token(token_id),
-                    trace_w,
-                    top1 if small else 0.0,
-                    0.0 if small else top1,
-                )
-            )
-    return emitted
+        top1 = 0.0 if trace is None else dist.top1()[1]
+        return (dist, w, top1, 0.0) if small else (dist, w, 0.0, top1)
+
+    return _sample(step, sampling, backend.vocab, trace, initial_prefix)
+
+
+def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: WeightTrace):
+    """The step of logit fusion, fused only for the opening first_k steps
+    when set (every step when None); slm_only is the same step fused for 0
+    steps, so it never touches session.llm. With ``degrade``, a transport
+    failure of the large backend ends fusion and the session continues
+    on the small model."""
+    mode, record, slm, llm = session.mode, session.record, session.slm, session.llm
+    fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
+    context = record.context_bundle()
+
+    def step(prefix, i):
+        nonlocal fused_limit
+        p_s = slm.next_distribution(ConditioningInput(record.task, prefix, context, slm.role))
+        if fused_limit is None or i <= fused_limit:
+            request = ConditioningInput(record.llm_task, prefix, None, llm.role)
+            if audit_log is not None:
+                audit_log.record_input(request)
+            try:
+                p_l = llm.next_distribution(request)
+            except TransportError:
+                if not degrade:
+                    raise
+                trace.events.append(f"step {i}: large backend down, degraded to slm_only")
+                fused_limit = 0
+            else:
+                fused, w, ps_k, pl_k = blend_step(p_s, p_l, mode.strategy)
+                return _dense(fused), w, ps_k.top1()[1], pl_k.top1()[1]
+        return _dense(p_s), 1.0, p_s.top1()[1], 0.0
+
+    return step
+
+
+def run_sketch_then_fill(
+    llm_backend,
+    slm_backend,
+    record,
+    sampling: SamplingConfig,
+    conditioning: str = "sketch",
+    library: TemplateLibrary = DEFAULT_LIBRARY,
+    audit_log=None,
+    trace: WeightTrace | None = None,
+):
+    """Two-step collaboration: the context-blind large model drafts a
+    skeleton (or full draft) from the general instruction only, then the
+    context-holding small model writes the response conditioned on
+    instruction, context, and that reference. A sketch that does not
+    parse is drafted once more with the next seed.
+
+    Returns (response token ids, SketchArtifact or draft text).
+    """
+    tokenizer = Tokenizer(slm_backend.vocab, "whitespace")
+    kind = record.dataset_kind
+
+    def draft(prompt: str, draft_sampling: SamplingConfig) -> str:
+        ids = decode_single(llm_backend, (prompt, None), draft_sampling, audit_log=audit_log)
+        return tokenizer.detokenize(ids)
+
+    if conditioning == "sketch":
+        prompt = build_sketch_prompt(record.llm_task, kind, library)
+        try:
+            reference = parse_sketch(draft(prompt, sampling), llm_backend.kind.value)
+        except SketchParseError:
+            retry = replace(sampling, seed=(sampling.seed + 1) % 2**64)
+            reference = parse_sketch(draft(prompt, retry), llm_backend.kind.value)
+    else:
+        reference = draft(build_request_prompt(record, False, kind, library).user, sampling)
+        if not reference:
+            raise InvalidInputError("large model produced an empty draft")
+
+    fill_prompt = build_fill_prompt(record, reference, kind)
+    tokens = decode_single(
+        slm_backend, (fill_prompt, record.context_bundle()), sampling, trace=trace
+    )
+    return tokens, reference
 
 
 def decode(
     session: GenerationSession,
     on_transport_error: str = "abort",
     audit_log=None,
-    template_library=None,
+    template_library: TemplateLibrary | None = None,
 ) -> DecodeResult:
     """Run the session's mode to completion.
 
-    ``on_transport_error`` selects the policy when a remote large backend
-    fails mid-stream: ``abort`` raises a session error carrying the
-    partial trace, ``degrade`` records the event and finishes on the
-    small model alone. ``audit_log``, when given, captures every payload
-    bound for the large backend for the privacy audit.
+    ``on_transport_error`` selects the policy when a remote backend
+    fails mid-stream. In every mode ``abort`` raises a session error
+    carrying the partial trace and the transport error as its cause.
+    ``degrade`` applies to fused modes only: it records the event and
+    finishes on the small model alone. The llm-only modes have no small
+    model, and sketch-then-fill's fill needs the large model's draft, so
+    both abort under either policy.
+    ``audit_log``, when given, captures every payload bound for the
+    large backend for the privacy audit.
     """
     if on_transport_error not in ("abort", "degrade"):
         raise InvalidConfigError("on_transport_error must be 'abort' or 'degrade'")
-    mode = session.mode
-    sampling = session.sampling
+    mode, sampling, record = session.mode, session.sampling, session.record
     trace = WeightTrace(mode=mode.label(), seed=sampling.seed)
-
-    if mode.kind == "sketch_then_fill":
-        from .prompting import run_sketch_then_fill  # imported late: prompting builds on decoding
-
-        extra = {} if template_library is None else {"library": template_library}
-        tokens, artifact = run_sketch_then_fill(
-            session.llm,
-            session.slm,
-            session.record,
-            sampling,
-            conditioning=mode.sketch_conditioning,
-            dataset_kind=getattr(session.record, "dataset_kind", "context_aware"),
-            audit_log=audit_log,
-            trace=trace,
-            **extra,
-        )
-        return DecodeResult(token_ids=tuple(tokens), trace=trace, sketch=artifact)
-
-    if mode.kind in ("llm_only_with_context", "llm_only_no_context"):
-        with_ctx = mode.kind == "llm_only_with_context"
-        tokens = decode_single(
-            session.llm,
-            (
-                session.slm_instruction if with_ctx else session.llm_instruction,
-                session.context if with_ctx else None,
-            ),
-            sampling,
-            audit_log=audit_log,
-            context_upload_waiver=with_ctx,
-            trace=trace,
-            trace_w=0.0,
-        )
-        return DecodeResult(token_ids=tuple(tokens), trace=trace)
-
-    # logit_fusion, limited to the opening first_k steps when set; slm_only
-    # is the same loop limited to 0 steps, so it never touches session.llm.
-    if mode.kind == "slm_only":
-        fused_limit = 0
-    elif mode.first_k is None:
-        fused_limit = sampling.max_new_tokens
-    else:
-        fused_limit = mode.first_k
-    rng = Splitmix64(sampling.seed)
-    vocab = session.slm.vocab
-    tokens: list[int] = []
-    llm_down = False
-
-    for step in range(1, sampling.max_new_tokens + 1):
-        prefix = tuple(tokens)
-        p_s = session.slm.next_distribution(
-            ConditioningInput(session.slm_instruction, prefix, session.context, session.slm.role)
-        )
-        fused_step = step <= fused_limit and not llm_down
-        if fused_step:
-            request = ConditioningInput(session.llm_instruction, prefix, None, session.llm.role)
-            if audit_log is not None:
-                audit_log.record_input(request)
-            try:
-                p_l = session.llm.next_distribution(request)
-            except TransportError as exc:
-                if on_transport_error == "abort":
-                    raise SessionError(
-                        f"large backend failed at step {step}: {exc}",
-                        partial_trace=trace,
-                        cause=exc,
-                    ) from exc
-                trace.events.append(f"step {step}: large backend down, degraded to slm_only")
-                llm_down = True
-                fused_step = False
-        if fused_step:
-            fused, w, ps_k, pl_k = blend_step(p_s, p_l, mode.strategy)
-            dist = _dense(fused)
-            ps1, pl1 = ps_k.top1()[1], pl_k.top1()[1]
+    sketch = None
+    try:
+        if mode.kind == "sketch_then_fill":
+            tokens, sketch = run_sketch_then_fill(
+                session.llm,
+                session.slm,
+                record,
+                sampling,
+                conditioning=mode.sketch_conditioning,
+                library=template_library or DEFAULT_LIBRARY,
+                audit_log=audit_log,
+                trace=trace,
+            )
+        elif mode.kind in ("llm_only_with_context", "llm_only_no_context"):
+            with_ctx = mode.kind == "llm_only_with_context"
+            tokens = decode_single(
+                session.llm,
+                (record.task, record.context_bundle()) if with_ctx else (record.llm_task, None),
+                sampling,
+                audit_log=audit_log,
+                context_upload_waiver=with_ctx,
+                trace=trace,
+            )
         else:
-            dist, w, ps1, pl1 = _dense(p_s), 1.0, p_s.top1()[1], 0.0
-        token_id = _pick_token(dist, sampling, rng)
-        if token_id == vocab.eos_id:
-            break
-        tokens.append(token_id)
-        trace.steps.append(
-            TraceStep(step, token_id, vocab.token(token_id), w, ps1, pl1)
-        )
-    return DecodeResult(token_ids=tuple(tokens), trace=trace)
+            step = _fusion_step(session, on_transport_error == "degrade", audit_log, trace)
+            tokens = _sample(step, sampling, session.slm.vocab, trace)
+    except TransportError as exc:
+        raise SessionError(
+            f"large backend failed at step {len(trace.steps) + 1}: {exc}",
+            partial_trace=trace,
+            cause=exc,
+        ) from exc
+    return DecodeResult(token_ids=tuple(tokens), trace=trace, sketch=sketch)
 
 
 def fused_teacher_forced_ppl(

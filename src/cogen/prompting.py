@@ -1,4 +1,4 @@
-"""Prompt assembly and parsing.
+"""Prompt assembly and parsing; no decoding happens here.
 
 Templates ship as data files (one per variant) and render byte-stably:
 rendering the same record twice yields identical bytes, and no-context
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .decoder import decode_single
+from .corpus import DATASET_KINDS
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -22,8 +22,6 @@ from .errors import (
     SketchParseError,
     TemplateError,
 )
-
-DATASET_KINDS = ("context_aware", "email", "paper")
 
 _PLACEHOLDER = re.compile(
     r"\{(profile|history|task|examples|question|answer|profile_info|writing_history)\}"
@@ -67,7 +65,7 @@ class TemplateLibrary:
         return _PLACEHOLDER.sub(sub, text)
 
 
-_DEFAULT_LIBRARY = TemplateLibrary()
+DEFAULT_LIBRARY = TemplateLibrary()
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def build_request_prompt(
     record,
     with_context: bool,
     dataset_kind: str,
-    library: TemplateLibrary = _DEFAULT_LIBRARY,
+    library: TemplateLibrary = DEFAULT_LIBRARY,
 ) -> RenderedPrompt:
     """The standard request prompt for a record.
 
@@ -126,7 +124,7 @@ def build_request_prompt(
 def build_sketch_prompt(
     task: str,
     dataset_kind: str,
-    library: TemplateLibrary = _DEFAULT_LIBRARY,
+    library: TemplateLibrary = DEFAULT_LIBRARY,
 ) -> str:
     """Skeleton-extraction prompt, exemplars included."""
     _require_kind(dataset_kind)
@@ -217,80 +215,6 @@ def build_fill_prompt(
     return f"{lead}{header}\n{body}\n\n## Task\n{task_text}"
 
 
-def run_sketch_then_fill(
-    llm_backend,
-    slm_backend,
-    record,
-    sampling,
-    conditioning: str = "sketch",
-    dataset_kind: str = "context_aware",
-    library: TemplateLibrary = _DEFAULT_LIBRARY,
-    tokenizer=None,
-    audit_log=None,
-    trace=None,
-):
-    """Two-step collaboration: the context-blind large model drafts a
-    skeleton (or full draft) from the general instruction only, then the
-    context-holding small model writes the response conditioned on
-    instruction, context, and that reference. A sketch that does not
-    parse is drafted once more with the next seed.
-
-    Returns (response token ids, SketchArtifact or draft text).
-    """
-    if record is None:
-        raise InvalidInputError("sketch-then-fill needs a corpus record")
-    from .tokenizer import Tokenizer
-
-    if tokenizer is None:
-        tokenizer = Tokenizer(slm_backend.vocab, "whitespace")
-    if conditioning == "sketch":
-        sketch_prompt = build_sketch_prompt(record.llm_task, dataset_kind, library)
-        sketch_ids = decode_single(
-            llm_backend, (sketch_prompt, None), sampling, audit_log=audit_log
-        )
-        raw = tokenizer.detokenize(sketch_ids)
-        try:
-            artifact = parse_sketch(raw, source_backend=_backend_name(llm_backend))
-        except SketchParseError:
-            retry_sampling = _reseeded(sampling)
-            sketch_ids = decode_single(
-                llm_backend, (sketch_prompt, None), retry_sampling, audit_log=audit_log
-            )
-            raw = tokenizer.detokenize(sketch_ids)
-            artifact = parse_sketch(raw, source_backend=_backend_name(llm_backend))
-        reference = artifact
-    else:
-        draft_prompt = build_request_prompt(record, with_context=False, dataset_kind=dataset_kind,
-                                            library=library)
-        draft_ids = decode_single(
-            llm_backend, (draft_prompt.user, None), sampling, audit_log=audit_log
-        )
-        reference = tokenizer.detokenize(draft_ids)
-        if not reference:
-            raise InvalidInputError("large model produced an empty draft")
-
-    fill_prompt = build_fill_prompt(record, reference, dataset_kind)
-    tokens = decode_single(
-        slm_backend,
-        (fill_prompt, record.context_bundle()),
-        sampling,
-        trace=trace,
-        trace_w=1.0,
-    )
-    return tokens, reference
-
-
-def _backend_name(backend) -> str:
-    kind = getattr(backend, "kind", None)
-    return getattr(kind, "value", str(kind))
-
-
-def _reseeded(sampling):
-    from dataclasses import replace
-
-    return replace(sampling, seed=(sampling.seed + 1) % 2**64)
-
-
 _RATING = re.compile(r"Rating:\s*\[\[(\d+)\]\]")
 
 
@@ -298,7 +222,7 @@ def build_judge_prompt(
     kind: str,
     record,
     answer: str,
-    library: TemplateLibrary = _DEFAULT_LIBRARY,
+    library: TemplateLibrary = DEFAULT_LIBRARY,
 ) -> str:
     """Evaluator prompt in one of three flavors: overall quality with the
     profile attached, overall quality without it, or personalization."""

@@ -139,6 +139,12 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
         keys = {f.name for f in fields(SamplingConfig)}
         if not isinstance(sampling, dict) or set(sampling) != keys:
             raise ProtocolError(f"sampling must carry exactly {sorted(keys)}")
+        for f in fields(SamplingConfig):
+            # The default's type is the wire type; a float field also takes
+            # an int. Exact type checks keep JSON true/false out of ints.
+            wanted = (int, float) if type(f.default) is float else (type(f.default),)
+            if type(sampling[f.name]) not in wanted:
+                raise ProtocolError(f"sampling {f.name} must be {type(f.default).__name__}")
     return obj
 
 

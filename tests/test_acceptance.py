@@ -347,9 +347,9 @@ def test_criterion_7_privacy_audit():
                 audit_log=in_process_log,
             )
         sketch_log = AuditLog()
-        from cogen.prompting import run_sketch_then_fill
+        from cogen.decoder import run_sketch_then_fill
         from cogen.backends import TableBackend
-        from cogen.tokenizer import Tokenizer, build_vocab
+        from cogen.tokenizer import build_vocab
 
         texts = ["1. alpha\\n2. beta", "opening about alpha closing"]
         vocab = build_vocab(texts)
@@ -360,7 +360,7 @@ def test_criterion_7_privacy_audit():
         )
         run_sketch_then_fill(
             sk_llm, sk_slm, CONTEXT_RECORD, SamplingConfig(greedy=True, max_new_tokens=8),
-            tokenizer=Tokenizer(vocab), audit_log=sketch_log,
+            audit_log=sketch_log,
         )
 
         for record in world.test_records[:4]:

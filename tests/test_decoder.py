@@ -45,6 +45,13 @@ class FlakyBackend:
         return self.inner.next_distribution(request)
 
 
+class FlakyRemoteBackend(FlakyBackend):
+    """A remote large backend whose whole-sequence generate call fails."""
+
+    def generate_remote(self, instruction, prefix_ids, sampling):
+        raise TransportError("injected connection drop")
+
+
 class CountingBackend:
     def __init__(self, inner):
         self.inner = inner
@@ -304,6 +311,45 @@ class TestTransportPolicy:
         assert [abc_vocab.token(t) for t in result.token_ids] == ["A", "B", "C"]
         assert result.trace.events
         assert result.trace.steps[-1].w == 1.0
+
+    @pytest.mark.parametrize("policy", ["abort", "degrade"])
+    @pytest.mark.parametrize("mode", [DecodeMode.llm_no_context(), DecodeMode.llm_with_context()])
+    def test_llm_only_aborts_under_either_policy(self, abc_vocab, simple_record, policy, mode):
+        # No small model to fall back to: the failure is a session error
+        # carrying the two tokens emitted before it.
+        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        session = make_session(simple_record, mode, slm, llm)
+        with pytest.raises(SessionError) as err:
+            decode(session, on_transport_error=policy)
+        assert isinstance(err.value.cause, TransportError)
+        assert [s.token for s in err.value.partial_trace.steps] == ["A", "B"]
+        assert all(s.w == 0.0 for s in err.value.partial_trace.steps)
+
+    @pytest.mark.parametrize("policy", ["abort", "degrade"])
+    def test_remote_generate_failure_is_a_session_error(self, abc_vocab, simple_record, policy):
+        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        llm = FlakyRemoteBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A"]), 0)
+        session = make_session(simple_record, DecodeMode.llm_no_context(), slm, llm)
+        with pytest.raises(SessionError) as err:
+            decode(session, on_transport_error=policy)
+        assert isinstance(err.value.cause, TransportError)
+        assert err.value.partial_trace.steps == []
+
+    @pytest.mark.parametrize("policy", ["abort", "degrade"])
+    @pytest.mark.parametrize("conditioning", ["sketch", "full_content"])
+    def test_sketch_draft_failure_aborts_under_either_policy(
+        self, abc_vocab, simple_record, policy, conditioning
+    ):
+        # The large model drops mid-draft; the fill never starts.
+        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 1)
+        session = make_session(simple_record, DecodeMode.sketch(conditioning), slm, llm)
+        with pytest.raises(SessionError) as err:
+            decode(session, on_transport_error=policy)
+        assert isinstance(err.value.cause, TransportError)
+        assert err.value.partial_trace.steps == []
+        assert llm.calls == 2
 
 
 class TestTeacherForcedScoring:

@@ -1,5 +1,8 @@
 """Prompt rendering fidelity, skeleton parsing, the two-step pipeline."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from cogen.audit import AuditLog, privacy_audit
 from cogen.backends import Role, TableBackend
 from cogen.core import SamplingConfig
+import cogen
+from cogen.decoder import DecodeMode, decode, run_sketch_then_fill, session_for_record
 from cogen.errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -26,9 +31,8 @@ from cogen.prompting import (
     format_sketch,
     parse_rating,
     parse_sketch,
-    run_sketch_then_fill,
 )
-from cogen.tokenizer import Tokenizer, build_vocab
+from cogen.tokenizer import build_vocab
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -277,19 +281,23 @@ class TestSketchThenFill:
     def test_composed_automata_end_to_end(self):
         vocab, llm_a, _, slm = _sketch_world()
         sampling = SamplingConfig(greedy=True, max_new_tokens=12)
-        tokens, artifact = run_sketch_then_fill(
-            llm_a, slm, CONTEXT_RECORD, sampling, tokenizer=Tokenizer(vocab)
-        )
+        tokens, artifact = run_sketch_then_fill(llm_a, slm, CONTEXT_RECORD, sampling)
         assert [vocab.token(t) for t in tokens] == ["opening", "about", "alpha", "closing"]
         assert artifact.points == ("alpha", "beta")
+
+    def test_fill_trace_is_all_small_model(self):
+        vocab, llm_a, _, slm = _sketch_world()
+        sampling = SamplingConfig(greedy=True, max_new_tokens=12)
+        result = decode(session_for_record(CONTEXT_RECORD, DecodeMode.sketch(), sampling, slm, llm_a))
+        steps = result.trace.steps
+        assert [s.token for s in steps] == ["opening", "about", "alpha", "closing"]
+        assert all(s.w == 1.0 and s.p_l_top1 == 0.0 for s in steps)
 
     def test_large_model_payloads_carry_no_context(self):
         vocab, llm_a, _, slm = _sketch_world()
         sampling = SamplingConfig(greedy=True, max_new_tokens=12)
         log = AuditLog()
-        run_sketch_then_fill(
-            llm_a, slm, CONTEXT_RECORD, sampling, tokenizer=Tokenizer(vocab), audit_log=log
-        )
+        run_sketch_then_fill(llm_a, slm, CONTEXT_RECORD, sampling, audit_log=log)
         assert len(log) > 0
         verdict = privacy_audit(log, CONTEXT_RECORD.context_bundle())
         assert verdict.passed
@@ -297,9 +305,8 @@ class TestSketchThenFill:
     def test_swapping_sketch_backend_changes_output(self):
         vocab, llm_a, llm_b, slm = _sketch_world()
         sampling = SamplingConfig(greedy=True, max_new_tokens=12)
-        tok = Tokenizer(vocab)
-        out_a, _ = run_sketch_then_fill(llm_a, slm, CONTEXT_RECORD, sampling, tokenizer=tok)
-        out_b, _ = run_sketch_then_fill(llm_b, slm, CONTEXT_RECORD, sampling, tokenizer=tok)
+        out_a, _ = run_sketch_then_fill(llm_a, slm, CONTEXT_RECORD, sampling)
+        out_b, _ = run_sketch_then_fill(llm_b, slm, CONTEXT_RECORD, sampling)
         assert out_a != out_b
 
     def test_unparseable_sketch_retries_then_raises(self):
@@ -307,6 +314,12 @@ class TestSketchThenFill:
         broken_llm = TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["opening", "closing"])
         sampling = SamplingConfig(greedy=True, max_new_tokens=8)
         with pytest.raises(SketchParseError):
-            run_sketch_then_fill(
-                broken_llm, slm, CONTEXT_RECORD, sampling, tokenizer=Tokenizer(vocab)
-            )
+            run_sketch_then_fill(broken_llm, slm, CONTEXT_RECORD, sampling)
+
+
+def test_prompting_does_not_load_the_decoder():
+    # Prompting only renders and parses; decoding builds on it, not the
+    # other way round.
+    env = dict(os.environ, PYTHONPATH=str(Path(cogen.__file__).parents[1]))
+    code = "import sys, cogen.prompting; assert 'cogen.decoder' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

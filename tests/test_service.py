@@ -201,6 +201,43 @@ class TestRequestValidation:
         req["prefix_ids"] = [0, 49]
         validate_request(req, 50)
 
+    def base_generate(self):
+        return {
+            "version": PROTOCOL_VERSION,
+            "kind": "generate",
+            "session": "s",
+            "instruction": "do",
+            "prefix_ids": [0],
+            "sampling": sampling_to_wire(SamplingConfig(max_new_tokens=4)),
+        }
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("greedy", "false"),
+            ("greedy", 0),
+            ("max_new_tokens", True),
+            ("max_new_tokens", 4.0),
+            ("seed", False),
+            ("seed", "1"),
+            ("temperature", "hot"),
+            ("temperature", True),
+            ("top_p", None),
+        ],
+    )
+    def test_mistyped_sampling_value_rejected(self, name, value):
+        req = self.base_generate()
+        req["sampling"][name] = value
+        with pytest.raises(ProtocolError, match=f"sampling {name} must be"):
+            validate_request(req, VOCAB_SIZE)
+
+    @pytest.mark.parametrize("name, value", [("temperature", 1), ("top_p", 1), ("greedy", True)])
+    def test_well_typed_sampling_value_passes(self, name, value):
+        req = self.base_generate()
+        req["sampling"][name] = value
+        validate_request(req, VOCAB_SIZE)
+        assert getattr(sampling_from_wire(req["sampling"]), name) == value
+
 
 @pytest.fixture(scope="module")
 def served_world():
