@@ -186,6 +186,23 @@ def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
     return w
 
 
+def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
+    """Blend weight from both sources' sparse top-k views.
+
+    The same bits as ``comb_forward(params, padded_top_probs(pl_k),
+    padded_top_probs(ps_k))``, without its checks: a sparse distribution
+    was checked when it was built, and its entries are already
+    descending. Each view's first ``TOP_K`` probabilities are zero-padded
+    into one input vector, the large model's first.
+    """
+    x = np.zeros(IN_DIM)
+    top_l, top_s = pl_k.sparse_probs[:TOP_K], ps_k.sparse_probs[:TOP_K]
+    x[: top_l.size] = top_l
+    x[TOP_K : TOP_K + top_s.size] = top_s
+    w, _ = _forward(params.arrays(), x)
+    return w
+
+
 @dataclass
 class LossStats:
     degenerate: int = 0

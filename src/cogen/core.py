@@ -2,8 +2,10 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
-The one mutable piece, a distribution's single cached sampling nucleus,
-only ever holds a pure function of the immutable fields.
+The only mutable pieces are a distribution's two cache slots: its last
+sampling nucleus and its last top-k view. Each holds a pure function of
+the immutable fields, stored as one immutable tuple in one assignment,
+so threads that race on a slot can only compute the same value twice.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -110,13 +112,15 @@ class TokenDistribution:
     probability (ties by ascending id) with total mass at most 1; it is
     what survives a top-K cut and is never renormalized by the cut itself.
 
-    ``_nucleus`` caches ``sample_top_p``'s deterministic part for the last
-    ``(temperature, top_p)`` it was sampled with: one slot, overwritten
-    when the pair changes, so a distribution never holds more than one
-    nucleus however many configs sample it. Concurrent samplers may race
-    on the slot; each entry is an immutable tuple stored in one assignment
-    and checked against its key on read, so a lost race only computes a
-    nucleus again.
+    Two cache slots follow one pattern. ``_nucleus`` caches
+    ``sample_top_p``'s deterministic part for the last ``(temperature,
+    top_p)`` it was sampled with; ``_top_k`` caches ``top_k_project``'s
+    view for the last ``k``. Each is one slot, overwritten when its key
+    changes, so a distribution never holds more than one nucleus and one
+    view however many configs or cuts read it. Concurrent readers may race
+    on a slot; each entry is an immutable tuple stored in one assignment
+    and checked against its key on read, so a lost race only computes the
+    entry again.
     """
 
     vocab_size: int
@@ -124,6 +128,7 @@ class TokenDistribution:
     sparse_ids: np.ndarray | None = None
     sparse_probs: np.ndarray | None = None
     _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _top_k: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def dense(cls, probs) -> "TokenDistribution":
@@ -161,8 +166,11 @@ class TokenDistribution:
         return cls(vocab_size=vocab_size, sparse_ids=ids.copy(), sparse_probs=_readonly(probs))
 
     def __post_init__(self) -> None:
-        if self.sparse_ids is not None:
-            self.sparse_ids.flags.writeable = False
+        # The arrays are frozen in place: a caller that built them fresh
+        # hands them over without a copy.
+        for arr in (self.dense_probs, self.sparse_ids, self.sparse_probs):
+            if arr is not None:
+                arr.flags.writeable = False
 
     @property
     def is_dense(self) -> bool:
@@ -290,16 +298,23 @@ def top_k_project(dist: TokenDistribution, k: int) -> TokenDistribution:
     """Keep the k highest-probability entries without renormalizing.
 
     Ties at the cut go to lower token ids. Projection of an already
-    normalized distribution with k >= vocab size keeps mass 1.
+    normalized distribution with k >= vocab size keeps mass 1. The view
+    for the last ``k`` is cached on the distribution and returned again.
     """
     if k < 1:
         raise InvalidConfigError("k must be >= 1")
     if not dist.is_dense:
         raise InvalidInputError("top_k_project expects a dense distribution")
+    slot = dist._top_k
+    if slot is not None and slot[0] == k:
+        return slot[1]
     probs = np.asarray(dist.dense_probs)
-    order = _descending_order(probs)[: min(k, probs.size)]
-    return TokenDistribution(
+    # A copy, so the cache does not keep the whole vocabulary's order alive.
+    order = np.array(_descending_order(probs)[: min(k, probs.size)], dtype=np.int64)
+    view = TokenDistribution(
         vocab_size=dist.vocab_size,
-        sparse_ids=np.asarray(order, dtype=np.int64),
-        sparse_probs=_readonly(probs[order]),
+        sparse_ids=order,
+        sparse_probs=probs[order],
     )
+    object.__setattr__(dist, "_top_k", (k, view))
+    return view

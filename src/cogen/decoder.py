@@ -26,8 +26,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind
-from .combmodel import TOP_K, comb_forward, padded_top_probs, teacher_forced_steps
-from .core import SamplingConfig, TokenDistribution, _readonly, argmax_token, sample_top_p
+from .combmodel import TOP_K, teacher_forced_steps, view_weight
+from .core import SamplingConfig, TokenDistribution, argmax_token, sample_top_p
 from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
@@ -175,9 +175,7 @@ def _dense(dist: TokenDistribution) -> TokenDistribution:
         raise InvalidDistributionError("distribution has no mass to sample from")
     # Sparse entries are finite and non-negative from where they enter the
     # program, so dividing by a positive mass needs no second validation.
-    return TokenDistribution(
-        vocab_size=dist.vocab_size, dense_probs=_readonly(dist.to_dense_array() / mass)
-    )
+    return TokenDistribution(vocab_size=dist.vocab_size, dense_probs=dist.to_dense_array() / mass)
 
 
 def blend_step(
@@ -186,13 +184,13 @@ def blend_step(
     """One fused step: both sources' top-k views, aligned and blended.
 
     A learnable strategy gets its weight from the weight network on the
-    two padded top-k views. Returns the fused distribution, the weight
+    two top-k views. Returns the fused distribution, the weight
     used, and the small and large top-k views.
     """
     ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
     w_override = None
     if strategy.kind == "learnable":
-        w_override = comb_forward(strategy.model, padded_top_probs(pl_k), padded_top_probs(ps_k))
+        w_override = view_weight(strategy.model, pl_k, ps_k)
     fused, w = fuse(pair, strategy, w_override=w_override)
     return fused, w, ps_k, pl_k
 
@@ -320,10 +318,10 @@ def run_sketch_then_fill(
     if conditioning == "sketch":
         prompt = build_sketch_prompt(record.llm_task, kind, library)
         try:
-            reference = parse_sketch(draft(prompt, sampling), llm_backend.kind.value)
+            reference = parse_sketch(draft(prompt, sampling))
         except SketchParseError:
             retry = replace(sampling, seed=(sampling.seed + 1) % 2**64)
-            reference = parse_sketch(draft(prompt, retry), llm_backend.kind.value)
+            reference = parse_sketch(draft(prompt, retry))
     else:
         reference = draft(build_request_prompt(record, False, kind, library).user, sampling)
         if not reference:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DENSE_SUM_TOL, TokenDistribution, _readonly, top_k_project
+from .core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from .errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
 
 
@@ -125,13 +125,13 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
 
 def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
     if pair.support.size == pair.vocab_size:
-        return TokenDistribution(vocab_size=pair.vocab_size, dense_probs=_readonly(vec))
+        return TokenDistribution(vocab_size=pair.vocab_size, dense_probs=vec)
     # The support is sorted, so a stable sort breaks ties toward the lower id.
     order = np.argsort(-vec, kind="stable")
     return TokenDistribution(
         vocab_size=pair.vocab_size,
         sparse_ids=np.asarray(pair.support[order], dtype=np.int64),
-        sparse_probs=_readonly(vec[order]),
+        sparse_probs=vec[order],
     )
 
 

@@ -135,7 +135,6 @@ def build_sketch_prompt(
 
 @dataclass(frozen=True)
 class SketchArtifact:
-    source_backend: str
     points: tuple[str, ...]
     raw_text: str
 
@@ -147,7 +146,7 @@ class SketchArtifact:
 _MARKER = re.compile(r"(?:(?<=\n)|^)\s*(\d{1,3})\.\s*")
 
 
-def parse_sketch(raw_text: str, source_backend: str = "unknown") -> SketchArtifact:
+def parse_sketch(raw_text: str) -> SketchArtifact:
     """Split numbered skeleton output into ordered points.
 
     Handles both real newlines and the literal "\\n" separators the
@@ -165,7 +164,7 @@ def parse_sketch(raw_text: str, source_backend: str = "unknown") -> SketchArtifa
             points.append(point)
     if not points:
         raise SketchParseError("numbered markers carried no content", raw_text=raw_text)
-    return SketchArtifact(source_backend=source_backend, points=tuple(points), raw_text=raw_text)
+    return SketchArtifact(points=tuple(points), raw_text=raw_text)
 
 
 def format_sketch(artifact: SketchArtifact) -> str:

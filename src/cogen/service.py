@@ -43,6 +43,8 @@ MAX_FRAME_BYTES = 1 << 24
 DEFAULT_TOP_K = 10
 # Most entries one logits reply carries, whatever top_k the client asks for.
 TOP_K_CAP = 64
+# Most tokens one generate request may ask for; SamplingConfig's default fits.
+MAX_NEW_TOKENS_CAP = 8192
 
 _REQUEST_FIELDS = {
     "hello": {"version", "kind", "session", "vocab_hash"},
@@ -145,6 +147,8 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
             wanted = (int, float) if type(f.default) is float else (type(f.default),)
             if type(sampling[f.name]) not in wanted:
                 raise ProtocolError(f"sampling {f.name} must be {type(f.default).__name__}")
+        if sampling["max_new_tokens"] > MAX_NEW_TOKENS_CAP:
+            raise ProtocolError(f"sampling max_new_tokens exceeds the cap of {MAX_NEW_TOKENS_CAP}")
     return obj
 
 

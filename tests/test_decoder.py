@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cogen.backends import Role, TableBackend, perplexity
 from cogen.combmodel import comb_init, harvest_examples
-from cogen.core import SamplingConfig
+from cogen.core import SamplingConfig, Vocab
 from cogen.decoder import (
     DecodeMode,
     TraceStep,
@@ -292,6 +292,17 @@ class TestSingleBackendModes:
         assert result.token_ids
         assert all(r.context_upload_waiver for r in llm.requests)
         assert all(s.w == 0.0 for s in result.trace.steps)
+
+    def test_sketch_parses_from_a_large_backend_without_a_kind(self, simple_record):
+        # The draft is parsed from its text alone, so a double that only
+        # answers next_distribution drafts a usable sketch.
+        vocab = Vocab(tokens=("1.", "A", "B", "</s>", "<unk>"), eos_id=3, unk_id=4)
+        slm = TableBackend.from_path(vocab, Role.SMALL_DEVICE, ["A", "B"])
+        llm = CountingBackend(TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["1.", "A"]))
+        assert not hasattr(llm, "kind")
+        result = decode(make_session(simple_record, DecodeMode.sketch(), slm, llm))
+        assert result.sketch.points == ("A",)
+        assert [vocab.token(t) for t in result.token_ids] == ["A", "B"]
 
 
 class TestTransportPolicy:

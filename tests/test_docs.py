@@ -6,7 +6,7 @@ from pathlib import Path
 
 from cogen.corpus import load_corpus
 from cogen.rng import Splitmix64
-from cogen.service import encode_frame, float_to_bits, read_frame
+from cogen.service import MAX_NEW_TOKENS_CAP, TOP_K_CAP, encode_frame, float_to_bits, read_frame
 
 DOCS = Path(__file__).parent.parent / "docs"
 
@@ -48,6 +48,12 @@ def test_protocol_golden_frames_decode_and_match_encoder():
     hello, logits = (json.loads(bytes.fromhex(b)[4:]) for b in blocks)
     assert hello["kind"] == "hello"
     assert logits["entries"][0] == [2, float_to_bits(0.5)]
+
+
+def test_protocol_doc_states_the_service_caps():
+    text = (DOCS / "protocol.md").read_text(encoding="utf-8")
+    assert f"`min(top_k, {TOP_K_CAP})`" in text
+    assert f"at most {MAX_NEW_TOKENS_CAP} (`MAX_NEW_TOKENS_CAP`)" in text
 
 
 def test_rng_doc_reference_sequences():

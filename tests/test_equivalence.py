@@ -4,7 +4,8 @@ Each ``ref_*`` function below is the original, plainer implementation of
 a hot-path primitive (lexsort orderings, ``np.errstate`` guarded logs,
 per-id range checks, full re-tokenization of the conditioning, a whole
 fused distribution built to read one probability, a re-validated dense
-copy, an n-gram conditional and a nucleus rebuilt on every call). The
+copy, an n-gram conditional, a nucleus and a top-k view rebuilt on every
+call, and a weight net fed through its checked entry point). The
 faster forms in ``cogen`` must return the same bits and raise the same
 error class with the same message on every input.
 """
@@ -25,7 +26,12 @@ from hypothesis import strategies as st
 from cogen import combmodel, core, decoder, fusion
 from cogen.backends import ConditioningInput, ContextBundle, NGramBackend, Role, train_ngram
 from cogen.core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, sample_top_p, top_k_project
-from cogen.errors import InvalidDistributionError, InvalidInputError, PrivacyContractError
+from cogen.errors import (
+    InvalidConfigError,
+    InvalidDistributionError,
+    InvalidInputError,
+    PrivacyContractError,
+)
 from cogen.fusion import AlignedPair, FusionStrategy, fuse
 from cogen.rng import Splitmix64
 from cogen.tokenizer import Tokenizer
@@ -239,6 +245,58 @@ def test_extreme_temperature_edges_match():
             )
 
 
+@settings(max_examples=200, deadline=None)
+@given(probs=prob_vectors(), ks=st.lists(st.integers(1, 45), min_size=2, max_size=12))
+@example(probs=np.array([0.5, 0.25, 0.25]), ks=[1, 2, 2, 1, 3, 1])
+def test_cached_top_k_matches_uncached(probs, ks):
+    """One distribution cut at interleaved k, as the service's clients
+    may ask, gives the uncached view at every call."""
+    dist = TokenDistribution.dense(probs)
+    for k in ks:
+        got = top_k_project(dist, k)
+        ids, values = ref_top_k_project(dist, k)
+        assert same_bits(got.sparse_ids, ids)
+        assert same_bits(got.sparse_probs, values)
+        assert got.vocab_size == dist.vocab_size
+
+
+def test_top_k_cache_keeps_the_error_paths():
+    dense = TokenDistribution.dense(np.array([0.5, 0.3, 0.2]))
+    sparse = TokenDistribution.sparse([0, 1], [0.5, 0.3], 3)
+    for dist, k, error in ((dense, 0, InvalidConfigError), (sparse, 2, InvalidInputError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                top_k_project(dist, k)
+        assert dist._top_k is None
+    # A cached view does not mask a bad k.
+    view = top_k_project(dense, 2)
+    with pytest.raises(InvalidConfigError):
+        top_k_project(dense, 0)
+    assert dense._top_k == (2, view)
+
+
+def test_top_k_cache_holds_one_view_per_distribution():
+    """The service cuts a long-lived backend distribution at whatever
+    ``top_k`` each client asks. However many distinct cuts read it, the
+    distribution keeps one view, and that view's ids are not a slice of
+    the whole vocabulary's order."""
+    dist = TokenDistribution.dense(np.full(123, 1 / 123))
+    top_k_project(dist, 500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 501):
+            view = top_k_project(dist, k)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dist._top_k == (500, view)
+    assert view.sparse_ids.flags.owndata and view.sparse_ids.base is None
+    # One full-vocabulary view is about 2 KB; one per k would be 1 MB.
+    assert grown < 16 * 1024
+
+
 # --- the sparse order of a fused distribution -------------------------------
 
 
@@ -372,6 +430,37 @@ def test_check_top10_matches(vec):
     assert got[1] == want[1]
     if want[1] is None:
         assert same_bits(got[0], want[0])
+
+
+@st.composite
+def top_k_views(draw):
+    """A sparse view as the fused step sees one: a dense distribution's
+    top-k cut, or a sparse distribution passed through, either of which
+    may be shorter or longer than the weight net's 10 inputs."""
+    vocab_size = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        return draw(sparse_distributions(vocab_size))
+    probs = draw(prob_vectors(min_size=vocab_size, max_size=vocab_size))
+    return top_k_project(TokenDistribution.dense(probs), draw(st.integers(1, 12)))
+
+
+@pytest.fixture(scope="module")
+def weight_nets():
+    return [combmodel.comb_init(seed) for seed in (0, 1, 2**64 - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pl_k=top_k_views(), ps_k=top_k_views(), which=st.integers(0, 2))
+def test_view_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which):
+    """The fused step's unchecked weight is the checked weight on the
+    padded views, large model first, bit for bit."""
+    params = weight_nets[which]
+    got = combmodel.view_weight(params, pl_k, ps_k)
+    want = combmodel.comb_forward(
+        params, combmodel.padded_top_probs(pl_k), combmodel.padded_top_probs(ps_k)
+    )
+    assert type(got) is float
+    assert same_bits(np.float64(got), np.float64(want))
 
 
 # --- backend request checks and n-gram conditioning -------------------------
@@ -535,7 +624,8 @@ def test_nucleus_cache_does_not_grow_with_distinct_configs():
 
 def test_threads_sharing_one_distribution_and_backend_match_serial(ngram_pair):
     """Handler threads share backends and their distributions; racing to
-    fill the memo and the nucleus cache must not change what any sees."""
+    fill the memo, the nucleus cache and the top-k cache must not change
+    what any sees."""
     backend = fresh_ngram(ngram_pair, True)
     shared = TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1]))
     configs = [SamplingConfig(temperature=t, top_p=p) for t in (0.5, 1.0) for p in (0.5, 0.95)]
@@ -549,6 +639,8 @@ def test_threads_sharing_one_distribution_and_backend_match_serial(ngram_pair):
             prefix = (i % 7, (i * 3) % 7)
             dist = backend.next_distribution(ConditioningInput("", prefix, None, backend.role))
             picks.append(sample_top_p(dist, config, rng))
+            for cut in (shared, dist):
+                picks.append(top_k_project(cut, 1 + (i + seed) % 3).sparse_ids.tolist())
         return picks
 
     def serial(seed):
@@ -560,6 +652,8 @@ def test_threads_sharing_one_distribution_and_backend_match_serial(ngram_pair):
             request = ConditioningInput("", (i % 7, (i * 3) % 7), None, backend.role)
             dense = TokenDistribution.dense(ref_ngram_distribution(backend, request))
             picks.append(ref_sample_top_p(dense, config, rng))
+            for cut in (shared, dense):
+                picks.append(ref_top_k_project(cut, 1 + (i + seed) % 3)[0].tolist())
         return picks
 
     results = {}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen.core import TokenDistribution, softmax
+from cogen.core import DENSE_SUM_TOL, TokenDistribution, softmax, top_k_project
 from cogen.errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
 from cogen.fusion import AlignedPair, FusionStrategy, align_supports, fuse
 
@@ -144,3 +144,71 @@ class TestFuse:
         fused, w = fuse(pair, FusionStrategy.max_pool())
         assert w == 0.5
         assert abs(fused.mass - 1.0) < 1e-9
+
+
+# Repeated weights make ties; zeros put unmentioned ids inside a top-k cut.
+TIED_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.01, max_value=1.0))
+
+
+@st.composite
+def source_distribution(draw, vocab_size, form):
+    """A normalized dense distribution, or a sparse top-k cut of one whose
+    kept mass may be scaled down further."""
+    weights = np.array(draw(st.lists(TIED_WEIGHTS, min_size=vocab_size, max_size=vocab_size)))
+    if not weights.any():
+        weights[draw(st.integers(0, vocab_size - 1))] = 1.0
+    dense = TokenDistribution.dense(weights / weights.sum())
+    if form == "dense":
+        return dense
+    view = top_k_project(dense, draw(st.integers(1, vocab_size)))
+    scale = draw(st.sampled_from([1.0, 0.9, 0.3]))
+    return TokenDistribution.sparse(view.sparse_ids, view.sparse_probs * scale, vocab_size)
+
+
+@st.composite
+def fusion_pairs(draw, forms=st.sampled_from(["dense", "sparse"])):
+    vocab_size = draw(st.integers(2, 30))
+    return (
+        draw(source_distribution(vocab_size, draw(forms))),
+        draw(source_distribution(vocab_size, draw(forms))),
+    )
+
+
+STRATEGIES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(FusionStrategy.fixed),
+    st.just(FusionStrategy.mean()),
+    st.just(FusionStrategy.max_pool()),
+    st.just(FusionStrategy.learnable(model=object())),
+)
+
+
+@given(fusion_pairs(), STRATEGIES, st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_fuse_normalizes_and_orders_any_pair(pair, strategy, w):
+    """Over random sparse and dense pairs and every strategy, the fused
+    mass is 1, entries are non-negative, and a sparse result lists its
+    union support by descending probability, ties toward the lower id."""
+    aligned = align_supports(*pair)
+    fused, _ = fuse(aligned, strategy, w_override=w)
+    assert abs(fused.mass - 1.0) <= DENSE_SUM_TOL
+    if fused.is_dense:
+        assert fused.vocab_size == aligned.vocab_size == aligned.support.size
+        assert (fused.dense_probs >= 0).all()
+        return
+    assert (fused.sparse_probs >= 0).all()
+    assert sorted(fused.sparse_ids.tolist()) == aligned.support.tolist()
+    keys = [(-p, i) for p, i in zip(fused.sparse_probs.tolist(), fused.sparse_ids.tolist())]
+    assert keys == sorted(keys)
+
+
+@given(fusion_pairs(forms=st.just("dense")))
+@settings(max_examples=200, deadline=None)
+def test_fuse_endpoints_return_a_dense_input_bitwise(pair):
+    p_s, p_l = pair
+    aligned = align_supports(p_s, p_l)
+    learnable = FusionStrategy.learnable(model=object())
+    for w, chosen in ((1.0, p_s), (0.0, p_l)):
+        for strategy in (FusionStrategy.fixed(w), learnable):
+            fused, used = fuse(aligned, strategy, w_override=w)
+            assert used == w
+            assert fused.dense_probs.tobytes() == chosen.dense_probs.tobytes()

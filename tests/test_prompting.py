@@ -154,7 +154,7 @@ class TestParseSketch:
         assert err.value.raw_text == "no numbers here"
 
     def test_format_parse_round_trip(self):
-        artifact = SketchArtifact("test", ("One thing", "Another thing", "Last"), "raw")
+        artifact = SketchArtifact(("One thing", "Another thing", "Last"), "raw")
         again = parse_sketch(format_sketch(artifact))
         assert again.points == artifact.points
 
@@ -167,7 +167,7 @@ class TestParseSketch:
     )
     @settings(max_examples=150, deadline=None)
     def test_format_parse_identity_property(self, points):
-        artifact = SketchArtifact("prop", tuple(points), "raw")
+        artifact = SketchArtifact(tuple(points), "raw")
         assert parse_sketch(format_sketch(artifact)).points == artifact.points
 
 

@@ -21,6 +21,7 @@ from cogen.errors import (
 )
 from cogen.fusion import FusionStrategy
 from cogen.service import (
+    MAX_NEW_TOKENS_CAP,
     PROTOCOL_VERSION,
     RemoteBackend,
     ServeConfig,
@@ -229,6 +230,15 @@ class TestRequestValidation:
         req = self.base_generate()
         req["sampling"][name] = value
         with pytest.raises(ProtocolError, match=f"sampling {name} must be"):
+            validate_request(req, VOCAB_SIZE)
+
+    def test_max_new_tokens_is_capped(self):
+        req = self.base_generate()
+        req["sampling"]["max_new_tokens"] = MAX_NEW_TOKENS_CAP + 1
+        with pytest.raises(ProtocolError, match="max_new_tokens exceeds the cap"):
+            validate_request(req, VOCAB_SIZE)
+        for allowed in (MAX_NEW_TOKENS_CAP, SamplingConfig().max_new_tokens):
+            req["sampling"]["max_new_tokens"] = allowed
             validate_request(req, VOCAB_SIZE)
 
     @pytest.mark.parametrize("name, value", [("temperature", 1), ("top_p", 1), ("greedy", True)])
@@ -599,6 +609,22 @@ def test_top_k_is_capped_at_64_entries(world0_backends, world0):
         reply = client.next_logits("anything", (), 1000, world0.vocab.size)
         client.close()
     assert reply.sparse_ids.size == 64
+
+
+def test_generate_over_the_token_cap_is_refused(world0_backends, world0):
+    """One generate request cannot buy unbounded server time: a token budget
+    over the cap gets an error frame before the backend runs."""
+    llm, _ = world0_backends
+    with serve(llm, ("127.0.0.1", 0)) as handle:
+        client = ServiceClient(handle.address)
+        client.hello(world0.vocab.digest())
+        over = SamplingConfig(max_new_tokens=MAX_NEW_TOKENS_CAP + 1)
+        with pytest.raises(ProtocolError, match="max_new_tokens exceeds the cap"):
+            client.generate("anything", (), over, world0.vocab.size)
+        # The client reconnects, and a request within the cap is served.
+        within = SamplingConfig(max_new_tokens=4)
+        assert len(client.generate("anything", (), within, world0.vocab.size)) <= 4
+        client.close()
 
 
 class TestSplitExecutionEquivalence:
