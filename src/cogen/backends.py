@@ -1,4 +1,4 @@
-"""Next-token backends and the request types they consume.
+"""Next-token backends, the request types they consume, and cursors.
 
 Two desk-scale deterministic backends stand in for the production-scale
 networks: a table automaton for exact scripted behavior in tests, and an
@@ -6,12 +6,25 @@ add-alpha smoothed n-gram model for statistical behavior. Both expose the
 same ``next_distribution`` surface as the remote and external adapters,
 so the decoder never cares where a distribution came from.
 
+A decode loop conditions through a cursor instead: ``open_cursor(backend,
+instruction, context)`` fixes the instruction and context once, then
+``push(token_id)`` appends each emitted token and ``distribution()``
+answers for the prefix pushed so far. ``NGramBackend.open`` is the one
+native cursor; it keeps only the last n-1 ids of the conditioning stream,
+so a step costs the same at any prefix length. Every other backend (the
+table, remote and external adapters, and wrappers such as test doubles)
+gets ``RequestCursor``, which keeps the prefix and sends each step as the
+``ConditioningInput`` a direct caller would build.
+
 The privacy boundary is enforced structurally here: a request addressed
 to a context-blind (large_cloud) backend cannot be constructed with
-context attached. The only exception is an explicit waiver used by the
-context-uploading baseline, which exists precisely to measure what that
-privacy sacrifice buys. ``check_context_blind`` is the one gate every
-path toward a large backend goes through.
+context attached, and a large_cloud cursor cannot be opened with context.
+The only exception is an explicit waiver used by the context-uploading
+baseline, which exists precisely to measure what that privacy sacrifice
+buys. ``check_context_blind`` is the one gate every path toward a large
+backend goes through: ``ConditioningInput`` calls it on construction and
+each cursor calls it on ``open``. A cursor range-checks each id once, on
+``push``.
 """
 
 from __future__ import annotations
@@ -126,6 +139,50 @@ class Backend:
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         raise NotImplementedError
+
+
+def _check_id(token_id: int, size: int) -> None:
+    if not 0 <= token_id < size:
+        raise InvalidInputError(f"token id {token_id} outside vocab of size {size}")
+
+
+class RequestCursor:
+    """The cursor of a backend without a native one.
+
+    It keeps the emitted prefix and sends each ``distribution()`` as the
+    ``ConditioningInput`` of the whole prefix, so the backend (or a
+    wrapper timing or recording it) sees exactly the requests a direct
+    caller of ``next_distribution`` would make.
+    """
+
+    def __init__(self, backend, instruction: str, context=None, waiver: bool = False):
+        self._role = getattr(backend, "role", Role.SMALL_DEVICE)
+        check_context_blind(self._role, context, waiver)
+        self._backend = backend
+        self._instruction = instruction
+        self._context = context
+        self._waiver = waiver
+        self._size = backend.vocab.size
+        self._prefix: list[int] = []
+
+    def push(self, token_id: int) -> None:
+        _check_id(token_id, self._size)
+        self._prefix.append(token_id)
+
+    def distribution(self) -> TokenDistribution:
+        request = ConditioningInput(
+            self._instruction, tuple(self._prefix), self._context, self._role, self._waiver
+        )
+        return self._backend.next_distribution(request)
+
+
+def open_cursor(backend, instruction: str, context=None, *, waiver: bool = False):
+    """A cursor over ``backend`` for one instruction and context: the
+    backend's own ``open`` when it has one, else a ``RequestCursor``."""
+    native = getattr(backend, "open", None)
+    if native is not None:
+        return native(instruction, context, waiver=waiver)
+    return RequestCursor(backend, instruction, context, waiver)
 
 
 def _resolve_dist(vocab: Vocab, mapping) -> TokenDistribution:
@@ -290,8 +347,11 @@ class NGramBackend(Backend):
     Only the last n-1 tokens of the concatenated conditioning stream
     matter, which is exactly the point: a context-holding instance trained
     on a user's text behaves differently from a context-blind one trained
-    on everyone's. Once the prefix alone holds n-1 tokens, the instruction
-    and context can no longer reach the window and are not tokenized.
+    on everyone's. The stream is the instruction, then the context, then
+    the prefix. Only the tokens that reach the window are looked up: none
+    of the instruction and context once the prefix alone holds n-1
+    tokens. ``open`` looks them up once and returns an ``NGramCursor``
+    that keeps only the window.
 
     Each history's distribution is built once and memoized. Every history
     the model never counted gets the same uniform distribution, so all of
@@ -308,23 +368,57 @@ class NGramBackend(Backend):
         self.model = model
         self.vocab = model.vocab
         self.role = Role(role)
-        self._tok = Tokenizer(model.vocab, model.policy)
         self._memo: dict = {}
+
+    def _stream_tail(self, instruction: str, context, k: int) -> list[int]:
+        """Ids of the last ``k`` (at least 1) tokens of the instruction
+        followed by the context; only those pieces are looked up."""
+        pieces = split_text(instruction, self.model.policy)
+        if context:
+            pieces += split_text(context.as_text(), self.model.policy)
+        return [self.vocab.id_of(piece) for piece in pieces[-k:]]
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         ids = request.prefix_ids
-        if len(ids) < self.model.n - 1:
-            stream = self._tok.tokenize(request.instruction)
-            if request.context:
-                stream += self._tok.tokenize(request.context.as_text())
-            ids = stream + list(ids)
-        h = self.model.history_key(ids)
+        short = self.model.n - 1 - len(ids)
+        if short > 0:
+            ids = self._stream_tail(request.instruction, request.context, short) + list(ids)
+        return self._memoized(self.model.history_key(ids))
+
+    def _memoized(self, h: tuple) -> TokenDistribution:
+        """The distribution after history ``h`` (at most n-1 ids)."""
         slot = h if h in self.model.counts else None
         dist = self._memo.get(slot)
         if dist is None:
             dist = TokenDistribution.dense(self.model.conditional(h))
             self._memo[slot] = dist
         return dist
+
+    def open(self, instruction: str, context=None, *, waiver: bool = False) -> "NGramCursor":
+        check_context_blind(self.role, context, waiver)
+        keep = self.model.n - 1
+        history = tuple(self._stream_tail(instruction, context, keep)) if keep else ()
+        return NGramCursor(self, history)
+
+
+class NGramCursor:
+    """An n-gram backend's cursor: the last n-1 ids of the stream so far."""
+
+    __slots__ = ("_backend", "_history", "_keep", "_size")
+
+    def __init__(self, backend: NGramBackend, history: tuple) -> None:
+        self._backend = backend
+        self._history = history
+        self._keep = backend.model.n - 1
+        self._size = backend.vocab.size
+
+    def push(self, token_id: int) -> None:
+        _check_id(token_id, self._size)
+        if self._keep:
+            self._history = (self._history + (token_id,))[-self._keep:]
+
+    def distribution(self) -> TokenDistribution:
+        return self._backend._memoized(self._history)
 
 
 def perplexity(backend, token_ids, instruction: str = "", context=None) -> float:
@@ -333,17 +427,12 @@ def perplexity(backend, token_ids, instruction: str = "", context=None) -> float
     token_ids = [int(t) for t in token_ids]
     if not token_ids:
         raise InvalidInputError("cannot score an empty sequence")
-    role = getattr(backend, "role", Role.SMALL_DEVICE)
+    cursor = open_cursor(backend, instruction, context)
     nll = 0.0
-    for i, target in enumerate(token_ids):
-        request = ConditioningInput(
-            instruction=instruction,
-            prefix_ids=tuple(token_ids[:i]),
-            context=context,
-            receiver_role=role,
-        )
-        p = backend.next_distribution(request).prob_of(target)
+    for target in token_ids:
+        p = cursor.distribution().prob_of(target)
         if p <= 0.0:
             return math.inf
         nll -= math.log(p)
+        cursor.push(target)
     return math.exp(nll / len(token_ids))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import ConditioningInput
+from .backends import open_cursor
 from .core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
 from .fusion import AlignedPair, top_k_pair
@@ -424,13 +424,15 @@ def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = 
     position when that is None. Past the limit ``p_l`` is None.
     """
     ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
-    context = record.context_bundle()
+    small = open_cursor(slm, record.task, record.context_bundle())
+    large = None if fused_limit == 0 else open_cursor(llm, record.llm_task)
     for i, target in enumerate(ids):
-        prefix = tuple(ids[:i])
-        p_s = slm.next_distribution(ConditioningInput(record.task, prefix, context, slm.role))
+        p_s = small.distribution()
         p_l = None
         if fused_limit is None or i < fused_limit:
-            p_l = llm.next_distribution(ConditioningInput(record.llm_task, prefix, None, llm.role))
+            p_l = large.distribution()
+            large.push(target)
+        small.push(target)
         yield target, p_s, p_l
 
 

@@ -2,10 +2,11 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
-The only mutable pieces are a distribution's two cache slots: its last
-sampling nucleus and its last top-k view. Each holds a pure function of
-the immutable fields, stored as one immutable tuple in one assignment,
-so threads that race on a slot can only compute the same value twice.
+The only mutable pieces are a distribution's three cache slots: its last
+sampling nucleus, its last top-k view and its top-1 entry. Each holds a
+pure function of the immutable fields, stored as one immutable tuple in
+one assignment, so threads that race on a slot can only compute the same
+value twice.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -15,6 +16,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,7 @@ class Vocab:
     eos_id: int
     unk_id: int
     _index: dict = field(init=False, repr=False, compare=False)
+    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tokens) < 2:
@@ -51,6 +54,12 @@ class Vocab:
             if not 0 <= idx < len(self.tokens):
                 raise InvalidInputError(f"{name} {idx} out of range")
         object.__setattr__(self, "_index", index)
+        h = hashlib.sha256()
+        for tok in self.tokens:
+            h.update(tok.encode("utf-8"))
+            h.update(b"\x00")
+        h.update(f"\x01{self.eos_id}\x01{self.unk_id}".encode("ascii"))
+        object.__setattr__(self, "_digest", h.digest()[:8].hex())
 
     @property
     def size(self) -> int:
@@ -67,13 +76,9 @@ class Vocab:
         return token in self._index
 
     def digest(self) -> str:
-        """16-hex-char identity used in handshakes and config checks."""
-        h = hashlib.sha256()
-        for tok in self.tokens:
-            h.update(tok.encode("utf-8"))
-            h.update(b"\x00")
-        h.update(f"\x01{self.eos_id}\x01{self.unk_id}".encode("ascii"))
-        return h.digest()[:8].hex()
+        """16-hex-char identity used in handshakes and config checks,
+        computed once at construction."""
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -112,15 +117,15 @@ class TokenDistribution:
     probability (ties by ascending id) with total mass at most 1; it is
     what survives a top-K cut and is never renormalized by the cut itself.
 
-    Two cache slots follow one pattern. ``_nucleus`` caches
+    Three cache slots follow one pattern. ``_nucleus`` caches
     ``sample_top_p``'s deterministic part for the last ``(temperature,
     top_p)`` it was sampled with; ``_top_k`` caches ``top_k_project``'s
-    view for the last ``k``. Each is one slot, overwritten when its key
-    changes, so a distribution never holds more than one nucleus and one
-    view however many configs or cuts read it. Concurrent readers may race
-    on a slot; each entry is an immutable tuple stored in one assignment
-    and checked against its key on read, so a lost race only computes the
-    entry again.
+    view for the last ``k``; ``_top1`` caches ``top1()``, which has no key.
+    Each is one slot, overwritten when its key changes, so a distribution
+    never holds more than one nucleus and one view however many configs or
+    cuts read it. Concurrent readers may race on a slot; each entry is an
+    immutable tuple stored in one assignment and checked against its key
+    on read, so a lost race only computes the entry again.
     """
 
     vocab_size: int
@@ -129,6 +134,7 @@ class TokenDistribution:
     sparse_probs: np.ndarray | None = None
     _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top_k: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _top1: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def dense(cls, probs) -> "TokenDistribution":
@@ -194,10 +200,15 @@ class TokenDistribution:
 
     def top1(self) -> tuple[int, float]:
         """Highest-probability (id, p); ties resolve to the lowest id."""
-        if self.is_dense:
-            i = int(np.argmax(self.dense_probs))
-            return i, float(self.dense_probs[i])
-        return int(self.sparse_ids[0]), float(self.sparse_probs[0])
+        top = self._top1
+        if top is None:
+            if self.is_dense:
+                i = int(np.argmax(self.dense_probs))
+                top = i, float(self.dense_probs[i])
+            else:
+                top = int(self.sparse_ids[0]), float(self.sparse_probs[0])
+            object.__setattr__(self, "_top1", top)
+        return top
 
     def to_dense_array(self) -> np.ndarray:
         """Full-vocab probability vector (zeros off the sparse support)."""
@@ -250,7 +261,8 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
 
 def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     """Token ids of the top-p nucleus after tempering, most probable first,
-    and the cumulative sum of their renormalized probabilities."""
+    and the cumulative sum of their renormalized probabilities, both as
+    Python lists."""
     key = (temperature, top_p)
     slot = dist._nucleus
     if slot is not None and slot[0] == key:
@@ -266,8 +278,7 @@ def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     cut = int(np.searchsorted(cum, top_p, side="left")) + 1
     cut = min(cut, probs.size)
     nucleus = sorted_probs[:cut]
-    # A copy, so the cache does not keep the whole vocabulary's order alive.
-    ids, cum = order[:cut].copy(), np.cumsum(nucleus / nucleus.sum())
+    ids, cum = order[:cut].tolist(), np.cumsum(nucleus / nucleus.sum()).tolist()
     object.__setattr__(dist, "_nucleus", (key, ids, cum))
     return ids, cum
 
@@ -282,16 +293,12 @@ def sample_top_p(dist: TokenDistribution, config: SamplingConfig, rng: Splitmix6
     """
     order, cum = _nucleus(dist, config.temperature, config.top_p)
     u = rng.next_float()
-    pick = int(np.searchsorted(cum, u, side="right"))
-    pick = min(pick, cum.size - 1)
-    return int(order[pick])
+    return order[min(bisect_right(cum, u), len(cum) - 1)]
 
 
 def argmax_token(dist: TokenDistribution) -> int:
     """Greedy choice; ties resolve to the lowest token id."""
-    if dist.is_dense:
-        return int(np.argmax(dist.dense_probs))
-    return int(dist.sparse_ids[0])
+    return dist.top1()[0]
 
 
 def top_k_project(dist: TokenDistribution, k: int) -> TokenDistribution:

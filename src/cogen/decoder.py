@@ -5,14 +5,21 @@ RNG, the pick, the EOS stop and the trace row; a mode only supplies the
 step that returns each position's distribution, blend weight and the
 two sources' top-1 probabilities.
 
+A step talks to its backends only through cursors (see ``backends``):
+each is opened once per session with its instruction and context, which
+is where the privacy gate refuses context bound for a large_cloud
+backend, and the step pushes the token emitted before it. No step
+rebuilds a request from the whole prefix, except the payload an audit
+log records for a large-side step.
+
 A fused step queries the context-holding small backend with
 instruction, context, and the emitted prefix, and the context-blind
 large backend with instruction and prefix only. Both views are truncated
 to their top-k entries, aligned, and blended by the active fusion
 strategy. first-k mode restricts collaboration to the opening tokens:
-after step k the large backend is never queried again and the loop
-continues on the small model alone. slm-only is the same step with
-fusion limited to 0 steps.
+after step k the large backend is never queried or pushed to again and
+the loop continues on the small model alone. slm-only is the same step
+with fusion limited to 0 steps.
 
 The llm-only baselines and both halves of sketch-then-fill (the large
 model's draft, the small model's fill) step one backend through
@@ -25,7 +32,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .backends import ConditioningInput, ContextBundle, Role, check_context_blind
+from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import TOP_K, teacher_forced_steps, view_weight
 from .core import SamplingConfig, TokenDistribution, argmax_token, sample_top_p
 from .errors import (
@@ -198,15 +205,18 @@ def blend_step(
 def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> list[int]:
     """The per-token loop of every decode mode; returns the new tokens.
 
-    ``step(prefix, i)`` gives step ``i`` (from 1) its dense distribution,
-    blend weight, and the small and large top-1 probabilities. This loop
-    draws from the session's splitmix64 stream, stops at EOS, and appends
-    one trace row per emitted token when ``trace`` is given.
+    ``step(tokens, i)`` gives step ``i`` (from 1) its dense distribution,
+    blend weight, and the small and large top-1 probabilities. ``tokens``
+    is the loop's own list of the initial prefix and the tokens emitted so
+    far, which the step must not change; from step 2 on its last entry is
+    the token emitted by the step before. This loop draws from the
+    session's splitmix64 stream, stops at EOS, and appends one trace row
+    per emitted token when ``trace`` is given.
     """
     rng = Splitmix64(sampling.seed)
     tokens = list(initial_prefix)
     for i in range(1, sampling.max_new_tokens + 1):
-        dist, w, ps1, pl1 = step(tuple(tokens), i)
+        dist, w, ps1, pl1 = step(tokens, i)
         token_id = argmax_token(dist) if sampling.greedy else sample_top_p(dist, sampling, rng)
         if token_id == vocab.eos_id:
             break
@@ -244,14 +254,16 @@ def decode_single(
                 trace.steps.append(TraceStep(i, tid, backend.vocab.token(tid), w, 0.0, 0.0))
         return token_ids
     audited = audit_log is not None and not small and not context_upload_waiver
+    cursor = open_cursor(backend, instruction, context, waiver=context_upload_waiver)
+    for token_id in initial_prefix:
+        cursor.push(token_id)
 
-    def step(prefix, i):
-        request = ConditioningInput(
-            instruction, prefix, context, backend.role, context_upload_waiver=context_upload_waiver
-        )
+    def step(tokens, i):
+        if i > 1:
+            cursor.push(tokens[-1])
         if audited:
-            audit_log.record_input(request)
-        dist = _dense(backend.next_distribution(request))
+            audit_log.record_input(ConditioningInput(instruction, tokens, None, backend.role))
+        dist = _dense(cursor.distribution())
         top1 = 0.0 if trace is None else dist.top1()[1]
         return (dist, w, top1, 0.0) if small else (dist, w, 0.0, top1)
 
@@ -264,19 +276,23 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
     steps, so it never touches session.llm. With ``degrade``, a transport
     failure of the large backend ends fusion and the session continues
     on the small model."""
-    mode, record, slm, llm = session.mode, session.record, session.slm, session.llm
+    mode, record, llm = session.mode, session.record, session.llm
     fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
-    context = record.context_bundle()
+    small = open_cursor(session.slm, record.task, record.context_bundle())
+    large = None if fused_limit == 0 else open_cursor(llm, record.llm_task)
 
-    def step(prefix, i):
+    def step(tokens, i):
         nonlocal fused_limit
-        p_s = slm.next_distribution(ConditioningInput(record.task, prefix, context, slm.role))
+        if i > 1:
+            small.push(tokens[-1])
+        p_s = small.distribution()
         if fused_limit is None or i <= fused_limit:
-            request = ConditioningInput(record.llm_task, prefix, None, llm.role)
+            if i > 1:
+                large.push(tokens[-1])
             if audit_log is not None:
-                audit_log.record_input(request)
+                audit_log.record_input(ConditioningInput(record.llm_task, tokens, None, llm.role))
             try:
-                p_l = llm.next_distribution(request)
+                p_l = large.distribution()
             except TransportError:
                 if not degrade:
                     raise

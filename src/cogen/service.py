@@ -96,8 +96,12 @@ def read_frame(read_exactly) -> tuple[dict, bytes]:
     body = read_exactly(length)
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # Bad UTF-8, bad JSON, and integers longer than the interpreter's
+        # int-parsing cap all land here.
         raise ProtocolError(f"frame is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("frame nests JSON deeper than the parser allows") from exc
     if not isinstance(obj, dict):
         raise ProtocolError("frame must be a JSON object")
     return obj, body

@@ -1,16 +1,20 @@
-"""Table and n-gram backends, request privacy, perplexity scoring."""
+"""Table and n-gram backends, cursors, request privacy, perplexity scoring."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogen.backends import (
     ConditioningInput,
     ContextBundle,
     NGramBackend,
+    RequestCursor,
     Role,
     TableBackend,
+    open_cursor,
     perplexity,
     train_ngram,
 )
@@ -205,6 +209,72 @@ class TestNGramConditioning:
         )
         with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
             llm.next_distribution(request)
+
+
+CURSOR_TEXTS = ["a b c d", "x b d a", "c c a b x", "d d a b c x"]
+
+
+def cursor_backends():
+    """N-gram backends with n of 1, 2 and 3, and a table backend, each on
+    both sides of the boundary, over one vocabulary."""
+    models = [train_ngram(CURSOR_TEXTS, n=n, alpha=0.1) for n in (1, 2, 3)]
+    rules = {("a",): {"b": 1.0}, ("a", "b"): {"c": 0.5, "d": 0.5}}
+    backends = []
+    for role in (Role.SMALL_DEVICE, Role.LARGE_CLOUD):
+        backends += [NGramBackend(model, role) for model in models]
+        backends.append(
+            TableBackend(models[0].vocab, role, rules=rules, default={"a": 0.7, "x": 0.3})
+        )
+    return backends
+
+
+CURSOR_BACKENDS = cursor_backends()
+LARGE_BACKENDS = [b for b in CURSOR_BACKENDS if b.role == Role.LARGE_CLOUD]
+
+
+class TestCursors:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.integers(0, len(CURSOR_BACKENDS) - 1),
+        instruction=st.sampled_from(["", "a", "b x", "q a c", "d d d d"]),
+        context=st.sampled_from(
+            [None, ContextBundle(), ContextBundle(profile="x"), ContextBundle(history=("c", "d a"))]
+        ),
+        prefix=st.lists(st.integers(0, 6), max_size=6),
+    )
+    def test_cursor_returns_the_requested_distribution(self, which, instruction, context, prefix):
+        """After each push, the cursor answers with the very object a
+        direct request for the same prefix returns, short prefixes included."""
+        backend = CURSOR_BACKENDS[which]
+        waiver = backend.role == Role.LARGE_CLOUD
+        cursor = open_cursor(backend, instruction, context, waiver=waiver)
+        assert isinstance(cursor, RequestCursor) == isinstance(backend, TableBackend)
+        for end in range(len(prefix) + 1):
+            if end:
+                cursor.push(prefix[end - 1])
+            request = ConditioningInput(
+                instruction, tuple(prefix[:end]), context, backend.role, waiver
+            )
+            assert cursor.distribution() is backend.next_distribution(request)
+
+    @pytest.mark.parametrize("which", range(len(LARGE_BACKENDS)))
+    def test_large_cloud_cursor_refuses_context_without_waiver(self, which):
+        large = LARGE_BACKENDS[which]
+        context = ContextBundle(profile="secret profile text")
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            open_cursor(large, "a b", context)
+        open_cursor(large, "a b", context, waiver=True).distribution()
+        open_cursor(large, "a b", ContextBundle()).distribution()
+
+    @pytest.mark.parametrize("which", range(len(CURSOR_BACKENDS)))
+    @pytest.mark.parametrize("bad", [-1, 7, 100])
+    def test_push_rejects_an_out_of_range_id(self, which, bad):
+        backend = CURSOR_BACKENDS[which]
+        assert backend.vocab.size == 7
+        cursor = open_cursor(backend, "a")
+        cursor.push(6)
+        with pytest.raises(InvalidInputError, match=f"token id {bad} outside vocab of size 7"):
+            cursor.push(bad)
 
 
 class TestPerplexity:

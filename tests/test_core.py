@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cogen.core import (
     SamplingConfig,
     TokenDistribution,
+    Vocab,
     argmax_token,
     sample_top_p,
     softmax,
@@ -197,6 +198,22 @@ class TestTopKProject:
         smaller = top_k_project(dist, k).mass
         assert smaller <= bigger + 1e-15
         assert top_k_project(dist, len(logits)).mass == pytest.approx(1.0, abs=1e-9)
+
+
+class TestVocabDigest:
+    @pytest.mark.parametrize(
+        "tokens, eos_id, unk_id, digest",
+        [
+            (("A", "B", "C", "D", "</s>", "<unk>"), 4, 5, "8e0d3544bae54764"),
+            (("A", "B", "C", "D", "</s>", "<unk>"), 5, 4, "3b57b871a6c4d4ed"),
+            (("\u00e9", "B"), 0, 1, "8ed0900f3571ebd9"),
+        ],
+    )
+    def test_digest_is_pinned(self, tokens, eos_id, unk_id, digest):
+        # Handshakes compare these strings across processes and versions.
+        vocab = Vocab(tokens=tokens, eos_id=eos_id, unk_id=unk_id)
+        assert vocab.digest() == digest
+        assert vocab.digest() is vocab.digest()
 
 
 class TestArgmax:

@@ -1,9 +1,14 @@
 """The generation loop: mode semantics, traces, degeneracies, failure policy."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogen.audit import AuditLog
 from cogen.backends import Role, TableBackend, perplexity
 from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig, Vocab
@@ -19,6 +24,7 @@ from cogen.decoder import (
     write_trace,
 )
 from cogen.errors import (
+    CogenError,
     IncompatibleVocabError,
     InvalidConfigError,
     SessionError,
@@ -417,3 +423,105 @@ class TestTeacherForcedScoring:
         harvest_examples(slms[record.user_id], counting, [record], world0.tokenizer)
         positions = len(world0.tokenizer.tokenize(record.reference)) + 1
         assert [len(r.prefix_ids) for r in counting.requests] == list(range(positions))
+
+
+class SharedLogBackend:
+    """Only ``next_distribution``, like perfbench's timing wrapper: every
+    request it receives goes into a log shared with the other side, and
+    with ``fail_after`` set, its later requests fail in transport."""
+
+    def __init__(self, inner, name, log, fail_after=None):
+        self.inner, self.name, self.log, self.fail_after = inner, name, log, fail_after
+        self.vocab, self.role = inner.vocab, inner.role
+        self.calls = 0
+
+    def next_distribution(self, request):
+        self.log.append((self.name, request))
+        self.calls += 1
+        if self.fail_after is not None and self.calls > self.fail_after:
+            raise TransportError("injected connection drop")
+        return self.inner.next_distribution(request)
+
+
+def request_log_digest(log):
+    h = hashlib.sha256()
+    for name, r in log:
+        context = None if r.context is None else asdict(r.context)
+        row = [name, r.instruction, list(r.prefix_ids), context, r.receiver_role.value,
+               r.context_upload_waiver]
+        h.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+CURSOR_MODES = [
+    DecodeMode.slm_only(),
+    DecodeMode.llm_with_context(),
+    DecodeMode.llm_no_context(),
+    DecodeMode.fusion(FusionStrategy.mean()),
+    DecodeMode.fusion(FusionStrategy.learnable(comb_init(0))),
+    DecodeMode.first_k_mode(3, FusionStrategy.max_pool()),
+    DecodeMode.sketch(),
+    DecodeMode.sketch("full_content"),
+]
+
+
+class TestCursorRequests:
+    """Backends without a native cursor see the requests they saw before
+    decoding moved to cursors. The digests were taken from the decoder
+    that built one ``ConditioningInput`` per backend per step."""
+
+    def test_request_sequence_is_unchanged(self, world0, world0_backends):
+        llm, slms = world0_backends
+        log = []
+        for record in world0.test_records[:3]:
+            slm = SharedLogBackend(slms[record.user_id], "slm", log)
+            for mode in CURSOR_MODES:
+                for greedy in (False, True):
+                    sampling = SamplingConfig(seed=5, max_new_tokens=20, greedy=greedy)
+                    session = session_for_record(
+                        record, mode, sampling, slm, SharedLogBackend(llm, "llm", log)
+                    )
+                    try:
+                        decode(session)
+                    except CogenError:
+                        pass
+            flaky = SharedLogBackend(llm, "llm-flaky", log, fail_after=2)
+            session = session_for_record(
+                record, DecodeMode.fusion(FusionStrategy.mean()),
+                SamplingConfig(seed=5, max_new_tokens=20), slm, flaky,
+            )
+            decode(session, on_transport_error="degrade")
+        for record in world0.train_records[:3]:
+            harvest_examples(
+                SharedLogBackend(slms[record.user_id], "slm", log),
+                SharedLogBackend(llm, "llm", log),
+                [record],
+                world0.tokenizer,
+            )
+        assert len(log) == 1303
+        assert request_log_digest(log) == (
+            "8cc02957a6f49b597c42d5529cd8e65e664234358ed2afd04c1fbddd793c804d"
+        )
+
+    def test_audited_payloads_are_unchanged(self, world0, world0_backends):
+        llm, slms = world0_backends
+        audit = AuditLog()
+        modes = (
+            DecodeMode.fusion(FusionStrategy.mean()),
+            DecodeMode.first_k_mode(3, FusionStrategy.mean()),
+            DecodeMode.llm_no_context(),
+            DecodeMode.sketch(),
+        )
+        for record in world0.test_records[:3]:
+            for mode in modes:
+                sampling = SamplingConfig(seed=5, max_new_tokens=20)
+                session = session_for_record(record, mode, sampling, slms[record.user_id], llm)
+                try:
+                    decode(session, audit_log=audit)
+                except CogenError:
+                    pass
+        h = hashlib.sha256()
+        for rec in audit.records:
+            h.update(rec.kind.encode() + b"\0" + rec.payload + b"\n")
+        assert len(audit.records) == 237
+        assert h.hexdigest() == "0992bb0424f57260bd8d66611620f73f552977cd7ef36fa827ee4718dba4e2c9"

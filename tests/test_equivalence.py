@@ -4,8 +4,9 @@ Each ``ref_*`` function below is the original, plainer implementation of
 a hot-path primitive (lexsort orderings, ``np.errstate`` guarded logs,
 per-id range checks, full re-tokenization of the conditioning, a whole
 fused distribution built to read one probability, a re-validated dense
-copy, an n-gram conditional, a nucleus and a top-k view rebuilt on every
-call, and a weight net fed through its checked entry point). The
+copy, an n-gram conditional, a nucleus, a top-k view and an argmax
+rebuilt on every call, a nucleus searched as arrays, and a weight net
+fed through its checked entry point). The
 faster forms in ``cogen`` must return the same bits and raise the same
 error class with the same message on every input.
 """
@@ -75,6 +76,13 @@ def ref_sample_top_p(dist, config, rng):
     pick = int(np.searchsorted(np.cumsum(nucleus), u, side="right"))
     pick = min(pick, cut - 1)
     return int(order[pick])
+
+
+def ref_top1(dist):
+    if dist.is_dense:
+        i = int(np.argmax(dist.dense_probs))
+        return i, float(dist.dense_probs[i])
+    return int(dist.sparse_ids[0]), float(dist.sparse_probs[0])
 
 
 def ref_top_k_project(dist, k):
@@ -228,6 +236,44 @@ def test_sample_top_p_matches(probs, temperature, top_p, seed):
         assert outcome(sample_top_p, dist, config, got) == outcome(
             ref_sample_top_p, dist, config, want
         )
+
+
+class FixedDraw:
+    """An RNG whose every float is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_float(self):
+        return self.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    probs=prob_vectors(),
+    temperature=TEMPERATURES,
+    top_p=st.sampled_from([0.05, 0.5, 0.9, 1.0]),
+    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+)
+def test_list_nucleus_and_cached_top1_match_array_code(probs, temperature, top_p, draws):
+    """The nucleus kept as lists and searched with ``bisect`` picks the
+    token the array search picks for every draw, the cumulative sums
+    themselves included, and greedy reads the argmax with ties toward the
+    lower id, from a dense distribution and from its top-k view."""
+    dist = TokenDistribution.dense(probs)
+    config = SamplingConfig(temperature=temperature, top_p=top_p)
+    ok, error = outcome(core._nucleus, dist, temperature, top_p)
+    if error is None:
+        draws = draws + [0.0] + ok[1]
+    for u in draws:
+        assert outcome(sample_top_p, dist, config, FixedDraw(u)) == outcome(
+            ref_sample_top_p, dist, config, FixedDraw(u)
+        )
+    view = top_k_project(dist, 3)
+    for d in (dist, view, dist):
+        assert d.top1() == ref_top1(d)
+        assert core.argmax_token(d) == ref_top1(d)[0]
+        assert type(d.top1()[0]) is int and type(d.top1()[1]) is float
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

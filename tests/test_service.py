@@ -5,7 +5,7 @@ import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogen.audit import privacy_audit
@@ -65,6 +65,23 @@ GOLDEN_LOGITS_RESPONSE = (
 )
 
 
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+JSON_OBJECTS = st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5)
+
+
+def length_prefixed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
 def frame_reader(blob: bytes):
     view = memoryview(blob)
     offset = [0]
@@ -111,17 +128,13 @@ class TestWireCodec:
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - 4
 
-    @given(
-        st.dictionaries(
-            st.sampled_from(["version", "kind", "session", "instruction", "top_k"]),
-            st.one_of(st.integers(-5, 50), st.text(max_size=12)),
-            max_size=5,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
+    @given(JSON_OBJECTS)
+    @settings(max_examples=300, deadline=None)
     def test_encode_decode_round_trip(self, obj):
+        """Any JSON object comes back equal, with the raw body it was sent as."""
         frame = encode_frame(obj)
         decoded, raw = read_frame(frame_reader(frame))
+        assert raw == frame[4:]
         assert decoded == obj
         assert encode_frame(decoded) == frame
 
@@ -134,6 +147,29 @@ class TestWireCodec:
         bad = struct.pack(">I", 4) + b"\xff\xfe\x00\x01"
         with pytest.raises(ProtocolError):
             read_frame(frame_reader(bad))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"[" * 100_000, "nests JSON deeper"), (b"[" + b"1" * 5000 + b"]", "not valid UTF-8 JSON")],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_unparsable_body_is_a_protocol_error(self, body, message):
+        with pytest.raises(ProtocolError, match=message):
+            read_frame(frame_reader(struct.pack(">I", len(body)) + body))
+
+    @given(st.one_of(st.binary(max_size=64), st.binary(max_size=60).map(length_prefixed)))
+    @example(length_prefixed(b"[" * 100_000))
+    @example(length_prefixed(b'{"a":' + b"1" * 5000 + b"}"))
+    @example(length_prefixed(b'{"a":NaN}'))
+    @example(length_prefixed(b"[]"))
+    @settings(max_examples=500, deadline=None)
+    def test_any_bytes_give_an_object_or_a_typed_error(self, blob):
+        try:
+            obj, raw = read_frame(frame_reader(blob))
+        except (ProtocolError, ConnectionError):
+            return
+        assert isinstance(obj, dict)
+        assert struct.pack(">I", len(raw)) + raw == blob[: 4 + len(raw)]
 
 
 VOCAB_SIZE = 100
@@ -469,6 +505,24 @@ class TestMalformedGenerateReply:
             with pytest.raises(ProtocolError, match="vocab of size 6"):
                 decode(session)
             client.close()
+
+
+def test_deeply_nested_frame_gets_an_error_frame(path_backends):
+    """A body the JSON parser cannot nest that deep is the client's fault:
+    the server answers with an error frame, then serves new connections."""
+    _, llm = path_backends
+    handle = serve(llm, ("127.0.0.1", 0))
+    try:
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            sock.sendall(length_prefixed(b"[" * 100_000))
+            reply, _ = read_frame(sock.makefile("rb").read)
+        assert reply["kind"] == "error"
+        assert "nests JSON deeper" in reply["error"]
+        client = ServiceClient(handle.address)
+        assert client.hello(llm.vocab.digest()) == llm.vocab.digest()
+        client.close()
+    finally:
+        handle.stop()
 
 
 def test_client_reconnects_after_an_error_frame(served_world):
