@@ -44,7 +44,6 @@ def payload_for_input(request: ConditioningInput) -> bytes:
 class AuditRecord:
     payload: bytes
     kind: str = "request"
-    meta: tuple = ()
 
     def digest(self) -> str:
         return hashlib.sha256(self.payload).hexdigest()
@@ -54,8 +53,8 @@ class AuditRecord:
 class AuditLog:
     records: list[AuditRecord] = field(default_factory=list)
 
-    def record_payload(self, payload: bytes, kind: str = "request", meta: tuple = ()) -> None:
-        self.records.append(AuditRecord(payload=payload, kind=kind, meta=meta))
+    def record_payload(self, payload: bytes, kind: str = "request") -> None:
+        self.records.append(AuditRecord(payload=payload, kind=kind))
 
     def record_input(self, request: ConditioningInput) -> None:
         self.record_payload(payload_for_input(request), kind="conditioning")
@@ -89,15 +88,11 @@ class AuditVerdict:
         return "\n".join(lines)
 
 
-def privacy_audit(
-    log,
-    context: ContextBundle,
-    min_len: int = MIN_MATCH_CHARS,
-) -> AuditVerdict:
+def privacy_audit(log, context: ContextBundle) -> AuditVerdict:
     """Scan every captured payload for context fragments.
 
-    Sliding windows of exactly ``min_len`` normalized characters decide
-    the question exactly: any common substring of at least that length
+    Sliding windows of exactly ``MIN_MATCH_CHARS`` normalized characters
+    decide the question exactly: any common substring of at least that length
     contains such a window. Fields shorter than the window cannot leak at
     the audited granularity and are skipped.
     """
@@ -105,15 +100,15 @@ def privacy_audit(
     fields = []
     for name, value in context.fields():
         norm = normalize_for_audit(value)
-        if len(norm) >= min_len:
+        if len(norm) >= MIN_MATCH_CHARS:
             fields.append((name, norm))
     hits: list[AuditHit] = []
     for idx, record in enumerate(records):
         payload = normalize_for_audit(record.payload.decode("utf-8", errors="replace"))
         for name, norm in fields:
             found_here = set()
-            for start in range(0, len(norm) - min_len + 1):
-                window = norm[start : start + min_len]
+            for start in range(0, len(norm) - MIN_MATCH_CHARS + 1):
+                window = norm[start : start + MIN_MATCH_CHARS]
                 offset = payload.find(window)
                 if offset != -1 and offset not in found_here:
                     found_here.add(offset)

@@ -29,7 +29,6 @@ each cursor calls it on ``open``. A cursor range-checks each id once, on
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -123,7 +122,6 @@ class Backend:
 
     vocab: Vocab
     role: Role
-    kind: BackendKind
 
     def next_distribution(self, request: ConditioningInput) -> TokenDistribution:
         self._check(request)
@@ -210,8 +208,6 @@ class TableBackend(Backend):
     prefixes fall back to ``default`` and finally to end-of-sequence.
     """
 
-    kind = BackendKind.TABLE
-
     def __init__(self, vocab, role, rules=None, keyed=(), default=None):
         self.vocab = vocab
         self.role = Role(role)
@@ -240,10 +236,6 @@ class TableBackend(Backend):
     @classmethod
     def from_path(cls, vocab, role, path_tokens):
         return cls(vocab, role, rules=cls.path_rules(vocab, path_tokens))
-
-    @classmethod
-    def constant(cls, vocab, role, dist):
-        return cls(vocab, role, default=dist)
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         rules = self._rules
@@ -280,26 +272,6 @@ class NGramModel:
         for tid, c in self.counts.get(h, {}).items():
             vec[tid] += c
         return vec / (self.totals.get(h, 0) + self.alpha * self.vocab.size)
-
-    def to_jsonable(self) -> dict:
-        """Canonical serializable form; equal models serialize equally."""
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "policy": self.policy,
-            "vocab": {
-                "tokens": list(self.vocab.tokens),
-                "eos_id": self.vocab.eos_id,
-                "unk_id": self.vocab.unk_id,
-            },
-            "counts": {
-                ",".join(map(str, key)): dict(sorted(nexts.items()))
-                for key, nexts in sorted(self.counts.items())
-            },
-        }
-
-    def to_bytes(self) -> bytes:
-        return json.dumps(self.to_jsonable(), sort_keys=True).encode("utf-8")
 
 
 def train_ngram(
@@ -361,8 +333,6 @@ class NGramBackend(Backend):
     share one backend; a racy fill is harmless because the entries are
     immutable and a lost race only builds the same distribution twice.
     """
-
-    kind = BackendKind.NGRAM
 
     def __init__(self, model: NGramModel, role):
         self.model = model

@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .backends import BackendKind
 from .combmodel import TOP_K, CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
 from .corpus import (
@@ -40,6 +41,7 @@ from .errors import (
 from .fusion import FusionStrategy
 from .report import (
     aggregate_scores,
+    parse_pair_rows,
     parse_score_rows,
     render_score_grid,
     render_stability_curves,
@@ -211,10 +213,7 @@ def _record_at(path: str, index: int):
 
 def _cmd_serve(args) -> int:
     config = load_config(args.config)
-    spec = config.backends.get(args.backend)
-    if spec is None:
-        raise InvalidConfigError(f"config has no backend named {args.backend!r}")
-    backend = build_backend(spec)
+    backend = build_backend(config.backend(args.backend))
     address = args.listen or config.service_address
     handle = serve(
         backend,
@@ -240,19 +239,15 @@ def _cmd_generate(args) -> int:
     mode = _parse_mode(args.mode, strategy)
     record = _record_at(args.corpus, args.index)
 
-    slm_spec = config.backends.get(args.slm)
-    if slm_spec is None:
-        raise InvalidConfigError(f"config has no backend named {args.slm!r}")
-    slm = build_backend(slm_spec)
+    slm = build_backend(config.backend(args.slm))
 
     llm = None
     if mode.kind != "slm_only":
-        llm_spec = config.backends.get(args.llm)
-        use_remote = args.remote or (llm_spec is not None and llm_spec.kind.value == "remote")
-        if use_remote:
+        llm_spec = None if args.remote else config.backend(args.llm)
+        if llm_spec is None or llm_spec.kind == BackendKind.REMOTE:
             client = ServiceClient(config.service_address)
             llm = RemoteBackend(client, slm.vocab, top_k=TOP_K)
-        elif llm_spec is not None and llm_spec.kind.value == "external_http":
+        elif llm_spec.kind == BackendKind.EXTERNAL_HTTP:
             from .external import ExternalBackend, HttpCompletionsClient
 
             if not config.external_endpoint:
@@ -263,8 +258,6 @@ def _cmd_generate(args) -> int:
                 top_k=config.external_top_k,
             )
         else:
-            if llm_spec is None:
-                raise InvalidConfigError(f"config has no backend named {args.llm!r}")
             llm = build_backend(llm_spec)
 
     library = None
@@ -299,8 +292,8 @@ def _cmd_generate(args) -> int:
 def _cmd_train_comb(args) -> int:
     config = load_config(args.config)
     seed = _require_seed(args)
-    slm = build_backend(config.backends[args.slm])
-    llm = build_backend(config.backends[args.llm])
+    slm = build_backend(config.backend(args.slm))
+    llm = build_backend(config.backend(args.llm))
     tokenizer = Tokenizer(slm.vocab, "whitespace")
     train_records = load_corpus(args.train)
     val_records = load_corpus(args.val)
@@ -366,22 +359,17 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.eval_command == "metrics":
-        rows = []
         with open(args.pairs, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(json.loads(line))
+            rows = parse_pair_rows(fh)
         if not rows:
             raise InvalidInputError("no candidate/reference pairs found")
         bleus, fs = [], []
-        for row in rows:
-            cand = split_text(row["candidate"], args.policy)
-            ref = split_text(row["reference"], args.policy)
-            score = score_pair(cand, ref)
+        for item_id, candidate, reference in rows:
+            score = score_pair(split_text(candidate, args.policy), split_text(reference, args.policy))
             bleus.append(score.bleu)
             fs.append(score.rouge_l_f)
             print(
-                f"{row['item_id']}\tbleu={score.bleu:.4f}\t"
+                f"{item_id}\tbleu={score.bleu:.4f}\t"
                 f"rouge_l_p={score.rouge_l_p:.4f}\trouge_l_r={score.rouge_l_r:.4f}\t"
                 f"rouge_l_f={score.rouge_l_f:.4f}"
             )

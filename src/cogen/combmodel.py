@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import open_cursor
-from .core import DENSE_SUM_TOL, TokenDistribution, top_k_project
+from .core import TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import AlignedPair, top_k_pair
+from .fusion import AlignedPair, blend, top_k_pair
 from .rng import Splitmix64
 
 # Size of each source's truncated view: the fused step's cut and the net's input.
@@ -127,12 +127,12 @@ class CombExample:
         return None
 
 
-def padded_top_probs(dist: TokenDistribution, k: int = TOP_K) -> tuple[float, ...]:
-    """Descending top-k probabilities padded with zeros to length k."""
+def padded_top_probs(dist: TokenDistribution) -> tuple[float, ...]:
+    """Descending top-``TOP_K`` probabilities padded with zeros to that length."""
     if not dist.is_sparse:
-        dist = top_k_project(dist, k)
-    probs = [float(p) for p in dist.sparse_probs[:k]]
-    probs.extend(0.0 for _ in range(k - len(probs)))
+        dist = top_k_project(dist, TOP_K)
+    probs = [float(p) for p in dist.sparse_probs[:TOP_K]]
+    probs.extend(0.0 for _ in range(TOP_K - len(probs)))
     return tuple(probs)
 
 
@@ -209,20 +209,9 @@ class LossStats:
 
 
 def _fused_target_prob(pair: AlignedPair, y: int, w: float) -> float:
-    """Probability of support slot ``y`` after blending the pair with weight w.
-
-    The same arithmetic as ``fuse`` with a fixed weight: the blend is
-    divided by its mass only when that mass is off 1 by more than the
-    dense tolerance, so the result equals the fused distribution's entry
-    bit for bit.
-    """
-    fused = w * pair.p_s + (1.0 - w) * pair.p_l
-    total = fused.sum()
-    if total <= 0:
-        raise InvalidInputError("fused distribution has no mass")
-    if abs(total - 1.0) <= DENSE_SUM_TOL:
-        return float(fused[y])
-    return float(fused[y] / total)
+    """Probability of support slot ``y`` after blending the pair with
+    weight w: an entry of the very vector ``fuse`` samples from."""
+    return float(blend(pair, w)[y])
 
 
 def _loss_at(example: CombExample, y: int, w: float, stats: "LossStats | None") -> float:

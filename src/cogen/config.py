@@ -1,8 +1,8 @@
 """Application configuration: JSON file with a strict schema.
 
-Unknown keys are rejected, referenced files must exist at load time, and
-the only environment overrides are COGEN_API_KEY (external service
-credentials) and COGEN_LISTEN (service listen address).
+Unknown keys and mistyped values are rejected, referenced files must
+exist at load time, and the only environment overrides are COGEN_API_KEY
+(external service credentials) and COGEN_LISTEN (service listen address).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .backends import BackendKind, NGramBackend, Role, TableBackend, train_ngram
-from .core import SamplingConfig, Vocab
+from .core import SamplingConfig, Vocab, check_sampling_types
 from .errors import InvalidConfigError
 
 LISTEN_ENV = "COGEN_LISTEN"
@@ -41,11 +41,28 @@ class AppConfig:
     external_endpoint: str | None = None
     external_top_k: int = 10
 
+    def backend(self, name: str) -> BackendSpec:
+        spec = self.backends.get(name)
+        if spec is None:
+            raise InvalidConfigError(f"config has no backend named {name!r}")
+        return spec
+
 
 def _reject_unknown(obj: dict, allowed: set, what: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise InvalidConfigError(f"unknown keys in {what}: {sorted(unknown)}")
+
+
+def _typed(obj: dict, key: str, want: type, where: str = "", default=None):
+    """``obj[key]``, or ``default`` when it is absent. The value must have
+    exactly type ``want``, so JSON true/false pass for no integer."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if type(value) is not want:
+        raise InvalidConfigError(f"{where}{key} must be {want.__name__}, not {type(value).__name__}")
+    return value
 
 
 def load_config(path) -> AppConfig:
@@ -62,14 +79,17 @@ def load_config(path) -> AppConfig:
     base = path.parent
 
     backends: dict[str, BackendSpec] = {}
-    for name, spec in obj.get("backends", {}).items():
+    raw_backends = _typed(obj, "backends", dict, default={})
+    for name in raw_backends:
+        spec = _typed(raw_backends, name, dict, "backends.")
         _reject_unknown(spec, _BACKEND_KEYS, f"backends.{name}")
         try:
             kind = BackendKind(spec["kind"])
             role = Role(spec["role"])
         except (KeyError, ValueError) as exc:
             raise InvalidConfigError(f"backends.{name}: bad kind/role: {exc}") from exc
-        params_path = base / spec.get("params", "") if spec.get("params") else None
+        params = _typed(spec, "params", str, f"backends.{name}.")
+        params_path = base / params if params else None
         if kind in (BackendKind.TABLE, BackendKind.NGRAM):
             if params_path is None or not params_path.is_file():
                 raise InvalidConfigError(
@@ -79,27 +99,28 @@ def load_config(path) -> AppConfig:
             name=name, kind=kind, role=role, params_path=params_path
         )
 
-    sampling_obj = obj.get("sampling", {})
+    sampling_obj = _typed(obj, "sampling", dict, default={})
     _reject_unknown(sampling_obj, {f.name for f in fields(SamplingConfig)}, "sampling")
+    check_sampling_types(sampling_obj)
     sampling = SamplingConfig(**sampling_obj)
 
-    templates_dir = None
-    if obj.get("templates_dir"):
-        templates_dir = base / obj["templates_dir"]
-        if not templates_dir.is_dir():
-            raise InvalidConfigError(f"templates_dir {templates_dir} does not exist")
+    templates = _typed(obj, "templates_dir", str)
+    templates_dir = base / templates if templates else None
+    if templates_dir is not None and not templates_dir.is_dir():
+        raise InvalidConfigError(f"templates_dir {templates_dir} does not exist")
 
-    external = obj.get("external", {})
+    external = _typed(obj, "external", dict, default={})
     _reject_unknown(external, _EXTERNAL_KEYS, "external")
+    address = _typed(obj, "service_address", str, default="127.0.0.1:7341")
 
     return AppConfig(
         backends=backends,
         sampling=sampling,
         templates_dir=templates_dir,
-        service_address=os.environ.get(LISTEN_ENV) or obj.get("service_address", "127.0.0.1:7341"),
-        audit=bool(obj.get("audit", True)),
-        external_endpoint=external.get("endpoint"),
-        external_top_k=int(external.get("top_k", 10)),
+        service_address=os.environ.get(LISTEN_ENV) or address,
+        audit=_typed(obj, "audit", bool, default=True),
+        external_endpoint=_typed(external, "endpoint", str, "external."),
+        external_top_k=_typed(external, "top_k", int, "external.", default=10),
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +100,18 @@ class SamplingConfig:
             raise InvalidConfigError("max_new_tokens must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise InvalidConfigError("seed must fit in 64 unsigned bits")
+
+
+def check_sampling_types(values: dict) -> None:
+    """The type rule for sampling values read from outside (a wire frame
+    or a config file): each field present has exactly its default's type,
+    and a float field also takes an int. Exact checks keep JSON true/false
+    out of the int fields."""
+    for f in fields(SamplingConfig):
+        if f.name in values:
+            wanted = (int, float) if type(f.default) is float else (type(f.default),)
+            if type(values[f.name]) not in wanted:
+                raise InvalidConfigError(f"sampling {f.name} must be {type(f.default).__name__}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ MIN_CHARS = {"email": 64, "paper": 128}
 MAX_CHARS = 1024
 
 SPLIT_TRAIN_FRACTION = 0.9
+VERB_STATS_TOP_N = 10  # entries in each ranked list of task_verb_stats
 
 _FIELDS = {"user_id", "dataset_kind", "profile", "history", "task", "reference", "general_task"}
 _REQUIRED = {"user_id", "dataset_kind", "task", "reference"}
@@ -70,9 +71,22 @@ class CorpusRecord:
         }
 
 
+def json_object_lines(lines):
+    """``(line number, object)`` for each non-blank line of a JSONL file;
+    a line that is not one JSON object raises a CorpusError naming it."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # also an integer too long to parse
+            raise CorpusError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from exc
+        if not isinstance(obj, dict):
+            raise CorpusError("line must be a JSON object", line=line_no)
+        yield line_no, obj
+
+
 def _record_from_obj(obj: dict, line_no: int) -> CorpusRecord:
-    if not isinstance(obj, dict):
-        raise CorpusError("record must be a JSON object", line=line_no)
     unknown = set(obj) - _FIELDS
     if unknown:
         raise CorpusError(f"unknown fields {sorted(unknown)}", line=line_no)
@@ -101,13 +115,7 @@ def load_corpus(path) -> list[CorpusRecord]:
     records: list[CorpusRecord] = []
     seen: set[tuple[str, str]] = set()
     text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+    for line_no, obj in json_object_lines(text.splitlines()):
         record = _record_from_obj(obj, line_no)
         key = (record.user_id, record.task)
         if key in seen:
@@ -173,13 +181,14 @@ class CorpusStats:
     test_samples: int | None = None
 
 
-def corpus_stats(records, tokenizer_policy: str = "whitespace", splits=None) -> CorpusStats:
+def corpus_stats(records, splits=None) -> CorpusStats:
+    """Users and mean whitespace-token lengths of profiles and references."""
     records = list(records)
     if not records:
         return CorpusStats(total_users=0, avg_profile_length=0.0, avg_output_length=0.0)
     users = {r.user_id for r in records}
-    profile_tokens = [len(split_text(r.profile, tokenizer_policy)) for r in records]
-    output_tokens = [len(split_text(r.reference, tokenizer_policy)) for r in records]
+    profile_tokens = [len(split_text(r.profile, "whitespace")) for r in records]
+    output_tokens = [len(split_text(r.reference, "whitespace")) for r in records]
     train, dev, test = splits if splits else (None, None, None)
     return CorpusStats(
         total_users=len(users),
@@ -244,7 +253,7 @@ class TaskVerbStats:
     objects: tuple[tuple[str, float], ...]
 
 
-def task_verb_stats(records, top_n: int = 10) -> TaskVerbStats:
+def task_verb_stats(records) -> TaskVerbStats:
     """Rank task root verbs and direct objects by share of all tasks.
 
     Heuristic: the first word is the root verb (lemmatized through a
@@ -277,7 +286,7 @@ def task_verb_stats(records, top_n: int = 10) -> TaskVerbStats:
     total = len(records)
 
     def ranked(counts: dict[str, int]) -> tuple[tuple[str, float], ...]:
-        items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+        items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:VERB_STATS_TOP_N]
         return tuple((name, 100.0 * count / total) for name, count in items)
 
     return TaskVerbStats(verbs=ranked(verb_counts), objects=ranked(object_counts))

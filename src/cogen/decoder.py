@@ -35,7 +35,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import TOP_K, teacher_forced_steps, view_weight
 from .core import SamplingConfig, TokenDistribution, argmax_token, sample_top_p
+from .corpus import json_object_lines
 from .errors import (
+    CorpusError,
     IncompatibleVocabError,
     InvalidConfigError,
     InvalidDistributionError,
@@ -447,14 +449,29 @@ def write_trace(trace: WeightTrace, path) -> None:
             fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
+# The JSON types a trace line may hold for each annotated type.
+_TRACE_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
+
+
+def _check_trace_fields(line_no: int, row: dict, want: dict) -> None:
+    for name, kind in want.items():
+        if type(row.get(name)) not in _TRACE_TYPES[kind]:
+            raise CorpusError(f"trace field {name} must be {kind}", line=line_no)
+
+
 def read_trace(path) -> WeightTrace:
+    """The trace ``write_trace`` wrote; a malformed line raises a
+    CorpusError that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+        rows = list(json_object_lines(fh.read().splitlines()))
+    if not rows:
         raise InvalidConfigError("trace file is empty")
-    meta = json.loads(lines[0])
-    trace = WeightTrace(mode=meta["mode"], seed=meta["seed"], events=list(meta.get("events", [])))
-    for line in lines[1:]:
-        row = json.loads(line)
-        trace.steps.append(TraceStep(**{f.name: row[f.name] for f in fields(TraceStep)}))
+    (line_no, meta), *steps = rows
+    _check_trace_fields(line_no, meta, {"mode": "str", "seed": "int", "events": "list"})
+    trace = WeightTrace(mode=meta["mode"], seed=meta["seed"], events=meta["events"])
+    # Under postponed annotations each field's type is its annotation's text.
+    step_types = {f.name: f.type for f in fields(TraceStep)}
+    for line_no, row in steps:
+        _check_trace_fields(line_no, row, step_types)
+        trace.steps.append(TraceStep(**{name: row[name] for name in step_types}))
     return trace

@@ -18,25 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .backends import BackendKind, ConditioningInput, Role, check_context_blind
+from .backends import ConditioningInput, Role, check_context_blind
 from .core import TokenDistribution, Vocab
 from .errors import InvalidConfigError, TransportError
 from .tokenizer import Tokenizer
 
 API_KEY_ENV = "COGEN_API_KEY"
 DEGRADED_MASS_FRACTION = 0.5
+HTTP_TIMEOUT_S = 30.0
 
 
 class HttpCompletionsClient:
     """Thin requests-based client; anything with the same ``complete``
     method (e.g. a test stub) can stand in for it."""
 
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 30.0) -> None:
+    def __init__(self, endpoint: str, api_key: str | None = None) -> None:
         if not endpoint:
             raise InvalidConfigError("external service endpoint is empty")
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
 
     def complete(self, prompt: str, max_tokens: int, logprobs: int) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -47,7 +47,7 @@ class HttpCompletionsClient:
                 self.endpoint,
                 json={"prompt": prompt, "max_tokens": max_tokens, "logprobs": logprobs},
                 headers=headers,
-                timeout=self.timeout,
+                timeout=HTTP_TIMEOUT_S,
             )
             response.raise_for_status()
             return response.json()
@@ -72,20 +72,14 @@ def _top_logprobs(payload: dict) -> dict:
         ) from exc
 
 
-def external_next_logits(
-    client,
-    request: ConditioningInput,
-    top_k: int,
-    vocab: Vocab,
-    tokenizer: Tokenizer | None = None,
-) -> ExternalLogits:
-    """One next-token distribution from an external completions service."""
+def external_next_logits(client, request: ConditioningInput, top_k: int, vocab: Vocab) -> ExternalLogits:
+    """One next-token distribution from an external completions service;
+    the emitted prefix is sent as whitespace-joined tokens."""
     if top_k < 1:
         raise InvalidConfigError("top_k must be >= 1")
-    tokenizer = tokenizer or Tokenizer(vocab, "whitespace")
     prompt = request.instruction
     if request.prefix_ids:
-        prompt = prompt + " " + tokenizer.detokenize(request.prefix_ids)
+        prompt = prompt + " " + Tokenizer(vocab).detokenize(request.prefix_ids)
     payload = client.complete(prompt=prompt, max_tokens=1, logprobs=top_k)
     raw = _top_logprobs(payload)
 
@@ -135,20 +129,16 @@ class ExternalBackend:
     the emitted prefix.
     """
 
-    kind = BackendKind.EXTERNAL_HTTP
     role = Role.LARGE_CLOUD
 
-    def __init__(self, client, vocab: Vocab, top_k: int = 10, tokenizer: Tokenizer | None = None):
+    def __init__(self, client, vocab: Vocab, top_k: int = 10):
         self.client = client
         self.vocab = vocab
         self.top_k = top_k
-        self.tokenizer = tokenizer or Tokenizer(vocab, "whitespace")
         self.last_result: ExternalLogits | None = None
 
     def next_distribution(self, request: ConditioningInput) -> TokenDistribution:
         check_context_blind(self.role, request.context)
-        result = external_next_logits(
-            self.client, request, self.top_k, self.vocab, self.tokenizer
-        )
+        result = external_next_logits(self.client, request, self.top_k, self.vocab)
         self.last_result = result
         return result.distribution

@@ -123,6 +123,12 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / total
 
 
+def blend(pair: AlignedPair, w: float) -> np.ndarray:
+    """w*p_s + (1-w)*p_l over the pair's support, normalized: the vector
+    every convex fusion samples from and the weight net's loss reads."""
+    return _normalize(w * pair.p_s + (1.0 - w) * pair.p_l)
+
+
 def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
     if pair.support.size == pair.vocab_size:
         return TokenDistribution(vocab_size=pair.vocab_size, dense_probs=vec)
@@ -161,5 +167,4 @@ def fuse(
         w = float(w_override)
     if not (0.0 <= w <= 1.0):
         raise InvalidInputError(f"fusion weight {w} outside [0, 1]")
-    fused = w * pair.p_s + (1.0 - w) * pair.p_l
-    return _to_distribution(pair, _normalize(fused)), w
+    return _to_distribution(pair, blend(pair, w)), w

@@ -73,9 +73,6 @@ class RenderedPrompt:
     system: str
     user: str
 
-    def combined(self) -> str:
-        return self.system + "\n\n" + self.user
-
 
 def _require_kind(dataset_kind: str) -> None:
     if dataset_kind not in DATASET_KINDS:

@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .corpus import json_object_lines
 from .decoder import WeightTrace
 from .errors import CorpusError, InvalidInputError
 
@@ -27,16 +28,15 @@ LLM_HUE = (224, 48, 48)
 
 METRIC_COLUMNS = ("ovl_w", "per", "ovl_wo")
 METRIC_LABELS = {"ovl_w": "Ovl.(w)", "per": "Per.", "ovl_wo": "Ovl.(w/o)"}
+BLEU_MAX_N = 4  # highest n-gram order BLEU counts
 
 
 def _ngrams(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate, references, max_n: int = 4) -> float:
-    """Corpus-style BLEU for a single candidate against references."""
-    if max_n < 1:
-        raise InvalidInputError("max_n must be >= 1")
+def bleu(candidate, references) -> float:
+    """Corpus-style BLEU-4 for a single candidate against references."""
     candidate = list(candidate)
     references = [list(r) for r in references]
     if not references:
@@ -44,7 +44,7 @@ def bleu(candidate, references, max_n: int = 4) -> float:
     if not candidate:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         cand_counts = _ngrams(candidate, n)
         total = max(len(candidate) - n + 1, 0)
         clipped = 0
@@ -67,7 +67,7 @@ def bleu(candidate, references, max_n: int = 4) -> float:
     c = len(candidate)
     r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
     brevity = 1.0 if c > r else math.exp(1 - r / c)
-    return brevity * math.exp(log_sum / max_n)
+    return brevity * math.exp(log_sum / BLEU_MAX_N)
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,10 @@ class MetricScore:
     rouge_l_f: float
 
 
-def score_pair(candidate_tokens, reference_tokens, max_n: int = 4) -> MetricScore:
+def score_pair(candidate_tokens, reference_tokens) -> MetricScore:
     rouge = rouge_l(candidate_tokens, reference_tokens)
     return MetricScore(
-        bleu=bleu(candidate_tokens, [reference_tokens], max_n=max_n),
+        bleu=bleu(candidate_tokens, [reference_tokens]),
         rouge_l_p=rouge.precision,
         rouge_l_r=rouge.recall,
         rouge_l_f=rouge.f1,
@@ -148,6 +148,19 @@ def parse_score_rows(lines) -> list[tuple[str, str, str, float]]:
     return rows
 
 
+def parse_pair_rows(lines) -> list[tuple[object, str, str]]:
+    """JSONL rows, each an object with an item_id and string candidate
+    and reference, as (item_id, candidate, reference)."""
+    rows = []
+    for line_no, obj in json_object_lines(lines):
+        if "item_id" not in obj or not all(
+            isinstance(obj.get(key), str) for key in ("candidate", "reference")
+        ):
+            raise CorpusError("pair needs an item_id and string candidate and reference", line=line_no)
+        rows.append((obj["item_id"], obj["candidate"], obj["reference"]))
+    return rows
+
+
 def aggregate_scores(rows) -> AggregateReport:
     """Mean rating per (setting, metric), rejecting out-of-range rows.
 
@@ -170,17 +183,17 @@ def aggregate_scores(rows) -> AggregateReport:
     return AggregateReport(means=means, counts=counts, curves=curves, rejected_rows=rejected)
 
 
-def render_score_grid(report: AggregateReport, metrics=METRIC_COLUMNS) -> str:
+def render_score_grid(report: AggregateReport) -> str:
     """Settings as rows, metrics as columns, two-decimal means."""
     settings = sorted({setting for setting, _ in report.means})
     name_width = max([len(s) for s in settings] + [len("Setting")])
     header = f"{'Setting':<{name_width}}  " + "  ".join(
-        f"{METRIC_LABELS.get(m, m):>9}" for m in metrics
+        f"{METRIC_LABELS[m]:>9}" for m in METRIC_COLUMNS
     )
     lines = [header]
     for setting in settings:
         cells = []
-        for metric in metrics:
+        for metric in METRIC_COLUMNS:
             mean = report.means.get((setting, metric))
             cells.append(f"{mean:>9.2f}" if mean is not None else f"{'-':>9}")
         lines.append(f"{setting:<{name_width}}  " + "  ".join(cells))
@@ -218,11 +231,6 @@ class WtlResult:
     def cell(self) -> str:
         """Compact count cell, e.g. '38/2/10'."""
         return f"{self.wins}/{self.ties}/{self.losses}"
-
-    @staticmethod
-    def self_cell(total: int) -> str:
-        """Conventional cell for the baseline judged against itself."""
-        return f"-/{total}/-"
 
 
 def win_tie_lose(judgments) -> WtlResult:

@@ -7,10 +7,11 @@ digit IEEE-754 bit patterns, so the client reconstructs exactly the
 doubles the server computed: remote and in-process decoding are
 bit-identical, which the test suite checks token for token.
 
-The server computes a dense softmax-normalized distribution first and
-truncates to the requested top-k afterwards; truncation is a transport
-feature, not a renormalization. The request schema has no context field,
-so private context cannot cross this boundary even on purpose.
+The server cuts its backend's own distribution to the requested top-k
+(at most ``TOP_K_CAP`` entries); the cut is a transport feature, not a
+renormalization, so the kept probabilities are the backend's own. The
+request schema has no context field, so private context cannot cross
+this boundary even on purpose.
 
 docs/protocol.md documents every field and pins two golden frames.
 """
@@ -26,8 +27,8 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 from .audit import AuditLog
-from .backends import Backend, BackendKind, ConditioningInput, Role, check_context_blind
-from .core import SamplingConfig, TokenDistribution, top_k_project
+from .backends import Backend, ConditioningInput, Role, check_context_blind
+from .core import SamplingConfig, TokenDistribution, check_sampling_types, top_k_project
 from .decoder import decode_single
 from .errors import (
     IncompatibleVocabError,
@@ -145,12 +146,10 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
         keys = {f.name for f in fields(SamplingConfig)}
         if not isinstance(sampling, dict) or set(sampling) != keys:
             raise ProtocolError(f"sampling must carry exactly {sorted(keys)}")
-        for f in fields(SamplingConfig):
-            # The default's type is the wire type; a float field also takes
-            # an int. Exact type checks keep JSON true/false out of ints.
-            wanted = (int, float) if type(f.default) is float else (type(f.default),)
-            if type(sampling[f.name]) not in wanted:
-                raise ProtocolError(f"sampling {f.name} must be {type(f.default).__name__}")
+        try:
+            check_sampling_types(sampling)
+        except InvalidConfigError as exc:
+            raise ProtocolError(str(exc)) from exc
         if sampling["max_new_tokens"] > MAX_NEW_TOKENS_CAP:
             raise ProtocolError(f"sampling max_new_tokens exceeds the cap of {MAX_NEW_TOKENS_CAP}")
     return obj
@@ -451,7 +450,6 @@ class RemoteBackend:
     A request carrying context is refused, waiver or not.
     """
 
-    kind = BackendKind.REMOTE
     role = Role.LARGE_CLOUD
 
     def __init__(self, client: ServiceClient, vocab, top_k: int = DEFAULT_TOP_K) -> None:

@@ -47,6 +47,8 @@ GENERAL_FILLER = (
 TAIL_TEMPLATE = "featuring {a} and {b} with {name}"
 
 N_TOPICS = 3
+TRAIN_RECORDS_PER_USER = 2
+TEST_RECORDS_PER_USER = 1
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class SyntheticUser:
 
 @dataclass
 class SyntheticWorld:
-    users: list[SyntheticUser]
     train_records: list[CorpusRecord]
     test_records: list[CorpusRecord]
     llm_corpus: list[str]
@@ -87,13 +88,7 @@ def _sentence(user: SyntheticUser, rng: Splitmix64, pattern: int | None = None) 
     return f"{opener} {_tail(user, pattern)}"
 
 
-def build_world(
-    seed: int,
-    n_users: int = 10,
-    history_len: int = 6,
-    train_records_per_user: int = 2,
-    test_records_per_user: int = 1,
-) -> SyntheticWorld:
+def build_world(seed: int, n_users: int = 10, history_len: int = 6) -> SyntheticWorld:
     rng = Splitmix64(seed)
     users = [
         SyntheticUser(
@@ -126,8 +121,7 @@ def build_world(
         all_texts.extend(history)
         all_texts.append(profile)
         slm_corpus = [profile, joined_history]
-        total = train_records_per_user + test_records_per_user
-        for r in range(total):
+        for r in range(TRAIN_RECORDS_PER_USER + TEST_RECORDS_PER_USER):
             reference = _sentence(user, rng)
             record = CorpusRecord(
                 user_id=user.user_id,
@@ -141,7 +135,7 @@ def build_world(
             all_texts.append(reference)
             all_texts.append(record.task)
             all_texts.append(record.general_task)
-            if r < train_records_per_user:
+            if r < TRAIN_RECORDS_PER_USER:
                 train_records.append(record)
                 llm_corpus.append(f"{record.general_task} {reference}")
                 slm_corpus.append(f"{record.task} {reference}")
@@ -151,7 +145,6 @@ def build_world(
 
     vocab = build_vocab(all_texts, "whitespace")
     return SyntheticWorld(
-        users=users,
         train_records=train_records,
         test_records=test_records,
         llm_corpus=llm_corpus,
@@ -161,16 +154,16 @@ def build_world(
     )
 
 
-def large_backend(world: SyntheticWorld, n: int = 3, alpha: float = 0.02) -> NGramBackend:
+def large_backend(world: SyntheticWorld) -> NGramBackend:
     """Broadly trained, context-blind: all users' material, higher order."""
-    model = train_ngram(world.llm_corpus, n=n, alpha=alpha, vocab=world.vocab)
+    model = train_ngram(world.llm_corpus, n=3, alpha=0.02, vocab=world.vocab)
     return NGramBackend(model, Role.LARGE_CLOUD)
 
 
-def small_backends(world: SyntheticWorld, n: int = 2, alpha: float = 0.05) -> dict[str, NGramBackend]:
+def small_backends(world: SyntheticWorld) -> dict[str, NGramBackend]:
     """Per-user context-trained models: only that user's material."""
     backends: dict[str, NGramBackend] = {}
     for user_id, texts in world.slm_corpora.items():
-        model = train_ngram(texts, n=n, alpha=alpha, vocab=world.vocab)
+        model = train_ngram(texts, n=2, alpha=0.05, vocab=world.vocab)
         backends[user_id] = NGramBackend(model, Role.SMALL_DEVICE)
     return backends

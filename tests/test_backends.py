@@ -97,7 +97,7 @@ class TestTrainNGram:
         corpus = ["a b a b a c", "b c a"]
         m1 = train_ngram(corpus, n=2, alpha=0.5)
         m2 = train_ngram(corpus, n=2, alpha=0.5)
-        assert m1.to_bytes() == m2.to_bytes()
+        assert m1 == m2
 
     def test_smoothed_conditional_matches_hand_count(self):
         # bigrams of "a b a b a c": (a,b) x2, (b,a) x2, (a,c) x1, then the
@@ -285,7 +285,7 @@ class TestPerplexity:
 
     def test_uniform_backend_scores_vocab_size(self, abc_vocab):
         uniform = {tok: 1.0 for tok in abc_vocab.tokens}
-        backend = TableBackend.constant(abc_vocab, Role.SMALL_DEVICE, uniform)
+        backend = TableBackend(abc_vocab, Role.SMALL_DEVICE, default=uniform)
         ids = [abc_vocab.id_of(t) for t in ("A", "B", "C", "D")]
         assert perplexity(backend, ids) == pytest.approx(abc_vocab.size)
 

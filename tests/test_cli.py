@@ -1,6 +1,7 @@
 """End-to-end coverage of every subcommand over the shipped fixtures."""
 
 import json
+import re
 import shutil
 import socket
 from dataclasses import fields
@@ -203,6 +204,24 @@ class TestGenerate:
             main(["generate", "--config", str(workdir / "config.json")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--slm", "nosuch", "--corpus", "corpus.jsonl", "--mode", "slm"],
+            ["serve", "--backend", "nosuch", "--listen", "127.0.0.1:0"],
+            [
+                "train-comb", "--slm", "nosuch", "--train", "corpus.jsonl",
+                "--val", "corpus.jsonl", "--out", "weights.cgcm",
+            ],
+        ],
+        ids=["generate", "serve", "train-comb"],
+    )
+    def test_unknown_backend_name_exits_2(self, workdir, capsys, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        code, _, err = run(capsys, argv[0], "--config", "config.json", *argv[1:])
+        assert code == 2
+        assert "config has no backend named 'nosuch'" in err
+
     def test_ci_mode_requires_seed(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("COGEN_CI", "1")
         code, _, err = run(
@@ -211,6 +230,29 @@ class TestGenerate:
         )
         assert code == 2
         assert "--seed" in err
+
+
+class TestVisualize:
+    META = '{"events": [], "mode": "fuse", "seed": 0}'
+    STEP = '{"p_l_top1": 0.5, "p_s_top1": 0.5, "step": 0, "token": "A", "token_id": 0, "w": 0.5}'
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            ([META, STEP, "not json"], 3),
+            ([META, STEP, '["a", "list"]'], 3),
+            ([META, '{"step": 1, "token": "B"}'], 2),
+            ([META, STEP.replace('"w": 0.5', '"w": "high"')], 2),
+            (['{"mode": "fuse"}', STEP], 1),
+        ],
+        ids=["not-json", "not-an-object", "missing-fields", "mistyped-weight", "bad-metadata"],
+    )
+    def test_malformed_trace_exits_2_naming_its_line(self, workdir, capsys, lines, bad_line):
+        trace = workdir / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "visualize", "--trace", trace)
+        assert code == 2
+        assert f"line {bad_line}:" in err
 
 
 class TestCorpusCommands:
@@ -261,6 +303,15 @@ class TestCorpusCommands:
         assert code == 2
         assert "line 1" in err
 
+    def test_integer_too_long_to_parse_exits_2(self, workdir, capsys):
+        # Past the interpreter's int-parsing cap json.loads raises a bare
+        # ValueError, not a JSONDecodeError.
+        bad = workdir / "bad.jsonl"
+        bad.write_text('\n{"user_id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        code, _, err = run(capsys, "corpus", "validate", "--in", bad)
+        assert code == 2
+        assert "line 2" in err
+
 
 class TestEvalCommands:
     def test_metrics(self, workdir, capsys):
@@ -277,6 +328,19 @@ class TestEvalCommands:
         )
         assert code == 0
         assert out.splitlines()[0].startswith("p1\tbleu=1.0000")
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"item_id": "p3", "candidate": "a b"', '{"item_id": "p3", "candidate": "a b"}'],
+        ids=["not-json", "no-reference"],
+    )
+    def test_malformed_pair_exits_2_naming_its_line(self, workdir, capsys, line):
+        pairs = workdir / "pairs.jsonl"
+        text = pairs.read_text(encoding="utf-8")
+        pairs.write_text(text + line + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "metrics", "--pairs", pairs)
+        assert code == 2
+        assert f"line {len(text.splitlines()) + 1}:" in err
 
     def test_aggregate_grid_matches_fixture_row(self, workdir, capsys):
         code, out, _ = run(capsys, "eval", "aggregate", "--scores", workdir / "scores.tsv")
@@ -379,6 +443,33 @@ class TestConfig:
         (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
         with pytest.raises(InvalidConfigError, match="unknown keys in sampling"):
             load_config(workdir / "config.json")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("backends",), [], "backends must be dict, not list"),
+            (("backends", "slm"), "table", "backends.slm must be dict, not str"),
+            (("sampling", "temperature"), "hot", "sampling temperature must be float"),
+            (("external",), {"top_k": "ten"}, "external.top_k must be int, not str"),
+            (("audit",), "false", "audit must be bool, not str"),
+        ],
+        ids=["backends-list", "backend-string", "sampling-type", "external-top-k", "audit-string"],
+    )
+    def test_mistyped_value_exits_2(self, workdir, capsys, path, value, message):
+        cfg = json.loads((workdir / "config.json").read_text())
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            load_config(workdir / "config.json")
+        code, _, err = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "slm", "--seed", "0",
+        )
+        assert code == 2
+        assert message in err
 
     def test_listen_env_overrides_address(self, workdir, monkeypatch):
         monkeypatch.setenv("COGEN_LISTEN", "127.0.0.1:9999")

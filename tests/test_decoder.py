@@ -121,8 +121,8 @@ class TestFusedEndpoints:
 
     def test_mean_fusion_argmax_follows_heavier_mass(self, abc_vocab, simple_record):
         # per-step masses 0.6/0.4 vs 0.2/0.8 fuse to 0.4/0.6: token B wins
-        slm = TableBackend.constant(abc_vocab, Role.SMALL_DEVICE, {"A": 0.6, "B": 0.4})
-        llm = TableBackend.constant(abc_vocab, Role.LARGE_CLOUD, {"A": 0.2, "B": 0.8})
+        slm = TableBackend(abc_vocab, Role.SMALL_DEVICE, default={"A": 0.6, "B": 0.4})
+        llm = TableBackend(abc_vocab, Role.LARGE_CLOUD, default={"A": 0.2, "B": 0.8})
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
         result = decode(session)
         tokens = {abc_vocab.token(t) for t in result.token_ids}

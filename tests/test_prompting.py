@@ -69,7 +69,7 @@ class TestRequestPrompts:
     def test_no_context_renders_carry_no_context_bytes(self, kind):
         record = RECORDS[kind]
         rendered = build_request_prompt(record, False, kind)
-        combined = rendered.combined()
+        combined = rendered.system + "\n\n" + rendered.user
         for text in (record.profile, *record.history):
             for start in range(0, max(len(text) - 12, 0) + 1, 4):
                 chunk = text[start : start + 12]

@@ -8,7 +8,6 @@ import pytest
 from cogen.decoder import TraceStep, WeightTrace
 from cogen.errors import InvalidInputError
 from cogen.report import (
-    WtlResult,
     aggregate_scores,
     bleu,
     parse_score_rows,
@@ -212,7 +211,6 @@ class TestWinTieLose:
         judgments = ["win"] * 38 + ["tie"] * 2 + ["lose"] * 10
         result = win_tie_lose(judgments)
         assert result.cell() == "38/2/10"
-        assert WtlResult.self_cell(50) == "-/50/-"
 
     def test_unknown_outcome_rejected(self):
         with pytest.raises(InvalidInputError):
