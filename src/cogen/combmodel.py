@@ -22,7 +22,7 @@ import numpy as np
 from .backends import open_cursor
 from .core import TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import AlignedPair, blend, top_k_pair
+from .fusion import AlignedPair, align_supports, blend, top_k_views
 from .rng import Splitmix64
 
 # Size of each source's truncated view: the fused step's cut and the net's input.
@@ -210,8 +210,8 @@ class LossStats:
 
 def _fused_target_prob(pair: AlignedPair, y: int, w: float) -> float:
     """Probability of support slot ``y`` after blending the pair with
-    weight w: an entry of the very vector ``fuse`` samples from."""
-    return float(blend(pair, w)[y])
+    weight w: an entry of the very blend a fused step samples from."""
+    return blend(pair.p_s.tolist(), pair.p_l.tolist(), w)[y]
 
 
 def _loss_at(example: CombExample, y: int, w: float, stats: "LossStats | None") -> float:
@@ -437,7 +437,8 @@ def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], H
     stats = HarvestStats()
     for record in records:
         for target, p_s, p_l in teacher_forced_steps(slm, llm, record, tokenizer):
-            ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
+            ps_k, pl_k = top_k_views(p_s, p_l, TOP_K)
+            pair = align_supports(ps_k, pl_k)
             if not np.isin(target, pair.support):
                 stats.skipped_missing_target += 1
                 continue

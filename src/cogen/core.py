@@ -6,7 +6,10 @@ The only mutable pieces are a distribution's three cache slots: its last
 sampling nucleus, its last top-k view and its top-1 entry. Each holds a
 pure function of the immutable fields, stored as one immutable tuple in
 one assignment, so threads that race on a slot can only compute the same
-value twice.
+value twice. The nucleus slot serves the single-backend modes, whose
+dense distributions a backend memoizes and sampling reads again; a
+fused step samples its own union of top-k entries in ``fusion`` and
+fills no nucleus slot.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -221,6 +224,10 @@ class TokenDistribution:
                 top = int(self.sparse_ids[0]), float(self.sparse_probs[0])
             object.__setattr__(self, "_top1", top)
         return top
+
+    def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
+        """The greedy choice, or one ``sample_top_p`` draw."""
+        return argmax_token(self) if config.greedy else sample_top_p(self, config, rng)
 
     def to_dense_array(self) -> np.ndarray:
         """Full-vocab probability vector (zeros off the sparse support)."""

@@ -176,12 +176,9 @@ class CorpusStats:
     total_users: int
     avg_profile_length: float
     avg_output_length: float
-    train_samples: int | None = None
-    dev_samples: int | None = None
-    test_samples: int | None = None
 
 
-def corpus_stats(records, splits=None) -> CorpusStats:
+def corpus_stats(records) -> CorpusStats:
     """Users and mean whitespace-token lengths of profiles and references."""
     records = list(records)
     if not records:
@@ -189,33 +186,19 @@ def corpus_stats(records, splits=None) -> CorpusStats:
     users = {r.user_id for r in records}
     profile_tokens = [len(split_text(r.profile, "whitespace")) for r in records]
     output_tokens = [len(split_text(r.reference, "whitespace")) for r in records]
-    train, dev, test = splits if splits else (None, None, None)
     return CorpusStats(
         total_users=len(users),
         avg_profile_length=sum(profile_tokens) / len(records),
         avg_output_length=sum(output_tokens) / len(records),
-        train_samples=train,
-        dev_samples=dev,
-        test_samples=test,
     )
 
 
 def render_stats(stats: CorpusStats) -> str:
     """Aligned two-column table of the corpus statistics."""
-    def fmt(value) -> str:
-        if value is None:
-            return "N/A"
-        if isinstance(value, float):
-            return str(round(value))
-        return str(value)
-
     rows = [
-        ("Total Users", fmt(stats.total_users)),
-        ("Avg Profile Length", fmt(stats.avg_profile_length)),
-        ("Output Length", fmt(stats.avg_output_length)),
-        ("Train Samples", fmt(stats.train_samples)),
-        ("Dev Samples", fmt(stats.dev_samples)),
-        ("Test Samples", fmt(stats.test_samples)),
+        ("Total Users", str(stats.total_users)),
+        ("Avg Profile Length", str(round(stats.avg_profile_length))),
+        ("Output Length", str(round(stats.avg_output_length))),
     ]
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)

@@ -15,11 +15,15 @@ log records for a large-side step.
 A fused step queries the context-holding small backend with
 instruction, context, and the emitted prefix, and the context-blind
 large backend with instruction and prefix only. Both views are truncated
-to their top-k entries, aligned, and blended by the active fusion
-strategy. first-k mode restricts collaboration to the opening tokens:
-after step k the large backend is never queried or pushed to again and
-the loop continues on the small model alone. slm-only is the same step
-with fusion limited to 0 steps.
+to their top-k entries and handed to ``fusion.fuse_views``, which aligns
+and blends them by the active fusion strategy in Python floats. The loop
+samples the resulting ``FusedDistribution`` over that union of at most
+``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
+single-backend step spreads its distribution densely (``_dense``) for
+``core.sample_top_p``. first-k mode restricts collaboration to the
+opening tokens: after step k the large backend is never queried or
+pushed to again and the loop continues on the small model alone.
+slm-only is the same step with fusion limited to 0 steps.
 
 The llm-only baselines and both halves of sketch-then-fill (the large
 model's draft, the small model's fill) step one backend through
@@ -34,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import TOP_K, teacher_forced_steps, view_weight
-from .core import SamplingConfig, TokenDistribution, argmax_token, sample_top_p
+from .core import SamplingConfig, TokenDistribution
 from .corpus import json_object_lines
 from .errors import (
     CorpusError,
@@ -46,7 +50,7 @@ from .errors import (
     SketchParseError,
     TransportError,
 )
-from .fusion import FusionStrategy, fuse, top_k_pair
+from .fusion import FusionStrategy, FusedDistribution, fuse_views, top_k_views
 from .prompting import (
     DEFAULT_LIBRARY,
     TemplateLibrary,
@@ -189,37 +193,38 @@ def _dense(dist: TokenDistribution) -> TokenDistribution:
 
 def blend_step(
     p_s: TokenDistribution, p_l: TokenDistribution, strategy: FusionStrategy
-) -> tuple[TokenDistribution, float, TokenDistribution, TokenDistribution]:
+) -> tuple[FusedDistribution, float, TokenDistribution, TokenDistribution]:
     """One fused step: both sources' top-k views, aligned and blended.
 
     A learnable strategy gets its weight from the weight network on the
     two top-k views. Returns the fused distribution, the weight
     used, and the small and large top-k views.
     """
-    ps_k, pl_k, pair = top_k_pair(p_s, p_l, TOP_K)
+    ps_k, pl_k = top_k_views(p_s, p_l, TOP_K)
     w_override = None
     if strategy.kind == "learnable":
         w_override = view_weight(strategy.model, pl_k, ps_k)
-    fused, w = fuse(pair, strategy, w_override=w_override)
+    fused, w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
     return fused, w, ps_k, pl_k
 
 
 def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> list[int]:
     """The per-token loop of every decode mode; returns the new tokens.
 
-    ``step(tokens, i)`` gives step ``i`` (from 1) its dense distribution,
-    blend weight, and the small and large top-1 probabilities. ``tokens``
-    is the loop's own list of the initial prefix and the tokens emitted so
-    far, which the step must not change; from step 2 on its last entry is
-    the token emitted by the step before. This loop draws from the
-    session's splitmix64 stream, stops at EOS, and appends one trace row
-    per emitted token when ``trace`` is given.
+    ``step(tokens, i)`` gives step ``i`` (from 1) the distribution it
+    picks from (a dense ``TokenDistribution`` or a fused step's
+    ``FusedDistribution``), its blend weight, and the small and large
+    top-1 probabilities. ``tokens`` is the loop's own list of the initial
+    prefix and the tokens emitted so far, which the step must not change;
+    from step 2 on its last entry is the token emitted by the step before.
+    This loop draws from the session's splitmix64 stream, stops at EOS,
+    and appends one trace row per emitted token when ``trace`` is given.
     """
     rng = Splitmix64(sampling.seed)
     tokens = list(initial_prefix)
     for i in range(1, sampling.max_new_tokens + 1):
         dist, w, ps1, pl1 = step(tokens, i)
-        token_id = argmax_token(dist) if sampling.greedy else sample_top_p(dist, sampling, rng)
+        token_id = dist.pick(sampling, rng)
         if token_id == vocab.eos_id:
             break
         tokens.append(token_id)
@@ -302,7 +307,7 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
                 fused_limit = 0
             else:
                 fused, w, ps_k, pl_k = blend_step(p_s, p_l, mode.strategy)
-                return _dense(fused), w, ps_k.top1()[1], pl_k.top1()[1]
+                return fused, w, ps_k.top1()[1], pl_k.top1()[1]
         return _dense(p_s), 1.0, p_s.top1()[1], 0.0
 
     return step

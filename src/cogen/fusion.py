@@ -7,16 +7,43 @@ support of the two inputs; whenever truncation has shaved mass off, the
 result is renormalized so downstream sampling always sees a proper
 distribution. Dense, already-normalized inputs pass through untouched,
 which keeps the weight-1 and weight-0 endpoints exact to the bit.
+
+A fused step works in Python floats, not numpy arrays: its inputs are
+two top-k views of at most ``TOP_K`` entries each, and at that size a
+numpy pipeline costs its count of calls, not its length.
+``fuse_views`` aligns the views on the union of their ids with a dict
+and blends them; the ``FusedDistribution`` it returns orders, tempers
+and cuts the union and draws from it. ``blend`` is the one blend: the
+fused step, teacher-forced scoring, the weight net's loss and ``fuse``
+all read it. Every sum copies numpy's float64 summation order
+(``_pairwise_sum``), so each blended probability is the one the dense
+numpy path computed, and so is each pick, but for two cases: the
+last-bit differences between ``math.exp``/``math.log`` and numpy's
+vectorized ones, and the ``top_p = 1`` edge that
+``FusedDistribution._nucleus`` describes.
+
+``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
+and a ``TokenDistribution``, for the weight net's training examples and
+for callers that want the fused distribution as arrays.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .core import DENSE_SUM_TOL, TokenDistribution, top_k_project
-from .errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
+from .core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, top_k_project
+from .errors import (
+    IncompatibleVocabError,
+    InvalidConfigError,
+    InvalidDistributionError,
+    InvalidInputError,
+)
+from .rng import Splitmix64
 
 
 @dataclass(frozen=True)
@@ -70,63 +97,141 @@ class AlignedPair:
             getattr(self, name).flags.writeable = False
 
 
+def _shared_vocab_size(p_s: TokenDistribution, p_l: TokenDistribution) -> int:
+    if p_s.vocab_size != p_l.vocab_size:
+        raise IncompatibleVocabError(
+            f"vocab sizes differ: {p_s.vocab_size} vs {p_l.vocab_size}"
+        )
+    return p_s.vocab_size
+
+
+def _align(ps_k: TokenDistribution, pl_k: TokenDistribution):
+    """The ascending union of two sparse views' ids and each view's
+    probability at every one of them, 0.0 where it has none, as lists."""
+    a = dict(zip(ps_k.sparse_ids.tolist(), ps_k.sparse_probs.tolist()))
+    b = dict(zip(pl_k.sparse_ids.tolist(), pl_k.sparse_probs.tolist()))
+    ids = sorted(a.keys() | b.keys())
+    return ids, [a.get(i, 0.0) for i in ids], [b.get(i, 0.0) for i in ids]
+
+
 def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPair:
     """Express two distributions over their union support.
 
     Entries a source never mentioned are exactly zero. Dense inputs pass
     through losslessly (the union is then the whole vocabulary).
     """
-    if p_s.vocab_size != p_l.vocab_size:
-        raise IncompatibleVocabError(
-            f"vocab sizes differ: {p_s.vocab_size} vs {p_l.vocab_size}"
-        )
-    size = p_s.vocab_size
+    size = _shared_vocab_size(p_s, p_l)
     if p_s.is_dense and p_l.is_dense:
         support = np.arange(size, dtype=np.int64)
         return AlignedPair(support, np.array(p_s.dense_probs), np.array(p_l.dense_probs), size)
     if p_s.is_dense or p_l.is_dense:
         support = np.arange(size, dtype=np.int64)
         return AlignedPair(support, p_s.to_dense_array(), p_l.to_dense_array(), size)
-    ids = np.union1d(p_s.sparse_ids, p_l.sparse_ids)
-    out_s = np.zeros(ids.size, dtype=np.float64)
-    out_l = np.zeros(ids.size, dtype=np.float64)
-    out_s[np.searchsorted(ids, p_s.sparse_ids)] = p_s.sparse_probs
-    out_l[np.searchsorted(ids, p_l.sparse_ids)] = p_l.sparse_probs
-    return AlignedPair(ids.astype(np.int64), out_s, out_l, size)
+    ids, a, b = _align(p_s, p_l)
+    return AlignedPair(np.array(ids, dtype=np.int64), np.array(a), np.array(b), size)
 
 
-def top_k_pair(
+def top_k_views(
     p_s: TokenDistribution, p_l: TokenDistribution, k: int
-) -> tuple[TokenDistribution, TokenDistribution, AlignedPair]:
-    """Both sources' top-k views and their alignment.
+) -> tuple[TokenDistribution, TokenDistribution]:
+    """Both sources' top-k views.
 
     A sparse input already is a truncated view and passes through
     unchanged; a dense one is cut to its k highest entries.
     """
-    ps_k = p_s if p_s.is_sparse else top_k_project(p_s, k)
-    pl_k = p_l if p_l.is_sparse else top_k_project(p_l, k)
-    return ps_k, pl_k, align_supports(ps_k, pl_k)
+    return (
+        p_s if p_s.is_sparse else top_k_project(p_s, k),
+        p_l if p_l.is_sparse else top_k_project(p_l, k),
+    )
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray:
-    """Renormalize unless the mass already counts as normalized.
+def _pairwise_sum(values, ids=None, size=None) -> float:
+    """``np.sum`` of a float64 vector, to the bit, in Python floats.
 
-    Skipping the division when the mass is within the dense-validation
-    tolerance keeps convex combinations of clean dense inputs bit-exact
-    (a weight of 1 really returns the first operand unchanged).
+    numpy adds fewer than 8 entries in one loop; up to 128 in 8 strided
+    accumulators, combined as a tree before the entries past the last
+    full block of 8 are added; and more by halving at a multiple of 8.
+    ``values`` alone is the vector. With ascending ``ids`` and a
+    ``size``, the vector is ``size`` long and holds ``values`` at ``ids``
+    and zeros elsewhere: adding a zero changes no partial sum, so only
+    the lane each value falls in matters.
     """
-    total = vec.sum()
+    if size is None:
+        size = len(values)
+    if size < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if size > 128:
+        half = size // 2
+        half -= half % 8
+        if ids is None:
+            return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+        cut = bisect_left(ids, half)
+        return _pairwise_sum(values[:cut], ids[:cut], half) + _pairwise_sum(
+            values[cut:], [i - half for i in ids[cut:]], size - half
+        )
+    end = size - size % 8
+    if ids is None:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, end, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        rest = values[end:]
+    else:
+        cut = bisect_left(ids, end)
+        lanes = [0.0] * 8
+        for i, x in zip(ids[:cut], values):
+            lanes[i & 7] += x
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        rest = values[cut:]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in rest:
+        total += x
+    # numpy adds the sum to its identity 0.0, which turns -0.0 into 0.0.
+    return total + 0.0
+
+
+def blend(a, b, w: float | None) -> list[float]:
+    """w*a + (1-w)*b over one aligned support, or the elementwise maximum
+    when ``w`` is None, normalized: the values every fused step samples
+    from, teacher-forced scoring reads and the weight net's loss takes.
+
+    The division is skipped when the mass already lies within the
+    dense-validation tolerance of 1, which keeps convex combinations of
+    clean dense inputs bit-exact (a weight of 1 really returns the first
+    operand unchanged).
+    """
+    if w is None:
+        vec = [x if x >= y else y for x, y in zip(a, b)]
+    else:
+        v = 1.0 - w
+        vec = [w * x + v * y for x, y in zip(a, b)]
+    total = _pairwise_sum(vec)
     if total <= 0:
         raise InvalidInputError("fused distribution has no mass")
     if abs(total - 1.0) <= DENSE_SUM_TOL:
         return vec
-    return vec / total
+    return [x / total for x in vec]
 
 
-def blend(pair: AlignedPair, w: float) -> np.ndarray:
-    """w*p_s + (1-w)*p_l over the pair's support, normalized: the vector
-    every convex fusion samples from and the weight net's loss reads."""
-    return _normalize(w * pair.p_s + (1.0 - w) * pair.p_l)
+def _weight(strategy: FusionStrategy, w_override: float | None) -> float | None:
+    """The blend weight ``strategy`` uses, None for max pooling."""
+    if strategy.kind == "max":
+        return None
+    if strategy.kind == "mean":
+        w = 0.5
+    elif strategy.kind == "fixed":
+        w = float(strategy.w)
+    else:  # learnable: the weight network ran upstream
+        if w_override is None:
+            raise InvalidInputError("learnable fusion requires w_override from the weight model")
+        w = float(w_override)
+    if not (0.0 <= w <= 1.0):
+        raise InvalidInputError(f"fusion weight {w} outside [0, 1]")
+    return w
 
 
 def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
@@ -154,17 +259,102 @@ def fuse(
     """
     if pair.support.size == 0:
         raise InvalidInputError("cannot fuse over an empty support")
-    if strategy.kind == "max":
-        fused = np.maximum(pair.p_s, pair.p_l)
-        return _to_distribution(pair, _normalize(fused)), 0.5
-    if strategy.kind == "mean":
-        w = 0.5
-    elif strategy.kind == "fixed":
-        w = float(strategy.w)
-    else:  # learnable: the weight network ran upstream
-        if w_override is None:
-            raise InvalidInputError("learnable fusion requires w_override from the weight model")
-        w = float(w_override)
-    if not (0.0 <= w <= 1.0):
-        raise InvalidInputError(f"fusion weight {w} outside [0, 1]")
-    return _to_distribution(pair, blend(pair, w)), w
+    w = _weight(strategy, w_override)
+    vec = np.array(blend(pair.p_s.tolist(), pair.p_l.tolist(), w))
+    return _to_distribution(pair, vec), 0.5 if w is None else w
+
+
+def _temper(ids: list[int], probs: list[float], temperature: float, size: int) -> list[float]:
+    """``core._temper_probs`` of the ``size``-long vector that holds
+    ``probs`` at ``ids``, in Python floats; returns the values at ``ids``."""
+    log, exp, inf = math.log, math.exp, math.inf
+    scaled = [log(p) / temperature if p > 0 else -inf for p in probs]
+    top = max(scaled)
+    if not math.isfinite(top):
+        # The dense path takes the maximum over finite entries only and
+        # zeroes the entry whose division overflowed to +inf.
+        finite = [s for s in scaled if math.isfinite(s)]
+        if not finite:
+            raise InvalidDistributionError("distribution has no support")
+        top = max(finite)
+        scaled = [s if s != inf else -inf for s in scaled]
+    out = [exp(s - top) for s in scaled]
+    total = _pairwise_sum(out, ids, size)
+    if total <= 0:
+        raise InvalidDistributionError("temperature scaling annihilated all mass")
+    return [x / total for x in out]
+
+
+class FusedDistribution:
+    """One fused step's blend over the union of two top-k views.
+
+    ``ids`` ascend and ``probs`` holds the blend at each of them; every
+    other id of the vocabulary has probability zero.
+    """
+
+    __slots__ = ("ids", "probs", "vocab_size")
+
+    def __init__(self, ids: list[int], probs: list[float], vocab_size: int) -> None:
+        self.ids = ids
+        self.probs = probs
+        self.vocab_size = vocab_size
+
+    def prob_of(self, token_id: int) -> float:
+        i = bisect_left(self.ids, token_id)
+        return self.probs[i] if i < len(self.ids) and self.ids[i] == token_id else 0.0
+
+    def _sampled(self) -> list[float]:
+        """The blend as the dense path sampled it: a sparse blend was
+        spread over the vocabulary after a division by its mass, summed
+        in descending order; a full-vocabulary one was taken as it is."""
+        if len(self.ids) == self.vocab_size:
+            return self.probs
+        mass = _pairwise_sum(sorted(self.probs, reverse=True))
+        return [p / mass for p in self.probs]
+
+    def _nucleus(self, temperature: float, top_p: float) -> tuple[list[int], list[float]]:
+        """The ids of the top-p nucleus after tempering, most probable
+        first, and the cumulative sum of their renormalized probabilities:
+        ``core._nucleus`` of the blend spread over the vocabulary, except
+        that the nucleus never reaches past the entries of positive
+        probability. Where those sum to just under a ``top_p`` of 1, the
+        dense path took every zero-probability id into the nucleus, and a
+        draw above that sum picked one of them."""
+        ids, probs = self.ids, self._sampled()
+        if temperature != 1.0:
+            probs = _temper(ids, probs, temperature, self.vocab_size)
+        # Descending, ties toward the lower id (``ids`` ascend, and a
+        # reversed sort stays stable); zeros sort last.
+        order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
+        ranked = [probs[j] for j in order]
+        kept = len(ranked) - probs.count(0.0)
+        cut = min(bisect_left(list(accumulate(ranked)), top_p) + 1, kept)
+        if cut == 1:  # a lone entry renormalizes to exactly 1.0
+            return [ids[order[0]]], [1.0]
+        nucleus = ranked[:cut]
+        total = _pairwise_sum(nucleus)
+        return [ids[j] for j in order[:cut]], list(accumulate([p / total for p in nucleus]))
+
+    def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
+        """The greedy choice (ties toward the lower id), or one top-p draw
+        using exactly one RNG float, as ``TokenDistribution.pick`` makes
+        them from the blend spread over the vocabulary."""
+        if config.greedy:
+            probs = self._sampled()
+            return self.ids[probs.index(max(probs))]
+        ids, cum = self._nucleus(config.temperature, config.top_p)
+        return ids[min(bisect_right(cum, rng.next_float()), len(cum) - 1)]
+
+
+def fuse_views(
+    ps_k: TokenDistribution,
+    pl_k: TokenDistribution,
+    strategy: FusionStrategy,
+    w_override: float | None = None,
+) -> tuple[FusedDistribution, float]:
+    """``fuse`` of two sparse top-k views, in Python floats: the same
+    blend, the same ids and the same weight, with no arrays built."""
+    size = _shared_vocab_size(ps_k, pl_k)
+    w = _weight(strategy, w_override)
+    ids, a, b = _align(ps_k, pl_k)
+    return FusedDistribution(ids, blend(a, b, w), size), 0.5 if w is None else w

@@ -44,6 +44,8 @@ MAX_FRAME_BYTES = 1 << 24
 DEFAULT_TOP_K = 10
 # Most entries one logits reply carries, whatever top_k the client asks for.
 TOP_K_CAP = 64
+# Seconds a client waits to connect, and then on each socket operation.
+CLIENT_TIMEOUT_S = 10.0
 # Most tokens one generate request may ask for; SamplingConfig's default fits.
 MAX_NEW_TOKENS_CAP = 8192
 
@@ -345,10 +347,9 @@ def serve(backend: Backend, listen_address: tuple[str, int] | str, config: Serve
 class ServiceClient:
     """Single-session, sequential client for the logit service."""
 
-    def __init__(self, address: tuple[str, int] | str, session_id: str = "session", timeout: float = 10.0) -> None:
+    def __init__(self, address: tuple[str, int] | str, session_id: str = "session") -> None:
         self.address = _parse_address(address)
         self.session_id = session_id
-        self.timeout = timeout
         self._sock: socket.socket | None = None
         self.server_vocab_hash: str | None = None
 
@@ -358,7 +359,7 @@ class ServiceClient:
         handshake."""
         if self._sock is None:
             try:
-                self._sock = socket.create_connection(self.address, timeout=self.timeout)
+                self._sock = socket.create_connection(self.address, timeout=CLIENT_TIMEOUT_S)
             except OSError as exc:
                 raise TransportError(f"cannot reach the logit service at {self.address}: {exc}") from exc
             if kind != "hello":

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from cogen.combmodel import CombExample, padded_top_probs
-from cogen.core import TokenDistribution, top_k_project
+from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
+from cogen.errors import InvalidInputError
 from cogen.fusion import align_supports
 from cogen.rng import Splitmix64
 
@@ -69,3 +70,36 @@ def perturbed_params(params, rng: np.random.Generator, scale: float = 0.05):
         w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3], w3=arrays[4], b3=arrays[5],
         seed=params.seed,
     )
+
+
+def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float | None):
+    """The fused step as numpy arrays, the reference for the scalar path.
+
+    It aligns two sparse views on the union of their ids, blends them
+    (``w`` None takes the elementwise maximum) and normalizes, orders the
+    result by descending probability with ties toward the lower id, and
+    spreads it over the vocabulary divided by its mass. Returns the fused
+    distribution (sparse unless the union is the whole vocabulary) and
+    the dense one that ``core._nucleus`` and ``argmax_token`` read.
+    """
+    size = ps_k.vocab_size
+    ids = np.union1d(ps_k.sparse_ids, pl_k.sparse_ids)
+    a = np.zeros(ids.size)
+    b = np.zeros(ids.size)
+    a[np.searchsorted(ids, ps_k.sparse_ids)] = ps_k.sparse_probs
+    b[np.searchsorted(ids, pl_k.sparse_ids)] = pl_k.sparse_probs
+    vec = np.maximum(a, b) if w is None else w * a + (1.0 - w) * b
+    total = vec.sum()
+    if total <= 0:
+        raise InvalidInputError("fused distribution has no mass")
+    if abs(total - 1.0) > DENSE_SUM_TOL:
+        vec = vec / total
+    if ids.size == size:
+        fused = TokenDistribution(vocab_size=size, dense_probs=vec)
+        return fused, fused
+    order = np.argsort(-vec, kind="stable")
+    fused = TokenDistribution(
+        vocab_size=size, sparse_ids=ids[order].astype(np.int64), sparse_probs=vec[order]
+    )
+    dense = TokenDistribution(vocab_size=size, dense_probs=fused.to_dense_array() / fused.mass)
+    return fused, dense

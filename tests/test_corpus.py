@@ -225,12 +225,11 @@ class TestStats:
         assert "Avg Profile Length" in rendered
         assert "1182" in rendered
 
-    def test_render_includes_splits_when_given(self):
-        stats = corpus_stats(
-            [email_record(0, "b" * 70)], splits=(1346, 150, 240)
-        )
-        rendered = render_stats(stats)
-        assert "Train Samples" in rendered and "1346" in rendered
+    def test_render_has_no_placeholder_rows(self):
+        rendered = render_stats(corpus_stats([email_record(0, "b" * 70)]))
+        rows = [line.split() for line in rendered.splitlines()]
+        assert [row[0] for row in rows] == ["Total", "Avg", "Output"]
+        assert all(row[-1] != "N/A" for row in rows)
 
 
 class TestTaskVerbs:
