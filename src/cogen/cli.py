@@ -166,6 +166,13 @@ def _require_seed(args) -> int:
     return args.seed
 
 
+def _number(kind, text: str, option: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInputError(f"{option}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_mode(parts: list[str], strategy: FusionStrategy) -> DecodeMode:
     name = parts[0]
     if name == "slm":
@@ -179,7 +186,7 @@ def _parse_mode(parts: list[str], strategy: FusionStrategy) -> DecodeMode:
     if name == "first-k":
         if len(parts) != 2:
             raise InvalidInputError("--mode first-k needs a token count, e.g. --mode first-k 8")
-        return DecodeMode.first_k_mode(int(parts[1]), strategy)
+        return DecodeMode.first_k_mode(_number(int, parts[1], "--mode first-k"), strategy)
     if name == "sketch":
         return DecodeMode.sketch("sketch")
     if name == "sketch-full":
@@ -196,7 +203,7 @@ def _parse_strategy(parts: list[str]) -> FusionStrategy:
     if name == "fixed":
         if len(parts) != 2:
             raise InvalidInputError("--strategy fixed needs a weight, e.g. --strategy fixed 0.7")
-        return FusionStrategy.fixed(float(parts[1]))
+        return FusionStrategy.fixed(_number(float, parts[1], "--strategy fixed"))
     if name == "learnable":
         if len(parts) != 2:
             raise InvalidInputError("--strategy learnable needs a parameter container path")
@@ -233,7 +240,7 @@ def _cmd_generate(args) -> int:
     config = load_config(args.config)
     seed = _require_seed(args)
     sampling = replace(config.sampling, seed=seed, greedy=args.greedy or config.sampling.greedy)
-    if args.max_new_tokens:
+    if args.max_new_tokens is not None:
         sampling = replace(sampling, max_new_tokens=args.max_new_tokens)
     strategy = _parse_strategy(args.strategy)
     mode = _parse_mode(args.mode, strategy)

@@ -7,6 +7,9 @@ validation loss; the loss is the negative log-likelihood of the fused
 distribution at the gold token, with gradient flowing only through the
 weight — both source distributions are treated as constants.
 
+A training example is built from what one fused step consumes, its two
+sparse top-k views, and the loss is an entry of the step's own blend.
+
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from .backends import open_cursor
 from .core import TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import AlignedPair, align_supports, blend, top_k_views
+from .fusion import _align, _pairwise_sum, blend, top_k_views
 from .rng import Splitmix64
 
 # Size of each source's truncated view: the fused step's cut and the net's input.
@@ -104,29 +108,6 @@ def _check_top10(name: str, vec) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CombExample:
-    """One supervised step: both sources' top-10 views plus the gold token."""
-
-    top10_l: tuple[float, ...]
-    top10_s: tuple[float, ...]
-    aligned: AlignedPair
-    target_id: int
-
-    def __post_init__(self) -> None:
-        _check_top10("top10_l", self.top10_l)
-        _check_top10("top10_s", self.top10_s)
-        if self.target_index() is None:
-            raise InvalidInputError("target_id is outside the aligned support")
-
-    def target_index(self) -> int | None:
-        support = self.aligned.support
-        pos = int(np.searchsorted(support, self.target_id))
-        if pos < support.size and support[pos] == self.target_id:
-            return pos
-        return None
-
-
 def padded_top_probs(dist: TokenDistribution) -> tuple[float, ...]:
     """Descending top-``TOP_K`` probabilities padded with zeros to that length."""
     if not dist.is_sparse:
@@ -175,15 +156,21 @@ def _forward(arrs, x: np.ndarray):
     return _sigmoid(z3), (x, z1, h1, z2, h2)
 
 
-def _example_x(example: "CombExample") -> np.ndarray:
-    return np.concatenate([np.asarray(example.top10_l), np.asarray(example.top10_s)])
-
-
 def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
     """Blend weight in (0, 1) from both sources' descending top-10 probs."""
     x = np.concatenate([_check_top10("top10_l", top10_l), _check_top10("top10_s", top10_s)])
     w, _ = _forward(params.arrays(), x)
     return w
+
+
+def _view_input(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
+    """The net's input from two sparse views: each view's first ``TOP_K``
+    probabilities, zero-padded to that length, the large model's first."""
+    x = np.zeros(IN_DIM)
+    top_l, top_s = pl_k.sparse_probs[:TOP_K], ps_k.sparse_probs[:TOP_K]
+    x[: top_l.size] = top_l
+    x[TOP_K : TOP_K + top_s.size] = top_s
+    return x
 
 
 def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
@@ -192,15 +179,35 @@ def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDis
     The same bits as ``comb_forward(params, padded_top_probs(pl_k),
     padded_top_probs(ps_k))``, without its checks: a sparse distribution
     was checked when it was built, and its entries are already
-    descending. Each view's first ``TOP_K`` probabilities are zero-padded
-    into one input vector, the large model's first.
+    descending.
     """
-    x = np.zeros(IN_DIM)
-    top_l, top_s = pl_k.sparse_probs[:TOP_K], ps_k.sparse_probs[:TOP_K]
-    x[: top_l.size] = top_l
-    x[TOP_K : TOP_K + top_s.size] = top_s
-    w, _ = _forward(params.arrays(), x)
+    w, _ = _forward(params.arrays(), _view_input(pl_k, ps_k))
     return w
+
+
+class CombExample:
+    """One supervised fused step, built from both sparse top-k views and
+    the gold token. Training reads what is derived here, once: the net's
+    input ``x``, and the views aligned as ``fusion.fuse_views`` aligns
+    them (``a`` small, ``b`` large) with the gold token's slot ``y``."""
+
+    __slots__ = ("target_id", "x", "a", "b", "y")
+
+    def __init__(self, ps_k: TokenDistribution, pl_k: TokenDistribution, target_id: int) -> None:
+        ids, self.a, self.b = _align(ps_k, pl_k)
+        y = bisect_left(ids, target_id)
+        if y == len(ids) or ids[y] != target_id:
+            raise InvalidInputError("target_id is outside both views")
+        self.target_id, self.y = target_id, y
+        self.x = _view_input(pl_k, ps_k)
+
+    @property
+    def top10_l(self) -> tuple[float, ...]:  # padded_top_probs(pl_k)
+        return tuple(self.x[:TOP_K].tolist())
+
+    @property
+    def top10_s(self) -> tuple[float, ...]:  # padded_top_probs(ps_k)
+        return tuple(self.x[TOP_K:].tolist())
 
 
 @dataclass
@@ -208,24 +215,14 @@ class LossStats:
     degenerate: int = 0
 
 
-def _fused_target_prob(pair: AlignedPair, y: int, w: float) -> float:
-    """Probability of support slot ``y`` after blending the pair with
-    weight w: an entry of the very blend a fused step samples from."""
-    return blend(pair.p_s.tolist(), pair.p_l.tolist(), w)[y]
-
-
-def _loss_at(example: CombExample, y: int, w: float, stats: "LossStats | None") -> float:
-    p = _fused_target_prob(example.aligned, y, w)
+def _loss_at(example: CombExample, w: float, stats: "LossStats | None") -> float:
+    # The gold token's entry of the very blend a fused step samples from.
+    p = blend(example.a, example.b, w)[example.y]
     if p < _PROB_FLOOR:
         p = _PROB_FLOOR
         if stats is not None:
             stats.degenerate += 1
     return -math.log(p)
-
-
-def _loss_arrays(arrs, example: CombExample, stats: "LossStats | None" = None) -> float:
-    w, _ = _forward(arrs, _example_x(example))
-    return _loss_at(example, example.target_index(), w, stats)
 
 
 def comb_loss(params: CombModelParams, example: CombExample, stats: LossStats | None = None) -> float:
@@ -234,7 +231,8 @@ def comb_loss(params: CombModelParams, example: CombExample, stats: LossStats | 
     A fused probability of zero is floored at 1e-12 (and counted) rather
     than crashing the run.
     """
-    return _loss_arrays(params.arrays(), example, stats)
+    w, _ = _forward(params.arrays(), example.x)
+    return _loss_at(example, w, stats)
 
 
 @dataclass(frozen=True)
@@ -250,13 +248,12 @@ class CombGradients:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
 
-def _backward(arrs, example: CombExample, y: int, w: float, cache) -> tuple[np.ndarray, ...]:
+def _backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, ...]:
     w1, b1, w2, b2, w3, b3 = arrs
     x, z1, h1, z2, h2 = cache
-    a = example.aligned.p_s
-    b = example.aligned.p_l
-    a_y, b_y = float(a[y]), float(b[y])
-    mass_a, mass_b = float(a.sum()), float(b.sum())
+    a, b, y = example.a, example.b, example.y
+    a_y, b_y = a[y], b[y]
+    mass_a, mass_b = _pairwise_sum(a), _pairwise_sum(b)
     u = w * a_y + (1.0 - w) * b_y
     s = w * mass_a + (1.0 - w) * mass_b
     if u <= 0.0 or u / s < _PROB_FLOOR:
@@ -289,8 +286,8 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     masses are 1. ReLU uses subgradient 0 at 0.
     """
     arrs = params.arrays()
-    w, cache = _forward(arrs, _example_x(example))
-    return CombGradients(*_backward(arrs, example, example.target_index(), w, cache))
+    w, cache = _forward(arrs, example.x)
+    return CombGradients(*_backward(arrs, example, w, cache))
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,8 @@ class TrainReport:
     degenerate_examples: int = 0
 
 
-def _mean_loss(arrs, examples, stats: LossStats | None = None) -> float:
-    return sum(_loss_arrays(arrs, ex, stats) for ex in examples) / len(examples)
+def _mean_loss(arrs, examples) -> float:
+    return sum(_loss_at(ex, _forward(arrs, ex.x)[0], None) for ex in examples) / len(examples)
 
 
 def comb_train(
@@ -341,10 +338,9 @@ def comb_train(
             grads = [np.zeros_like(a) for a in current]
             for ex in batch:
                 # One forward pass feeds both the reported loss and the gradient.
-                y = ex.target_index()
-                w, cache = _forward(current, _example_x(ex))
-                batch_losses.append(_loss_at(ex, y, w, stats))
-                for acc, g in zip(grads, _backward(current, ex, y, w, cache)):
+                w, cache = _forward(current, ex.x)
+                batch_losses.append(_loss_at(ex, w, stats))
+                for acc, g in zip(grads, _backward(current, ex, w, cache)):
                     acc += g
             for arr, g in zip(current, grads):
                 arr -= config.learning_rate * (g / len(batch))
@@ -429,26 +425,19 @@ def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], H
     """Teacher-forced training examples from reference outputs.
 
     For each position in a record's reference plus the closing EOS, both
-    backends are queried with the true prefix, truncated to their top-k
-    views, and aligned. Steps whose gold token fell out of both top-k
-    supports are skipped and counted rather than trained on.
+    backends are queried with the true prefix and cut to the top-k views
+    a fused step reads; each step becomes one ``CombExample`` of those
+    views. Steps whose gold token fell out of both views are skipped and
+    counted rather than trained on.
     """
     examples: list[CombExample] = []
     stats = HarvestStats()
     for record in records:
         for target, p_s, p_l in teacher_forced_steps(slm, llm, record, tokenizer):
             ps_k, pl_k = top_k_views(p_s, p_l, TOP_K)
-            pair = align_supports(ps_k, pl_k)
-            if not np.isin(target, pair.support):
+            try:
+                examples.append(CombExample(ps_k, pl_k, int(target)))
+            except InvalidInputError:  # the gold token is in neither view
                 stats.skipped_missing_target += 1
-                continue
-            examples.append(
-                CombExample(
-                    top10_l=padded_top_probs(pl_k),
-                    top10_s=padded_top_probs(ps_k),
-                    aligned=pair,
-                    target_id=int(target),
-                )
-            )
-            stats.examples += 1
+    stats.examples = len(examples)
     return examples, stats

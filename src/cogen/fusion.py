@@ -23,8 +23,8 @@ vectorized ones, and the ``top_p = 1`` edge that
 ``FusedDistribution._nucleus`` describes.
 
 ``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
-and a ``TokenDistribution``, for the weight net's training examples and
-for callers that want the fused distribution as arrays.
+and a ``TokenDistribution``. Neither fused steps nor training examples
+use them: they serve the benchmark's per-layer tracer and the tests.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPai
     through losslessly (the union is then the whole vocabulary).
     """
     size = _shared_vocab_size(p_s, p_l)
-    if p_s.is_dense and p_l.is_dense:
-        support = np.arange(size, dtype=np.int64)
-        return AlignedPair(support, np.array(p_s.dense_probs), np.array(p_l.dense_probs), size)
     if p_s.is_dense or p_l.is_dense:
         support = np.arange(size, dtype=np.int64)
         return AlignedPair(support, p_s.to_dense_array(), p_l.to_dense_array(), size)
@@ -134,15 +131,19 @@ def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPai
 def top_k_views(
     p_s: TokenDistribution, p_l: TokenDistribution, k: int
 ) -> tuple[TokenDistribution, TokenDistribution]:
-    """Both sources' top-k views.
+    """Both sources' top-k views: a dense input's k highest entries, and
+    a sparse input's first k, its top k, since sparse entries descend
+    with ties toward the lower id (a short one passes through as is)."""
+    return _top_k_view(p_s, k), _top_k_view(p_l, k)
 
-    A sparse input already is a truncated view and passes through
-    unchanged; a dense one is cut to its k highest entries.
-    """
-    return (
-        p_s if p_s.is_sparse else top_k_project(p_s, k),
-        p_l if p_l.is_sparse else top_k_project(p_l, k),
-    )
+
+def _top_k_view(dist: TokenDistribution, k: int) -> TokenDistribution:
+    if dist.is_dense:
+        return top_k_project(dist, k)
+    if dist.sparse_probs.size <= k:
+        return dist
+    ids, probs = dist.sparse_ids[:k], dist.sparse_probs[:k]
+    return TokenDistribution(dist.vocab_size, sparse_ids=ids, sparse_probs=probs)
 
 
 def _pairwise_sum(values, ids=None, size=None) -> float:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from cogen.combmodel import CombExample, padded_top_probs
+from cogen.combmodel import CombExample
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from cogen.errors import InvalidInputError
-from cogen.fusion import align_supports
 from cogen.rng import Splitmix64
 
 
@@ -16,6 +15,8 @@ def one_sided_examples(seed: int, count: int, vocab: int = 12, mirrored: bool = 
 
     The small side is a random peaked distribution whose argmax is the
     gold token; the large side is uniform. ``mirrored`` swaps the roles.
+    Each view holds the whole vocabulary, so the example aligns over all
+    of it.
     """
     rng = Splitmix64(seed)
     out = []
@@ -28,19 +29,12 @@ def one_sided_examples(seed: int, count: int, vocab: int = 12, mirrored: bool = 
         p_peaked = TokenDistribution.dense(peaked)
         p_uniform = TokenDistribution.dense(uniform)
         p_s, p_l = (p_uniform, p_peaked) if mirrored else (p_peaked, p_uniform)
-        out.append(
-            CombExample(
-                top10_l=padded_top_probs(top_k_project(p_l, 10)),
-                top10_s=padded_top_probs(top_k_project(p_s, 10)),
-                aligned=align_supports(p_s, p_l),
-                target_id=target,
-            )
-        )
+        out.append(CombExample(top_k_project(p_s, vocab), top_k_project(p_l, vocab), target))
     return out
 
 
 def random_comb_example(rng: np.random.Generator, vocab: int = 30, k: int = 6) -> CombExample:
-    """A random sparse aligned pair with a positive-mass target."""
+    """An example of two random sparse views with a positive-mass target."""
     ids_s = np.sort(rng.choice(vocab, size=k, replace=False))
     ids_l = np.sort(rng.choice(vocab, size=k, replace=False))
     ps = rng.random(k)
@@ -50,15 +44,13 @@ def random_comb_example(rng: np.random.Generator, vocab: int = 30, k: int = 6) -
     order_s, order_l = np.argsort(-ps), np.argsort(-pl)
     dist_s = TokenDistribution(vocab_size=vocab, sparse_ids=ids_s[order_s], sparse_probs=ps[order_s])
     dist_l = TokenDistribution(vocab_size=vocab, sparse_ids=ids_l[order_l], sparse_probs=pl[order_l])
-    pair = align_supports(dist_s, dist_l)
-    candidates = np.nonzero(pair.p_s + pair.p_l > 1e-6)[0]
-    target = int(pair.support[candidates[rng.integers(len(candidates))]])
-    return CombExample(
-        top10_l=padded_top_probs(dist_l),
-        top10_s=padded_top_probs(dist_s),
-        aligned=pair,
-        target_id=target,
-    )
+    support = np.union1d(ids_s, ids_l)
+    mass = np.zeros(vocab)
+    mass[ids_s] += ps
+    mass[ids_l] += pl
+    candidates = support[mass[support] > 1e-6]
+    target = int(candidates[rng.integers(len(candidates))])
+    return CombExample(dist_s, dist_l, target)
 
 
 def perturbed_params(params, rng: np.random.Generator, scale: float = 0.05):

@@ -167,8 +167,8 @@ def test_criterion_3_learning_sanity():
         def endpoint_nll(w_fixed):
             total = 0.0
             for ex in val:
-                y = ex.target_index()
-                p = w_fixed * ex.aligned.p_s[y] + (1 - w_fixed) * ex.aligned.p_l[y]
+                y = ex.y
+                p = w_fixed * ex.a[y] + (1 - w_fixed) * ex.b[y]
                 total -= math.log(max(p, 1e-300))
             return total / len(val)
 

@@ -205,6 +205,23 @@ class TestGenerate:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "first-k", "x"], "--mode first-k: 'x' is not a valid int"),
+            (["--mode", "fuse", "--strategy", "fixed", "abc"], "--strategy fixed: 'abc' is not a valid float"),
+            (["--mode", "slm", "--max-new-tokens", "0"], "max_new_tokens must be >= 1"),
+        ],
+        ids=["first-k-count", "fixed-weight", "zero-max-new-tokens"],
+    )
+    def test_malformed_argument_exits_2(self, workdir, capsys, argv, message):
+        code, out, err = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--seed", "0", *argv,
+        )
+        assert code == 2
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["generate", "--slm", "nosuch", "--corpus", "corpus.jsonl", "--mode", "slm"],

@@ -18,11 +18,9 @@ from cogen.combmodel import (
     comb_save,
     comb_train,
     harvest_examples,
-    padded_top_probs,
 )
 from cogen.core import TokenDistribution, top_k_project
 from cogen.errors import InvalidInputError, ModelIOError
-from cogen.fusion import align_supports
 from cogen.rng import Splitmix64
 from helpers import one_sided_examples, perturbed_params, random_comb_example
 
@@ -31,14 +29,10 @@ GOLDEN_SEED0_W_AT_TENTHS = 0.4945647860260131
 
 
 def dense_example(p_s, p_l, target):
+    # Full-length views align over the whole vocabulary.
     a = TokenDistribution.dense(p_s)
     b = TokenDistribution.dense(p_l)
-    return CombExample(
-        top10_l=padded_top_probs(top_k_project(b, 10)),
-        top10_s=padded_top_probs(top_k_project(a, 10)),
-        aligned=align_supports(a, b),
-        target_id=target,
-    )
+    return CombExample(top_k_project(a, a.vocab_size), top_k_project(b, b.vocab_size), target)
 
 
 class TestInit:
@@ -158,13 +152,7 @@ class TestLoss:
     def test_degenerate_target_counted_and_floored(self):
         a = TokenDistribution.sparse([0, 1], [0.5, 0.4], vocab_size=4)
         b = TokenDistribution.sparse([0, 2], [0.6, 0.3], vocab_size=4)
-        pair = align_supports(a, b)
-        ex = CombExample(
-            top10_l=padded_top_probs(b),
-            top10_s=padded_top_probs(a),
-            aligned=pair,
-            target_id=2,
-        )
+        ex = CombExample(a, b, 2)
         # zero out the large side's mass at the target by fusing at w -> 1
         params = CombModelParams(
             w1=np.zeros((20, 512)), b1=np.zeros(512), w2=np.zeros((512, 16)),
@@ -178,12 +166,7 @@ class TestLoss:
         a = TokenDistribution.sparse([0], [0.5], vocab_size=4)
         b = TokenDistribution.sparse([1], [0.5], vocab_size=4)
         with pytest.raises(InvalidInputError):
-            CombExample(
-                top10_l=padded_top_probs(b),
-                top10_s=padded_top_probs(a),
-                aligned=align_supports(a, b),
-                target_id=3,
-            )
+            CombExample(a, b, 3)
 
 
 class TestGradient:
@@ -311,4 +294,5 @@ class TestHarvest:
         )
         expected_positions = len(world0_tokenizer.tokenize(record.reference)) + 1
         assert stats.examples + stats.skipped_missing_target == expected_positions
-        assert all(ex.target_index() is not None for ex in examples)
+        reference = set(world0_tokenizer.tokenize(record.reference))
+        assert {ex.target_id for ex in examples} <= reference | {world0_tokenizer.vocab.eos_id}

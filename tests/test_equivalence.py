@@ -33,7 +33,7 @@ from cogen.errors import (
     InvalidInputError,
     PrivacyContractError,
 )
-from cogen.fusion import AlignedPair, FusionStrategy, fuse
+from cogen.fusion import AlignedPair, FusionStrategy, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
 from cogen.tokenizer import Tokenizer
 
@@ -423,6 +423,12 @@ def aligned_targets(draw):
     return pair, draw(st.integers(0, support.size - 1))
 
 
+def _view(pair, probs):
+    """A sparse view of every support id, descending with ties toward the lower id."""
+    order = np.argsort(-probs, kind="stable")
+    return TokenDistribution.sparse(pair.support[order], probs[order], pair.vocab_size)
+
+
 NO_MASS = (AlignedPair(np.arange(3, dtype=np.int64), np.zeros(3), np.zeros(3), 3), 1)
 
 
@@ -430,9 +436,13 @@ NO_MASS = (AlignedPair(np.arange(3, dtype=np.int64), np.zeros(3), np.zeros(3), 3
 @given(target=aligned_targets(), w=BLEND_WEIGHTS)
 @example(target=NO_MASS, w=0.5)
 def test_fused_target_prob_matches_fuse(target, w):
+    """The loss's blend entry of an example built from views that cover
+    the pair's support is ``fuse``'s probability at the target."""
     pair, y = target
-    got = outcome(combmodel._fused_target_prob, pair, y, w)
-    want = outcome(ref_fused_target_prob, pair, int(pair.support[y]), w)
+    target_id = int(pair.support[y])
+    ex = combmodel.CombExample(_view(pair, pair.p_s), _view(pair, pair.p_l), target_id)
+    got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
+    want = outcome(ref_fused_target_prob, pair, target_id, w)
     assert got[1] == want[1]
     if want[1] is None:
         assert same_bits(np.float64(got[0]), np.float64(want[0]))
@@ -479,11 +489,12 @@ def test_check_top10_matches(vec):
 
 
 @st.composite
-def top_k_views(draw):
+def top_k_views(draw, vocab_size=None):
     """A sparse view as the fused step sees one: a dense distribution's
     top-k cut, or a sparse distribution passed through, either of which
     may be shorter or longer than the weight net's 10 inputs."""
-    vocab_size = draw(st.integers(2, 30))
+    if vocab_size is None:
+        vocab_size = draw(st.integers(2, 30))
     if draw(st.booleans()):
         return draw(sparse_distributions(vocab_size))
     probs = draw(prob_vectors(min_size=vocab_size, max_size=vocab_size))
@@ -493,6 +504,36 @@ def top_k_views(draw):
 @pytest.fixture(scope="module")
 def weight_nets():
     return [combmodel.comb_init(seed) for seed in (0, 1, 2**64 - 1)]
+
+
+@st.composite
+def view_pairs(draw):
+    """Two sparse views over one vocabulary and a target id in their union."""
+    vocab_size = draw(st.integers(2, 30))
+    ps_k, pl_k = draw(top_k_views(vocab_size)), draw(top_k_views(vocab_size))
+    union = sorted(set(ps_k.sparse_ids.tolist()) | set(pl_k.sparse_ids.tolist()))
+    return ps_k, pl_k, draw(st.sampled_from(union))
+
+
+@settings(max_examples=300, deadline=None)
+@given(views=view_pairs(), w=BLEND_WEIGHTS, which=st.integers(0, 2))
+def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
+    """A training example reads what a fused step reads, bit for bit: the
+    weight net's input, the blend at the target and the padded views."""
+    ps_k, pl_k, target = views
+    params = weight_nets[which]
+    ex = combmodel.CombExample(ps_k, pl_k, target)
+    got, _ = combmodel._forward(params.arrays(), ex.x)
+    assert same_bits(np.float64(got), np.float64(combmodel.view_weight(params, pl_k, ps_k)))
+    got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
+    want = outcome(lambda: fuse_views(ps_k, pl_k, FusionStrategy.fixed(w))[0].prob_of(target))
+    assert got[1] == want[1]
+    if want[1] is None:
+        assert type(got[0]) is float
+        assert same_bits(np.float64(got[0]), np.float64(want[0]))
+    assert ex.top10_l == combmodel.padded_top_probs(pl_k)
+    assert ex.top10_s == combmodel.padded_top_probs(ps_k)
+    assert repr(ex.top10_l) == repr(combmodel.padded_top_probs(pl_k))
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,6 +23,7 @@ from cogen.fusion import FusionStrategy
 from cogen.service import (
     MAX_NEW_TOKENS_CAP,
     PROTOCOL_VERSION,
+    TOP_K_CAP,
     RemoteBackend,
     ServeConfig,
     ServiceClient,
@@ -663,6 +664,26 @@ def test_top_k_is_capped_at_64_entries(world0_backends, world0):
         reply = client.next_logits("anything", (), 1000, world0.vocab.size)
         client.close()
     assert reply.sparse_ids.size == 64
+
+
+def test_remote_at_the_top_k_cap_matches_in_process(world0_backends, world0):
+    """A reply longer than the fused step's cut is cut to the same top-k
+    view as the in-process distribution, so remote decode emits the
+    in-process tokens."""
+    llm, slms = world0_backends
+    mode = DecodeMode.fusion(FusionStrategy.mean())
+    with serve(llm, ("127.0.0.1", 0)) as handle:
+        client = ServiceClient(handle.address, session_id="equiv-top-k-cap")
+        remote_llm = RemoteBackend(client, world0.vocab, top_k=TOP_K_CAP)
+        for seed in range(3):
+            for record in world0.test_records[:10]:
+                sampling = SamplingConfig(seed=seed, max_new_tokens=40)
+                slm = slms[record.user_id]
+                local = decode(session_for_record(record, mode, sampling, slm, llm))
+                remote = decode(session_for_record(record, mode, sampling, slm, remote_llm))
+                assert local.token_ids == remote.token_ids
+                assert local.trace.steps == remote.trace.steps
+        client.close()
 
 
 def test_generate_over_the_token_cap_is_refused(world0_backends, world0):
