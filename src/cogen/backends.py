@@ -233,10 +233,6 @@ class TableBackend(Backend):
         rules[tuple(path)] = {vocab.tokens[vocab.eos_id]: 1.0}
         return rules
 
-    @classmethod
-    def from_path(cls, vocab, role, path_tokens):
-        return cls(vocab, role, rules=cls.path_rules(vocab, path_tokens))
-
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         rules = self._rules
         for needle, ruleset in self._keyed:
@@ -389,20 +385,3 @@ class NGramCursor:
 
     def distribution(self) -> TokenDistribution:
         return self._backend._memoized(self._history)
-
-
-def perplexity(backend, token_ids, instruction: str = "", context=None) -> float:
-    """exp of the mean negative log probability of each token given its
-    true prefix; a zero-probability token yields infinity, not a crash."""
-    token_ids = [int(t) for t in token_ids]
-    if not token_ids:
-        raise InvalidInputError("cannot score an empty sequence")
-    cursor = open_cursor(backend, instruction, context)
-    nll = 0.0
-    for target in token_ids:
-        p = cursor.distribution().prob_of(target)
-        if p <= 0.0:
-            return math.inf
-        nll -= math.log(p)
-        cursor.push(target)
-    return math.exp(nll / len(token_ids))

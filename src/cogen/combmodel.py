@@ -10,6 +10,13 @@ weight — both source distributions are treated as constants.
 A training example is built from what one fused step consumes, its two
 sparse top-k views, and the loss is an entry of the step's own blend.
 
+``comb_train`` allocates its parameter and gradient buffers once per
+call and updates them in place. It performs the same floating-point
+operations in the same order as summing into fresh zeroed arrays and
+applying ``w -= lr * (g / n)``, so the trained parameters are the same
+bits; ``comb_train``'s docstring gives the one difference, which moves
+no weight.
+
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
 """
@@ -88,8 +95,8 @@ class CombTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0):
-            raise InvalidConfigError("learning_rate must be > 0")
+        if not (0 < self.learning_rate < math.inf):
+            raise InvalidConfigError("learning_rate must be finite and > 0")
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
@@ -188,10 +195,11 @@ def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDis
 class CombExample:
     """One supervised fused step, built from both sparse top-k views and
     the gold token. Training reads what is derived here, once: the net's
-    input ``x``, and the views aligned as ``fusion.fuse_views`` aligns
-    them (``a`` small, ``b`` large) with the gold token's slot ``y``."""
+    input ``x``, the views aligned as ``fusion.fuse_views`` aligns them
+    (``a`` small, ``b`` large) with the gold token's slot ``y``, and each
+    aligned list's mass (``np.sum``'s bits)."""
 
-    __slots__ = ("target_id", "x", "a", "b", "y")
+    __slots__ = ("target_id", "x", "a", "b", "y", "mass_a", "mass_b")
 
     def __init__(self, ps_k: TokenDistribution, pl_k: TokenDistribution, target_id: int) -> None:
         ids, self.a, self.b = _align(ps_k, pl_k)
@@ -200,6 +208,7 @@ class CombExample:
             raise InvalidInputError("target_id is outside both views")
         self.target_id, self.y = target_id, y
         self.x = _view_input(pl_k, ps_k)
+        self.mass_a, self.mass_b = _pairwise_sum(self.a), _pairwise_sum(self.b)
 
     @property
     def top10_l(self) -> tuple[float, ...]:  # padded_top_probs(pl_k)
@@ -248,12 +257,24 @@ class CombGradients:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
 
-def _backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, ...]:
+def _views(flat: np.ndarray) -> list[np.ndarray]:
+    """``flat`` cut into one view per parameter tensor, shaped and
+    ordered as ``_LAYOUT`` says."""
+    views, start = [], 0
+    for _, shape in _LAYOUT:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _backward(arrs, example: CombExample, w: float, cache, out) -> None:
+    """Write the example's gradient into ``out``, arrays shaped as the
+    parameters."""
     w1, b1, w2, b2, w3, b3 = arrs
     x, z1, h1, z2, h2 = cache
-    a, b, y = example.a, example.b, example.y
-    a_y, b_y = a[y], b[y]
-    mass_a, mass_b = _pairwise_sum(a), _pairwise_sum(b)
+    a_y, b_y = example.a[example.y], example.b[example.y]
+    mass_a, mass_b = example.mass_a, example.mass_b
     u = w * a_y + (1.0 - w) * b_y
     s = w * mass_a + (1.0 - w) * mass_b
     if u <= 0.0 or u / s < _PROB_FLOOR:
@@ -262,17 +283,13 @@ def _backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, 
         dl_dw = -(a_y - b_y) / u + (mass_a - mass_b) / s
 
     g = dl_dw * w * (1.0 - w)  # through the sigmoid
-    dw3 = h2[:, None] * g
-    db3 = np.array([g])
-    dh2 = w3[:, 0] * g
-    dz2 = dh2 * (z2 > 0)
-    dw2 = np.outer(h1, dz2)
-    db2 = dz2
-    dh1 = w2 @ dz2
-    dz1 = dh1 * (z1 > 0)
-    dw1 = np.outer(x, dz1)
-    db1 = dz1
-    return dw1, db1, dw2, db2, dw3, db3
+    dw1, db1, dw2, db2, dw3, db3 = out
+    dz2 = np.multiply(w3[:, 0] * g, z2 > 0, out=db2)
+    dz1 = np.multiply(w2 @ dz2, z1 > 0, out=db1)
+    np.multiply(x[:, None], dz1, out=dw1)
+    np.multiply(h1[:, None], dz2, out=dw2)
+    np.multiply(h2[:, None], g, out=dw3)
+    db3[0] = g
 
 
 def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
@@ -287,7 +304,9 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     """
     arrs = params.arrays()
     w, cache = _forward(arrs, example.x)
-    return CombGradients(*_backward(arrs, example, w, cache))
+    out = tuple(np.empty(shape) for _, shape in _LAYOUT)
+    _backward(arrs, example, w, cache, out)
+    return CombGradients(*out)
 
 
 @dataclass(frozen=True)
@@ -319,15 +338,32 @@ def comb_train(
 
     After each epoch the mean validation loss is evaluated; the best
     parameters seen are kept and training stops once ``patience`` epochs
-    pass without improvement (or at ``max_epochs``).
+    pass without improvement (or at ``max_epochs``). Raises
+    ``InvalidConfigError`` when no epoch gives a finite validation loss,
+    which a learning rate that diverges causes.
+
+    The parameters, a batch's gradient sum and one scratch gradient each
+    live in a flat buffer allocated once per call and viewed in the
+    parameter shapes. A batch's first example writes its gradient into
+    the sum; each later one writes its own into the scratch, which is
+    added in. The sum is then divided by the batch size, scaled by the
+    learning rate and subtracted from the parameters, all in place.
+    Every floating-point operation is the one, in the order, that
+    ``w -= lr * (g / n)`` over a sum started from zeros performs, so the
+    trained bits are the same. The one difference is the sign of an
+    exactly-zero gradient entry, which moves no weight: subtracting
+    either zero leaves a nonzero weight as it is, and leaves a zero
+    weight +0.0.
     """
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
-    current = [np.array(a) for a in comb_init(config.seed).arrays()]
+    theta = np.concatenate([a.ravel() for a in comb_init(config.seed).arrays()])
+    grad, scratch = np.empty_like(theta), np.empty_like(theta)
+    current, grads, scratches = _views(theta), _views(grad), _views(scratch)
     rng = Splitmix64(config.seed)
     stats = LossStats()
     report = TrainReport()
-    best = [a.copy() for a in current]
+    best = theta.copy()
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(len(train)))
@@ -335,15 +371,18 @@ def comb_train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[start : start + config.batch_size]]
-            grads = [np.zeros_like(a) for a in current]
-            for ex in batch:
+            for j, ex in enumerate(batch):
                 # One forward pass feeds both the reported loss and the gradient.
                 w, cache = _forward(current, ex.x)
                 batch_losses.append(_loss_at(ex, w, stats))
-                for acc, g in zip(grads, _backward(current, ex, w, cache)):
-                    acc += g
-            for arr, g in zip(current, grads):
-                arr -= config.learning_rate * (g / len(batch))
+                if j == 0:
+                    _backward(current, ex, w, cache, grads)
+                else:
+                    _backward(current, ex, w, cache, scratches)
+                    grad += scratch
+            grad /= len(batch)
+            grad *= config.learning_rate
+            theta -= grad
         val_loss = _mean_loss(current, val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
@@ -351,15 +390,20 @@ def comb_train(
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best = [a.copy() for a in current]
+            best = theta.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 report.stopped_early = True
                 break
+    if report.best_epoch == 0:
+        raise InvalidConfigError(
+            "training diverged: no epoch gave a finite validation loss "
+            f"(learning_rate {config.learning_rate!r})"
+        )
     report.degenerate_examples = stats.degenerate
-    return CombModelParams(*best, seed=config.seed), report
+    return CombModelParams(*_views(best), seed=config.seed), report
 
 
 def comb_save(params: CombModelParams, path) -> None:
@@ -384,13 +428,8 @@ def comb_load(path) -> CombModelParams:
         raise ModelIOError(f"shape mismatch: container declares {tuple(dims)}, expected {_DIMS}")
     if len(blob) != _BODY_OFFSET + 8 * sum(math.prod(shape) for _, shape in _LAYOUT):
         raise ModelIOError("container truncated or padded")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET)
-    arrays, cursor = {}, 0
-    for name, shape in _LAYOUT:
-        count = math.prod(shape)
-        arrays[name] = np.array(flat[cursor : cursor + count], dtype=np.float64).reshape(shape)
-        cursor += count
-    return CombModelParams(**arrays, seed=seed)
+    flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET).astype(np.float64)
+    return CombModelParams(*_views(flat), seed=seed)
 
 
 @dataclass

@@ -238,19 +238,6 @@ class TokenDistribution:
         return out
 
 
-def softmax(logits) -> TokenDistribution:
-    """Dense softmax with max-subtraction for overflow safety."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise InvalidInputError("logits must be a non-empty vector")
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInputError("logits must be finite")
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    probs = exps / exps.sum()
-    return TokenDistribution(vocab_size=probs.size, dense_probs=_readonly(probs))
-
-
 def _descending_order(probs: np.ndarray) -> np.ndarray:
     """Indices sorted by descending probability, ties by ascending id."""
     return np.argsort(-probs, kind="stable")

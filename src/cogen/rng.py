@@ -46,11 +46,9 @@ class Splitmix64:
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.next_float()
-
     def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
-        """The next ``n`` ``uniform(low, high)`` draws as one float64 array.
+        """The next ``n`` draws of ``low + (high - low) * next_float()`` as
+        one float64 array.
 
         The stream is counter-based (the i-th state is seed + i*gamma), so
         the whole block is computed at once in wrapping uint64 arithmetic

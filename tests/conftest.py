@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from cogen.backends import Role, TableBackend
+from cogen.backends import Role
 from cogen.core import SamplingConfig, Vocab
 from cogen.corpus import CorpusRecord
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
+from helpers import path_backend
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +20,8 @@ def abc_vocab() -> Vocab:
 @pytest.fixture()
 def path_backends(abc_vocab):
     """Deterministic table automata: small follows A B C, large follows A B D."""
-    slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-    llm = TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"])
+    slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+    llm = path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"])
     return slm, llm
 
 

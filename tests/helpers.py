@@ -2,12 +2,68 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from cogen.combmodel import CombExample
+from cogen.backends import TableBackend, open_cursor
+from cogen.combmodel import (
+    _PROB_FLOOR,
+    CombExample,
+    CombModelParams,
+    EpochStats,
+    LossStats,
+    TrainReport,
+    _forward,
+    _loss_at,
+    _mean_loss,
+    comb_init,
+)
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from cogen.errors import InvalidInputError
+from cogen.fusion import _pairwise_sum
 from cogen.rng import Splitmix64
+
+
+def softmax(logits) -> TokenDistribution:
+    """Dense softmax with max-subtraction for overflow safety."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1 or logits.size == 0:
+        raise InvalidInputError("logits must be a non-empty vector")
+    if not np.all(np.isfinite(logits)):
+        raise InvalidInputError("logits must be finite")
+    shifted = logits - logits.max()
+    exps = np.exp(shifted)
+    probs = exps / exps.sum()
+    probs.flags.writeable = False
+    return TokenDistribution(vocab_size=probs.size, dense_probs=probs)
+
+
+def path_backend(vocab, role, path_tokens) -> TableBackend:
+    """A table backend that spells out a fixed path, then EOS."""
+    return TableBackend(vocab, role, rules=TableBackend.path_rules(vocab, path_tokens))
+
+
+def scalar_uniform(rng: Splitmix64, low: float, high: float) -> float:
+    """One draw of ``Splitmix64.uniforms``, the scalar reference."""
+    return low + (high - low) * rng.next_float()
+
+
+def perplexity(backend, token_ids, instruction: str = "", context=None) -> float:
+    """exp of the mean negative log probability of each token given its
+    true prefix; a zero-probability token yields infinity, not a crash."""
+    token_ids = [int(t) for t in token_ids]
+    if not token_ids:
+        raise InvalidInputError("cannot score an empty sequence")
+    cursor = open_cursor(backend, instruction, context)
+    nll = 0.0
+    for target in token_ids:
+        p = cursor.distribution().prob_of(target)
+        if p <= 0.0:
+            return math.inf
+        nll -= math.log(p)
+        cursor.push(target)
+    return math.exp(nll / len(token_ids))
 
 
 def one_sided_examples(seed: int, count: int, vocab: int = 12, mirrored: bool = False):
@@ -55,8 +111,6 @@ def random_comb_example(rng: np.random.Generator, vocab: int = 30, k: int = 6) -
 
 def perturbed_params(params, rng: np.random.Generator, scale: float = 0.05):
     """Fresh parameters jittered around ``params`` for gradient checking."""
-    from cogen.combmodel import CombModelParams
-
     arrays = [np.array(a) + rng.normal(0, scale, a.shape) for a in params.arrays()]
     return CombModelParams(
         w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3], w3=arrays[4], b3=arrays[5],
@@ -95,3 +149,77 @@ def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float
     )
     dense = TokenDistribution(vocab_size=size, dense_probs=fused.to_dense_array() / fused.mass)
     return fused, dense
+
+
+def reference_backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, ...]:
+    """The weight net's gradient in fresh arrays, each example's masses
+    summed anew: the reference ``combmodel._backward`` must match."""
+    w1, b1, w2, b2, w3, b3 = arrs
+    x, z1, h1, z2, h2 = cache
+    a, b, y = example.a, example.b, example.y
+    a_y, b_y = a[y], b[y]
+    mass_a, mass_b = _pairwise_sum(a), _pairwise_sum(b)
+    u = w * a_y + (1.0 - w) * b_y
+    s = w * mass_a + (1.0 - w) * mass_b
+    if u <= 0.0 or u / s < _PROB_FLOOR:
+        dl_dw = 0.0  # clamped region of the loss is flat
+    else:
+        dl_dw = -(a_y - b_y) / u + (mass_a - mass_b) / s
+
+    g = dl_dw * w * (1.0 - w)  # through the sigmoid
+    dw3 = h2[:, None] * g
+    db3 = np.array([g])
+    dh2 = w3[:, 0] * g
+    dz2 = dh2 * (z2 > 0)
+    dw2 = np.outer(h1, dz2)
+    db2 = dz2
+    dh1 = w2 @ dz2
+    dz1 = dh1 * (z1 > 0)
+    dw1 = np.outer(x, dz1)
+    db1 = dz1
+    return dw1, db1, dw2, db2, dw3, db3
+
+
+def reference_comb_train(train, val, config):
+    """``comb_train`` as plain SGD over freshly allocated arrays: each
+    batch sums its gradients into zeroed arrays and updates with
+    ``w -= lr * (g / n)``. The in-place trainer must match its bits."""
+    if not train or not val:
+        raise InvalidInputError("train and val splits must both be non-empty")
+    current = [np.array(a) for a in comb_init(config.seed).arrays()]
+    rng = Splitmix64(config.seed)
+    stats = LossStats()
+    report = TrainReport()
+    best = [a.copy() for a in current]
+    bad_epochs = 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = list(range(len(train)))
+        rng.shuffle(order)
+        batch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = [train[i] for i in order[start : start + config.batch_size]]
+            grads = [np.zeros_like(a) for a in current]
+            for ex in batch:
+                # One forward pass feeds both the reported loss and the gradient.
+                w, cache = _forward(current, ex.x)
+                batch_losses.append(_loss_at(ex, w, stats))
+                for acc, g in zip(grads, reference_backward(current, ex, w, cache)):
+                    acc += g
+            for arr, g in zip(current, grads):
+                arr -= config.learning_rate * (g / len(batch))
+        val_loss = _mean_loss(current, val)
+        report.epochs.append(
+            EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
+        )
+        if val_loss < report.best_val_loss:
+            report.best_val_loss = val_loss
+            report.best_epoch = epoch
+            best = [a.copy() for a in current]
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= config.patience:
+                report.stopped_early = True
+                break
+    report.degenerate_examples = stats.degenerate
+    return CombModelParams(*best, seed=config.seed), report

@@ -45,7 +45,7 @@ from cogen.service import RemoteBackend, ServeConfig, ServiceClient, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
-from helpers import one_sided_examples, perturbed_params, random_comb_example
+from helpers import one_sided_examples, path_backend, perturbed_params, random_comb_example
 from test_report import make_trace, oracle_bleu, oracle_lcs, random_tokens
 
 
@@ -353,7 +353,7 @@ def test_criterion_7_privacy_audit():
 
         texts = ["1. alpha\\n2. beta", "opening about alpha closing"]
         vocab = build_vocab(texts)
-        sk_llm = TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["1.", "alpha\\n2.", "beta"])
+        sk_llm = path_backend(vocab, Role.LARGE_CLOUD, ["1.", "alpha\\n2.", "beta"])
         sk_slm = TableBackend(
             vocab, Role.SMALL_DEVICE,
             keyed=[("alpha", TableBackend.path_rules(vocab, ["opening", "about", "alpha", "closing"]))],

@@ -17,10 +17,6 @@ PACKAGE = ROOT / "src" / "cogen"
 CALLERS = (PACKAGE, ROOT / "perfbench")
 
 TEST_ONLY = {
-    "softmax": "builds the dense distributions the tests feed in",
-    "TableBackend.from_path": "builds the scripted backends the tests decode with",
-    "perplexity": "the reference scorer that fused scoring is checked against",
-    "Splitmix64.uniform": "the scalar reference for Splitmix64.uniforms",
     "build_judge_prompt": "its renders are pinned by the acceptance goldens",
     "parse_rating": "its parsing is pinned by the acceptance goldens",
 }

@@ -15,11 +15,11 @@ from cogen.backends import (
     Role,
     TableBackend,
     open_cursor,
-    perplexity,
     train_ngram,
 )
 from cogen.errors import InvalidConfigError, InvalidInputError, PrivacyContractError
 from cogen.tokenizer import build_vocab
+from helpers import path_backend, perplexity
 
 
 class TestConditioningInput:
@@ -52,7 +52,7 @@ class TestTableBackend:
         assert dist.dense_probs[abc_vocab.id_of("B")] == 1.0
 
     def test_path_automaton_ends_in_eos(self, abc_vocab):
-        backend = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B"])
+        backend = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B"])
         d0 = backend.next_distribution(ConditioningInput("x", ()))
         d2 = backend.next_distribution(ConditioningInput("x", (0, 1)))
         assert d0.top1()[0] == abc_vocab.id_of("A")
@@ -71,13 +71,13 @@ class TestTableBackend:
         assert keyed.top1()[0] == abc_vocab.id_of("D")
 
     def test_large_cloud_table_rejects_context(self, abc_vocab):
-        backend = TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A"])
+        backend = path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"])
         request = ConditioningInput("x", (), ContextBundle(profile="p" * 20), Role.SMALL_DEVICE)
         with pytest.raises(PrivacyContractError):
             backend.next_distribution(request)
 
     def test_invalid_prefix_id(self, abc_vocab):
-        backend = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        backend = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         with pytest.raises(InvalidInputError):
             backend.next_distribution(ConditioningInput("x", (99,)))
 
@@ -279,7 +279,7 @@ class TestCursors:
 
 class TestPerplexity:
     def test_certain_path_scores_one(self, abc_vocab):
-        backend = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        backend = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
         ids = [abc_vocab.id_of(t) for t in ("A", "B", "C")]
         assert perplexity(backend, ids) == pytest.approx(1.0)
 
@@ -303,7 +303,7 @@ class TestPerplexity:
         assert perplexity(backend, [a, b]) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_probability_reports_infinity(self, abc_vocab):
-        backend = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        backend = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         ids = [abc_vocab.id_of("D")]
         assert perplexity(backend, ids) == math.inf
 

@@ -382,8 +382,10 @@ class TestEvalCommands:
 
 
 class TestTrainComb:
-    def test_trains_and_saves_loadable_params(self, workdir, capsys, tmp_path):
-        # synthetic world corpus written as files, trained through the CLI
+    @pytest.fixture()
+    def train_comb_argv(self, workdir):
+        """A train-comb command over a synthetic world's corpus written as
+        files, with n-gram backends trained on it."""
         from cogen.corpus import save_corpus
         from cogen.synthetic import build_world
 
@@ -418,17 +420,29 @@ class TestTrainComb:
             "sampling": {"seed": 0},
         }
         (workdir / "ngram_config.json").write_text(json.dumps(config), encoding="utf-8")
-        out_path = workdir / "weights.cgcm"
-        code, out, err = run(
-            capsys, "train-comb", "--config", workdir / "ngram_config.json",
-            "--train", train_path, "--val", val_path, "--out", out_path,
+        return [
+            "train-comb", "--config", workdir / "ngram_config.json",
+            "--train", train_path, "--val", val_path, "--out", workdir / "weights.cgcm",
             "--seed", "3", "--max-epochs", "3",
-        )
+        ]
+
+    def test_trains_and_saves_loadable_params(self, train_comb_argv, workdir, capsys):
+        code, out, err = run(capsys, *train_comb_argv)
         assert code == 0, err
         from cogen.combmodel import comb_load
 
-        params = comb_load(out_path)
+        params = comb_load(workdir / "weights.cgcm")
         assert params.w1.shape == (20, 512)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("learning_rate", ["inf", "1e300"])
+    def test_diverging_learning_rate_exits_2_and_saves_nothing(
+        self, train_comb_argv, workdir, capsys, learning_rate
+    ):
+        code, _, err = run(capsys, *train_comb_argv, "--learning-rate", learning_rate)
+        assert code == 2
+        assert "learning_rate" in err
+        assert not (workdir / "weights.cgcm").exists()
 
 
 class TestConfig:

@@ -20,9 +20,9 @@ from cogen.combmodel import (
     harvest_examples,
 )
 from cogen.core import TokenDistribution, top_k_project
-from cogen.errors import InvalidInputError, ModelIOError
+from cogen.errors import InvalidConfigError, InvalidInputError, ModelIOError
 from cogen.rng import Splitmix64
-from helpers import one_sided_examples, perturbed_params, random_comb_example
+from helpers import one_sided_examples, perturbed_params, random_comb_example, scalar_uniform
 
 # frozen during bring-up from the seed-0 reference forward pass
 GOLDEN_SEED0_W_AT_TENTHS = 0.4945647860260131
@@ -56,7 +56,7 @@ class TestInit:
             params = comb_init(seed)
             for arr in (params.w1, params.w2, params.w3):
                 limit = math.sqrt(6.0 / sum(arr.shape))
-                want = [rng.uniform(-limit, limit) for _ in range(arr.size)]
+                want = [scalar_uniform(rng, -limit, limit) for _ in range(arr.size)]
                 assert arr.ravel().tolist() == want
 
     def test_fan_balanced_bounds(self):
@@ -243,6 +243,18 @@ class TestTraining:
     def test_rejects_empty_splits(self):
         with pytest.raises(InvalidInputError):
             comb_train([], one_sided_examples(1, 5), CombTrainConfig())
+
+    @pytest.mark.parametrize("learning_rate", [math.inf, -math.inf, math.nan, 0.0])
+    def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(self, learning_rate):
+        with pytest.raises(InvalidConfigError, match="learning_rate"):
+            CombTrainConfig(learning_rate=learning_rate)
+
+    def test_diverging_learning_rate_raises_instead_of_returning_the_init(self):
+        # Every validation loss is NaN, so no epoch is ever the best one.
+        config = CombTrainConfig(learning_rate=1e300, max_epochs=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidConfigError, match="diverged"):
+                comb_train(one_sided_examples(1, 8), one_sided_examples(2, 3), config)
 
 
 class TestSaveLoad:

@@ -14,7 +14,6 @@ from cogen.core import (
     Vocab,
     argmax_token,
     sample_top_p,
-    softmax,
     top_k_project,
 )
 from cogen.errors import (
@@ -23,6 +22,7 @@ from cogen.errors import (
     InvalidInputError,
 )
 from cogen.rng import Splitmix64
+from helpers import softmax
 
 finite_logits = st.lists(
     st.floats(min_value=-60, max_value=60, allow_nan=False, allow_infinity=False),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogen.audit import AuditLog
-from cogen.backends import Role, TableBackend, perplexity
+from cogen.backends import Role, TableBackend
 from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig, Vocab
 from cogen.decoder import (
@@ -32,6 +32,7 @@ from cogen.errors import (
 )
 from cogen.fusion import FusionStrategy
 from cogen.tokenizer import Tokenizer
+from helpers import path_backend, perplexity
 
 
 class FlakyBackend:
@@ -133,8 +134,8 @@ class TestFusedEndpoints:
         from cogen.core import Vocab
 
         other = Vocab(tokens=("A", "B", "C", "E", "</s>", "<unk>"), eos_id=4, unk_id=5)
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
-        llm = TableBackend.from_path(other, Role.LARGE_CLOUD, ["A"])
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        llm = path_backend(other, Role.LARGE_CLOUD, ["A"])
         with pytest.raises(IncompatibleVocabError):
             make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
 
@@ -224,7 +225,7 @@ class TestFirstK:
 
     def test_prefix_follows_large_then_small_continuation(self, abc_vocab, simple_record):
         # large path A B D; small keyed to continue any prefix with C
-        llm = TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"])
+        llm = path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"])
         slm = TableBackend(
             abc_vocab,
             Role.SMALL_DEVICE,
@@ -288,8 +289,8 @@ class TestSingleBackendModes:
         assert worse == len(world0.test_records)
 
     def test_llm_with_context_uses_waiver(self, abc_vocab, simple_record):
-        llm = CountingBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A"]))
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        llm = CountingBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"]))
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         sampling = SamplingConfig(greedy=True, max_new_tokens=4)
         session = session_for_record(
             simple_record, DecodeMode.llm_with_context(), sampling, slm, llm
@@ -303,8 +304,8 @@ class TestSingleBackendModes:
         # The draft is parsed from its text alone, so a double that only
         # answers next_distribution drafts a usable sketch.
         vocab = Vocab(tokens=("1.", "A", "B", "</s>", "<unk>"), eos_id=3, unk_id=4)
-        slm = TableBackend.from_path(vocab, Role.SMALL_DEVICE, ["A", "B"])
-        llm = CountingBackend(TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["1.", "A"]))
+        slm = path_backend(vocab, Role.SMALL_DEVICE, ["A", "B"])
+        llm = CountingBackend(path_backend(vocab, Role.LARGE_CLOUD, ["1.", "A"]))
         assert not hasattr(llm, "kind")
         result = decode(make_session(simple_record, DecodeMode.sketch(), slm, llm))
         assert result.sketch.points == ("A",)
@@ -313,16 +314,16 @@ class TestSingleBackendModes:
 
 class TestTransportPolicy:
     def test_abort_raises_session_error_with_partial_trace(self, abc_vocab, simple_record):
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.fixed(1.0)), slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error="abort")
         assert len(err.value.partial_trace.steps) == 2
 
     def test_degrade_finishes_on_small_model(self, abc_vocab, simple_record):
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.fixed(1.0)), slm, llm)
         result = decode(session, on_transport_error="degrade")
         assert [abc_vocab.token(t) for t in result.token_ids] == ["A", "B", "C"]
@@ -334,8 +335,8 @@ class TestTransportPolicy:
     def test_llm_only_aborts_under_either_policy(self, abc_vocab, simple_record, policy, mode):
         # No small model to fall back to: the failure is a session error
         # carrying the two tokens emitted before it.
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, mode, slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)
@@ -345,8 +346,8 @@ class TestTransportPolicy:
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
     def test_remote_generate_failure_is_a_session_error(self, abc_vocab, simple_record, policy):
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
-        llm = FlakyRemoteBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A"]), 0)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        llm = FlakyRemoteBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"]), 0)
         session = make_session(simple_record, DecodeMode.llm_no_context(), slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)
@@ -359,8 +360,8 @@ class TestTransportPolicy:
         self, abc_vocab, simple_record, policy, conditioning
     ):
         # The large model drops mid-draft; the fill never starts.
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-        llm = FlakyBackend(TableBackend.from_path(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 1)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 1)
         session = make_session(simple_record, DecodeMode.sketch(conditioning), slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)

@@ -8,6 +8,7 @@ from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.core import SPARSE_MASS_TOL, TokenDistribution, Vocab
 from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
 from cogen.external import ExternalBackend, external_next_logits
+from helpers import path_backend
 
 VOCAB = Vocab(tokens=("yes", "no", "maybe", "</s>", "<unk>"), eos_id=3, unk_id=4)
 
@@ -116,13 +117,12 @@ class TestExternalBackend:
 
     def test_timeout_mid_decode_follows_decoder_policy(self):
         # external transport failure engages the decoder's degrade policy
-        from cogen.backends import TableBackend
         from cogen.core import SamplingConfig
         from cogen.corpus import CorpusRecord
         from cogen.decoder import DecodeMode, decode, session_for_record
         from cogen.fusion import FusionStrategy
 
-        slm = TableBackend.from_path(VOCAB, Role.SMALL_DEVICE, ["yes", "no"])
+        slm = path_backend(VOCAB, Role.SMALL_DEVICE, ["yes", "no"])
         llm = ExternalBackend(TimeoutClient(), VOCAB)
         record = CorpusRecord(
             user_id="u", dataset_kind="email", task="pick one", reference="yes no",
@@ -138,13 +138,12 @@ class TestExternalBackend:
     def test_context_upload_baseline_never_reaches_the_service(self):
         # decode waives the gate for the in-process baseline, but the
         # adapter refuses context regardless, before any upload
-        from cogen.backends import TableBackend
         from cogen.core import SamplingConfig
         from cogen.corpus import CorpusRecord
         from cogen.decoder import DecodeMode, decode, session_for_record
 
         client = StubClient({"yes": -0.1})
-        slm = TableBackend.from_path(VOCAB, Role.SMALL_DEVICE, ["yes"])
+        slm = path_backend(VOCAB, Role.SMALL_DEVICE, ["yes"])
         record = CorpusRecord(
             user_id="u", dataset_kind="email", task="pick one", reference="yes",
             profile="private profile text", history=("an earlier private email",),
@@ -158,12 +157,11 @@ class TestExternalBackend:
         assert client.prompts == []
 
     def test_reply_with_no_mass_cannot_be_sampled(self):
-        from cogen.backends import TableBackend
         from cogen.core import SamplingConfig
         from cogen.corpus import CorpusRecord
         from cogen.decoder import DecodeMode, decode, session_for_record
 
-        slm = TableBackend.from_path(VOCAB, Role.SMALL_DEVICE, ["yes"])
+        slm = path_backend(VOCAB, Role.SMALL_DEVICE, ["yes"])
         llm = ExternalBackend(StubClient({"zzz_not_in_vocab": -0.1}), VOCAB)
         record = CorpusRecord(
             user_id="u", dataset_kind="email", task="pick one", reference="yes",

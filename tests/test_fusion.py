@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen.core import DENSE_SUM_TOL, TokenDistribution, softmax, top_k_project
+from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
 from cogen.errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
 from cogen.fusion import AlignedPair, FusionStrategy, align_supports, fuse
+from helpers import softmax
 
 
 def dense_pair(p_s, p_l):

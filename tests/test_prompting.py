@@ -34,6 +34,7 @@ from cogen.prompting import (
 )
 from cogen.tokenizer import build_vocab
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
+from helpers import path_backend
 
 GOLDENS = Path(__file__).parent / "goldens"
 RECORDS = {"context_aware": CONTEXT_RECORD, "email": EMAIL_RECORD, "paper": PAPER_RECORD}
@@ -264,8 +265,8 @@ def _sketch_world():
         "opening about gamma closing",
     ]
     vocab = build_vocab(texts)
-    llm_a = TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["1.", "alpha\\n2.", "beta"])
-    llm_b = TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["1.", "gamma\\n2.", "delta"])
+    llm_a = path_backend(vocab, Role.LARGE_CLOUD, ["1.", "alpha\\n2.", "beta"])
+    llm_b = path_backend(vocab, Role.LARGE_CLOUD, ["1.", "gamma\\n2.", "delta"])
     slm = TableBackend(
         vocab,
         Role.SMALL_DEVICE,
@@ -311,7 +312,7 @@ class TestSketchThenFill:
 
     def test_unparseable_sketch_retries_then_raises(self):
         vocab, *_ , slm = _sketch_world()
-        broken_llm = TableBackend.from_path(vocab, Role.LARGE_CLOUD, ["opening", "closing"])
+        broken_llm = path_backend(vocab, Role.LARGE_CLOUD, ["opening", "closing"])
         sampling = SamplingConfig(greedy=True, max_new_tokens=8)
         with pytest.raises(SketchParseError):
             run_sketch_then_fill(broken_llm, slm, CONTEXT_RECORD, sampling)

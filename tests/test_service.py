@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogen.audit import privacy_audit
-from cogen.backends import ConditioningInput, ContextBundle, Role, TableBackend
+from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.core import SamplingConfig, top_k_project
 from cogen.decoder import DecodeMode, decode, session_for_record
 from cogen.errors import (
@@ -37,6 +37,7 @@ from cogen.service import (
     validate_request,
 )
 from cogen.synthetic import build_world, large_backend, small_backends
+from helpers import path_backend
 
 GOLDEN_HELLO_REQUEST = (
     "0000004f"
@@ -410,7 +411,7 @@ class TestServiceRoundTrip:
             client.hello("0" * 16)
 
     def test_service_requires_large_cloud_role(self, abc_vocab):
-        small = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        small = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         with pytest.raises(InvalidConfigError):
             serve(small, ("127.0.0.1", 0))
 
@@ -645,7 +646,7 @@ class TestRemoteBackendPrivacy:
         self, abc_vocab, simple_record, greedy_sampling
     ):
         client = self.StubClient()
-        slm = TableBackend.from_path(abc_vocab, Role.SMALL_DEVICE, ["A"])
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         session = session_for_record(
             simple_record, DecodeMode.llm_with_context(), greedy_sampling,
             slm, RemoteBackend(client, abc_vocab),
