@@ -42,7 +42,7 @@ from .errors import (
     InvalidInputError,
     PrivacyContractError,
 )
-from .tokenizer import Tokenizer, build_vocab, split_text
+from .tokenizer import Tokenizer, build_vocab
 
 
 class Role(str, Enum):
@@ -73,11 +73,8 @@ class ContextBundle:
         for i, item in enumerate(self.activities):
             yield f"activities[{i}]", item
 
-    def is_empty(self) -> bool:
-        return not (self.profile or self.history or self.activities)
-
     def __bool__(self) -> bool:
-        return not self.is_empty()
+        return bool(self.profile or self.history or self.activities)
 
     def as_text(self) -> str:
         parts = [self.profile] + list(self.history) + list(self.activities)
@@ -253,7 +250,6 @@ class NGramModel:
     n: int
     alpha: float
     vocab: Vocab
-    policy: str
     counts: dict = field(repr=False)  # (n-1)-gram id tuple -> {token_id: count}
     totals: dict = field(repr=False)  # (n-1)-gram id tuple -> total count
 
@@ -270,43 +266,32 @@ class NGramModel:
         return vec / (self.totals.get(h, 0) + self.alpha * self.vocab.size)
 
 
-def train_ngram(
-    corpus_texts,
-    n: int,
-    alpha: float,
-    vocab_policy: str = "whitespace",
-    vocab: Vocab | None = None,
-    append_eos: bool = True,
-) -> NGramModel:
+def train_ngram(corpus_texts, n: int, alpha: float, vocab: Vocab | None = None) -> NGramModel:
     """Count sliding-window n-grams over each text independently.
 
-    With ``append_eos`` each text contributes a terminal EOS transition so
-    generation can stop; the window never crosses text boundaries.
+    Each text contributes a terminal EOS transition so generation can
+    stop; the window never crosses text boundaries.
     """
     corpus_texts = list(corpus_texts)
-    if not corpus_texts or all(not split_text(t, vocab_policy) for t in corpus_texts):
+    if not corpus_texts or all(not t.split() for t in corpus_texts):
         raise InvalidInputError("training corpus is empty")
     if n < 1:
         raise InvalidConfigError("n must be >= 1")
-    if not (alpha > 0):
-        raise InvalidConfigError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise InvalidConfigError("alpha must be finite and > 0")
     if vocab is None:
-        vocab = build_vocab(corpus_texts, vocab_policy)
-    tok = Tokenizer(vocab, vocab_policy)
+        vocab = build_vocab(corpus_texts)
+    tok = Tokenizer(vocab)
     counts: dict = defaultdict(dict)
     totals: dict = defaultdict(int)
     for text in corpus_texts:
-        ids = tok.tokenize(text)
-        if append_eos:
-            ids = ids + [vocab.eos_id]
+        ids = tok.tokenize(text) + [vocab.eos_id]
         for i in range(len(ids) - n + 1):
             window = ids[i : i + n]
             h, nxt = tuple(window[:-1]), window[-1]
             counts[h][nxt] = counts[h].get(nxt, 0) + 1
             totals[h] += 1
-    return NGramModel(
-        n=n, alpha=alpha, vocab=vocab, policy=vocab_policy, counts=dict(counts), totals=dict(totals)
-    )
+    return NGramModel(n=n, alpha=alpha, vocab=vocab, counts=dict(counts), totals=dict(totals))
 
 
 class NGramBackend(Backend):
@@ -339,9 +324,9 @@ class NGramBackend(Backend):
     def _stream_tail(self, instruction: str, context, k: int) -> list[int]:
         """Ids of the last ``k`` (at least 1) tokens of the instruction
         followed by the context; only those pieces are looked up."""
-        pieces = split_text(instruction, self.model.policy)
+        pieces = instruction.split()
         if context:
-            pieces += split_text(context.as_text(), self.model.policy)
+            pieces += context.as_text().split()
         return [self.vocab.id_of(piece) for piece in pieces[-k:]]
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .backends import BackendKind
-from .combmodel import TOP_K, CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
+from .combmodel import CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
 from .corpus import (
     corpus_stats,
@@ -38,7 +38,7 @@ from .errors import (
     SessionError,
     TransportError,
 )
-from .fusion import FusionStrategy
+from .fusion import TOP_K, FusionStrategy
 from .report import (
     aggregate_scores,
     parse_pair_rows,
@@ -288,9 +288,7 @@ def _cmd_generate(args) -> int:
             print(verdict.render(), file=sys.stderr)
             return EXIT_DATA
     speaker = llm if mode.kind in ("llm_only_with_context", "llm_only_no_context") else slm
-    policy = getattr(getattr(speaker, "model", None), "policy", "whitespace")
-    tokenizer = Tokenizer(speaker.vocab, policy)
-    print(result.text(tokenizer))
+    print(result.text(Tokenizer(speaker.vocab)))
     if args.trace_out:
         write_trace(result.trace, args.trace_out)
     return EXIT_OK
@@ -301,7 +299,7 @@ def _cmd_train_comb(args) -> int:
     seed = _require_seed(args)
     slm = build_backend(config.backend(args.slm))
     llm = build_backend(config.backend(args.llm))
-    tokenizer = Tokenizer(slm.vocab, "whitespace")
+    tokenizer = Tokenizer(slm.vocab)
     train_records = load_corpus(args.train)
     val_records = load_corpus(args.val)
     train_examples, train_stats = harvest_examples(slm, llm, train_records, tokenizer)

@@ -33,11 +33,9 @@ import numpy as np
 from .backends import open_cursor
 from .core import TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import _align, _pairwise_sum, blend, top_k_views
+from .fusion import TOP_K, _align, _pairwise_sum, blend, top_k_views
 from .rng import Splitmix64
 
-# Size of each source's truncated view: the fused step's cut and the net's input.
-TOP_K = 10
 IN_DIM = 2 * TOP_K  # both sources' top-k probabilities
 HIDDEN1 = 512
 HIDDEN2 = 16
@@ -234,14 +232,14 @@ def _loss_at(example: CombExample, w: float, stats: "LossStats | None") -> float
     return -math.log(p)
 
 
-def comb_loss(params: CombModelParams, example: CombExample, stats: LossStats | None = None) -> float:
+def comb_loss(params: CombModelParams, example: CombExample) -> float:
     """Negative log-likelihood of the fused distribution at the gold token.
 
-    A fused probability of zero is floored at 1e-12 (and counted) rather
-    than crashing the run.
+    A fused probability of zero is floored at 1e-12 rather than crashing
+    the run (``comb_train`` counts such examples).
     """
     w, _ = _forward(params.arrays(), example.x)
-    return _loss_at(example, w, stats)
+    return _loss_at(example, w, None)
 
 
 @dataclass(frozen=True)
@@ -473,7 +471,7 @@ def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], H
     stats = HarvestStats()
     for record in records:
         for target, p_s, p_l in teacher_forced_steps(slm, llm, record, tokenizer):
-            ps_k, pl_k = top_k_views(p_s, p_l, TOP_K)
+            ps_k, pl_k = top_k_views(p_s, p_l)
             try:
                 examples.append(CombExample(ps_k, pl_k, int(target)))
             except InvalidInputError:  # the gold token is in neither view

@@ -15,12 +15,19 @@ from pathlib import Path
 from .backends import BackendKind, NGramBackend, Role, TableBackend, train_ngram
 from .core import SamplingConfig, Vocab, check_sampling_types
 from .errors import InvalidConfigError
+from .tokenizer import EOS_TOKEN, UNK_TOKEN
 
 LISTEN_ENV = "COGEN_LISTEN"
 
 _TOP_KEYS = {"backends", "templates_dir", "sampling", "service_address", "audit", "external"}
 _BACKEND_KEYS = {"kind", "role", "params"}
 _EXTERNAL_KEYS = {"endpoint", "top_k"}
+# The keys of each params file, and of the vocab in it, with their types.
+_PARAMS_KEYS = {
+    BackendKind.TABLE: {"vocab": dict, "rules": list, "paths": list, "keyed": list, "default": dict},
+    BackendKind.NGRAM: {"n": int, "alpha": float, "corpus": list, "vocab": dict},
+}
+_VOCAB_KEYS = {"tokens": list, "eos": str, "unk": str}
 
 
 @dataclass(frozen=True)
@@ -56,25 +63,32 @@ def _reject_unknown(obj: dict, allowed: set, what: str) -> None:
 
 def _typed(obj: dict, key: str, want: type, where: str = "", default=None):
     """``obj[key]``, or ``default`` when it is absent. The value must have
-    exactly type ``want``, so JSON true/false pass for no integer."""
+    exactly type ``want`` (a float may also be an int), so JSON true/false
+    pass for no number."""
     if key not in obj:
         return default
     value = obj[key]
-    if type(value) is not want:
+    if type(value) not in ((int, float) if want is float else (want,)):
         raise InvalidConfigError(f"{where}{key} must be {want.__name__}, not {type(value).__name__}")
     return value
 
 
-def load_config(path) -> AppConfig:
-    path = Path(path)
+def _read_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``, else an ``InvalidConfigError`` naming it."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise InvalidConfigError(f"config file {path} does not exist") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise InvalidConfigError(f"{what} {path} does not exist") from exc
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise InvalidConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise InvalidConfigError("config root must be a JSON object")
+        raise InvalidConfigError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def load_config(path) -> AppConfig:
+    path = Path(path)
+    obj = _read_object(path, "config file")
     _reject_unknown(obj, _TOP_KEYS, "config")
     base = path.parent
 
@@ -124,27 +138,43 @@ def load_config(path) -> AppConfig:
     )
 
 
-def _vocab_from_obj(obj: dict) -> Vocab:
-    tokens = tuple(obj["tokens"])
-    eos = obj.get("eos", "</s>")
-    unk = obj.get("unk", "<unk>")
-    return Vocab(tokens=tokens, eos_id=tokens.index(eos), unk_id=tokens.index(unk))
+def _checked(obj: dict, schema: dict, what: str) -> dict:
+    """``obj``, once it holds only ``schema``'s keys, each of its type."""
+    _reject_unknown(obj, set(schema), what)
+    for key, want in schema.items():
+        _typed(obj, key, want, f"{what}: ")
+    return obj
+
+
+def _vocab_from_obj(obj: dict, what: str) -> Vocab:
+    _checked(obj, _VOCAB_KEYS, f"{what}: vocab")
+    tokens, eos, unk = obj.get("tokens", []), obj.get("eos", EOS_TOKEN), obj.get("unk", UNK_TOKEN)
+    if not all(type(t) is str for t in tokens) or eos not in tokens or unk not in tokens:
+        raise InvalidConfigError(f"{what}: vocab tokens must be strings that include {eos!r} and {unk!r}")
+    return Vocab(tokens=tuple(tokens), eos_id=tokens.index(eos), unk_id=tokens.index(unk))
 
 
 def build_backend(spec: BackendSpec):
-    """Instantiate a live backend from its config entry.
-
-    Table params: {"vocab": {...}, "rules": [{"prefix": [...], "next": {...}}],
-    "paths": [[...]], "keyed": [{"needle": ..., "path"|"rules": ...}],
-    "default": {...}}. N-gram params: {"n", "alpha", "policy", "corpus"}
-    (trained deterministically at load).
-    """
-    if spec.kind == BackendKind.TABLE:
-        obj = json.loads(spec.params_path.read_text(encoding="utf-8"))
-        vocab = _vocab_from_obj(obj["vocab"])
-        rules = {}
-        for rule in obj.get("rules", []):
-            rules[tuple(rule["prefix"])] = rule["next"]
+    """Instantiate a table or n-gram backend from its params file, read
+    as strictly as the config. Table params: {"vocab": {"tokens", "eos",
+    "unk"}, "rules": [{"prefix", "next"}], "paths", "keyed": [{"needle",
+    "path"|"rules"}], "default"}. N-gram params: {"n", "alpha", "corpus",
+    "vocab"}, trained on "corpus" at load over "vocab" or its own."""
+    schema = _PARAMS_KEYS.get(spec.kind)
+    if schema is None:
+        raise InvalidConfigError(f"{spec.kind.value} backends are built per session, not from params")
+    what = f"params file {spec.params_path}"
+    obj = _checked(_read_object(spec.params_path, "params file"), schema, what)
+    if spec.kind == BackendKind.NGRAM:
+        corpus = obj.get("corpus")
+        if corpus is None or not all(type(t) is str for t in corpus):
+            raise InvalidConfigError(f"{what}: corpus must be a list of strings")
+        vocab = _vocab_from_obj(obj["vocab"], what) if "vocab" in obj else None
+        model = train_ngram(corpus, obj.get("n", 2), float(obj.get("alpha", 1.0)), vocab)
+        return NGramBackend(model, spec.role)
+    vocab = _vocab_from_obj(obj.get("vocab", {}), what)
+    try:
+        rules = {tuple(r["prefix"]): r["next"] for r in obj.get("rules", [])}
         for path_tokens in obj.get("paths", []):
             rules.update(TableBackend.path_rules(vocab, path_tokens))
         keyed = []
@@ -155,19 +185,5 @@ def build_backend(spec: BackendSpec):
                 ruleset = {tuple(r["prefix"]): r["next"] for r in entry["rules"]}
             keyed.append((entry["needle"], ruleset))
         return TableBackend(vocab, spec.role, rules=rules, keyed=keyed, default=obj.get("default"))
-    if spec.kind == BackendKind.NGRAM:
-        obj = json.loads(spec.params_path.read_text(encoding="utf-8"))
-        vocab = _vocab_from_obj(obj["vocab"]) if "vocab" in obj else None
-        model = train_ngram(
-            obj["corpus"],
-            n=int(obj.get("n", 2)),
-            alpha=float(obj.get("alpha", 1.0)),
-            vocab_policy=obj.get("policy", "whitespace"),
-            vocab=vocab,
-        )
-        return NGramBackend(model, spec.role)
-    if spec.kind == BackendKind.REMOTE:
-        raise InvalidConfigError(
-            "remote backends are built per-session from the service address"
-        )
-    raise InvalidConfigError(f"cannot build backend kind {spec.kind}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InvalidConfigError(f"{what}: malformed table entry: {exc!r}") from exc

@@ -37,7 +37,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
-from .combmodel import TOP_K, teacher_forced_steps, view_weight
+from .combmodel import teacher_forced_steps, view_weight
 from .core import SamplingConfig, TokenDistribution
 from .corpus import json_object_lines
 from .errors import (
@@ -200,7 +200,7 @@ def blend_step(
     two top-k views. Returns the fused distribution, the weight
     used, and the small and large top-k views.
     """
-    ps_k, pl_k = top_k_views(p_s, p_l, TOP_K)
+    ps_k, pl_k = top_k_views(p_s, p_l)
     w_override = None
     if strategy.kind == "learnable":
         w_override = view_weight(strategy.model, pl_k, ps_k)
@@ -248,19 +248,22 @@ def decode_single(
     which runs this same function server-side, so local and remote
     placements emit identical sequences for identical seeds. A traced
     token carries weight 1.0 from a small_device backend and 0.0 from a
-    large_cloud one.
+    large_cloud one. ``audit_log`` records what a large_cloud backend is
+    sent: each step in process, the one generate request when remote.
     """
     instruction, context = prompt_parts
     small = backend.role == Role.SMALL_DEVICE
     w = 1.0 if small else 0.0
+    audited = audit_log is not None and not small and not context_upload_waiver
     if hasattr(backend, "generate_remote"):
         check_context_blind(backend.role, context)
+        if audited:
+            audit_log.record_input(ConditioningInput(instruction, initial_prefix, None, backend.role))
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
             for i, tid in enumerate(token_ids, start=1):
                 trace.steps.append(TraceStep(i, tid, backend.vocab.token(tid), w, 0.0, 0.0))
         return token_ids
-    audited = audit_log is not None and not small and not context_upload_waiver
     cursor = open_cursor(backend, instruction, context, waiver=context_upload_waiver)
     for token_id in initial_prefix:
         cursor.push(token_id)
@@ -331,7 +334,7 @@ def run_sketch_then_fill(
 
     Returns (response token ids, SketchArtifact or draft text).
     """
-    tokenizer = Tokenizer(slm_backend.vocab, "whitespace")
+    tokenizer = Tokenizer(slm_backend.vocab)
     kind = record.dataset_kind
 
     def draft(prompt: str, draft_sampling: SamplingConfig) -> str:

@@ -24,7 +24,7 @@ vectorized ones, and the ``top_p = 1`` edge that
 
 ``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
 and a ``TokenDistribution``. Neither fused steps nor training examples
-use them: they serve the benchmark's per-layer tracer and the tests.
+use them: they serve the benchmark's per-layer tracer and test oracles.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ from .errors import (
     InvalidInputError,
 )
 from .rng import Splitmix64
+
+# Size of each source's top-k view: the fused step's cut and the weight net's input.
+TOP_K = 10
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,20 @@ def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPai
 
 
 def top_k_views(
-    p_s: TokenDistribution, p_l: TokenDistribution, k: int
+    p_s: TokenDistribution, p_l: TokenDistribution
 ) -> tuple[TokenDistribution, TokenDistribution]:
-    """Both sources' top-k views: a dense input's k highest entries, and
-    a sparse input's first k, its top k, since sparse entries descend
-    with ties toward the lower id (a short one passes through as is)."""
-    return _top_k_view(p_s, k), _top_k_view(p_l, k)
+    """Both sources' top-k views: a dense input's ``TOP_K`` highest entries,
+    and a sparse input's first ``TOP_K``, its top ones, since sparse entries
+    descend with ties toward the lower id (a short one passes as is)."""
+    return _top_k_view(p_s), _top_k_view(p_l)
 
 
-def _top_k_view(dist: TokenDistribution, k: int) -> TokenDistribution:
+def _top_k_view(dist: TokenDistribution) -> TokenDistribution:
     if dist.is_dense:
-        return top_k_project(dist, k)
-    if dist.sparse_probs.size <= k:
+        return top_k_project(dist, TOP_K)
+    if dist.sparse_probs.size <= TOP_K:
         return dist
-    ids, probs = dist.sparse_ids[:k], dist.sparse_probs[:k]
+    ids, probs = dist.sparse_ids[:TOP_K], dist.sparse_probs[:TOP_K]
     return TokenDistribution(dist.vocab_size, sparse_ids=ids, sparse_probs=probs)
 
 

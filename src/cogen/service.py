@@ -125,9 +125,9 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
     missing = required - set(obj)
     if missing:
         raise ProtocolError(f"{kind} request missing fields: {sorted(missing)}")
-    if obj["version"] != PROTOCOL_VERSION:
+    if type(obj["version"]) is not int or obj["version"] != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"protocol version mismatch: peer speaks {obj['version']}, this side {PROTOCOL_VERSION}"
+            f"protocol version mismatch: peer speaks {obj['version']!r}, this side {PROTOCOL_VERSION}"
         )
     if kind in ("logits", "generate"):
         if not isinstance(obj["instruction"], str):

@@ -143,14 +143,14 @@ def build_world(seed: int, n_users: int = 10, history_len: int = 6) -> Synthetic
                 test_records.append(record)
         slm_corpora[user.user_id] = slm_corpus
 
-    vocab = build_vocab(all_texts, "whitespace")
+    vocab = build_vocab(all_texts)
     return SyntheticWorld(
         train_records=train_records,
         test_records=test_records,
         llm_corpus=llm_corpus,
         slm_corpora=slm_corpora,
         vocab=vocab,
-        tokenizer=Tokenizer(vocab, "whitespace"),
+        tokenizer=Tokenizer(vocab),
     )
 
 

@@ -1,9 +1,11 @@
-"""Whitespace and character tokenization over a shared vocabulary.
+"""Whitespace tokenization over a shared vocabulary.
 
-Desk-scale backends split on whitespace by default; character splitting
-is available behind the same interface. Vocabularies built here list the
-corpus tokens in sorted order followed by the end-of-sequence and unknown
-markers, so construction is fully deterministic.
+Fusion blends both models' distributions over one vocabulary, so every
+path that turns model text into ids splits it one way: on whitespace.
+Vocabularies built here list the corpus tokens in sorted order followed
+by the end-of-sequence and unknown markers, so construction is fully
+deterministic. ``split_text``'s ``char`` policy serves only the metrics
+(``eval metrics --policy``), never a model.
 """
 
 from __future__ import annotations
@@ -11,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Vocab
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError
 
 EOS_TOKEN = "</s>"
 UNK_TOKEN = "<unk>"
-
-POLICIES = ("whitespace", "char")
 
 
 def split_text(text: str, policy: str) -> list[str]:
@@ -27,32 +27,24 @@ def split_text(text: str, policy: str) -> list[str]:
     raise InvalidConfigError(f"unknown tokenizer policy {policy!r}")
 
 
-def build_vocab(texts, policy: str = "whitespace") -> Vocab:
+def build_vocab(texts) -> Vocab:
     """Vocabulary over all tokens in ``texts`` plus EOS/UNK markers."""
     seen = set()
     for text in texts:
-        seen.update(split_text(text, policy))
+        seen.update(text.split())
     seen.discard(EOS_TOKEN)
     seen.discard(UNK_TOKEN)
     tokens = tuple(sorted(seen)) + (EOS_TOKEN, UNK_TOKEN)
-    if len(tokens) < 2:
-        raise InvalidInputError("cannot build a vocab from an empty corpus")
     return Vocab(tokens=tokens, eos_id=len(tokens) - 2, unk_id=len(tokens) - 1)
 
 
 @dataclass(frozen=True)
 class Tokenizer:
     vocab: Vocab
-    policy: str = "whitespace"
-
-    def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise InvalidConfigError(f"unknown tokenizer policy {self.policy!r}")
 
     def tokenize(self, text: str) -> list[int]:
         """Token ids for ``text``; out-of-vocabulary pieces map to UNK."""
-        return [self.vocab.id_of(tok) for tok in split_text(text, self.policy)]
+        return [self.vocab.id_of(tok) for tok in text.split()]
 
     def detokenize(self, ids) -> str:
-        joiner = " " if self.policy == "whitespace" else ""
-        return joiner.join(self.vocab.token(i) for i in ids)
+        return " ".join(self.vocab.token(i) for i in ids)

@@ -23,7 +23,7 @@ from cogen.combmodel import (
     comb_loss,
     comb_train,
     harvest_examples,
-    padded_top_probs,
+    view_weight,
 )
 from cogen.core import SamplingConfig, TokenDistribution, top_k_project
 from cogen.corpus import CorpusRecord, filter_lamp, split_train_val
@@ -33,7 +33,7 @@ from cogen.decoder import (
     fused_teacher_forced_ppl,
     session_for_record,
 )
-from cogen.fusion import FusionStrategy, align_supports, fuse
+from cogen.fusion import FusionStrategy, fuse_views, top_k_views
 from cogen.prompting import (
     build_judge_prompt,
     build_request_prompt,
@@ -85,21 +85,19 @@ def test_criterion_1_fusion_correctness():
     started = time.monotonic()
     for _ in range(10_000):
         p_s, p_l = _random_dense_pair(rng)
-        pair = align_supports(p_s, p_l)
+        # Full-length views, so the fused step blends the whole vocabulary.
+        ps_v, pl_v = top_k_project(p_s, p_s.vocab_size), top_k_project(p_l, p_l.vocab_size)
         for strategy in strategies:
             w_override = None
             if strategy.kind == "learnable":
-                w_override = comb_forward(
-                    comb,
-                    padded_top_probs(top_k_project(p_l, 10)),
-                    padded_top_probs(top_k_project(p_s, 10)),
-                )
-            fused, _ = fuse(pair, strategy, w_override=w_override)
-            assert abs(fused.mass - 1.0) < 1e-9
-        one, _ = fuse(pair, FusionStrategy.fixed(1.0))
-        zero, _ = fuse(pair, FusionStrategy.fixed(0.0))
-        assert np.array_equal(one.dense_probs, p_s.dense_probs)
-        assert np.array_equal(zero.dense_probs, p_l.dense_probs)
+                ps_k, pl_k = top_k_views(p_s, p_l)
+                w_override = view_weight(comb, pl_k, ps_k)
+            fused, _ = fuse_views(ps_v, pl_v, strategy, w_override=w_override)
+            assert abs(math.fsum(fused.probs) - 1.0) < 1e-9
+        one, _ = fuse_views(ps_v, pl_v, FusionStrategy.fixed(1.0))
+        zero, _ = fuse_views(ps_v, pl_v, FusionStrategy.fixed(0.0))
+        assert np.array(one.probs).tobytes() == p_s.dense_probs.tobytes()
+        assert np.array(zero.probs).tobytes() == p_l.dense_probs.tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"fusion sweep took {elapsed:.2f}s (budget 5s)"
 

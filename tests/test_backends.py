@@ -35,7 +35,7 @@ class TestConditioningInput:
 
     def test_empty_context_allowed_everywhere(self):
         request = ConditioningInput("do things", (), ContextBundle(), Role.LARGE_CLOUD)
-        assert request.context.is_empty()
+        assert request.context is not None and not request.context
 
     def test_waiver_is_explicit(self):
         ctx = ContextBundle(profile="secret profile text")
@@ -89,7 +89,7 @@ class TestTableBackend:
 
 class TestTrainNGram:
     def test_direct_count(self):
-        model = train_ngram(["x x x"], n=2, alpha=1.0, append_eos=False)
+        model = train_ngram(["x x x"], n=2, alpha=1.0)
         x = model.vocab.id_of("x")
         assert model.counts[(x,)][x] == 2
 
@@ -131,8 +131,9 @@ class TestTrainNGram:
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(InvalidConfigError):
             train_ngram(["a b"], n=0, alpha=1.0)
-        with pytest.raises(InvalidConfigError):
-            train_ngram(["a b"], n=2, alpha=0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfigError):
+                train_ngram(["a b"], n=2, alpha=alpha)
 
 
 class TestNGramBackend:
@@ -171,7 +172,7 @@ class TestNGramConditioning:
             assert got.tobytes() == expected.tobytes()
 
     def test_short_prefix_still_reads_context(self):
-        model = train_ngram(["a b c", "x b d"], n=3, alpha=0.1, append_eos=False)
+        model = train_ngram(["a b c", "x b d"], n=3, alpha=0.1)
         backend = NGramBackend(model, Role.SMALL_DEVICE)
         vocab = model.vocab
         prefix = (vocab.id_of("b"),)  # one id short of the trigram window
@@ -190,7 +191,7 @@ class TestNGramConditioning:
         )
 
     def test_empty_prefix_reads_context(self):
-        model = train_ngram(["alpha beta", "gamma delta"], n=2, alpha=0.1, append_eos=False)
+        model = train_ngram(["alpha beta", "gamma delta"], n=2, alpha=0.1)
         backend = NGramBackend(model, Role.SMALL_DEVICE)
         vocab = model.vocab
         plain = backend.next_distribution(ConditioningInput("alpha", ()))

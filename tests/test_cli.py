@@ -502,6 +502,34 @@ class TestConfig:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("ngram", {"n": 2, "alpha": 0.1}, "corpus must be a list of strings"),
+            ("ngram", {"n": "two", "corpus": ["A B C"]}, "n must be int, not str"),
+            ("ngram", {"corpus": ["A B C"], "policy": "char"}, "unknown keys in params file"),
+            ("ngram", '{"n": 2, "corpus": ["A B', "is not valid JSON"),
+            ("table", {"vocab": {"tokens": ["A", "</s>", "<unk>"]}, "rules": [{"prefix": []}]},
+             "malformed table entry"),
+            ("table", {"vocab": {"tokens": ["A", "</s>"]}}, "vocab tokens must be strings"),
+        ],
+        ids=["no-corpus", "n-string", "policy-key", "truncated", "rule-without-next", "vocab-without-unk"],
+    )
+    def test_bad_params_file_exits_2_naming_it(self, workdir, capsys, kind, params, message):
+        text = params if isinstance(params, str) else json.dumps(params)
+        (workdir / "params.json").write_text(text, encoding="utf-8")
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["backends"]["slm"] = {"kind": kind, "role": "small_device", "params": "params.json"}
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        code, _, err = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "slm", "--seed", "0",
+        )
+        assert code == 2
+        assert message in err and "params.json" in err
+        if "policy" in params:
+            assert "['policy']" in err
+
     def test_listen_env_overrides_address(self, workdir, monkeypatch):
         monkeypatch.setenv("COGEN_LISTEN", "127.0.0.1:9999")
         config = load_config(workdir / "config.json")

@@ -399,7 +399,7 @@ class TestTeacherForcedScoring:
         slm, llm = path_backends
         counting = CountingBackend(llm)
         ppl = fused_teacher_forced_ppl(
-            slm, counting, simple_record, Tokenizer(abc_vocab, "whitespace"),
+            slm, counting, simple_record, Tokenizer(abc_vocab),
             FusionStrategy.mean(), first_k=first_k,
         )
         assert ppl < float("inf")
@@ -413,7 +413,7 @@ class TestTeacherForcedScoring:
         slm, llm = path_backends
         counting = CountingBackend(llm)
         fused_teacher_forced_ppl(
-            slm, counting, simple_record, Tokenizer(abc_vocab, "whitespace"), None, first_k=3
+            slm, counting, simple_record, Tokenizer(abc_vocab), None, first_k=3
         )
         assert counting.requests == []
 

@@ -134,8 +134,7 @@ def ref_dense_from_sparse(dist):
 def ref_backend_check(backend, request):
     if (
         backend.role == Role.LARGE_CLOUD
-        and request.context is not None
-        and not request.context.is_empty()
+        and request.context
         and not request.context_upload_waiver
     ):
         raise PrivacyContractError("large_cloud backend given context")
@@ -153,9 +152,9 @@ def ref_conditional(model, history_ids):
 
 
 def ref_ngram_distribution(backend, request):
-    tok = Tokenizer(backend.model.vocab, backend.model.policy)
+    tok = Tokenizer(backend.model.vocab)
     stream = tok.tokenize(request.instruction)
-    if request.context is not None and not request.context.is_empty():
+    if request.context:
         stream += tok.tokenize(request.context.as_text())
     stream += list(request.prefix_ids)
     return TokenDistribution.dense(ref_conditional(backend.model, stream)).dense_probs

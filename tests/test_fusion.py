@@ -1,18 +1,34 @@
-"""Blending two distributions: alignment, the four strategies, invariants."""
+"""Blending two distributions in the fused step: the union of the two
+views, the four strategies, invariants.
+
+Every test runs ``fuse_views``, the blend decode samples from. A dense
+input enters as its full-length view, ``top_k_project(p, size)``, so the
+union is the whole vocabulary and the blend can be read id by id.
+"""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
+from cogen.core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, top_k_project
 from cogen.errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
-from cogen.fusion import AlignedPair, FusionStrategy, align_supports, fuse
+from cogen.fusion import FusionStrategy, blend, fuse_views
+from cogen.rng import Splitmix64
 from helpers import softmax
 
 
-def dense_pair(p_s, p_l):
-    return align_supports(TokenDistribution.dense(p_s), TokenDistribution.dense(p_l))
+def full_view(dist: TokenDistribution) -> TokenDistribution:
+    """A dense distribution's view over its whole vocabulary; a sparse
+    one as it is."""
+    return top_k_project(dist, dist.vocab_size) if dist.is_dense else dist
+
+
+def fuse_dense(p_s, p_l, strategy, w_override=None):
+    a, b = TokenDistribution.dense(p_s), TokenDistribution.dense(p_l)
+    return fuse_views(full_view(a), full_view(b), strategy, w_override=w_override)
 
 
 random_dense = st.lists(
@@ -24,32 +40,30 @@ class TestAlignSupports:
     def test_dense_passthrough_is_lossless(self):
         a = softmax([1.0, 2.0, 3.0])
         b = softmax([3.0, 2.0, 1.0])
-        pair = align_supports(a, b)
-        assert pair.support.tolist() == [0, 1, 2]
-        assert np.array_equal(pair.p_s, a.dense_probs)
-        assert np.array_equal(pair.p_l, b.dense_probs)
+        for w, chosen in ((1.0, a), (0.0, b)):
+            fused, _ = fuse_views(full_view(a), full_view(b), FusionStrategy.fixed(w))
+            assert fused.ids == [0, 1, 2]
+            assert np.array(fused.probs).tobytes() == chosen.dense_probs.tobytes()
 
     def test_disjoint_sparse_union(self):
         a = TokenDistribution.sparse([0], [0.9], vocab_size=4)
         b = TokenDistribution.sparse([1], [0.8], vocab_size=4)
-        pair = align_supports(a, b)
-        assert pair.support.tolist() == [0, 1]
-        assert pair.p_s.tolist() == [0.9, 0.0]
-        assert pair.p_l.tolist() == [0.0, 0.8]
+        fused, _ = fuse_views(a, b, FusionStrategy.fixed(0.5))
+        assert fused.ids == [0, 1]
+        assert fused.probs == blend([0.9, 0.0], [0.0, 0.8], 0.5)
 
     def test_overlapping_supports_union_once(self):
         a = TokenDistribution.sparse([2, 0], [0.5, 0.3], vocab_size=5)
         b = TokenDistribution.sparse([2, 4], [0.6, 0.2], vocab_size=5)
-        pair = align_supports(a, b)
-        assert pair.support.tolist() == [0, 2, 4]
-        assert pair.p_s.tolist() == [0.3, 0.5, 0.0]
-        assert pair.p_l.tolist() == [0.0, 0.6, 0.2]
+        fused, _ = fuse_views(a, b, FusionStrategy.fixed(0.5))
+        assert fused.ids == [0, 2, 4]
+        assert fused.probs == blend([0.3, 0.5, 0.0], [0.0, 0.6, 0.2], 0.5)
 
     def test_vocab_mismatch_rejected(self):
-        a = TokenDistribution.dense([0.5, 0.5])
-        b = TokenDistribution.dense([0.4, 0.3, 0.3])
+        a = full_view(TokenDistribution.dense([0.5, 0.5]))
+        b = full_view(TokenDistribution.dense([0.4, 0.3, 0.3]))
         with pytest.raises(IncompatibleVocabError):
-            align_supports(a, b)
+            fuse_views(a, b, FusionStrategy.mean())
 
 
 class TestFusionStrategy:
@@ -68,57 +82,53 @@ class TestFuse:
     def test_endpoint_one_is_small_model_bitwise(self):
         a = softmax([0.3, 1.7, -2.0, 0.4])
         b = softmax([1.0, -1.0, 0.5, 0.2])
-        fused, w = fuse(align_supports(a, b), FusionStrategy.fixed(1.0))
+        fused, w = fuse_views(full_view(a), full_view(b), FusionStrategy.fixed(1.0))
         assert w == 1.0
-        assert np.array_equal(fused.dense_probs, a.dense_probs)
+        assert np.array(fused.probs).tobytes() == a.dense_probs.tobytes()
 
     def test_endpoint_zero_is_large_model_bitwise(self):
         a = softmax([0.3, 1.7, -2.0, 0.4])
         b = softmax([1.0, -1.0, 0.5, 0.2])
-        fused, w = fuse(align_supports(a, b), FusionStrategy.fixed(0.0))
+        fused, w = fuse_views(full_view(a), full_view(b), FusionStrategy.fixed(0.0))
         assert w == 0.0
-        assert np.array_equal(fused.dense_probs, b.dense_probs)
+        assert np.array(fused.probs).tobytes() == b.dense_probs.tobytes()
 
     def test_forced_arithmetic_at_half(self):
-        fused, w = fuse(dense_pair([0.6, 0.4], [0.2, 0.8]), FusionStrategy.fixed(0.5))
+        fused, w = fuse_dense([0.6, 0.4], [0.2, 0.8], FusionStrategy.fixed(0.5))
         assert w == 0.5
-        assert fused.dense_probs.tolist() == pytest.approx([0.4, 0.6], abs=1e-15)
+        assert fused.probs == pytest.approx([0.4, 0.6], abs=1e-15)
 
     def test_max_rule_forced_arithmetic(self):
-        fused, _ = fuse(dense_pair([0.6, 0.4], [0.2, 0.8]), FusionStrategy.max_pool())
-        assert fused.dense_probs.tolist() == pytest.approx([3 / 7, 4 / 7], abs=1e-12)
+        fused, _ = fuse_dense([0.6, 0.4], [0.2, 0.8], FusionStrategy.max_pool())
+        assert fused.probs == pytest.approx([3 / 7, 4 / 7], abs=1e-12)
 
     def test_mean_equals_fixed_half_exactly(self):
-        pair = dense_pair([0.1, 0.7, 0.2], [0.5, 0.25, 0.25])
-        a, _ = fuse(pair, FusionStrategy.mean())
-        b, _ = fuse(pair, FusionStrategy.fixed(0.5))
-        assert np.array_equal(a.dense_probs, b.dense_probs)
+        pair = ([0.1, 0.7, 0.2], [0.5, 0.25, 0.25])
+        a, _ = fuse_dense(*pair, FusionStrategy.mean())
+        b, _ = fuse_dense(*pair, FusionStrategy.fixed(0.5))
+        assert a.probs == b.probs
 
     def test_sparse_fusion_renormalizes_over_union(self):
         a = TokenDistribution.sparse([0], [0.6], vocab_size=4)
         b = TokenDistribution.sparse([1], [0.2], vocab_size=4)
-        fused, _ = fuse(align_supports(a, b), FusionStrategy.fixed(0.5))
-        assert fused.mass == pytest.approx(1.0, abs=1e-12)
+        fused, _ = fuse_views(a, b, FusionStrategy.fixed(0.5))
+        assert math.fsum(fused.probs) == pytest.approx(1.0, abs=1e-12)
         assert fused.prob_of(0) == pytest.approx(0.75)
         assert fused.prob_of(1) == pytest.approx(0.25)
 
     def test_learnable_requires_override(self):
-        pair = dense_pair([0.5, 0.5], [0.5, 0.5])
         strategy = FusionStrategy.learnable(model=object())
         with pytest.raises(InvalidInputError):
-            fuse(pair, strategy)
-        fused, w = fuse(pair, strategy, w_override=0.25)
+            fuse_dense([0.5, 0.5], [0.5, 0.5], strategy)
+        fused, w = fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=0.25)
         assert w == 0.25
 
     def test_empty_support_rejected(self):
-        pair = AlignedPair(
-            support=np.array([], dtype=np.int64),
-            p_s=np.array([]),
-            p_l=np.array([]),
-            vocab_size=4,
-        )
-        with pytest.raises(InvalidInputError):
-            fuse(pair, FusionStrategy.mean())
+        # A union that holds no mass leaves nothing to sample.
+        a = TokenDistribution.sparse([0], [0.0], vocab_size=4)
+        b = TokenDistribution.sparse([1], [0.0], vocab_size=4)
+        with pytest.raises(InvalidInputError, match="no mass"):
+            fuse_views(a, b, FusionStrategy.mean())
 
     @given(random_dense, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
@@ -126,12 +136,11 @@ class TestFuse:
         rng = np.random.default_rng(0)
         other = rng.random(len(probs))
         other /= other.sum()
-        pair = dense_pair(probs, other.tolist())
-        fused, _ = fuse(pair, FusionStrategy.fixed(w))
-        assert abs(fused.mass - 1.0) < 1e-9
-        lo = np.minimum(pair.p_s, pair.p_l) - 1e-12
-        hi = np.maximum(pair.p_s, pair.p_l) + 1e-12
-        assert np.all(fused.dense_probs >= lo) and np.all(fused.dense_probs <= hi)
+        fused, _ = fuse_dense(probs, other.tolist(), FusionStrategy.fixed(w))
+        assert abs(math.fsum(fused.probs) - 1.0) < 1e-9
+        got = np.array(fused.probs)
+        assert np.all(got >= np.minimum(probs, other) - 1e-12)
+        assert np.all(got <= np.maximum(probs, other) + 1e-12)
 
     @given(random_dense)
     @settings(max_examples=200, deadline=None)
@@ -139,12 +148,11 @@ class TestFuse:
         rng = np.random.default_rng(1)
         other = rng.random(len(probs))
         other /= other.sum()
-        pair = dense_pair(probs, other.tolist())
-        pre = np.maximum(pair.p_s, pair.p_l).sum()
-        assert pre >= max(pair.p_s.sum(), pair.p_l.sum()) - 1e-12
-        fused, w = fuse(pair, FusionStrategy.max_pool())
+        pre = np.maximum(probs, other).sum()
+        assert pre >= max(np.sum(probs), other.sum()) - 1e-12
+        fused, w = fuse_dense(probs, other.tolist(), FusionStrategy.max_pool())
         assert w == 0.5
-        assert abs(fused.mass - 1.0) < 1e-9
+        assert abs(math.fsum(fused.probs) - 1.0) < 1e-9
 
 
 # Repeated weights make ties; zeros put unmentioned ids inside a top-k cut.
@@ -187,29 +195,27 @@ STRATEGIES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_fuse_normalizes_and_orders_any_pair(pair, strategy, w):
     """Over random sparse and dense pairs and every strategy, the fused
-    mass is 1, entries are non-negative, and a sparse result lists its
-    union support by descending probability, ties toward the lower id."""
-    aligned = align_supports(*pair)
-    fused, _ = fuse(aligned, strategy, w_override=w)
-    assert abs(fused.mass - 1.0) <= DENSE_SUM_TOL
-    if fused.is_dense:
-        assert fused.vocab_size == aligned.vocab_size == aligned.support.size
-        assert (fused.dense_probs >= 0).all()
-        return
-    assert (fused.sparse_probs >= 0).all()
-    assert sorted(fused.sparse_ids.tolist()) == aligned.support.tolist()
-    keys = [(-p, i) for p, i in zip(fused.sparse_probs.tolist(), fused.sparse_ids.tolist())]
-    assert keys == sorted(keys)
+    mass is 1, entries are non-negative, the ids are the ascending union
+    of both views', and the greedy pick is the most probable id, ties
+    toward the lower one."""
+    ps_k, pl_k = map(full_view, pair)
+    fused, _ = fuse_views(ps_k, pl_k, strategy, w_override=w)
+    assert abs(math.fsum(fused.probs) - 1.0) <= DENSE_SUM_TOL
+    assert all(p >= 0 for p in fused.probs)
+    union = set(ps_k.sparse_ids.tolist()) | set(pl_k.sparse_ids.tolist())
+    assert fused.ids == sorted(union) and len(fused.probs) == len(union)
+    top = max(fused.probs)
+    want = min(i for i, p in zip(fused.ids, fused.probs) if p == top)
+    assert fused.pick(SamplingConfig(greedy=True), Splitmix64(0)) == want
 
 
 @given(fusion_pairs(forms=st.just("dense")))
 @settings(max_examples=200, deadline=None)
 def test_fuse_endpoints_return_a_dense_input_bitwise(pair):
     p_s, p_l = pair
-    aligned = align_supports(p_s, p_l)
     learnable = FusionStrategy.learnable(model=object())
     for w, chosen in ((1.0, p_s), (0.0, p_l)):
         for strategy in (FusionStrategy.fixed(w), learnable):
-            fused, used = fuse(aligned, strategy, w_override=w)
+            fused, used = fuse_views(full_view(p_s), full_view(p_l), strategy, w_override=w)
             assert used == w
-            assert fused.dense_probs.tobytes() == chosen.dense_probs.tobytes()
+            assert np.array(fused.probs).tobytes() == chosen.dense_probs.tobytes()

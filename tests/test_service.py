@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogen.audit import privacy_audit
+from dataclasses import replace
+
+from cogen.audit import AuditLog, privacy_audit
 from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.core import SamplingConfig, top_k_project
 from cogen.decoder import DecodeMode, decode, session_for_record
@@ -206,6 +208,13 @@ class TestRequestValidation:
     def test_version_mismatch_rejected(self):
         req = self.base_logits()
         req["version"] = 2
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request(req, VOCAB_SIZE)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_version_must_be_an_integer(self, version):
+        req = self.base_logits()
+        req["version"] = version
         with pytest.raises(ProtocolError, match="version"):
             validate_request(req, VOCAB_SIZE)
 
@@ -849,6 +858,33 @@ class TestServerSidePrivacyAudit:
         hit = verdict.hits[0]
         assert hit.field == "profile"
         assert hit.offset >= 0
+        client.close()
+
+    @pytest.mark.parametrize(
+        "mode", [DecodeMode.llm_no_context(), DecodeMode.sketch("full_content")],
+        ids=["llm-noctx", "sketch-full-content"],
+    )
+    def test_remote_generate_is_audited(self, served_world, mode):
+        """The one generate request of a remote single-backend decode is
+        audited; a leak planted in its instruction FAILs the audit, as it
+        does in process, and both placements emit the same tokens."""
+        world, llm, slms, handle = served_world
+        record = world.test_records[0]
+        leaky = replace(record, general_task=f"{record.general_task} {record.profile}")
+        client = ServiceClient(handle.address, session_id="audit-generate")
+        remote_llm = RemoteBackend(client, world.vocab, top_k=10)
+        sampling = SamplingConfig(seed=4, max_new_tokens=20)
+        for rec, honest in ((record, True), (leaky, False)):
+            results = []
+            for backend in (remote_llm, llm):
+                log = AuditLog()
+                session = session_for_record(rec, mode, sampling, slms[rec.user_id], backend)
+                tokens = decode(session, audit_log=log).token_ids
+                assert privacy_audit(log, rec.context_bundle()).passed is honest
+                results.append((tokens, len(log)))
+            (remote_tokens, remote_payloads), (local_tokens, local_payloads) = results
+            assert remote_tokens == local_tokens
+            assert remote_payloads == 1 and local_payloads >= 1
         client.close()
 
     def test_first_k_payload_prefix_lengths_bounded(self, served_world):
