@@ -2,14 +2,17 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
-The only mutable pieces are a distribution's three cache slots: its last
-sampling nucleus, its last top-k view and its top-1 entry. Each holds a
-pure function of the immutable fields, stored as one immutable tuple in
-one assignment, so threads that race on a slot can only compute the same
-value twice. The nucleus slot serves the single-backend modes, whose
-dense distributions a backend memoizes and sampling reads again; a
-fused step samples its own union of top-k entries in ``fusion`` and
-fills no nucleus slot.
+The only mutable pieces are a distribution's four caches: its last
+sampling nucleus, its last top-k view, its top-1 entry and, on a large
+model's top-k view, the fused steps it took part in. Each holds pure
+functions of immutable inputs, stored as immutable tuples in one
+assignment each, so threads that race on a cache can only compute the
+same value twice. The nucleus slot serves the single-backend modes, whose
+dense distributions a backend memoizes and sampling reads again. A fused
+step samples its own union of top-k entries in ``fusion``; the
+``FusedDistribution`` it returns keeps its own nucleus slot, and
+``decoder.blend_step`` memoizes it on the large view (``_fused``), so a
+step whose two views recur reuses the blend and its nucleus.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -141,6 +144,12 @@ class TokenDistribution:
     cuts read it. Concurrent readers may race on a slot; each entry is an
     immutable tuple stored in one assignment and checked against its key
     on read, so a lost race only computes the entry again.
+
+    The fourth cache, ``_fused``, is a dict that ``decoder.blend_step``
+    fills on a large model's top-k view: one entry per small view and
+    strategy it was blended with (see there). It lives and dies with the
+    view, and stays None on every distribution no fused step read as its
+    large side.
     """
 
     vocab_size: int
@@ -150,6 +159,7 @@ class TokenDistribution:
     _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top_k: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top1: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _fused: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def dense(cls, probs) -> "TokenDistribution":

@@ -16,7 +16,9 @@ A fused step queries the context-holding small backend with
 instruction, context, and the emitted prefix, and the context-blind
 large backend with instruction and prefix only. Both views are truncated
 to their top-k entries and handed to ``fusion.fuse_views``, which aligns
-and blends them by the active fusion strategy in Python floats. The loop
+and blends them by the active fusion strategy in Python floats;
+``blend_step`` memoizes that on the large view, so a pair of views that
+recurs reuses its blend. The loop
 samples the resulting ``FusedDistribution`` over that union of at most
 ``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
 single-backend step spreads its distribution densely (``_dense``) for
@@ -199,12 +201,31 @@ def blend_step(
     A learnable strategy gets its weight from the weight network on the
     two top-k views. Returns the fused distribution, the weight
     used, and the small and large top-k views.
+
+    The step is memoized on the large view, keyed by the strategy's kind
+    and weight and the small view's identity; the entry holds the small
+    view and the weight net, and a read hits only when both are the very
+    objects of this call. The views and the net never change, so a hit
+    returns the bits the step would compute. A local backend's views live
+    in its memo, so a recurring pair of histories reuses one blend and its
+    cached nucleus; a remote large view is new at every call, and its
+    entry dies with it. A large view holds at most one entry per small
+    view and strategy it was blended with.
     """
     ps_k, pl_k = top_k_views(p_s, p_l)
+    memo = pl_k._fused
+    if memo is None:
+        memo = {}
+        object.__setattr__(pl_k, "_fused", memo)
+    key = (strategy.kind, strategy.w, id(ps_k))
+    hit = memo.get(key)
+    if hit is not None and hit[0] is ps_k and hit[1] is strategy.model:
+        return hit[2], hit[3], ps_k, pl_k
     w_override = None
     if strategy.kind == "learnable":
         w_override = view_weight(strategy.model, pl_k, ps_k)
     fused, w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
+    memo[key] = (ps_k, strategy.model, fused, w)
     return fused, w, ps_k, pl_k
 
 
@@ -248,8 +269,10 @@ def decode_single(
     which runs this same function server-side, so local and remote
     placements emit identical sequences for identical seeds. A traced
     token carries weight 1.0 from a small_device backend and 0.0 from a
-    large_cloud one. ``audit_log`` records what a large_cloud backend is
-    sent: each step in process, the one generate request when remote.
+    large_cloud one. A remote trace's top-1 probabilities read 0.0, since
+    the generate reply carries none, and one trace event says so.
+    ``audit_log`` records what a large_cloud backend is sent: each step in
+    process, the one generate request when remote.
     """
     instruction, context = prompt_parts
     small = backend.role == Role.SMALL_DEVICE
@@ -261,6 +284,10 @@ def decode_single(
             audit_log.record_input(ConditioningInput(instruction, initial_prefix, None, backend.role))
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
+            trace.events.append(
+                "remote generate: the service reports no probabilities; "
+                "p_s_top1 and p_l_top1 read 0.0"
+            )
             for i, tid in enumerate(token_ids, start=1):
                 trace.steps.append(TraceStep(i, tid, backend.vocab.token(tid), w, 0.0, 0.0))
         return token_ids

@@ -228,7 +228,9 @@ def _weight(strategy: FusionStrategy, w_override: float | None) -> float | None:
     if strategy.kind == "mean":
         w = 0.5
     elif strategy.kind == "fixed":
-        w = float(strategy.w)
+        # A weight of -0.0 blends as 0.0, and is reported so: the fused
+        # step's memo treats the two as one key.
+        w = float(strategy.w) + 0.0
     else:  # learnable: the weight network ran upstream
         if w_override is None:
             raise InvalidInputError("learnable fusion requires w_override from the weight model")
@@ -293,15 +295,22 @@ class FusedDistribution:
     """One fused step's blend over the union of two top-k views.
 
     ``ids`` ascend and ``probs`` holds the blend at each of them; every
-    other id of the vocabulary has probability zero.
+    other id of the vocabulary has probability zero. Neither changes
+    after construction. ``decoder.blend_step`` memoizes a step's
+    distribution for as long as its large view lives, so one instance may
+    serve many steps, sessions and threads. Its one cache slot follows
+    ``core.TokenDistribution``'s pattern: ``_nucleus_slot`` keeps the
+    nucleus of the last ``(temperature, top_p)`` it was sampled with, as
+    one immutable tuple checked against that key on read.
     """
 
-    __slots__ = ("ids", "probs", "vocab_size")
+    __slots__ = ("ids", "probs", "vocab_size", "_nucleus_slot")
 
     def __init__(self, ids: list[int], probs: list[float], vocab_size: int) -> None:
         self.ids = ids
         self.probs = probs
         self.vocab_size = vocab_size
+        self._nucleus_slot = None
 
     def prob_of(self, token_id: int) -> float:
         i = bisect_left(self.ids, token_id)
@@ -323,7 +332,12 @@ class FusedDistribution:
         that the nucleus never reaches past the entries of positive
         probability. Where those sum to just under a ``top_p`` of 1, the
         dense path took every zero-probability id into the nucleus, and a
-        draw above that sum picked one of them."""
+        draw above that sum picked one of them. The result for the last
+        ``(temperature, top_p)`` is cached; callers must not change it."""
+        key = (temperature, top_p)
+        slot = self._nucleus_slot
+        if slot is not None and slot[0] == key:
+            return slot[1], slot[2]
         ids, probs = self.ids, self._sampled()
         if temperature != 1.0:
             probs = _temper(ids, probs, temperature, self.vocab_size)
@@ -334,10 +348,14 @@ class FusedDistribution:
         kept = len(ranked) - probs.count(0.0)
         cut = min(bisect_left(list(accumulate(ranked)), top_p) + 1, kept)
         if cut == 1:  # a lone entry renormalizes to exactly 1.0
-            return [ids[order[0]]], [1.0]
-        nucleus = ranked[:cut]
-        total = _pairwise_sum(nucleus)
-        return [ids[j] for j in order[:cut]], list(accumulate([p / total for p in nucleus]))
+            kept_ids, cum = [ids[order[0]]], [1.0]
+        else:
+            nucleus = ranked[:cut]
+            total = _pairwise_sum(nucleus)
+            kept_ids = [ids[j] for j in order[:cut]]
+            cum = list(accumulate([p / total for p in nucleus]))
+        self._nucleus_slot = (key, kept_ids, cum)
+        return kept_ids, cum
 
     def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
         """The greedy choice (ties toward the lower id), or one top-p draw

@@ -4,8 +4,11 @@
 over the token ids (or the error class) of each session on
 ``build_world(0..4)``, three test records per world, and over each
 record's teacher-forced perplexity under three scorers. A speed-up that
-changes any sampled token or score changes a digest. Regenerate the
-file only for a change that is meant to alter tokens or scores:
+changes any sampled token or score changes a digest. The test runs every
+session twice on the same backends and weight net: once cold, and once
+on the memos and caches the first pass filled, so a stale entry shows.
+Regenerate the file only for a change that is meant to alter tokens or
+scores:
 
     PYTHONPATH=src python tests/test_decode_golden.py
 """
@@ -51,14 +54,19 @@ SCORERS = {
 }
 
 
-def decode_digests() -> dict[str, str]:
-    lines: dict[str, list[str]] = {name: [] for name in MODES}
-    lines.update({name: [] for name in SCORERS})
-    comb = comb_init(0)
+def golden_setup():
+    """The weight net and each world with its backends, built once."""
+    worlds = []
     for world_seed in WORLD_SEEDS:
         world = build_world(world_seed)
-        llm = large_backend(world)
-        slms = small_backends(world)
+        worlds.append((world_seed, world, large_backend(world), small_backends(world)))
+    return comb_init(0), worlds
+
+
+def decode_digests(comb, worlds) -> dict[str, str]:
+    lines: dict[str, list[str]] = {name: [] for name in MODES}
+    lines.update({name: [] for name in SCORERS})
+    for world_seed, world, llm, slms in worlds:
         for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
             slm = slms[record.user_id]
             sampling = SamplingConfig(seed=100 * world_seed + r, max_new_tokens=MAX_NEW_TOKENS)
@@ -83,9 +91,12 @@ def decode_digests() -> dict[str, str]:
 
 def test_decode_digests_match_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert decode_digests() == expected
+    setup = golden_setup()
+    assert decode_digests(*setup) == expected
+    assert decode_digests(*setup) == expected  # warm
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(decode_digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    digests = decode_digests(*golden_setup())
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

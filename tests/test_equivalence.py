@@ -5,8 +5,9 @@ a hot-path primitive (lexsort orderings, ``np.errstate`` guarded logs,
 per-id range checks, full re-tokenization of the conditioning, a whole
 fused distribution built to read one probability, a re-validated dense
 copy, an n-gram conditional, a nucleus, a top-k view and an argmax
-rebuilt on every call, a nucleus searched as arrays, and a weight net
-fed through its checked entry point). The
+rebuilt on every call, a nucleus searched as arrays, a weight net
+fed through its checked entry point, and a fused step and its nucleus
+computed afresh at every call). The
 faster forms in ``cogen`` must return the same bits and raise the same
 error class with the same message on every input.
 """
@@ -35,6 +36,7 @@ from cogen.errors import (
 )
 from cogen.fusion import AlignedPair, FusionStrategy, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
+from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
 
 # --- reference implementations -------------------------------------------
@@ -757,3 +759,232 @@ def test_threads_sharing_one_distribution_and_backend_match_serial(ngram_pair):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {seed: serial(seed) for seed in range(4)}
+
+
+# --- the fused step's memo ------------------------------------------------------
+
+
+@st.composite
+def step_pools(draw):
+    """What a fused step may get from each side, over one vocabulary:
+    dense distributions (whose cached top-k view recurs), sparse ones of
+    at most ``TOP_K`` entries (their own view, so they recur as they are),
+    and longer sparse ones (whose view is new at every call)."""
+    vocab_size = draw(st.integers(2, 30))
+
+    def one():
+        if draw(st.booleans()):
+            return draw(sparse_distributions(vocab_size))
+        return TokenDistribution.dense(draw(prob_vectors(min_size=vocab_size, max_size=vocab_size)))
+
+    return [one() for _ in range(draw(st.integers(1, 3)))], [one() for _ in range(draw(st.integers(1, 3)))]
+
+
+def memo_strategies(nets):
+    """Strategies that share a key but for the weight (two fixed, and
+    fixed(0) against fixed(-0)), or but for the net (two learnable)."""
+    return [
+        FusionStrategy.fixed(0.3),
+        FusionStrategy.fixed(0.7),
+        FusionStrategy.fixed(0.0),
+        FusionStrategy.fixed(-0.0),
+        FusionStrategy.mean(),
+        FusionStrategy.max_pool(),
+        FusionStrategy.learnable(nets[0]),
+        FusionStrategy.learnable(nets[1]),
+    ]
+
+
+MEMO_STRATEGY_COUNT = 8  # len(memo_strategies(nets))
+MEMO_CONFIGS = [
+    SamplingConfig(temperature=t, top_p=p) for t in (0.5, 1.0) for p in (0.3, 0.9, 1.0)
+] + [SamplingConfig(greedy=True)]
+
+STEP_CALLS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, MEMO_STRATEGY_COUNT - 1),
+        st.integers(0, len(MEMO_CONFIGS) - 1),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+# One pair of recurring views under every strategy in turn, each sampled
+# twice with different configs: a memo that confuses two strategies fails.
+EVERY_STRATEGY_ON_ONE_PAIR = dict(
+    pools=(
+        [TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1]))],
+        [TokenDistribution.dense(np.array([0.1, 0.2, 0.3, 0.4]))],
+    ),
+    calls=[(0, 0, s, c) for s in range(MEMO_STRATEGY_COUNT) for c in (0, 3)],
+    seed=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools=step_pools(), calls=STEP_CALLS, seed=st.integers(0, 2**64 - 1))
+@example(**EVERY_STRATEGY_ON_ONE_PAIR)
+def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed):
+    """Fused steps in any order over a shared pool of distributions, the
+    strategy and the sampling config changing between calls, return the
+    bits of ``fuse_views`` run afresh (with ``view_weight`` for a learnable
+    strategy), and pick what the fresh blend picks from the same stream."""
+    small, large = pools
+    strategies = memo_strategies(weight_nets)
+    assert len(strategies) == MEMO_STRATEGY_COUNT
+    got_rng, want_rng = Splitmix64(seed), Splitmix64(seed)
+    for i, j, which, c in calls:
+        p_s, p_l = small[i % len(small)], large[j % len(large)]
+        strategy, config = strategies[which], MEMO_CONFIGS[c]
+        fused, w, ps_k, pl_k = decoder.blend_step(p_s, p_l, strategy)
+        for view, want_view in zip((ps_k, pl_k), fusion.top_k_views(p_s, p_l)):
+            assert same_bits(view.sparse_ids, want_view.sparse_ids)
+            assert same_bits(view.sparse_probs, want_view.sparse_probs)
+        w_override = None
+        if strategy.kind == "learnable":
+            w_override = combmodel.view_weight(strategy.model, pl_k, ps_k)
+        want, want_w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
+        assert fused.ids == want.ids
+        assert same_bits(np.array(fused.probs), np.array(want.probs))
+        assert same_bits(np.float64(w), np.float64(want_w))
+        assert fused.pick(config, got_rng) == want.pick(config, want_rng)
+    assert got_rng.next_u64() == want_rng.next_u64()
+
+
+def test_fused_step_memo_never_serves_a_dead_small_views_entry():
+    """A sparse small side longer than ``TOP_K`` gets a new view at every
+    call, and each dies with its step unless something holds it. An entry
+    keyed by a dead view's id must never answer for a new view that
+    happens to reuse that id."""
+    large = TokenDistribution.dense(np.full(16, 1 / 16))
+    ids = np.arange(12, dtype=np.int64)
+    for i in range(300):
+        head = 0.2 + (i % 97) / 1000
+        probs = np.array([head] + [(1 - head) / 11] * 11)
+        fused, w, ps_k, pl_k = decoder.blend_step(
+            TokenDistribution.sparse(ids, probs, 16), large, FusionStrategy.mean()
+        )
+        want, _ = fuse_views(ps_k, pl_k, FusionStrategy.mean())
+        assert same_bits(np.array(fused.probs), np.array(want.probs))
+        del fused, ps_k, pl_k, want  # so the next view may take this one's id
+
+
+def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weight_nets):
+    """A decode walk over every pair of ids under five strategies: each
+    large view holds no more entries than the small views it was blended
+    with times the strategies used, each keyed by one of those views."""
+    small, large = fresh_ngram(ngram_pair, False), fresh_ngram(ngram_pair, True)
+    strategies = [
+        FusionStrategy.fixed(0.3),
+        FusionStrategy.mean(),
+        FusionStrategy.max_pool(),
+        FusionStrategy.learnable(weight_nets[0]),
+        FusionStrategy.learnable(weight_nets[1]),
+    ]
+    paired: dict[int, tuple] = {}  # id(pl_k) -> (pl_k, ids of the small views)
+    size = small.vocab.size
+    for a in range(size):
+        for b in range(size):
+            cursors = small.open("a b"), large.open("a b")
+            for token in (None, a, b):
+                if token is not None:
+                    for cursor in cursors:
+                        cursor.push(token)
+                for strategy in strategies:
+                    p_s, p_l = (cursor.distribution() for cursor in cursors)
+                    _, _, ps_k, pl_k = decoder.blend_step(p_s, p_l, strategy)
+                    paired.setdefault(id(pl_k), (pl_k, set()))[1].add(id(ps_k))
+    assert len(paired) > 1
+    for pl_k, small_ids in paired.values():
+        assert 0 < len(pl_k._fused) <= len(small_ids) * len(strategies)
+        assert {key[2] for key in pl_k._fused} <= small_ids
+
+
+class StubRemoteLarge:
+    """A large side that, like ``RemoteBackend``, answers every request
+    with a new sparse top-k slice of a local backend's distribution."""
+
+    role = Role.LARGE_CLOUD
+
+    def __init__(self, local):
+        self.local, self.vocab = local, local.vocab
+
+    def next_distribution(self, request):
+        view = top_k_project(self.local.next_distribution(request), 10)
+        return TokenDistribution.sparse(view.sparse_ids, view.sparse_probs, view.vocab_size)
+
+
+def memo_holders() -> list:
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, TokenDistribution) and o._fused is not None]
+
+
+def test_fused_steps_over_a_remote_large_side_leave_no_memo_behind(world0, weight_nets):
+    """A remote large view is new at every call, so its memo dies with it:
+    after fused sessions over a stub remote, no distribution that
+    outlives them, on either side, holds a fused-step entry."""
+    local, slms = large_backend(world0), small_backends(world0)
+    remote = StubRemoteLarge(local)
+    records = world0.test_records[:3]
+    before = memo_holders()
+    sampling = SamplingConfig(seed=3, max_new_tokens=24)
+    for strategy in (FusionStrategy.mean(), FusionStrategy.learnable(weight_nets[0])):
+        for record in records:
+            mode = decoder.DecodeMode.fusion(strategy)
+            session = decoder.session_for_record(record, mode, sampling, slms[record.user_id], remote)
+            assert decoder.decode(session).token_ids
+    kept = {id(o) for o in before}
+    assert [o for o in memo_holders() if id(o) not in kept] == []
+    # The long-lived distributions are there: both sides' backend memos.
+    assert local._memo and all(slms[record.user_id]._memo for record in records)
+
+
+def test_threads_decoding_fused_sessions_on_shared_backends_match_serial(weight_nets):
+    """Four threads decode fused sessions on one set of backends, racing
+    to fill the n-gram memos, the top-k views, the fused-step memos and
+    the nucleus slots; each session gives the tokens it gives alone on
+    backends of its own."""
+    world = build_world(1)
+    modes = [
+        decoder.DecodeMode.fusion(FusionStrategy.fixed(0.3)),
+        decoder.DecodeMode.fusion(FusionStrategy.mean()),
+        decoder.DecodeMode.fusion(FusionStrategy.max_pool()),
+        decoder.DecodeMode.fusion(FusionStrategy.learnable(weight_nets[0])),
+        decoder.DecodeMode.first_k_mode(4, FusionStrategy.mean()),
+    ]
+    jobs = [
+        (record, mode, SamplingConfig(seed=seed, max_new_tokens=24))
+        for record in world.test_records[:3]
+        for mode in modes
+        for seed in (0, 1)
+    ]
+
+    def run(job, llm, slms):
+        record, mode, sampling = job
+        session = decoder.session_for_record(record, mode, sampling, slms[record.user_id], llm)
+        return decoder.decode(session).token_ids
+
+    serial = [run(job, large_backend(world), small_backends(world)) for job in jobs]
+    llm, slms = large_backend(world), small_backends(world)
+    results = {}
+
+    def work(t):
+        order = list(range(len(jobs)))
+        order = order[t * 7 % len(jobs):] + order[: t * 7 % len(jobs)]
+        results[t] = {i: run(jobs[i], llm, slms) for i in order}
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = dict(enumerate(serial))
+    assert results == {t: want for t in range(4)}

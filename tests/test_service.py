@@ -753,6 +753,27 @@ class TestSplitExecutionEquivalence:
         client.close()
 
 
+    def test_remote_generate_trace_says_it_has_no_probabilities(self, served_world):
+        """A remote llm-only decode emits the in-process tokens, but the
+        generate reply carries no probabilities: its trace says so in one
+        event, and the in-process trace carries none."""
+        world, llm, slms, handle = served_world
+        client = ServiceClient(handle.address, session_id="equiv-generate-trace")
+        remote_llm = RemoteBackend(client, world.vocab, top_k=10)
+        record = world.test_records[0]
+        sampling = SamplingConfig(seed=0, max_new_tokens=20)
+        mode = DecodeMode.llm_no_context()
+        local = decode(session_for_record(record, mode, sampling, slms[record.user_id], llm))
+        remote = decode(session_for_record(record, mode, sampling, slms[record.user_id], remote_llm))
+        client.close()
+        assert local.token_ids == remote.token_ids
+        assert local.token_ids
+        assert local.trace.events == []
+        assert len(remote.trace.events) == 1
+        assert "no probabilities" in remote.trace.events[0]
+        assert [s.p_l_top1 for s in remote.trace.steps] == [0.0] * len(remote.token_ids)
+
+
 class TestConcurrentSessions:
     def test_parallel_sessions_match_sequential_results(self, served_world):
         # many sessions may run concurrently; they share the immutable
