@@ -151,7 +151,7 @@ class RequestCursor:
     """
 
     def __init__(self, backend, instruction: str, context=None, waiver: bool = False):
-        self._role = getattr(backend, "role", Role.SMALL_DEVICE)
+        self._role = backend.role
         check_context_blind(self._role, context, waiver)
         self._backend = backend
         self._instruction = instruction

@@ -41,8 +41,8 @@ from .errors import (
 from .fusion import TOP_K, FusionStrategy
 from .report import (
     aggregate_scores,
-    parse_pair_rows,
     parse_score_rows,
+    read_pairs,
     render_score_grid,
     render_stability_curves,
     render_weight_trace,
@@ -364,8 +364,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.eval_command == "metrics":
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            rows = parse_pair_rows(fh)
+        rows = read_pairs(args.pairs)
         if not rows:
             raise InvalidInputError("no candidate/reference pairs found")
         bleus, fs = [], []

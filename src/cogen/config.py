@@ -7,27 +7,35 @@ exist at load time, and the only environment overrides are COGEN_API_KEY
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import BackendKind, NGramBackend, Role, TableBackend, train_ngram
-from .core import SamplingConfig, Vocab, check_sampling_types
+from .core import SAMPLING_TYPES, SamplingConfig, Vocab
+from .corpus import check_fields, parse_object
 from .errors import InvalidConfigError
 from .tokenizer import EOS_TOKEN, UNK_TOKEN
 
 LISTEN_ENV = "COGEN_LISTEN"
 
-_TOP_KEYS = {"backends", "templates_dir", "sampling", "service_address", "audit", "external"}
-_BACKEND_KEYS = {"kind", "role", "params"}
-_EXTERNAL_KEYS = {"endpoint", "top_k"}
-# The keys of each params file, and of the vocab in it, with their types.
-_PARAMS_KEYS = {
-    BackendKind.TABLE: {"vocab": dict, "rules": list, "paths": list, "keyed": list, "default": dict},
-    BackendKind.NGRAM: {"n": int, "alpha": float, "corpus": list, "vocab": dict},
+_TOP_FIELDS = {
+    "backends": dict,
+    "templates_dir": str,
+    "sampling": dict,
+    "service_address": str,
+    "audit": bool,
+    "external": dict,
 }
-_VOCAB_KEYS = {"tokens": list, "eos": str, "unk": str}
+_BACKEND_FIELDS = {"kind": str, "role": str, "params": str}
+_EXTERNAL_FIELDS = {"endpoint": str, "top_k": int}
+# The fields of each params file, and of the vocab in it.
+_PARAMS_FIELDS = {
+    BackendKind.TABLE: {"vocab": dict, "rules": list, "paths": list, "keyed": list, "default": dict},
+    BackendKind.NGRAM: {"n": int, "alpha": float, "corpus": list[str], "vocab": dict},
+}
+_PARAMS_REQUIRED = {BackendKind.TABLE: set(), BackendKind.NGRAM: {"corpus"}}
+_VOCAB_FIELDS = {"tokens": list[str], "eos": str, "unk": str}
 
 
 @dataclass(frozen=True)
@@ -55,54 +63,27 @@ class AppConfig:
         return spec
 
 
-def _reject_unknown(obj: dict, allowed: set, what: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown keys in {what}: {sorted(unknown)}")
-
-
-def _typed(obj: dict, key: str, want: type, where: str = "", default=None):
-    """``obj[key]``, or ``default`` when it is absent. The value must have
-    exactly type ``want`` (a float may also be an int), so JSON true/false
-    pass for no number."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    if type(value) not in ((int, float) if want is float else (want,)):
-        raise InvalidConfigError(f"{where}{key} must be {want.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _read_object(path: Path, what: str) -> dict:
-    """The JSON object in ``path``, else an ``InvalidConfigError`` naming it."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise InvalidConfigError(f"{what} {path} does not exist") from exc
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise InvalidConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{what} {path} must hold a JSON object")
-    return obj
-
-
 def load_config(path) -> AppConfig:
     path = Path(path)
-    obj = _read_object(path, "config file")
-    _reject_unknown(obj, _TOP_KEYS, "config")
+    obj = check_fields(
+        parse_object(path.read_bytes(), InvalidConfigError, f"config file {path}"),
+        _TOP_FIELDS,
+        InvalidConfigError,
+    )
     base = path.parent
 
     backends: dict[str, BackendSpec] = {}
-    raw_backends = _typed(obj, "backends", dict, default={})
-    for name in raw_backends:
-        spec = _typed(raw_backends, name, dict, "backends.")
-        _reject_unknown(spec, _BACKEND_KEYS, f"backends.{name}")
+    raw_backends = obj.get("backends", {})
+    # Any name may name a backend; each must map to an object.
+    check_fields(raw_backends, dict.fromkeys(raw_backends, dict), InvalidConfigError, "backends")
+    for name, spec in raw_backends.items():
+        check_fields(spec, _BACKEND_FIELDS, InvalidConfigError, f"backends.{name}", {"kind", "role"})
         try:
             kind = BackendKind(spec["kind"])
             role = Role(spec["role"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidConfigError(f"backends.{name}: bad kind/role: {exc}") from exc
-        params = _typed(spec, "params", str, f"backends.{name}.")
+        params = spec.get("params")
         params_path = base / params if params else None
         if kind in (BackendKind.TABLE, BackendKind.NGRAM):
             if params_path is None or not params_path.is_file():
@@ -113,44 +94,37 @@ def load_config(path) -> AppConfig:
             name=name, kind=kind, role=role, params_path=params_path
         )
 
-    sampling_obj = _typed(obj, "sampling", dict, default={})
-    _reject_unknown(sampling_obj, {f.name for f in fields(SamplingConfig)}, "sampling")
-    check_sampling_types(sampling_obj)
-    sampling = SamplingConfig(**sampling_obj)
+    sampling = SamplingConfig(
+        **check_fields(obj.get("sampling", {}), SAMPLING_TYPES, InvalidConfigError, "sampling")
+    )
 
-    templates = _typed(obj, "templates_dir", str)
+    templates = obj.get("templates_dir")
     templates_dir = base / templates if templates else None
     if templates_dir is not None and not templates_dir.is_dir():
         raise InvalidConfigError(f"templates_dir {templates_dir} does not exist")
 
-    external = _typed(obj, "external", dict, default={})
-    _reject_unknown(external, _EXTERNAL_KEYS, "external")
-    address = _typed(obj, "service_address", str, default="127.0.0.1:7341")
+    external = check_fields(obj.get("external", {}), _EXTERNAL_FIELDS, InvalidConfigError, "external")
+    external_top_k = external.get("top_k", 10)
+    if external_top_k < 1:
+        raise InvalidConfigError(f"external.top_k must be >= 1, not {external_top_k}")
+    address = obj.get("service_address", "127.0.0.1:7341")
 
     return AppConfig(
         backends=backends,
         sampling=sampling,
         templates_dir=templates_dir,
         service_address=os.environ.get(LISTEN_ENV) or address,
-        audit=_typed(obj, "audit", bool, default=True),
-        external_endpoint=_typed(external, "endpoint", str, "external."),
-        external_top_k=_typed(external, "top_k", int, "external.", default=10),
+        audit=obj.get("audit", True),
+        external_endpoint=external.get("endpoint"),
+        external_top_k=external_top_k,
     )
 
 
-def _checked(obj: dict, schema: dict, what: str) -> dict:
-    """``obj``, once it holds only ``schema``'s keys, each of its type."""
-    _reject_unknown(obj, set(schema), what)
-    for key, want in schema.items():
-        _typed(obj, key, want, f"{what}: ")
-    return obj
-
-
-def _vocab_from_obj(obj: dict, what: str) -> Vocab:
-    _checked(obj, _VOCAB_KEYS, f"{what}: vocab")
+def _vocab_from_obj(obj: dict, error) -> Vocab:
+    check_fields(obj, _VOCAB_FIELDS, error, "vocab")
     tokens, eos, unk = obj.get("tokens", []), obj.get("eos", EOS_TOKEN), obj.get("unk", UNK_TOKEN)
-    if not all(type(t) is str for t in tokens) or eos not in tokens or unk not in tokens:
-        raise InvalidConfigError(f"{what}: vocab tokens must be strings that include {eos!r} and {unk!r}")
+    if eos not in tokens or unk not in tokens:
+        raise error(f"vocab tokens must be strings that include {eos!r} and {unk!r}")
     return Vocab(tokens=tuple(tokens), eos_id=tokens.index(eos), unk_id=tokens.index(unk))
 
 
@@ -160,19 +134,21 @@ def build_backend(spec: BackendSpec):
     "unk"}, "rules": [{"prefix", "next"}], "paths", "keyed": [{"needle",
     "path"|"rules"}], "default"}. N-gram params: {"n", "alpha", "corpus",
     "vocab"}, trained on "corpus" at load over "vocab" or its own."""
-    schema = _PARAMS_KEYS.get(spec.kind)
+    schema = _PARAMS_FIELDS.get(spec.kind)
     if schema is None:
         raise InvalidConfigError(f"{spec.kind.value} backends are built per session, not from params")
     what = f"params file {spec.params_path}"
-    obj = _checked(_read_object(spec.params_path, "params file"), schema, what)
+
+    def error(message: str) -> InvalidConfigError:
+        return InvalidConfigError(f"{what}: {message}")
+
+    obj = parse_object(spec.params_path.read_bytes(), InvalidConfigError, what)
+    check_fields(obj, schema, error, required=_PARAMS_REQUIRED[spec.kind])
     if spec.kind == BackendKind.NGRAM:
-        corpus = obj.get("corpus")
-        if corpus is None or not all(type(t) is str for t in corpus):
-            raise InvalidConfigError(f"{what}: corpus must be a list of strings")
-        vocab = _vocab_from_obj(obj["vocab"], what) if "vocab" in obj else None
-        model = train_ngram(corpus, obj.get("n", 2), float(obj.get("alpha", 1.0)), vocab)
+        vocab = _vocab_from_obj(obj["vocab"], error) if "vocab" in obj else None
+        model = train_ngram(obj["corpus"], obj.get("n", 2), float(obj.get("alpha", 1.0)), vocab)
         return NGramBackend(model, spec.role)
-    vocab = _vocab_from_obj(obj.get("vocab", {}), what)
+    vocab = _vocab_from_obj(obj.get("vocab", {}), error)
     try:
         rules = {tuple(r["prefix"]): r["next"] for r in obj.get("rules", [])}
         for path_tokens in obj.get("paths", []):

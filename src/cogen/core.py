@@ -108,16 +108,9 @@ class SamplingConfig:
             raise InvalidConfigError("seed must fit in 64 unsigned bits")
 
 
-def check_sampling_types(values: dict) -> None:
-    """The type rule for sampling values read from outside (a wire frame
-    or a config file): each field present has exactly its default's type,
-    and a float field also takes an int. Exact checks keep JSON true/false
-    out of the int fields."""
-    for f in fields(SamplingConfig):
-        if f.name in values:
-            wanted = (int, float) if type(f.default) is float else (type(f.default),)
-            if type(values[f.name]) not in wanted:
-                raise InvalidConfigError(f"sampling {f.name} must be {type(f.default).__name__}")
+# The JSON type of each sampling field read from outside, a config file or
+# a wire frame: its default's type.
+SAMPLING_TYPES = {f.name: type(f.default) for f in fields(SamplingConfig)}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -6,13 +6,19 @@ a golden example line). Length filtering uses the dataset-family bounds:
 references shorter than 64 characters (emails) / 128 characters (paper
 abstracts) or longer than 1024 characters are rejected, bounds
 inclusive, characters counted as Unicode scalar values.
+
+This module also holds the one reader of JSON from outside the program:
+``parse_object`` for config, params, corpus, trace and pairs files and
+wire frames alike, and ``check_fields`` for their keys and value types.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from types import GenericAlias
 
 from .backends import ContextBundle
 from .errors import CorpusError, InvalidInputError
@@ -27,7 +33,15 @@ MAX_CHARS = 1024
 SPLIT_TRAIN_FRACTION = 0.9
 VERB_STATS_TOP_N = 10  # entries in each ranked list of task_verb_stats
 
-_FIELDS = {"user_id", "dataset_kind", "profile", "history", "task", "reference", "general_task"}
+_FIELDS = {
+    "user_id": str,
+    "dataset_kind": str,
+    "profile": str,
+    "history": list[str],
+    "task": str,
+    "reference": str,
+    "general_task": str,
+}
 _REQUIRED = {"user_id", "dataset_kind", "task", "reference"}
 
 
@@ -71,55 +85,81 @@ class CorpusRecord:
         }
 
 
-def json_object_lines(lines):
-    """``(line number, object)`` for each non-blank line of a JSONL file;
-    a line that is not one JSON object raises a CorpusError naming it."""
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also an integer too long to parse
-            raise CorpusError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from exc
-        if not isinstance(obj, dict):
-            raise CorpusError("line must be a JSON object", line=line_no)
-        yield line_no, obj
-
-
-def _record_from_obj(obj: dict, line_no: int) -> CorpusRecord:
-    unknown = set(obj) - _FIELDS
-    if unknown:
-        raise CorpusError(f"unknown fields {sorted(unknown)}", line=line_no)
-    missing = _REQUIRED - set(obj)
-    if missing:
-        raise CorpusError(f"missing fields {sorted(missing)}", line=line_no)
-    history = obj.get("history", [])
-    if not isinstance(history, list) or not all(isinstance(h, str) for h in history):
-        raise CorpusError("history must be a list of strings", line=line_no)
+def parse_object(data: bytes, error, what: str) -> dict:
+    """The JSON object that the UTF-8 bytes ``data`` hold. Bad UTF-8, bad
+    JSON, nesting deeper than the parser allows and a value that is not
+    an object each raise ``error(message)``, naming ``what``."""
     try:
-        return CorpusRecord(
-            user_id=str(obj["user_id"]),
-            dataset_kind=str(obj["dataset_kind"]),
-            profile=str(obj.get("profile", "")),
-            history=tuple(history),
-            task=str(obj["task"]),
-            reference=str(obj["reference"]),
-            general_task=str(obj.get("general_task", "")),
-        )
-    except CorpusError as exc:
-        raise CorpusError(str(exc), line=line_no) from exc
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # also an integer too long to parse
+        raise error(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} nests JSON deeper than the parser allows") from exc
+    if type(obj) is not dict:
+        raise error(f"{what} must be a JSON object")
+    return obj
+
+
+def _has_type(value, want) -> bool:
+    kind = type(value)
+    if kind is want or (want is float and kind is int):
+        return True
+    return (
+        kind is list
+        and isinstance(want, GenericAlias)
+        and all(_has_type(item, want.__args__[0]) for item in value)
+    )
+
+
+def check_fields(obj: dict, schema: dict, error, path: str = "", required=frozenset()) -> dict:
+    """``obj``, once its keys are among ``schema``'s, include every key of
+    ``required``, and each value has exactly its schema type; else
+    ``error(message)`` naming the key by its dotted ``path``.
+
+    The type rule is exact: an int also stands for a float, but
+    ``true``/``false`` is no number and ``"1"`` no int; ``list[T]`` is a
+    list whose every item has type ``T``.
+    """
+    where = f" in {path}" if path else ""
+    for key, value in obj.items():
+        want = schema.get(key)
+        if type(value) is not want and not _has_type(value, want):
+            if want is None:
+                raise error(f"unknown keys{where}: {sorted(obj.keys() - schema.keys())}")
+            name = str(want) if isinstance(want, GenericAlias) else want.__name__
+            raise error(f"{path + '.' if path else ''}{key} must be {name}, not {type(value).__name__}")
+    # Every key of obj is known by now, so none is missing when all are there.
+    if len(obj) < len(schema):
+        missing = required - obj.keys()
+        if missing:
+            raise error(f"missing keys{where}: {sorted(missing)}")
+    return obj
+
+
+def json_object_lines(path):
+    """``(line number, object)`` for each non-blank line of the JSONL file
+    at ``path``; a line that is not one JSON object raises a CorpusError
+    naming the file and the line."""
+    data = Path(path).read_bytes()
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if line.strip():
+            yield line_no, parse_object(line, partial(CorpusError, line=line_no), str(path))
 
 
 def load_corpus(path) -> list[CorpusRecord]:
     """Load and validate a corpus file; ordering follows the file."""
     records: list[CorpusRecord] = []
     seen: set[tuple[str, str]] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, obj in json_object_lines(text.splitlines()):
-        record = _record_from_obj(obj, line_no)
+    for line_no, obj in json_object_lines(path):
+        error = partial(CorpusError, line=line_no)
+        check_fields(obj, _FIELDS, error, required=_REQUIRED)
+        try:
+            record = CorpusRecord(**obj)
+        except CorpusError as exc:
+            raise error(str(exc)) from exc
         key = (record.user_id, record.task)
         if key in seen:
-            raise CorpusError(f"duplicate (user_id, task) pair {key!r}", line=line_no)
+            raise error(f"duplicate (user_id, task) pair {key!r}")
         seen.add(key)
         records.append(record)
     return records

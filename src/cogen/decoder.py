@@ -36,12 +36,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import get_type_hints
 
 from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import teacher_forced_steps, view_weight
 from .core import SamplingConfig, TokenDistribution
-from .corpus import json_object_lines
+from .corpus import check_fields, json_object_lines
 from .errors import (
     CorpusError,
     IncompatibleVocabError,
@@ -484,29 +486,21 @@ def write_trace(trace: WeightTrace, path) -> None:
             fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
-# The JSON types a trace line may hold for each annotated type.
-_TRACE_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
-
-
-def _check_trace_fields(line_no: int, row: dict, want: dict) -> None:
-    for name, kind in want.items():
-        if type(row.get(name)) not in _TRACE_TYPES[kind]:
-            raise CorpusError(f"trace field {name} must be {kind}", line=line_no)
+# The fields of a trace's metadata line and of each step line, all required.
+_META_FIELDS = {"mode": str, "seed": int, "events": list[str]}
+_STEP_FIELDS = get_type_hints(TraceStep)
 
 
 def read_trace(path) -> WeightTrace:
     """The trace ``write_trace`` wrote; a malformed line raises a
     CorpusError that names it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(json_object_lines(fh.read().splitlines()))
+    rows = list(json_object_lines(path))
     if not rows:
-        raise InvalidConfigError("trace file is empty")
+        raise InvalidConfigError(f"trace file {path} is empty")
     (line_no, meta), *steps = rows
-    _check_trace_fields(line_no, meta, {"mode": "str", "seed": "int", "events": "list"})
-    trace = WeightTrace(mode=meta["mode"], seed=meta["seed"], events=meta["events"])
-    # Under postponed annotations each field's type is its annotation's text.
-    step_types = {f.name: f.type for f in fields(TraceStep)}
+    check_fields(meta, _META_FIELDS, partial(CorpusError, line=line_no), required=_META_FIELDS.keys())
+    trace = WeightTrace(**meta)
     for line_no, row in steps:
-        _check_trace_fields(line_no, row, step_types)
-        trace.steps.append(TraceStep(**{name: row[name] for name in step_types}))
+        check_fields(row, _STEP_FIELDS, partial(CorpusError, line=line_no), required=_STEP_FIELDS.keys())
+        trace.steps.append(TraceStep(**row))
     return trace

@@ -18,8 +18,9 @@ import html as html_mod
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
-from .corpus import json_object_lines
+from .corpus import check_fields, json_object_lines
 from .decoder import WeightTrace
 from .errors import CorpusError, InvalidInputError
 
@@ -148,15 +149,16 @@ def parse_score_rows(lines) -> list[tuple[str, str, str, float]]:
     return rows
 
 
-def parse_pair_rows(lines) -> list[tuple[object, str, str]]:
-    """JSONL rows, each an object with an item_id and string candidate
-    and reference, as (item_id, candidate, reference)."""
+_PAIR_FIELDS = {"item_id": str, "candidate": str, "reference": str}
+
+
+def read_pairs(path) -> list[tuple[str, str, str]]:
+    """The JSONL file of candidate/reference pairs at ``path``, one object
+    per line with exactly a string item_id, candidate and reference, as
+    (item_id, candidate, reference)."""
     rows = []
-    for line_no, obj in json_object_lines(lines):
-        if "item_id" not in obj or not all(
-            isinstance(obj.get(key), str) for key in ("candidate", "reference")
-        ):
-            raise CorpusError("pair needs an item_id and string candidate and reference", line=line_no)
+    for line_no, obj in json_object_lines(path):
+        check_fields(obj, _PAIR_FIELDS, partial(CorpusError, line=line_no), required=_PAIR_FIELDS.keys())
         rows.append((obj["item_id"], obj["candidate"], obj["reference"]))
     return rows
 

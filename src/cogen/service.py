@@ -23,12 +23,13 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .audit import AuditLog
 from .backends import Backend, ConditioningInput, Role, check_context_blind
-from .core import SamplingConfig, TokenDistribution, check_sampling_types, top_k_project
+from .core import SAMPLING_TYPES, SamplingConfig, TokenDistribution, top_k_project
+from .corpus import check_fields, parse_object
 from .decoder import decode_single
 from .errors import (
     IncompatibleVocabError,
@@ -49,12 +50,14 @@ CLIENT_TIMEOUT_S = 10.0
 # Most tokens one generate request may ask for; SamplingConfig's default fits.
 MAX_NEW_TOKENS_CAP = 8192
 
+_ENVELOPE = {"version": int, "kind": str, "session": str}
 _REQUEST_FIELDS = {
-    "hello": {"version", "kind", "session", "vocab_hash"},
-    "logits": {"version", "kind", "session", "instruction", "prefix_ids", "top_k"},
-    "generate": {"version", "kind", "session", "instruction", "prefix_ids", "sampling"},
+    "hello": {**_ENVELOPE, "vocab_hash": str},
+    "logits": {**_ENVELOPE, "instruction": str, "prefix_ids": list, "top_k": int},
+    "generate": {**_ENVELOPE, "instruction": str, "prefix_ids": list, "sampling": dict},
 }
-_OPTIONAL_FIELDS = {"logits": {"top_k"}}
+# Every field is required but a logits request's top_k.
+_REQUIRED_FIELDS = {kind: schema.keys() - {"top_k"} for kind, schema in _REQUEST_FIELDS.items()}
 
 
 def float_to_bits(x: float) -> str:
@@ -97,17 +100,7 @@ def read_frame(read_exactly) -> tuple[dict, bytes]:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError("declared frame length exceeds the size cap")
     body = read_exactly(length)
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except ValueError as exc:
-        # Bad UTF-8, bad JSON, and integers longer than the interpreter's
-        # int-parsing cap all land here.
-        raise ProtocolError(f"frame is not valid UTF-8 JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ProtocolError("frame nests JSON deeper than the parser allows") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError("frame must be a JSON object")
-    return obj, body
+    return parse_object(body, ProtocolError, "frame"), body
 
 
 def validate_request(obj: dict, vocab_size: int) -> dict:
@@ -115,45 +108,29 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
     served vocabulary, so a client's bad id is a schema error rather than
     a backend failure."""
     kind = obj.get("kind")
-    if kind not in _REQUEST_FIELDS:
+    schema = _REQUEST_FIELDS.get(kind) if type(kind) is str else None
+    if schema is None:
         raise ProtocolError(f"unknown request kind {kind!r}")
-    allowed = _REQUEST_FIELDS[kind]
-    required = allowed - _OPTIONAL_FIELDS.get(kind, set())
-    extra = set(obj) - allowed
-    if extra:
-        raise ProtocolError(f"unknown fields in {kind} request: {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise ProtocolError(f"{kind} request missing fields: {sorted(missing)}")
-    if type(obj["version"]) is not int or obj["version"] != PROTOCOL_VERSION:
+    check_fields(obj, schema, ProtocolError, required=_REQUIRED_FIELDS[kind])
+    if obj["version"] != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: peer speaks {obj['version']!r}, this side {PROTOCOL_VERSION}"
         )
-    if kind in ("logits", "generate"):
-        if not isinstance(obj["instruction"], str):
-            raise ProtocolError("instruction must be a string")
+    if kind != "hello":
         ids = obj["prefix_ids"]
         # bool is an int subclass, so JSON true/false would pass isinstance.
-        if not isinstance(ids, list) or not all(type(i) is int and i >= 0 for i in ids):
+        if not all(type(i) is int and i >= 0 for i in ids):
             raise ProtocolError("prefix_ids must be a list of non-negative integers")
         if ids and max(ids) >= vocab_size:
             bad = next(i for i in ids if i >= vocab_size)
             raise ProtocolError(f"prefix_ids entry {bad} outside vocab of size {vocab_size}")
-    if kind == "logits":
-        top_k = obj.get("top_k", DEFAULT_TOP_K)
-        if type(top_k) is not int or top_k < 1:
-            raise ProtocolError("top_k must be a positive integer")
+    if kind == "logits" and obj.get("top_k", DEFAULT_TOP_K) < 1:
+        raise ProtocolError("top_k must be a positive integer")
     if kind == "generate":
         sampling = obj["sampling"]
-        keys = {f.name for f in fields(SamplingConfig)}
-        if not isinstance(sampling, dict) or set(sampling) != keys:
-            raise ProtocolError(f"sampling must carry exactly {sorted(keys)}")
-        try:
-            check_sampling_types(sampling)
-        except InvalidConfigError as exc:
-            raise ProtocolError(str(exc)) from exc
+        check_fields(sampling, SAMPLING_TYPES, ProtocolError, "sampling", SAMPLING_TYPES.keys())
         if sampling["max_new_tokens"] > MAX_NEW_TOKENS_CAP:
-            raise ProtocolError(f"sampling max_new_tokens exceeds the cap of {MAX_NEW_TOKENS_CAP}")
+            raise ProtocolError(f"sampling.max_new_tokens exceeds the cap of {MAX_NEW_TOKENS_CAP}")
     return obj
 
 
@@ -162,8 +139,8 @@ def sampling_to_wire(config: SamplingConfig) -> dict:
 
 
 def sampling_from_wire(obj: dict) -> SamplingConfig:
-    # Each field's default fixes the type its wire value is converted to.
-    values = {f.name: type(f.default)(obj[f.name]) for f in fields(SamplingConfig)}
+    # An int stands for a float on the wire; convert it back.
+    values = {name: want(obj[name]) for name, want in SAMPLING_TYPES.items()}
     try:
         return SamplingConfig(**values)
     except InvalidConfigError as exc:
@@ -365,12 +342,18 @@ class ServiceClient:
             if kind != "hello":
                 self.hello(self.server_vocab_hash)
         payload = {"version": PROTOCOL_VERSION, "kind": kind, "session": self.session_id, **body}
+        frame = encode_frame(payload)
         try:
-            self._sock.sendall(encode_frame(payload))
+            self._sock.sendall(frame)
             obj, _ = read_frame(partial(_recv_exactly, self._sock))
         except (OSError, ConnectionError) as exc:
             self.close()
             raise TransportError(f"transport failure: {exc}") from exc
+        except ProtocolError:
+            # The rest of a bad reply may still be in flight; a socket out
+            # of step would answer the next request with it.
+            self.close()
+            raise
         if obj.get("kind") == "error":
             # The server closes the connection after every error frame.
             self.close()

@@ -267,6 +267,23 @@ class TestCursors:
         open_cursor(large, "a b", context, waiver=True).distribution()
         open_cursor(large, "a b", ContextBundle()).distribution()
 
+    def test_a_backend_that_names_no_role_gets_no_context(self):
+        """A cursor reads its backend's role with no default: a backend, or
+        a wrapper, that names none is refused before it sees a request,
+        not handed context as a device backend."""
+        seen = []
+
+        class RoleLess:
+            vocab = CURSOR_BACKENDS[0].vocab
+
+            def next_distribution(self, request):
+                seen.append(request)
+                return CURSOR_BACKENDS[0].next_distribution(request)
+
+        with pytest.raises(AttributeError, match="role"):
+            open_cursor(RoleLess(), "a b", ContextBundle(profile="secret profile text")).distribution()
+        assert seen == []
+
     @pytest.mark.parametrize("which", range(len(CURSOR_BACKENDS)))
     @pytest.mark.parametrize("bad", [-1, 7, 100])
     def test_push_rejects_an_out_of_range_id(self, which, bad):

@@ -320,6 +320,18 @@ class TestCorpusCommands:
         assert code == 2
         assert "line 1" in err
 
+    def test_mistyped_field_exits_2_naming_line_and_field(self, workdir, capsys):
+        # A value of the wrong JSON type is an error, not text: a null
+        # profile once loaded as the private context "None".
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record.update(user_id="someone else", profile=None)
+        bad = workdir / "bad.jsonl"
+        bad.write_text(f"{lines[0]}\n{json.dumps(record)}\n", encoding="utf-8")
+        code, _, err = run(capsys, "corpus", "validate", "--in", bad)
+        assert code == 2
+        assert "line 2: profile must be str, not NoneType" in err
+
     def test_integer_too_long_to_parse_exits_2(self, workdir, capsys):
         # Past the interpreter's int-parsing cap json.loads raises a bare
         # ValueError, not a JSONDecodeError.
@@ -328,6 +340,31 @@ class TestCorpusCommands:
         code, _, err = run(capsys, "corpus", "validate", "--in", bad)
         assert code == 2
         assert "line 2" in err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("corpus.jsonl", ["corpus", "validate", "--in"]),
+        ("config.json", ["generate", "--corpus", "corpus.jsonl", "--mode", "slm", "--seed", "0", "--config"]),
+        ("trace.jsonl", ["visualize", "--trace"]),
+        ("pairs.jsonl", ["eval", "metrics", "--pairs"]),
+    ],
+    ids=["corpus", "config", "trace", "pairs"],
+)
+def test_deeply_nested_input_exits_2_naming_the_file(workdir, capsys, monkeypatch, name, argv):
+    """JSON nested past the parser's depth is bad data in the file that
+    holds it, not a crash; a JSONL file also names the line."""
+    monkeypatch.chdir(workdir)
+    (workdir / name).write_text(DEEP_JSON + "\n", encoding="utf-8")
+    code, _, err = run(capsys, *argv, name)
+    assert code == 2
+    assert f"{name} nests JSON deeper than the parser allows" in err
+    if name.endswith(".jsonl"):
+        assert "line 1:" in err
 
 
 class TestEvalCommands:
@@ -480,11 +517,15 @@ class TestConfig:
         [
             (("backends",), [], "backends must be dict, not list"),
             (("backends", "slm"), "table", "backends.slm must be dict, not str"),
-            (("sampling", "temperature"), "hot", "sampling temperature must be float"),
+            (("sampling", "temperature"), "hot", "sampling.temperature must be float, not str"),
             (("external",), {"top_k": "ten"}, "external.top_k must be int, not str"),
             (("audit",), "false", "audit must be bool, not str"),
+            (("external",), {"top_k": 0}, "external.top_k must be >= 1, not 0"),
         ],
-        ids=["backends-list", "backend-string", "sampling-type", "external-top-k", "audit-string"],
+        ids=[
+            "backends-list", "backend-string", "sampling-type", "external-top-k", "audit-string",
+            "external-top-k-zero",
+        ],
     )
     def test_mistyped_value_exits_2(self, workdir, capsys, path, value, message):
         cfg = json.loads((workdir / "config.json").read_text())
@@ -505,10 +546,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kind, params, message",
         [
-            ("ngram", {"n": 2, "alpha": 0.1}, "corpus must be a list of strings"),
+            ("ngram", {"n": 2, "alpha": 0.1}, "missing keys: ['corpus']"),
             ("ngram", {"n": "two", "corpus": ["A B C"]}, "n must be int, not str"),
-            ("ngram", {"corpus": ["A B C"], "policy": "char"}, "unknown keys in params file"),
-            ("ngram", '{"n": 2, "corpus": ["A B', "is not valid JSON"),
+            ("ngram", {"corpus": ["A B C"], "policy": "char"}, "unknown keys: ['policy']"),
+            ("ngram", '{"n": 2, "corpus": ["A B', "is not valid UTF-8 JSON"),
             ("table", {"vocab": {"tokens": ["A", "</s>", "<unk>"]}, "rules": [{"prefix": []}]},
              "malformed table entry"),
             ("table", {"vocab": {"tokens": ["A", "</s>"]}}, "vocab tokens must be strings"),

@@ -112,6 +112,13 @@ class TestLoadCorpus:
         save_corpus(records, path2)
         assert load_corpus(path2) == records
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_text_with_a_unicode_line_separator_round_trips(self, tmp_path, separator):
+        # save_corpus writes non-ASCII text as is; only "\n" ends a line.
+        records = [email_record(0, f"first line{separator}second line")]
+        save_corpus(records, tmp_path / "corpus.jsonl")
+        assert load_corpus(tmp_path / "corpus.jsonl") == records
+
 
 class TestFilterBounds:
     @pytest.mark.parametrize(
