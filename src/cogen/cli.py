@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .audit import AuditLog, privacy_audit
 from .backends import BackendKind
 from .combmodel import CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
@@ -27,6 +28,7 @@ from .corpus import (
     save_corpus,
     split_train_val,
     task_verb_stats,
+    tsv_lines,
 )
 from .decoder import DecodeMode, decode, read_trace, session_for_record, write_trace
 from .errors import (
@@ -39,10 +41,11 @@ from .errors import (
     TransportError,
 )
 from .fusion import TOP_K, FusionStrategy
+from .prompting import TemplateLibrary
 from .report import (
     aggregate_scores,
-    parse_score_rows,
     read_pairs,
+    read_scores,
     render_score_grid,
     render_stability_curves,
     render_weight_trace,
@@ -158,11 +161,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_seed(args) -> int:
+def _require_seed(args, default: int = 0) -> int:
+    """``--seed``, else ``default``; with COGEN_CI set, ``--seed`` is required."""
     if args.seed is None:
         if os.environ.get(CI_ENV):
             raise InvalidInputError("this subcommand requires an explicit --seed when COGEN_CI is set")
-        return 0
+        return default
     return args.seed
 
 
@@ -238,7 +242,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_generate(args) -> int:
     config = load_config(args.config)
-    seed = _require_seed(args)
+    seed = _require_seed(args, config.sampling.seed)
     sampling = replace(config.sampling, seed=seed, greedy=args.greedy or config.sampling.greedy)
     if args.max_new_tokens is not None:
         sampling = replace(sampling, max_new_tokens=args.max_new_tokens)
@@ -247,42 +251,38 @@ def _cmd_generate(args) -> int:
     record = _record_at(args.corpus, args.index)
 
     slm = build_backend(config.backend(args.slm))
+    client = None
+    try:
+        llm = None
+        if mode.kind != "slm_only":
+            llm_spec = None if args.remote else config.backend(args.llm)
+            if llm_spec is None or llm_spec.kind == BackendKind.REMOTE:
+                client = ServiceClient(config.service_address)
+                llm = RemoteBackend(client, slm.vocab, top_k=TOP_K)
+            elif llm_spec.kind == BackendKind.EXTERNAL_HTTP:
+                from .external import ExternalBackend, HttpCompletionsClient
 
-    llm = None
-    if mode.kind != "slm_only":
-        llm_spec = None if args.remote else config.backend(args.llm)
-        if llm_spec is None or llm_spec.kind == BackendKind.REMOTE:
-            client = ServiceClient(config.service_address)
-            llm = RemoteBackend(client, slm.vocab, top_k=TOP_K)
-        elif llm_spec.kind == BackendKind.EXTERNAL_HTTP:
-            from .external import ExternalBackend, HttpCompletionsClient
+                if not config.external_endpoint:
+                    raise InvalidConfigError("external_http backend needs external.endpoint in config")
+                llm = ExternalBackend(
+                    HttpCompletionsClient(config.external_endpoint),
+                    slm.vocab,
+                    top_k=config.external_top_k,
+                )
+            else:
+                llm = build_backend(llm_spec)
 
-            if not config.external_endpoint:
-                raise InvalidConfigError("external_http backend needs external.endpoint in config")
-            llm = ExternalBackend(
-                HttpCompletionsClient(config.external_endpoint),
-                slm.vocab,
-                top_k=config.external_top_k,
-            )
-        else:
-            llm = build_backend(llm_spec)
-
-    library = None
-    template_dir = args.template_dir or config.templates_dir
-    if template_dir:
-        from .prompting import TemplateLibrary
-
-        library = TemplateLibrary(template_dir)
-    audit_log = None
-    if config.audit and mode.kind not in ("slm_only", "llm_only_with_context"):
-        from .audit import AuditLog
-
-        audit_log = AuditLog()
-    session = session_for_record(record, mode, sampling, slm, llm)
-    result = decode(session, template_library=library, audit_log=audit_log)
-    if audit_log is not None and len(audit_log):
-        from .audit import privacy_audit
-
+        template_dir = args.template_dir or config.templates_dir
+        library = TemplateLibrary(template_dir) if template_dir else None
+        audit_log = AuditLog() if config.audit else None
+        session = session_for_record(record, mode, sampling, slm, llm)
+        result = decode(session, template_library=library, audit_log=audit_log)
+    finally:
+        if client is not None:
+            client.close()
+    # The decoder records nothing for slm_only or for the waived upload of
+    # llm_only_with_context, so an empty log has no verdict.
+    if audit_log:
         verdict = privacy_audit(audit_log, record.context_bundle())
         if not verdict.passed:
             print(verdict.render(), file=sys.stderr)
@@ -334,16 +334,11 @@ def _cmd_corpus(args) -> int:
         kept, rejected = filter_lamp(records, args.kind)
         save_corpus(kept, args.out)
         if args.rejected_out:
-            with open(args.rejected_out, "w", encoding="utf-8") as fh:
-                for item in rejected:
-                    fh.write(
-                        json.dumps(
-                            {"user_id": item.record.user_id, "task": item.record.task,
-                             "reason": item.reason},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+            rows = (
+                {"user_id": r.record.user_id, "task": r.record.task, "reason": r.reason} for r in rejected
+            )
+            text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+            Path(args.rejected_out).write_text(text, encoding="utf-8")
         print(f"kept {len(kept)}, rejected {len(rejected)}")
         return EXIT_OK
     if args.corpus_command == "split":
@@ -380,9 +375,7 @@ def _cmd_eval(args) -> int:
         print(f"mean\tbleu={sum(bleus)/len(bleus):.4f}\trouge_l_f={sum(fs)/len(fs):.4f}")
         return EXIT_OK
     if args.eval_command == "aggregate":
-        with open(args.scores, "r", encoding="utf-8") as fh:
-            rows = parse_score_rows(fh)
-        report = aggregate_scores(rows)
+        report = aggregate_scores(read_scores(args.scores))
         print(render_score_grid(report))
         if report.rejected_rows:
             print(f"rejected {report.rejected_rows} out-of-range rows", file=sys.stderr)
@@ -390,13 +383,7 @@ def _cmd_eval(args) -> int:
             Path(args.curves_out).write_text(render_stability_curves(report), encoding="utf-8")
         return EXIT_OK
     # wtl
-    outcomes = []
-    with open(args.judgments, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                outcomes.append(line.split("\t")[-1])
-    result = win_tie_lose(outcomes)
+    result = win_tie_lose(outcome for _, (_item_id, outcome) in tsv_lines(args.judgments, 2))
     w, t, l = result.percentages()
     print(f"win/tie/lose: {result.cell()}  ({w}% / {t}% / {l}%)")
     return EXIT_OK

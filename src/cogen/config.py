@@ -29,13 +29,16 @@ _TOP_FIELDS = {
 }
 _BACKEND_FIELDS = {"kind": str, "role": str, "params": str}
 _EXTERNAL_FIELDS = {"endpoint": str, "top_k": int}
-# The fields of each params file, and of the vocab in it.
+# The fields of each params file, and of the vocab and table entries in it.
 _PARAMS_FIELDS = {
-    BackendKind.TABLE: {"vocab": dict, "rules": list, "paths": list, "keyed": list, "default": dict},
+    BackendKind.TABLE: {"vocab": dict, "rules": list[dict], "paths": list[list[str]],
+                        "keyed": list[dict], "default": dict[str, float]},
     BackendKind.NGRAM: {"n": int, "alpha": float, "corpus": list[str], "vocab": dict},
 }
 _PARAMS_REQUIRED = {BackendKind.TABLE: set(), BackendKind.NGRAM: {"corpus"}}
 _VOCAB_FIELDS = {"tokens": list[str], "eos": str, "unk": str}
+_RULE_FIELDS = {"prefix": list[str], "next": dict[str, float]}
+_KEYED_FIELDS = {"needle": str, "path": list[str]}
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def build_backend(spec: BackendSpec):
     """Instantiate a table or n-gram backend from its params file, read
     as strictly as the config. Table params: {"vocab": {"tokens", "eos",
     "unk"}, "rules": [{"prefix", "next"}], "paths", "keyed": [{"needle",
-    "path"|"rules"}], "default"}. N-gram params: {"n", "alpha", "corpus",
+    "path"}], "default"}. N-gram params: {"n", "alpha", "corpus",
     "vocab"}, trained on "corpus" at load over "vocab" or its own."""
     schema = _PARAMS_FIELDS.get(spec.kind)
     if schema is None:
@@ -149,17 +152,19 @@ def build_backend(spec: BackendSpec):
         model = train_ngram(obj["corpus"], obj.get("n", 2), float(obj.get("alpha", 1.0)), vocab)
         return NGramBackend(model, spec.role)
     vocab = _vocab_from_obj(obj.get("vocab", {}), error)
-    try:
-        rules = {tuple(r["prefix"]): r["next"] for r in obj.get("rules", [])}
-        for path_tokens in obj.get("paths", []):
-            rules.update(TableBackend.path_rules(vocab, path_tokens))
-        keyed = []
-        for entry in obj.get("keyed", []):
-            if "path" in entry:
-                ruleset = TableBackend.path_rules(vocab, entry["path"])
-            else:
-                ruleset = {tuple(r["prefix"]): r["next"] for r in entry["rules"]}
-            keyed.append((entry["needle"], ruleset))
-        return TableBackend(vocab, spec.role, rules=rules, keyed=keyed, default=obj.get("default"))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InvalidConfigError(f"{what}: malformed table entry: {exc!r}") from exc
+
+    def entries(key: str, fields: dict) -> list[dict]:
+        """The ``key`` list's objects, each checked by ``fields``, all required."""
+        return [
+            check_fields(entry, fields, error, f"{key}[{i}]", fields.keys())
+            for i, entry in enumerate(obj.get(key, []))
+        ]
+
+    rules = {tuple(r["prefix"]): r["next"] for r in entries("rules", _RULE_FIELDS)}
+    for path_tokens in obj.get("paths", []):
+        rules.update(TableBackend.path_rules(vocab, path_tokens))
+    keyed = [
+        (entry["needle"], TableBackend.path_rules(vocab, entry["path"]))
+        for entry in entries("keyed", _KEYED_FIELDS)
+    ]
+    return TableBackend(vocab, spec.role, rules=rules, keyed=keyed, default=obj.get("default"))

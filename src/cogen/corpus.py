@@ -7,15 +7,16 @@ references shorter than 64 characters (emails) / 128 characters (paper
 abstracts) or longer than 1024 characters are rejected, bounds
 inclusive, characters counted as Unicode scalar values.
 
-This module also holds the one reader of JSON from outside the program:
-``parse_object`` for config, params, corpus, trace and pairs files and
-wire frames alike, and ``check_fields`` for their keys and value types.
+This module also holds the one reader of each outside format:
+``parse_object`` and ``check_fields`` for config, params, corpus, trace
+and pairs files and wire frames, and ``json_object_lines`` and
+``tsv_lines`` for the lines of JSONL and TSV files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from types import GenericAlias
@@ -73,17 +74,6 @@ class CorpusRecord:
         the task itself when the record has none."""
         return self.general_task or self.task
 
-    def to_json_obj(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "dataset_kind": self.dataset_kind,
-            "profile": self.profile,
-            "history": list(self.history),
-            "task": self.task,
-            "reference": self.reference,
-            "general_task": self.general_task,
-        }
-
 
 def parse_object(data: bytes, error, what: str) -> dict:
     """The JSON object that the UTF-8 bytes ``data`` hold. Bad UTF-8, bad
@@ -104,11 +94,11 @@ def _has_type(value, want) -> bool:
     kind = type(value)
     if kind is want or (want is float and kind is int):
         return True
-    return (
-        kind is list
-        and isinstance(want, GenericAlias)
-        and all(_has_type(item, want.__args__[0]) for item in value)
-    )
+    if not isinstance(want, GenericAlias) or kind is not want.__origin__:
+        return False
+    # JSON object keys are always strings, so only a dict's values are checked.
+    items = value.values() if kind is dict else value
+    return all(_has_type(item, want.__args__[-1]) for item in items)
 
 
 def check_fields(obj: dict, schema: dict, error, path: str = "", required=frozenset()) -> dict:
@@ -118,7 +108,8 @@ def check_fields(obj: dict, schema: dict, error, path: str = "", required=frozen
 
     The type rule is exact: an int also stands for a float, but
     ``true``/``false`` is no number and ``"1"`` no int; ``list[T]`` is a
-    list whose every item has type ``T``.
+    list whose every item has type ``T``, and ``dict[str, T]`` an object
+    whose every value has type ``T``.
     """
     where = f" in {path}" if path else ""
     for key, value in obj.items():
@@ -136,14 +127,37 @@ def check_fields(obj: dict, schema: dict, error, path: str = "", required=frozen
     return obj
 
 
+def _lines(path):
+    """``(line number, bytes)`` for each non-blank line of the file at
+    ``path``. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if line.strip():
+            yield line_no, line
+
+
 def json_object_lines(path):
     """``(line number, object)`` for each non-blank line of the JSONL file
     at ``path``; a line that is not one JSON object raises a CorpusError
     naming the file and the line."""
-    data = Path(path).read_bytes()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        if line.strip():
-            yield line_no, parse_object(line, partial(CorpusError, line=line_no), str(path))
+    for line_no, line in _lines(path):
+        yield line_no, parse_object(line, partial(CorpusError, line=line_no), str(path))
+
+
+def tsv_lines(path, columns: int):
+    """``(line number, fields)`` for each non-blank line of the UTF-8 TSV
+    file at ``path``, split into lines as ``json_object_lines`` splits; a
+    line that is not UTF-8 or has other than ``columns`` tab-separated
+    fields raises a CorpusError naming the file and the line."""
+    for line_no, line in _lines(path):
+        try:
+            fields = line.decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path} is not valid UTF-8: {exc}", line=line_no) from exc
+        if len(fields) != columns:
+            raise CorpusError(
+                f"{path}: expected {columns} tab-separated fields, not {len(fields)}", line=line_no
+            )
+        yield line_no, fields
 
 
 def load_corpus(path) -> list[CorpusRecord]:
@@ -168,7 +182,7 @@ def load_corpus(path) -> list[CorpusRecord]:
 def save_corpus(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_json_obj(), sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(asdict(record), sort_keys=True, ensure_ascii=False) + "\n")
 
 
 @dataclass(frozen=True)

@@ -363,7 +363,7 @@ def run_sketch_then_fill(
 
     Returns (response token ids, SketchArtifact or draft text).
     """
-    tokenizer = Tokenizer(slm_backend.vocab)
+    tokenizer = Tokenizer(llm_backend.vocab)
     kind = record.dataset_kind
 
     def draft(prompt: str, draft_sampling: SamplingConfig) -> str:

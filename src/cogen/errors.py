@@ -49,8 +49,8 @@ class RatingParseError(CogenError):
 
 
 class CorpusError(CogenError):
-    """An input data file (corpus, scores, pairs or trace) failed schema
-    validation."""
+    """An input data file (corpus, scores, judgments, pairs or trace)
+    failed schema validation."""
 
     def __init__(self, message: str, line: int | None = None) -> None:
         if line is not None:

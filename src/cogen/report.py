@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from .corpus import check_fields, json_object_lines
+from .corpus import check_fields, json_object_lines, tsv_lines
 from .decoder import WeightTrace
 from .errors import CorpusError, InvalidInputError
 
@@ -130,17 +130,12 @@ class AggregateReport:
     rejected_rows: int
 
 
-def parse_score_rows(lines) -> list[tuple[str, str, str, float]]:
-    """Rows are tab-separated: setting, metric, item_id, rating."""
+def read_scores(path) -> list[tuple[str, str, str, float]]:
+    """The TSV file of judged scores at ``path``, one row per line with
+    exactly setting, metric, item_id and rating, as those four with the
+    rating a float."""
     rows = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorpusError("expected 4 tab-separated fields", line=line_no)
-        setting, metric, item_id, rating_text = parts
+    for line_no, (setting, metric, item_id, rating_text) in tsv_lines(path, 4):
         try:
             rating = float(rating_text)
         except ValueError as exc:
@@ -238,13 +233,11 @@ class WtlResult:
 def win_tie_lose(judgments) -> WtlResult:
     """Tally win/tie/lose outcomes; input is any iterable of those words."""
     counts = {"win": 0, "tie": 0, "lose": 0}
-    n = 0
     for outcome in judgments:
         if outcome not in counts:
             raise InvalidInputError(f"unknown judgment outcome {outcome!r}")
         counts[outcome] += 1
-        n += 1
-    if n == 0:
+    if not any(counts.values()):
         raise InvalidInputError("win_tie_lose needs at least one judgment")
     return WtlResult(wins=counts["win"], ties=counts["tie"], losses=counts["lose"])
 

@@ -18,6 +18,7 @@ from cogen.errors import InvalidConfigError
 from cogen.service import ServeConfig, sampling_to_wire, serve
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TABLE_VOCAB = {"tokens": ["A", "B", "</s>", "<unk>"]}
 
 
 @pytest.fixture()
@@ -239,6 +240,26 @@ class TestGenerate:
         assert code == 2
         assert "config has no backend named 'nosuch'" in err
 
+    def test_without_seed_the_configs_seed_samples(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["sampling"].update(greedy=False, top_p=1.0, temperature=1.0)
+        cfg["backends"]["slm"]["params"] = "coin.json"
+        coin = {"vocab": {"tokens": ["A", "B", "</s>", "<unk>"]}, "default": {"A": 1, "B": 1}}
+        (workdir / "coin.json").write_text(json.dumps(coin), encoding="utf-8")
+        argv = [
+            "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "slm", "--max-new-tokens", "8",
+        ]
+        outputs = set()
+        for seed in range(8):
+            cfg["sampling"]["seed"] = seed
+            (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert run(capsys, *argv, "--seed", seed) == (0, out, "")
+            outputs.add(out)
+        assert len(outputs) > 1
+
     def test_ci_mode_requires_seed(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("COGEN_CI", "1")
         code, _, err = run(
@@ -417,6 +438,15 @@ class TestEvalCommands:
         assert "38/2/10" in out
         assert "76.0%" in out
 
+    @pytest.mark.parametrize("line", ["item9", "item9\twin\textra"], ids=["one-column", "three-columns"])
+    def test_malformed_judgment_exits_2_naming_its_line(self, workdir, capsys, line):
+        judgments = workdir / "judgments.tsv"
+        text = judgments.read_text(encoding="utf-8")
+        judgments.write_text(text + line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "wtl", "--judgments", judgments)
+        assert code == 2 and out == ""
+        assert f"line {len(text.splitlines()) + 1}: " in err and "judgments.tsv" in err
+
 
 class TestTrainComb:
     @pytest.fixture()
@@ -550,11 +580,20 @@ class TestConfig:
             ("ngram", {"n": "two", "corpus": ["A B C"]}, "n must be int, not str"),
             ("ngram", {"corpus": ["A B C"], "policy": "char"}, "unknown keys: ['policy']"),
             ("ngram", '{"n": 2, "corpus": ["A B', "is not valid UTF-8 JSON"),
-            ("table", {"vocab": {"tokens": ["A", "</s>", "<unk>"]}, "rules": [{"prefix": []}]},
-             "malformed table entry"),
+            ("table", {"vocab": TABLE_VOCAB, "rules": [{"prefix": []}]},
+             "missing keys in rules[0]: ['next']"),
             ("table", {"vocab": {"tokens": ["A", "</s>"]}}, "vocab tokens must be strings"),
+            ("table", {"vocab": TABLE_VOCAB, "rules": [{"prefix": "AB", "next": {"A": 1}}]},
+             "rules[0].prefix must be list[str], not str"),
+            ("table", {"vocab": TABLE_VOCAB, "rules": [{"prefix": [], "next": {"A": True, "B": 1}}]},
+             "rules[0].next must be dict[str, float], not dict"),
+            ("table", {"vocab": TABLE_VOCAB, "keyed": [{"needle": "x", "rules": []}]},
+             "unknown keys in keyed[0]: ['rules']"),
         ],
-        ids=["no-corpus", "n-string", "policy-key", "truncated", "rule-without-next", "vocab-without-unk"],
+        ids=[
+            "no-corpus", "n-string", "policy-key", "truncated", "rule-without-next",
+            "vocab-without-unk", "string-prefix", "bool-probability", "keyed-rules",
+        ],
     )
     def test_bad_params_file_exits_2_naming_it(self, workdir, capsys, kind, params, message):
         text = params if isinstance(params, str) else json.dumps(params)
@@ -620,7 +659,7 @@ class TestServeCommand:
             assert all("payload_hex" not in row for row in log_rows)
         finally:
             proc.terminate()
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # waits, and closes both pipes
 
 
 class TestHelp:

@@ -1,6 +1,7 @@
 """Corpus loading, filtering bounds, splitting, statistics."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,16 @@ class TestLoadCorpus:
         path2 = tmp_path / "copy.jsonl"
         save_corpus(records, path2)
         assert load_corpus(path2) == records
+
+    def test_save_writes_the_fixture_in_sorted_keys_and_unchanged_bytes(self, tmp_path):
+        records = load_corpus(Path(__file__).parent / "fixtures" / "corpus.jsonl")
+        save_corpus(records, tmp_path / "corpus.jsonl")
+        assert (tmp_path / "corpus.jsonl").read_bytes() == (
+            b'{"dataset_kind": "context_aware", "general_task": "A B", "history": '
+            b'["Wrote a trail report last weekend.", "Keeps notes terse and factual."], '
+            b'"profile": "Meticulous planner fond of alpine hiking and precise checklists.", '
+            b'"reference": "A B C", "task": "A B C", "user_id": "fixture-user"}\n'
+        )
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_text_with_a_unicode_line_separator_round_trips(self, tmp_path, separator):

@@ -310,6 +310,17 @@ class TestSketchThenFill:
         out_b, _ = run_sketch_then_fill(llm_b, slm, CONTEXT_RECORD, sampling)
         assert out_a != out_b
 
+    def test_the_draft_is_read_in_the_large_models_own_vocabulary(self):
+        vocab, _, _, slm = _sketch_world()
+        # The same draft tokens under other ids: the modes share no vocabulary.
+        llm_vocab = build_vocab(["aardvark zebra", "1. alpha\\n2. beta"])
+        assert llm_vocab != vocab
+        llm = path_backend(llm_vocab, Role.LARGE_CLOUD, ["1.", "alpha\\n2.", "beta"])
+        sampling = SamplingConfig(greedy=True, max_new_tokens=12)
+        tokens, artifact = run_sketch_then_fill(llm, slm, CONTEXT_RECORD, sampling)
+        assert artifact.points == ("alpha", "beta")
+        assert [vocab.token(t) for t in tokens] == ["opening", "about", "alpha", "closing"]
+
     def test_unparseable_sketch_retries_then_raises(self):
         vocab, *_ , slm = _sketch_world()
         broken_llm = path_backend(vocab, Role.LARGE_CLOUD, ["opening", "closing"])

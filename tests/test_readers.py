@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen.config import load_config
+from cogen.backends import BackendKind, Role
+from cogen.config import BackendSpec, build_backend, load_config
 from cogen.core import SamplingConfig
 from cogen.corpus import check_fields, load_corpus
 from cogen.decoder import read_trace
@@ -34,6 +35,13 @@ TRACE_LINES = [
     {"mode": "logit_fusion[mean]", "seed": 0, "events": ["an event"]},
     {"step": 1, "token_id": 2, "token": "A", "w": 0.5, "p_s_top1": 0.25, "p_l_top1": 1},
 ]
+TABLE_PARAMS = {
+    "vocab": {"tokens": ["A", "B", "</s>", "<unk>"], "eos": "</s>", "unk": "<unk>"},
+    "rules": [{"prefix": ["A"], "next": {"A": 0.5, "B": 1}}],
+    "paths": [["B", "A"]],
+    "keyed": [{"needle": "x", "path": ["B"]}],
+    "default": {"A": 1.0},
+}
 LOGITS = {
     "version": 1,
     "kind": "logits",
@@ -53,10 +61,11 @@ GENERATE = {
 
 
 def key_paths(obj, prefix=()):
-    """The path to every value in ``obj``, into nested objects too."""
-    for key, value in obj.items():
+    """The path to every value in ``obj``, into nested objects and arrays
+    too."""
+    for key, value in obj.items() if type(obj) is dict else enumerate(obj):
         yield prefix + (key,)
-        if type(value) is dict:
+        if type(value) in (dict, list):
             yield from key_paths(value, prefix + (key,))
 
 
@@ -96,12 +105,18 @@ def write_lines(path, objs):
     return path
 
 
+def build_table(workdir, params):
+    path = write_lines(workdir / "table.json", [params])
+    return build_backend(BackendSpec("slm", BackendKind.TABLE, Role.SMALL_DEVICE, path))
+
+
 def test_the_unchanged_documents_pass(workdir):
     write_lines(workdir / "config.json", [CONFIG])
     assert load_config(workdir / "config.json").external_top_k == 10
     records = load_corpus(write_lines(workdir / "corpus.jsonl", [CORPUS_LINE]))
     assert records[0].user_id == CORPUS_LINE["user_id"]
     assert read_trace(write_lines(workdir / "trace.jsonl", TRACE_LINES)).steps[0].p_l_top1 == 1
+    assert build_table(workdir, TABLE_PARAMS).vocab.tokens[0] == "A"
     for request in (LOGITS, GENERATE):
         validate_request(request, 100)
 
@@ -111,6 +126,13 @@ def test_the_unchanged_documents_pass(workdir):
 def test_a_mistyped_config_value_is_a_config_error(workdir, config):
     with pytest.raises(InvalidConfigError):
         load_config(write_lines(workdir / "config.json", [config]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=mistyped(TABLE_PARAMS))
+def test_a_mistyped_table_params_value_is_a_config_error(workdir, params):
+    with pytest.raises(InvalidConfigError, match="table.json: "):
+        build_table(workdir, params)
 
 
 @settings(max_examples=100, deadline=None)
@@ -170,7 +192,10 @@ def test_a_document_nested_past_the_parsers_depth_is_the_formats_error(workdir, 
 
 @pytest.mark.parametrize(
     "value, want",
-    [(1, float), (1.5, float), (["a"], list[str]), ([], list[str]), (True, bool), ({}, dict)],
+    [
+        (1, float), (1.5, float), (["a"], list[str]), ([], list[str]), (True, bool), ({}, dict),
+        ({"a": 1, "b": 0.5}, dict[str, float]), ([["a"], []], list[list[str]]),
+    ],
 )
 def test_the_type_rule_accepts(value, want):
     check_fields({"x": value}, {"x": want}, ValueError)
@@ -185,6 +210,9 @@ def test_the_type_rule_accepts(value, want):
         ("1", int, "x must be int, not str"),
         (["a", 1], list[str], "x must be list[str], not list"),
         (None, str, "x must be str, not NoneType"),
+        ({"a": True}, dict[str, float], "x must be dict[str, float], not dict"),
+        (["a"], dict[str, float], "x must be dict[str, float], not list"),
+        ({"a": "b"}, list[str], "x must be list[str], not dict"),
     ],
 )
 def test_the_type_rule_rejects(value, want, message):

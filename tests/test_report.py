@@ -10,7 +10,7 @@ from cogen.errors import InvalidInputError
 from cogen.report import (
     aggregate_scores,
     bleu,
-    parse_score_rows,
+    read_scores,
     render_score_grid,
     render_stability_curves,
     render_weight_trace,
@@ -185,11 +185,18 @@ class TestAggregate:
     def test_parse_rows_and_errors(self, tmp_path):
         from cogen.errors import CorpusError
 
-        good = "setting\tovl_w\titem\t7\n"
-        rows = parse_score_rows(good.splitlines())
-        assert rows == [("setting", "ovl_w", "item", 7.0)]
-        with pytest.raises(CorpusError, match="line 1"):
-            parse_score_rows(["only\ttwo"])
+        path = tmp_path / "scores.tsv"
+        path.write_text("setting\tovl_w\titem\t7\n", encoding="utf-8")
+        assert read_scores(path) == [("setting", "ovl_w", "item", 7.0)]
+        path.write_text("\nonly\ttwo\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 2: .*expected 4 tab-separated fields, not 2"):
+            read_scores(path)
+        path.write_text("setting\tovl_w\titem\tseven\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 1: rating 'seven' is not a number"):
+            read_scores(path)
+        path.write_bytes(b"setting\tovl_w\titem\t7\n\xff\n")
+        with pytest.raises(CorpusError, match="line 2: .*scores.tsv is not valid UTF-8"):
+            read_scores(path)
 
     def test_stability_curves_csv(self):
         report = aggregate_scores([("s", "per", "a", 6.0), ("s", "per", "b", 8.0)])
