@@ -10,12 +10,14 @@ weight — both source distributions are treated as constants.
 A training example is built from what one fused step consumes, its two
 sparse top-k views, and the loss is an entry of the step's own blend.
 
-``comb_train`` allocates its parameter and gradient buffers once per
-call and updates them in place. It performs the same floating-point
-operations in the same order as summing into fresh zeroed arrays and
-applying ``w -= lr * (g / n)``, so the trained parameters are the same
-bits; ``comb_train``'s docstring gives the one difference, which moves
-no weight.
+``comb_train`` runs each mini-batch through the net as one ``(B, 20)``
+matrix pass, forward and backward, and each epoch's validation set as one
+``(N, 20)`` forward. It keeps parameters and gradient in two flat buffers
+allocated once per call; the backward pass writes the batch's scaled
+gradient straight into the second, and one subtraction updates the
+first. Its trained bits differ from a per-example loop's only by
+floating-point summation order (``tests/test_train_in_place.py`` holds
+the two within 1e-12).
 
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
@@ -152,13 +154,17 @@ def _sigmoid(z: float) -> float:
 
 
 def _forward(arrs, x: np.ndarray):
+    """The net on one input row ``(IN_DIM,)``, giving one weight, or on a
+    batch of rows ``(B, IN_DIM)``, giving a list of ``B`` weights; and the
+    activations the backward pass reads."""
     w1, b1, w2, b2, w3, b3 = arrs
     z1 = x @ w1 + b1
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ w2 + b2
     h2 = np.maximum(z2, 0.0)
-    z3 = float(h2 @ w3[:, 0]) + float(b3[0])
-    return _sigmoid(z3), (x, z1, h1, z2, h2)
+    z3 = h2 @ w3[:, 0] + b3[0]
+    w = _sigmoid(float(z3)) if x.ndim == 1 else [_sigmoid(z) for z in z3.tolist()]
+    return w, (x, z1, h1, z2, h2)
 
 
 def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
@@ -266,28 +272,36 @@ def _views(flat: np.ndarray) -> list[np.ndarray]:
     return views
 
 
-def _backward(arrs, example: CombExample, w: float, cache, out) -> None:
-    """Write the example's gradient into ``out``, arrays shaped as the
-    parameters."""
-    w1, b1, w2, b2, w3, b3 = arrs
-    x, z1, h1, z2, h2 = cache
+def _logit_grad(example: CombExample, w: float) -> float:
+    """The example's loss derivative with respect to the net's output
+    logit: dL/dw through the sigmoid."""
     a_y, b_y = example.a[example.y], example.b[example.y]
     mass_a, mass_b = example.mass_a, example.mass_b
     u = w * a_y + (1.0 - w) * b_y
     s = w * mass_a + (1.0 - w) * mass_b
     if u <= 0.0 or u / s < _PROB_FLOOR:
-        dl_dw = 0.0  # clamped region of the loss is flat
-    else:
-        dl_dw = -(a_y - b_y) / u + (mass_a - mass_b) / s
+        return 0.0  # clamped region of the loss is flat
+    return (-(a_y - b_y) / u + (mass_a - mass_b) / s) * w * (1.0 - w)
 
-    g = dl_dw * w * (1.0 - w)  # through the sigmoid
+
+def _backward(arrs, examples, ws, cache, scale: float, out) -> None:
+    """Write ``scale`` times the sum of the batch's gradients into ``out``,
+    arrays shaped as the parameters; ``ws`` and ``cache`` are the batched
+    forward pass's."""
+    w1, b1, w2, b2, w3, b3 = arrs
+    x, z1, h1, z2, h2 = cache
+    g = np.array([_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)])
     dw1, db1, dw2, db2, dw3, db3 = out
-    dz2 = np.multiply(w3[:, 0] * g, z2 > 0, out=db2)
-    dz1 = np.multiply(w2 @ dz2, z1 > 0, out=db1)
-    np.multiply(x[:, None], dz1, out=dw1)
-    np.multiply(h1[:, None], dz2, out=dw2)
-    np.multiply(h2[:, None], g, out=dw3)
-    db3[0] = g
+    dz2 = np.multiply.outer(g, w3[:, 0])
+    dz2 *= z2 > 0
+    dz1 = dz2 @ w2.T
+    dz1 *= z1 > 0
+    np.matmul(x.T, dz1, out=dw1)
+    np.sum(dz1, axis=0, out=db1)
+    np.matmul(h1.T, dz2, out=dw2)
+    np.sum(dz2, axis=0, out=db2)
+    np.matmul(h2.T, g[:, None], out=dw3)
+    db3[0] = g.sum()
 
 
 def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
@@ -298,12 +312,13 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     slot, u = w*a_y + (1-w)*b_y the fused target mass and S the fused
     total mass, dL/dw = -(a_y - b_y)/u + (A - B)/S; the second term is the
     renormalization correction and vanishes on dense inputs where both
-    masses are 1. ReLU uses subgradient 0 at 0.
+    masses are 1. ReLU uses subgradient 0 at 0. This is the batched
+    backward pass ``comb_train`` runs, on a batch of one.
     """
     arrs = params.arrays()
-    w, cache = _forward(arrs, example.x)
+    ws, cache = _forward(arrs, example.x[None, :])
     out = tuple(np.empty(shape) for _, shape in _LAYOUT)
-    _backward(arrs, example, w, cache, out)
+    _backward(arrs, [example], ws, cache, 1.0, out)
     return CombGradients(*out)
 
 
@@ -323,10 +338,6 @@ class TrainReport:
     degenerate_examples: int = 0
 
 
-def _mean_loss(arrs, examples) -> float:
-    return sum(_loss_at(ex, _forward(arrs, ex.x)[0], None) for ex in examples) / len(examples)
-
-
 def comb_train(
     train: list[CombExample],
     val: list[CombExample],
@@ -340,24 +351,20 @@ def comb_train(
     ``InvalidConfigError`` when no epoch gives a finite validation loss,
     which a learning rate that diverges causes.
 
-    The parameters, a batch's gradient sum and one scratch gradient each
-    live in a flat buffer allocated once per call and viewed in the
-    parameter shapes. A batch's first example writes its gradient into
-    the sum; each later one writes its own into the scratch, which is
-    added in. The sum is then divided by the batch size, scaled by the
-    learning rate and subtracted from the parameters, all in place.
-    Every floating-point operation is the one, in the order, that
-    ``w -= lr * (g / n)`` over a sum started from zeros performs, so the
-    trained bits are the same. The one difference is the sign of an
-    exactly-zero gradient entry, which moves no weight: subtracting
-    either zero leaves a nonzero weight as it is, and leaves a zero
-    weight +0.0.
+    Each batch is one matrix pass: a forward over its rows of the input
+    matrix, stacked once per call, then a backward that scales each
+    example's output gradient by ``learning_rate / len(batch)`` and writes
+    the batch's update into a flat gradient buffer viewed in the parameter
+    shapes. One in-place subtraction applies it. Each epoch's validation
+    loss is one forward over all of ``val``.
     """
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
     theta = np.concatenate([a.ravel() for a in comb_init(config.seed).arrays()])
-    grad, scratch = np.empty_like(theta), np.empty_like(theta)
-    current, grads, scratches = _views(theta), _views(grad), _views(scratch)
+    grad = np.empty_like(theta)
+    current, grads = _views(theta), _views(grad)
+    x_train = np.stack([ex.x for ex in train])
+    x_val = np.stack([ex.x for ex in val])
     rng = Splitmix64(config.seed)
     stats = LossStats()
     report = TrainReport()
@@ -368,20 +375,15 @@ def comb_train(
         rng.shuffle(order)
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[start : start + config.batch_size]]
-            for j, ex in enumerate(batch):
-                # One forward pass feeds both the reported loss and the gradient.
-                w, cache = _forward(current, ex.x)
-                batch_losses.append(_loss_at(ex, w, stats))
-                if j == 0:
-                    _backward(current, ex, w, cache, grads)
-                else:
-                    _backward(current, ex, w, cache, scratches)
-                    grad += scratch
-            grad /= len(batch)
-            grad *= config.learning_rate
+            rows = order[start : start + config.batch_size]
+            batch = [train[i] for i in rows]
+            # One forward pass feeds both the reported losses and the gradient.
+            ws, cache = _forward(current, x_train[rows])
+            batch_losses.extend(_loss_at(ex, w, stats) for ex, w in zip(batch, ws))
+            _backward(current, batch, ws, cache, config.learning_rate / len(batch), grads)
             theta -= grad
-        val_loss = _mean_loss(current, val)
+        ws, _ = _forward(current, x_val)
+        val_loss = sum(_loss_at(ex, w, None) for ex, w in zip(val, ws)) / len(val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
         )

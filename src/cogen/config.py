@@ -167,4 +167,7 @@ def build_backend(spec: BackendSpec):
         (entry["needle"], TableBackend.path_rules(vocab, entry["path"]))
         for entry in entries("keyed", _KEYED_FIELDS)
     ]
-    return TableBackend(vocab, spec.role, rules=rules, keyed=keyed, default=obj.get("default"))
+    try:
+        return TableBackend(vocab, spec.role, rules=rules, keyed=keyed, default=obj.get("default"))
+    except InvalidConfigError as exc:  # a token outside the vocab, or no mass
+        raise error(str(exc)) from exc

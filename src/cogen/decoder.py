@@ -66,6 +66,12 @@ from .prompting import (
 from .rng import Splitmix64
 from .tokenizer import Tokenizer
 
+# Entries one large view's fused-step memo holds at most. The benchmark's
+# decode workloads peak at 43 (seeds 0-3); a small side that returned new
+# views at every call would otherwise grow a long-lived large view's memo
+# without bound.
+FUSED_MEMO_CAP = 64
+
 
 @dataclass(frozen=True)
 class DecodeMode:
@@ -212,7 +218,8 @@ def blend_step(
     in its memo, so a recurring pair of histories reuses one blend and its
     cached nucleus; a remote large view is new at every call, and its
     entry dies with it. A large view holds at most one entry per small
-    view and strategy it was blended with.
+    view and strategy it was blended with, and at most ``FUSED_MEMO_CAP``
+    in all: a miss on a full memo stores nothing.
     """
     ps_k, pl_k = top_k_views(p_s, p_l)
     memo = pl_k._fused
@@ -227,7 +234,8 @@ def blend_step(
     if strategy.kind == "learnable":
         w_override = view_weight(strategy.model, pl_k, ps_k)
     fused, w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
-    memo[key] = (ps_k, strategy.model, fused, w)
+    if len(memo) < FUSED_MEMO_CAP:
+        memo[key] = (ps_k, strategy.model, fused, w)
     return fused, w, ps_k, pl_k
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from cogen.combmodel import (
     TrainReport,
     _forward,
     _loss_at,
-    _mean_loss,
     comb_init,
 )
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
@@ -152,8 +153,9 @@ def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float
 
 
 def reference_backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, ...]:
-    """The weight net's gradient in fresh arrays, each example's masses
-    summed anew: the reference ``combmodel._backward`` must match."""
+    """One example's weight-net gradient in fresh arrays, through outer
+    products, each example's masses summed anew: the reference
+    ``combmodel.comb_grad`` must match within rounding."""
     w1, b1, w2, b2, w3, b3 = arrs
     x, z1, h1, z2, h2 = cache
     a, b, y = example.a, example.b, example.y
@@ -181,9 +183,11 @@ def reference_backward(arrs, example: CombExample, w: float, cache) -> tuple[np.
 
 
 def reference_comb_train(train, val, config):
-    """``comb_train`` as plain SGD over freshly allocated arrays: each
-    batch sums its gradients into zeroed arrays and updates with
-    ``w -= lr * (g / n)``. The in-place trainer must match its bits."""
+    """``comb_train`` as plain SGD, one example at a time, over freshly
+    allocated arrays: each batch sums its examples' gradients into zeroed
+    arrays and updates with ``w -= lr * (g / n)``, and the validation loss
+    is a mean over one forward pass per example. The batched trainer must
+    match it within rounding."""
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
     current = [np.array(a) for a in comb_init(config.seed).arrays()]
@@ -207,7 +211,7 @@ def reference_comb_train(train, val, config):
                     acc += g
             for arr, g in zip(current, grads):
                 arr -= config.learning_rate * (g / len(batch))
-        val_loss = _mean_loss(current, val)
+        val_loss = sum(_loss_at(ex, _forward(current, ex.x)[0], None) for ex in val) / len(val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
         )
@@ -223,3 +227,22 @@ def reference_comb_train(train, val, config):
                 break
     report.degenerate_examples = stats.degenerate
     return CombModelParams(*best, seed=config.seed), report
+
+
+def openblas_corename() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS reports (it reads
+    ``OPENBLAS_CORETYPE`` when it loads), or None when numpy carries no
+    OpenBLAS whose name can be read."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (
+            "scipy_openblas_get_corename64_",
+            "scipy_openblas_get_corename",
+            "openblas_get_corename64_",
+            "openblas_get_corename",
+        ):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None

@@ -589,10 +589,18 @@ class TestConfig:
              "rules[0].next must be dict[str, float], not dict"),
             ("table", {"vocab": TABLE_VOCAB, "keyed": [{"needle": "x", "rules": []}]},
              "unknown keys in keyed[0]: ['rules']"),
+            ("table", {"vocab": TABLE_VOCAB, "paths": [["Z"]]}, "table rule names unknown token 'Z'"),
+            ("table", {"vocab": TABLE_VOCAB, "keyed": [{"needle": "x", "path": ["A", "Z"]}]},
+             "table rule names unknown token 'Z'"),
+            ("table", {"vocab": TABLE_VOCAB, "rules": [{"prefix": [], "next": {"A": 0}}]},
+             "table rule has no probability mass"),
+            ("table", {"vocab": TABLE_VOCAB, "default": {"A": -1}},
+             "table probabilities must be finite and non-negative"),
         ],
         ids=[
             "no-corpus", "n-string", "policy-key", "truncated", "rule-without-next",
             "vocab-without-unk", "string-prefix", "bool-probability", "keyed-rules",
+            "path-unknown-token", "keyed-path-unknown-token", "no-mass", "negative-default",
         ],
     )
     def test_bad_params_file_exits_2_naming_it(self, workdir, capsys, kind, params, message):

@@ -857,9 +857,11 @@ def test_fused_step_memo_never_serves_a_dead_small_views_entry():
     """A sparse small side longer than ``TOP_K`` gets a new view at every
     call, and each dies with its step unless something holds it. An entry
     keyed by a dead view's id must never answer for a new view that
-    happens to reuse that id."""
+    happens to reuse that id. The large view's memo stops growing at
+    ``FUSED_MEMO_CAP`` entries."""
     large = TokenDistribution.dense(np.full(16, 1 / 16))
     ids = np.arange(12, dtype=np.int64)
+    memos = set()
     for i in range(300):
         head = 0.2 + (i % 97) / 1000
         probs = np.array([head] + [(1 - head) / 11] * 11)
@@ -868,7 +870,11 @@ def test_fused_step_memo_never_serves_a_dead_small_views_entry():
         )
         want, _ = fuse_views(ps_k, pl_k, FusionStrategy.mean())
         assert same_bits(np.array(fused.probs), np.array(want.probs))
+        memo = pl_k._fused
+        memos.add(id(memo))
+        assert len(memo) <= decoder.FUSED_MEMO_CAP
         del fused, ps_k, pl_k, want  # so the next view may take this one's id
+    assert len(memos) == 1 and len(memo) == decoder.FUSED_MEMO_CAP
 
 
 def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weight_nets):

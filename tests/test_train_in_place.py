@@ -1,14 +1,23 @@
-"""The in-place weight-net trainer computes the reference trainer's bits.
+"""The batched weight-net trainer matches the per-example reference.
 
-``comb_train`` updates one set of gradient buffers in place;
-``helpers.reference_comb_train`` is plain SGD over freshly allocated,
-zeroed arrays with ``w -= lr * (g / n)``. Every floating-point operation
-is the same in both, in the same order, so parameters and losses must
-agree to the bit on every batch size, on a short last batch, through
-early stopping and on examples whose loss is floored.
+``comb_train`` runs each mini-batch as one matrix pass and writes the
+scaled update into one gradient buffer; ``helpers.reference_comb_train``
+is plain SGD one example at a time over freshly allocated, zeroed arrays
+with ``w -= lr * (g / n)``. The two sum in different orders, so they
+agree within a tolerance fixed ahead of the batched code: parameters
+within 1e-12 absolute and every epoch loss within 1e-12 relative, on
+every batch size, on a short last batch, through early stopping and on
+examples whose loss is floored. Which epoch is best, whether training
+stopped early and how many losses were floored must be identical.
 """
 
 from __future__ import annotations
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +26,7 @@ from cogen.combmodel import CombExample, CombTrainConfig, _forward, comb_grad, c
 from cogen.core import TokenDistribution
 from helpers import (
     one_sided_examples,
+    openblas_corename,
     perturbed_params,
     random_comb_example,
     reference_backward,
@@ -44,15 +54,21 @@ def splits() -> tuple[list[CombExample], list[CombExample]]:
     return train, val
 
 
+PARAM_ATOL = 1e-12
+LOSS_RTOL = 1e-12
+
+
 def assert_same_training(got, want) -> None:
     (params, report), (ref_params, ref_report) = got, want
     for name, a, b in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params.arrays(), ref_params.arrays()):
-        assert a.tobytes() == b.tobytes(), f"{name} differs from the reference trainer"
-    assert [(repr(e.train_loss), repr(e.val_loss)) for e in report.epochs] == [
-        (repr(e.train_loss), repr(e.val_loss)) for e in ref_report.epochs
-    ]
+        np.testing.assert_allclose(a, b, rtol=0, atol=PARAM_ATOL, err_msg=f"{name} differs from the reference")
+    assert len(report.epochs) == len(ref_report.epochs)
+    for got_epoch, want_epoch in zip(report.epochs, ref_report.epochs):
+        assert got_epoch.epoch == want_epoch.epoch
+        assert got_epoch.train_loss == pytest.approx(want_epoch.train_loss, rel=LOSS_RTOL, abs=0)
+        assert got_epoch.val_loss == pytest.approx(want_epoch.val_loss, rel=LOSS_RTOL, abs=0)
     assert report.best_epoch == ref_report.best_epoch
-    assert repr(report.best_val_loss) == repr(ref_report.best_val_loss)
+    assert report.best_val_loss == pytest.approx(ref_report.best_val_loss, rel=LOSS_RTOL, abs=0)
     assert report.stopped_early == ref_report.stopped_early
     assert report.degenerate_examples == ref_report.degenerate_examples
 
@@ -89,4 +105,50 @@ def test_comb_grad_matches_reference_backward():
         want = reference_backward(arrs, ex, w, cache)
         for a, b in zip(comb_grad(params, ex).arrays(), want):
             assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            # Each entry sums at most 16 products: compare on the tensor's own scale.
+            atol = PARAM_ATOL * max(1.0, float(np.abs(b).max()))
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+            if not b.any():  # a flat or clamped loss: exactly zero either way
+                assert not a.any()
+
+
+# OpenBLAS kernels for x86-64: a generic SSE3 one, the AVX2 one and the
+# AVX-512 one. Each sums a small matrix product in its own order.
+KERNELS = ("Prescott", "Haswell", "SkylakeX")
+TESTS = Path(__file__).resolve().parent
+# Prints the kernel the child's OpenBLAS runs, then the two comparisons above.
+CHILD = """import sys, pytest
+from helpers import openblas_corename
+print(openblas_corename(), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
+    sys.argv[1] + "::test_in_place_trainer_matches_reference",
+    sys.argv[1] + "::test_comb_grad_matches_reference_backward"]))
+"""
+
+
+def cpu_has_avx512() -> bool:
+    try:
+        return " avx512f" in Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return False
+
+
+def test_the_tolerance_holds_under_each_openblas_kernel():
+    """Both comparisons pass in a child process under each kernel, set
+    through ``OPENBLAS_CORETYPE`` in the child's environment only. Each
+    child reports a different kernel, so the variable took effect.
+    SkylakeX runs only on a CPU with AVX-512."""
+    if platform.machine().lower() not in ("x86_64", "amd64") or openblas_corename() is None:
+        pytest.skip("numpy carries no x86-64 OpenBLAS whose kernel can be read")
+    kernels = [k for k in KERNELS if k != "SkylakeX" or cpu_has_avx512()]
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")])
+    names = []
+    for kernel in kernels:
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, __file__],
+            cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, f"under {kernel}:\n{proc.stdout}{proc.stderr}"
+        names.append(proc.stdout.splitlines()[0])
+    assert len(set(names)) == len(kernels), f"kernels {kernels} ran as {names}"
