@@ -10,14 +10,10 @@ weight — both source distributions are treated as constants.
 A training example is built from what one fused step consumes, its two
 sparse top-k views, and the loss is an entry of the step's own blend.
 
-``comb_train`` runs each mini-batch through the net as one ``(B, 20)``
-matrix pass, forward and backward, and each epoch's validation set as one
-``(N, 20)`` forward. It keeps parameters and gradient in two flat buffers
-allocated once per call; the backward pass writes the batch's scaled
-gradient straight into the second, and one subtraction updates the
-first. Its trained bits differ from a per-example loop's only by
-floating-point summation order (``tests/test_train_in_place.py`` holds
-the two within 1e-12).
+``comb_train`` runs a mini-batch as three matmuls forward and three back:
+in its flat buffers each weight is followed by its bias row, and its input
+and hidden rows end in a 1. Its bits differ from a per-example loop's only
+by summation order (``tests/test_train_in_place.py``: within 1e-12).
 
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
@@ -35,7 +31,7 @@ import numpy as np
 from .backends import open_cursor
 from .core import TokenDistribution, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import TOP_K, _align, _pairwise_sum, blend, top_k_views
+from .fusion import TOP_K, _align, _mixture, _pairwise_sum, top_k_views
 from .rng import Splitmix64
 
 IN_DIM = 2 * TOP_K  # both sources' top-k probabilities
@@ -153,25 +149,44 @@ def _sigmoid(z: float) -> float:
     return out
 
 
-def _forward(arrs, x: np.ndarray):
-    """The net on one input row ``(IN_DIM,)``, giving one weight, or on a
-    batch of rows ``(B, IN_DIM)``, giving a list of ``B`` weights; and the
-    activations the backward pass reads."""
+def _row_weight(arrs, x: np.ndarray) -> float:
+    """The net on one input row ``(IN_DIM,)``, each bias added on its own
+    (on one row, folding it in is no faster): a fused step's weight."""
     w1, b1, w2, b2, w3, b3 = arrs
-    z1 = x @ w1 + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ w2 + b2
-    h2 = np.maximum(z2, 0.0)
-    z3 = h2 @ w3[:, 0] + b3[0]
-    w = _sigmoid(float(z3)) if x.ndim == 1 else [_sigmoid(z) for z in z3.tolist()]
-    return w, (x, z1, h1, z2, h2)
+    h1 = np.maximum(x @ w1 + b1, 0.0)
+    h2 = np.maximum(h1 @ w2 + b2, 0.0)
+    return _sigmoid(float(h2 @ w3[:, 0] + b3[0]))
+
+
+def _blocks(flat: np.ndarray) -> list[np.ndarray]:
+    """``flat`` cut into the layers' ``[w; b]`` blocks, bias last."""
+    blocks, start = [], 0
+    for fan_in, fan_out in zip(_DIMS, _DIMS[1:]):
+        blocks.append(flat[start : start + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+        start += (fan_in + 1) * fan_out
+    return blocks
+
+
+def _views(flat: np.ndarray) -> list[np.ndarray]:
+    """``flat`` cut into one view per tensor, as ``_LAYOUT`` says."""
+    return [part for block in _blocks(flat) for part in (block[:-1], block[-1])]
+
+
+def _forward(blocks, acts) -> list[float]:
+    """One weight per row of ``acts = (x, h1, h2)``, rows ending in a 1 that
+    adds the bias: each layer's matmul and ReLU fill the next buffer's rest."""
+    l1, l2, l3 = blocks
+    x, h1, h2 = acts
+    z1, z2 = h1[:, :-1], h2[:, :-1]
+    np.maximum(np.matmul(x, l1, out=z1), 0.0, out=z1)
+    np.maximum(np.matmul(h1, l2, out=z2), 0.0, out=z2)
+    return [_sigmoid(z) for z in (h2 @ l3)[:, 0].tolist()]
 
 
 def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
     """Blend weight in (0, 1) from both sources' descending top-10 probs."""
     x = np.concatenate([_check_top10("top10_l", top10_l), _check_top10("top10_s", top10_s)])
-    w, _ = _forward(params.arrays(), x)
-    return w
+    return _row_weight(params.arrays(), x)
 
 
 def _view_input(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
@@ -185,15 +200,9 @@ def _view_input(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
 
 
 def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
-    """Blend weight from both sources' sparse top-k views.
-
-    The same bits as ``comb_forward(params, padded_top_probs(pl_k),
-    padded_top_probs(ps_k))``, without its checks: a sparse distribution
-    was checked when it was built, and its entries are already
-    descending.
-    """
-    w, _ = _forward(params.arrays(), _view_input(pl_k, ps_k))
-    return w
+    """Blend weight from both sources' sparse top-k views: ``comb_forward``
+    on the padded views, without the checks each view passed when built."""
+    return _row_weight(params.arrays(), _view_input(pl_k, ps_k))
 
 
 class CombExample:
@@ -230,7 +239,8 @@ class LossStats:
 
 def _loss_at(example: CombExample, w: float, stats: "LossStats | None") -> float:
     # The gold token's entry of the very blend a fused step samples from.
-    p = blend(example.a, example.b, w)[example.y]
+    vec, total = _mixture(example.a, example.b, w)
+    p = vec[example.y] / total
     if p < _PROB_FLOOR:
         p = _PROB_FLOOR
         if stats is not None:
@@ -244,8 +254,7 @@ def comb_loss(params: CombModelParams, example: CombExample) -> float:
     A fused probability of zero is floored at 1e-12 rather than crashing
     the run (``comb_train`` counts such examples).
     """
-    w, _ = _forward(params.arrays(), example.x)
-    return _loss_at(example, w, None)
+    return _loss_at(example, _row_weight(params.arrays(), example.x), None)
 
 
 @dataclass(frozen=True)
@@ -261,17 +270,6 @@ class CombGradients:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
 
-def _views(flat: np.ndarray) -> list[np.ndarray]:
-    """``flat`` cut into one view per parameter tensor, shaped and
-    ordered as ``_LAYOUT`` says."""
-    views, start = [], 0
-    for _, shape in _LAYOUT:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
-
-
 def _logit_grad(example: CombExample, w: float) -> float:
     """The example's loss derivative with respect to the net's output
     logit: dL/dw through the sigmoid."""
@@ -284,24 +282,21 @@ def _logit_grad(example: CombExample, w: float) -> float:
     return (-(a_y - b_y) / u + (mass_a - mass_b) / s) * w * (1.0 - w)
 
 
-def _backward(arrs, examples, ws, cache, scale: float, out) -> None:
-    """Write ``scale`` times the sum of the batch's gradients into ``out``,
-    arrays shaped as the parameters; ``ws`` and ``cache`` are the batched
-    forward pass's."""
-    w1, b1, w2, b2, w3, b3 = arrs
-    x, z1, h1, z2, h2 = cache
+def _backward(blocks, examples, ws, acts, scale: float, out) -> None:
+    """Write ``scale`` times the batch's summed gradient into ``out``'s
+    ``[dw; db]`` blocks, one matmul each (the rows' trailing 1 sums ``db``).
+    ``ws`` and ``acts`` are ``_forward``'s; ReLU outputs mask as inputs would."""
+    _, l2, l3 = blocks
+    x, h1, h2 = acts
+    d1, d2, d3 = out
     g = np.array([_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)])
-    dw1, db1, dw2, db2, dw3, db3 = out
-    dz2 = np.multiply.outer(g, w3[:, 0])
-    dz2 *= z2 > 0
-    dz1 = dz2 @ w2.T
-    dz1 *= z1 > 0
-    np.matmul(x.T, dz1, out=dw1)
-    np.sum(dz1, axis=0, out=db1)
-    np.matmul(h1.T, dz2, out=dw2)
-    np.sum(dz2, axis=0, out=db2)
-    np.matmul(h2.T, g[:, None], out=dw3)
-    db3[0] = g.sum()
+    np.matmul(h2.T, g[:, None], out=d3)
+    dz2 = np.multiply.outer(g, l3[:-1, 0])
+    dz2 *= h2[:, :-1] > 0
+    np.matmul(h1.T, dz2, out=d2)
+    dz1 = dz2 @ l2[:-1].T
+    dz1 *= h1[:, :-1] > 0
+    np.matmul(x.T, dz1, out=d1)
 
 
 def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
@@ -312,14 +307,15 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     slot, u = w*a_y + (1-w)*b_y the fused target mass and S the fused
     total mass, dL/dw = -(a_y - b_y)/u + (A - B)/S; the second term is the
     renormalization correction and vanishes on dense inputs where both
-    masses are 1. ReLU uses subgradient 0 at 0. This is the batched
-    backward pass ``comb_train`` runs, on a batch of one.
+    masses are 1. ReLU uses subgradient 0 at 0. This is ``comb_train``'s
+    batched pass on a batch of one.
     """
-    arrs = params.arrays()
-    ws, cache = _forward(arrs, example.x[None, :])
-    out = tuple(np.empty(shape) for _, shape in _LAYOUT)
-    _backward(arrs, [example], ws, cache, 1.0, out)
-    return CombGradients(*out)
+    theta = np.concatenate(params.arrays(), axis=None)
+    grad = np.empty_like(theta)
+    blocks = _blocks(theta)
+    acts = (np.append(example.x, 1.0)[None], np.ones((1, HIDDEN1 + 1)), np.ones((1, HIDDEN2 + 1)))
+    _backward(blocks, [example], _forward(blocks, acts), acts, 1.0, _blocks(grad))
+    return CombGradients(*_views(grad))
 
 
 @dataclass(frozen=True)
@@ -351,20 +347,19 @@ def comb_train(
     ``InvalidConfigError`` when no epoch gives a finite validation loss,
     which a learning rate that diverges causes.
 
-    Each batch is one matrix pass: a forward over its rows of the input
-    matrix, stacked once per call, then a backward that scales each
-    example's output gradient by ``learning_rate / len(batch)`` and writes
-    the batch's update into a flat gradient buffer viewed in the parameter
-    shapes. One in-place subtraction applies it. Each epoch's validation
-    loss is one forward over all of ``val``.
+    Each epoch gathers its shuffled input rows once, so a batch is a
+    slice; its pass through the ``[w; b]`` blocks writes ``learning_rate /
+    len(batch)`` times its gradient, and one subtraction applies it.
     """
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
-    theta = np.concatenate([a.ravel() for a in comb_init(config.seed).arrays()])
+    theta = np.concatenate(comb_init(config.seed).arrays(), axis=None)
     grad = np.empty_like(theta)
-    current, grads = _views(theta), _views(grad)
-    x_train = np.stack([ex.x for ex in train])
-    x_val = np.stack([ex.x for ex in val])
+    blocks, grads = _blocks(theta), _blocks(grad)
+    x_all = np.ones((len(train) + len(val), IN_DIM + 1))
+    x_all[:, :-1] = [ex.x for ex in train + val]
+    rows = max(min(config.batch_size, len(train)), len(val))
+    h1, h2 = np.ones((rows, HIDDEN1 + 1)), np.ones((rows, HIDDEN2 + 1))
     rng = Splitmix64(config.seed)
     stats = LossStats()
     report = TrainReport()
@@ -373,16 +368,18 @@ def comb_train(
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(len(train)))
         rng.shuffle(order)
+        x_epoch = x_all[order]
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
-            rows = order[start : start + config.batch_size]
-            batch = [train[i] for i in rows]
+            batch = [train[i] for i in order[start : start + config.batch_size]]
+            n = len(batch)
+            acts = (x_epoch[start : start + n], h1[:n], h2[:n])
             # One forward pass feeds both the reported losses and the gradient.
-            ws, cache = _forward(current, x_train[rows])
+            ws = _forward(blocks, acts)
             batch_losses.extend(_loss_at(ex, w, stats) for ex, w in zip(batch, ws))
-            _backward(current, batch, ws, cache, config.learning_rate / len(batch), grads)
+            _backward(blocks, batch, ws, acts, config.learning_rate / n, grads)
             theta -= grad
-        ws, _ = _forward(current, x_val)
+        ws = _forward(blocks, (x_all[len(train) :], h1[: len(val)], h2[: len(val)]))
         val_loss = sum(_loss_at(ex, w, None) for ex, w in zip(val, ws)) / len(val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
@@ -411,25 +408,28 @@ def comb_save(params: CombModelParams, path) -> None:
     the four layer dims as u32, the init seed as u64 (all little-endian),
     then every tensor as little-endian float64 in row-major order."""
     header = _MAGIC + _HEADER.pack(_VERSION, len(_DIMS), *_DIMS, params.seed)
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays())
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(header + np.concatenate(params.arrays(), axis=None).astype("<f8").tobytes())
 
 
 def comb_load(path) -> CombModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _BODY_OFFSET or blob[: len(_MAGIC)] != _MAGIC:
-        raise ModelIOError("not a weight-model container (bad magic)")
-    version, ndims, *dims, seed = _HEADER.unpack_from(blob, len(_MAGIC))
-    if version != _VERSION:
-        raise ModelIOError(f"unsupported container version {version}")
-    if (ndims, *dims) != (len(_DIMS), *_DIMS):
-        raise ModelIOError(f"shape mismatch: container declares {tuple(dims)}, expected {_DIMS}")
-    if len(blob) != _BODY_OFFSET + 8 * sum(math.prod(shape) for _, shape in _LAYOUT):
-        raise ModelIOError("container truncated or padded")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET).astype(np.float64)
-    return CombModelParams(*_views(flat), seed=seed)
+    """Read a ``comb_save`` container; any failure, the file's, is a ``ModelIOError`` naming ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if len(blob) < _BODY_OFFSET or blob[: len(_MAGIC)] != _MAGIC:
+            raise ModelIOError("not a weight-model container (bad magic)")
+        version, ndims, *dims, seed = _HEADER.unpack_from(blob, len(_MAGIC))
+        if version != _VERSION:
+            raise ModelIOError(f"unsupported container version {version}")
+        if (ndims, *dims) != (len(_DIMS), *_DIMS):
+            raise ModelIOError(f"shape mismatch: container declares {tuple(dims)}, expected {_DIMS}")
+        if len(blob) != _BODY_OFFSET + 8 * sum(math.prod(shape) for _, shape in _LAYOUT):
+            raise ModelIOError("container truncated or padded")
+        flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET).astype(np.float64)
+        return CombModelParams(*_views(flat), seed=seed)  # checks every entry is finite
+    except (OSError, ModelIOError, InvalidInputError) as exc:
+        raise ModelIOError(f"weight-model container {path}: {exc}") from exc
 
 
 @dataclass

@@ -198,6 +198,23 @@ def _pairwise_sum(values, ids=None, size=None) -> float:
     return total + 0.0
 
 
+def _mixture(a, b, w: float | None) -> tuple[list[float], float]:
+    """``blend``'s values before normalization and the divisor that
+    normalizes them: their mass, or 1.0 where ``blend`` skips the
+    division. Dividing one entry by it gives that entry of the blend."""
+    if w is None:
+        vec = [x if x >= y else y for x, y in zip(a, b)]
+    else:
+        v = 1.0 - w
+        vec = [w * x + v * y for x, y in zip(a, b)]
+    total = _pairwise_sum(vec)
+    if total <= 0:
+        raise InvalidInputError("fused distribution has no mass")
+    if abs(total - 1.0) <= DENSE_SUM_TOL:
+        return vec, 1.0
+    return vec, total
+
+
 def blend(a, b, w: float | None) -> list[float]:
     """w*a + (1-w)*b over one aligned support, or the elementwise maximum
     when ``w`` is None, normalized: the values every fused step samples
@@ -208,15 +225,8 @@ def blend(a, b, w: float | None) -> list[float]:
     clean dense inputs bit-exact (a weight of 1 really returns the first
     operand unchanged).
     """
-    if w is None:
-        vec = [x if x >= y else y for x, y in zip(a, b)]
-    else:
-        v = 1.0 - w
-        vec = [w * x + v * y for x, y in zip(a, b)]
-    total = _pairwise_sum(vec)
-    if total <= 0:
-        raise InvalidInputError("fused distribution has no mass")
-    if abs(total - 1.0) <= DENSE_SUM_TOL:
+    vec, total = _mixture(a, b, w)
+    if total == 1.0:
         return vec
     return [x / total for x in vec]
 

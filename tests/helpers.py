@@ -16,8 +16,8 @@ from cogen.combmodel import (
     EpochStats,
     LossStats,
     TrainReport,
-    _forward,
     _loss_at,
+    _sigmoid,
     comb_init,
 )
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
@@ -152,6 +152,20 @@ def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float
     return fused, dense
 
 
+def reference_forward(arrs, x: np.ndarray):
+    """The net on one input row ``(IN_DIM,)``, unfolded: each bias added
+    on its own, ``x @ w1 + b1``. Returns the weight and the activations
+    ``reference_backward`` reads. ``combmodel.view_weight`` must match it
+    to the bit, and ``comb_train``'s folded batches within rounding."""
+    w1, b1, w2, b2, w3, b3 = arrs
+    z1 = x @ w1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2 + b2
+    h2 = np.maximum(z2, 0.0)
+    z3 = h2 @ w3[:, 0] + b3[0]
+    return _sigmoid(float(z3)), (x, z1, h1, z2, h2)
+
+
 def reference_backward(arrs, example: CombExample, w: float, cache) -> tuple[np.ndarray, ...]:
     """One example's weight-net gradient in fresh arrays, through outer
     products, each example's masses summed anew: the reference
@@ -205,13 +219,13 @@ def reference_comb_train(train, val, config):
             grads = [np.zeros_like(a) for a in current]
             for ex in batch:
                 # One forward pass feeds both the reported loss and the gradient.
-                w, cache = _forward(current, ex.x)
+                w, cache = reference_forward(current, ex.x)
                 batch_losses.append(_loss_at(ex, w, stats))
                 for acc, g in zip(grads, reference_backward(current, ex, w, cache)):
                     acc += g
             for arr, g in zip(current, grads):
                 arr -= config.learning_rate * (g / len(batch))
-        val_loss = sum(_loss_at(ex, _forward(current, ex.x)[0], None) for ex in val) / len(val)
+        val_loss = sum(_loss_at(ex, reference_forward(current, ex.x)[0], None) for ex in val) / len(val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
         )

@@ -1,9 +1,11 @@
 """End-to-end coverage of every subcommand over the shipped fixtures."""
 
 import json
+import math
 import re
 import shutil
 import socket
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from cogen import service
 from cogen.backends import Role
 from cogen.cli import main
+from cogen.combmodel import comb_init, comb_save
 from cogen.config import build_backend, load_config
 from cogen.core import SamplingConfig
 from cogen.errors import InvalidConfigError
@@ -239,6 +242,17 @@ class TestGenerate:
         code, _, err = run(capsys, argv[0], "--config", "config.json", *argv[1:])
         assert code == 2
         assert "config has no backend named 'nosuch'" in err
+
+    def test_learnable_container_with_a_nan_exits_2_naming_the_file(self, workdir, capsys):
+        path = workdir / "weights.cgcm"
+        comb_save(comb_init(0), path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
+        code, out, err = run(
+            capsys, "generate", "--config", workdir / "config.json", "--corpus", workdir / "corpus.jsonl",
+            "--mode", "fuse", "--strategy", "learnable", path, "--seed", "0",
+        )
+        assert code == 2 and out == ""
+        assert str(path) in err and "b3 contains non-finite entries" in err
 
     def test_without_seed_the_configs_seed_samples(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())

@@ -1,10 +1,12 @@
 """The fusion-weight network: init, forward, loss, gradients, training, IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from cogen import combmodel
 from cogen.combmodel import (
     CombExample,
     CombModelParams,
@@ -285,13 +287,83 @@ class TestSaveLoad:
             comb_load(path)
 
     def test_foreign_shape_header_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "weights.cgcm"
         header = b"CGCM" + struct.pack("<HHIIIIQ", 1, 4, 20, 256, 16, 1, 0)
         path.write_bytes(header + b"\x00" * (8 * (20 * 256 + 256 + 256 * 16 + 16 + 16 + 1)))
         with pytest.raises(ModelIOError, match="shape"):
             comb_load(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda blob: b"XXXX" + blob[4:], "bad magic"),
+            (lambda blob: blob[:4] + struct.pack("<H", 2) + blob[6:], "unsupported container version 2"),
+            (lambda blob: blob[:-16], "truncated"),
+            (lambda blob: blob[:-8] + struct.pack("<d", math.nan), "b3 contains non-finite entries"),
+            (lambda blob: blob[:8] + struct.pack("<I", 21) + blob[12:], "shape mismatch"),
+            (lambda blob: blob[:40] + struct.pack("<d", math.inf) + blob[48:], "w1 contains non-finite entries"),
+        ],
+        ids=["magic", "version", "truncated", "nan", "shape", "inf"],
+    )
+    def test_every_bad_container_is_a_model_io_error_naming_the_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "weights.cgcm"
+        comb_save(comb_init(0), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ModelIOError, match=message) as exc:
+            comb_load(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["missing.cgcm", "."], ids=["missing", "directory"])
+    def test_an_unreadable_path_is_a_model_io_error_naming_it(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ModelIOError) as exc:
+            comb_load(path)
+        assert str(path) in str(exc.value)
+
+
+class TestBlockLayout:
+    """``_LAYOUT`` puts each weight straight before its bias, so ``[w; b]``
+    is one row block of the flat buffer, the block the trainer runs."""
+
+    def test_trainer_blocks_are_views_of_one_flat_buffer_in_layout_order(self, monkeypatch):
+        cuts = []
+        real_blocks = combmodel._blocks
+
+        def spy(flat):
+            cuts.append((flat.copy(), flat, real_blocks(flat)))
+            return cuts[-1][2]
+
+        monkeypatch.setattr(combmodel, "_blocks", spy)
+        comb_train(one_sided_examples(1, 5), one_sided_examples(2, 2), CombTrainConfig(seed=3, max_epochs=1))
+        (theta0, theta, blocks), (_, grad, grad_blocks) = cuts[:2]
+        init = comb_init(3)
+        np.testing.assert_array_equal(theta0, np.concatenate([getattr(init, n).ravel() for n, _ in combmodel._LAYOUT]))
+        for flat, cut in ((theta, blocks), (grad, grad_blocks)):
+            offset = 0
+            for block, (w_name, w_shape), (b_name, b_shape) in zip(
+                cut, combmodel._LAYOUT[0::2], combmodel._LAYOUT[1::2]
+            ):
+                assert block.shape == (w_shape[0] + 1, w_shape[1]) and b_shape == (w_shape[1],)
+                assert block.flags.c_contiguous and np.shares_memory(block, flat)
+                assert block.ctypes.data == flat.ctypes.data + 8 * offset
+                if flat is theta:
+                    start = theta0[offset : offset + block.size].reshape(block.shape)
+                    np.testing.assert_array_equal(start[:-1], getattr(init, w_name))
+                    np.testing.assert_array_equal(start[-1], getattr(init, b_name))
+                offset += block.size
+            assert offset == flat.size
+
+    def test_saved_body_is_the_blocks_bytes(self, tmp_path):
+        params = perturbed_params(comb_init(5), np.random.default_rng(5), scale=0.5)
+        path = tmp_path / "weights.cgcm"
+        comb_save(params, path)
+        flat = np.concatenate([getattr(params, name).ravel() for name, _ in combmodel._LAYOUT])
+        blocks = combmodel._blocks(flat)
+        arrays = params.arrays()
+        for block, w, b in zip(blocks, arrays[0::2], arrays[1::2]):
+            assert np.array_equal(block[:-1], w) and np.array_equal(block[-1], b)
+        body = path.read_bytes()[combmodel._BODY_OFFSET :]
+        assert body == b"".join(block.astype("<f8").tobytes() for block in blocks)
 
 
 class TestHarvest:

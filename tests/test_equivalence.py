@@ -38,6 +38,7 @@ from cogen.fusion import AlignedPair, FusionStrategy, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
+from helpers import perturbed_params, reference_forward
 
 # --- reference implementations -------------------------------------------
 
@@ -520,35 +521,48 @@ def view_pairs(draw):
 @given(views=view_pairs(), w=BLEND_WEIGHTS, which=st.integers(0, 2))
 def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
     """A training example reads what a fused step reads, bit for bit: the
-    weight net's input, the blend at the target and the padded views."""
+    weight net's input, the blend at the target and the padded views; and
+    its loss is the floored log of that blend entry."""
     ps_k, pl_k, target = views
     params = weight_nets[which]
     ex = combmodel.CombExample(ps_k, pl_k, target)
-    got, _ = combmodel._forward(params.arrays(), ex.x)
+    got = combmodel._row_weight(params.arrays(), ex.x)
     assert same_bits(np.float64(got), np.float64(combmodel.view_weight(params, pl_k, ps_k)))
     got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
     want = outcome(lambda: fuse_views(ps_k, pl_k, FusionStrategy.fixed(w))[0].prob_of(target))
     assert got[1] == want[1]
+    loss = outcome(combmodel._loss_at, ex, w, None)
+    assert loss[1] == want[1]
     if want[1] is None:
         assert type(got[0]) is float
         assert same_bits(np.float64(got[0]), np.float64(want[0]))
+        assert same_bits(np.float64(loss[0]), np.float64(-math.log(max(want[0], combmodel._PROB_FLOOR))))
     assert ex.top10_l == combmodel.padded_top_probs(pl_k)
     assert ex.top10_s == combmodel.padded_top_probs(ps_k)
     assert repr(ex.top10_l) == repr(combmodel.padded_top_probs(pl_k))
 
 
 @settings(max_examples=300, deadline=None)
-@given(pl_k=top_k_views(), ps_k=top_k_views(), which=st.integers(0, 2))
-def test_view_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which):
+@given(
+    pl_k=top_k_views(),
+    ps_k=top_k_views(),
+    which=st.integers(0, 2),
+    jitter=st.sampled_from([0.0, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_view_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which, jitter, seed):
     """The fused step's unchecked weight is the checked weight on the
-    padded views, large model first, bit for bit."""
-    params = weight_nets[which]
+    padded views, large model first, and the unfolded one-row forward of
+    ``helpers.reference_forward`` (``x @ w1 + b1``), bit for bit, on
+    initial and perturbed parameters, biases included."""
+    params = perturbed_params(weight_nets[which], np.random.default_rng(seed), scale=jitter)
     got = combmodel.view_weight(params, pl_k, ps_k)
-    want = combmodel.comb_forward(
-        params, combmodel.padded_top_probs(pl_k), combmodel.padded_top_probs(ps_k)
-    )
+    top10_l, top10_s = combmodel.padded_top_probs(pl_k), combmodel.padded_top_probs(ps_k)
+    want = combmodel.comb_forward(params, top10_l, top10_s)
     assert type(got) is float
     assert same_bits(np.float64(got), np.float64(want))
+    reference, _ = reference_forward(params.arrays(), np.array(top10_l + top10_s))
+    assert same_bits(np.float64(got), np.float64(reference))
 
 
 # --- backend request checks and n-gram conditioning -------------------------

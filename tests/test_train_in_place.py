@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogen.combmodel import CombExample, CombTrainConfig, _forward, comb_grad, comb_init, comb_train
+from cogen.combmodel import CombExample, CombTrainConfig, comb_grad, comb_init, comb_train
 from cogen.core import TokenDistribution
 from helpers import (
     one_sided_examples,
@@ -31,9 +31,11 @@ from helpers import (
     random_comb_example,
     reference_backward,
     reference_comb_train,
+    reference_forward,
 )
 
-# 11 training examples leave a last batch of 1, 2 and 3 at batch sizes 2, 3 and 4.
+# 11 training examples leave a last batch of 1, 2 and 3 at batch sizes 2, 3 and
+# 4; at 16, one short batch holds all 11.
 TRAIN_SIZE = 11
 
 
@@ -75,7 +77,7 @@ def assert_same_training(got, want) -> None:
 
 @pytest.mark.parametrize("learning_rate", [2e-3, 0.5])
 @pytest.mark.parametrize("patience", [1, 15])
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 16])
 def test_in_place_trainer_matches_reference(batch_size, patience, learning_rate):
     train, val = splits()
     config = CombTrainConfig(
@@ -85,7 +87,8 @@ def test_in_place_trainer_matches_reference(batch_size, patience, learning_rate)
     assert_same_training(got, reference_comb_train(train, val, config))
     report = got[1]
     assert report.degenerate_examples > 0
-    if learning_rate == 0.5 and patience == 1:
+    # One update per epoch at batch size 16 is too few to overshoot.
+    if learning_rate == 0.5 and patience == 1 and batch_size < TRAIN_SIZE:
         assert report.stopped_early and report.best_epoch < len(report.epochs)
 
 
@@ -101,7 +104,7 @@ def test_comb_grad_matches_reference_backward():
     for seed, ex in enumerate(examples):
         params = perturbed_params(comb_init(seed), rng, scale=0.5)
         arrs = params.arrays()
-        w, cache = _forward(arrs, ex.x)
+        w, cache = reference_forward(arrs, ex.x)
         want = reference_backward(arrs, ex, w, cache)
         for a, b in zip(comb_grad(params, ex).arrays(), want):
             assert a.shape == b.shape
