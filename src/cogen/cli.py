@@ -117,10 +117,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--slm", default="slm")
     p.add_argument("--llm", default="llm")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=2e-3)
-    p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--learning-rate", type=float, default=CombTrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=CombTrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=CombTrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=CombTrainConfig.patience)
 
     p = sub.add_parser("corpus", help="corpus tooling")
     csub = p.add_subparsers(dest="corpus_command", required=True)

@@ -53,11 +53,11 @@ class BackendSpec:
 class AppConfig:
     backends: dict[str, BackendSpec]
     sampling: SamplingConfig
-    templates_dir: Path | None = None
-    service_address: str = "127.0.0.1:7341"
-    audit: bool = True
-    external_endpoint: str | None = None
-    external_top_k: int = 10
+    templates_dir: Path | None
+    service_address: str
+    audit: bool
+    external_endpoint: str | None
+    external_top_k: int
 
     def backend(self, name: str) -> BackendSpec:
         spec = self.backends.get(name)
@@ -110,13 +110,12 @@ def load_config(path) -> AppConfig:
     external_top_k = external.get("top_k", 10)
     if external_top_k < 1:
         raise InvalidConfigError(f"external.top_k must be >= 1, not {external_top_k}")
-    address = obj.get("service_address", "127.0.0.1:7341")
 
     return AppConfig(
         backends=backends,
         sampling=sampling,
         templates_dir=templates_dir,
-        service_address=os.environ.get(LISTEN_ENV) or address,
+        service_address=os.environ.get(LISTEN_ENV) or obj.get("service_address", "127.0.0.1:7341"),
         audit=obj.get("audit", True),
         external_endpoint=external.get("endpoint"),
         external_top_k=external_top_k,

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import get_type_hints
 
-from .backends import ConditioningInput, ContextBundle, Role, check_context_blind, open_cursor
+from .backends import ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import teacher_forced_steps, view_weight
 from .core import SamplingConfig, TokenDistribution
 from .corpus import check_fields, json_object_lines
@@ -291,7 +291,7 @@ def decode_single(
     if hasattr(backend, "generate_remote"):
         check_context_blind(backend.role, context)
         if audited:
-            audit_log.record_input(ConditioningInput(instruction, initial_prefix, None, backend.role))
+            audit_log.record_input(instruction, initial_prefix)
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
             trace.events.append(
@@ -309,7 +309,7 @@ def decode_single(
         if i > 1:
             cursor.push(tokens[-1])
         if audited:
-            audit_log.record_input(ConditioningInput(instruction, tokens, None, backend.role))
+            audit_log.record_input(instruction, tokens)
         dist = _dense(cursor.distribution())
         top1 = 0.0 if trace is None else dist.top1()[1]
         return (dist, w, top1, 0.0) if small else (dist, w, 0.0, top1)
@@ -337,7 +337,7 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
             if i > 1:
                 large.push(tokens[-1])
             if audit_log is not None:
-                audit_log.record_input(ConditioningInput(record.llm_task, tokens, None, llm.role))
+                audit_log.record_input(record.llm_task, tokens)
             try:
                 p_l = large.distribution()
             except TransportError:

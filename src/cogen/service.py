@@ -149,11 +149,12 @@ def sampling_from_wire(obj: dict) -> SamplingConfig:
 
 def _parse_address(address: tuple[str, int] | str) -> tuple[str, int]:
     """A (host, port) pair from itself or from "host:port"; an empty host
-    means 127.0.0.1."""
-    if isinstance(address, str):
-        host, _, port = address.rpartition(":")
-        return host or "127.0.0.1", int(port)
-    return address
+    means 127.0.0.1. A port that is not an integer in 0-65535 is an
+    ``InvalidConfigError`` naming the address."""
+    host, port = address.rpartition(":")[::2] if isinstance(address, str) else address
+    if not str(port).isdecimal() or int(port) > 65535:
+        raise InvalidConfigError(f"service address {address!r}: the port must be an integer in 0-65535")
+    return host or "127.0.0.1", int(port)
 
 
 @dataclass

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cogen.backends import TableBackend, open_cursor
+from cogen.audit import MIN_MATCH_CHARS, AuditHit, AuditLog, AuditVerdict, normalize_for_audit
+from cogen.backends import ContextBundle, TableBackend, open_cursor
 from cogen.combmodel import (
     _PROB_FLOOR,
     CombExample,
@@ -260,3 +261,37 @@ def openblas_corename() -> str | None:
                 get.argtypes, get.restype = [], ctypes.c_char_p
                 return get().decode()
     return None
+
+
+def reference_privacy_audit(log, context: ContextBundle) -> AuditVerdict:
+    """The per-field ``str.find`` scan that ``audit.privacy_audit``
+    replaced, verbatim: for each payload, field and window of the field,
+    the first offset of the window in the payload, reported once per
+    field and offset. It costs windows times payloads times payload
+    length; the single-pass scan must agree with its verdict and report
+    every hit it reports."""
+    records = log.records if isinstance(log, AuditLog) else list(log)
+    fields = []
+    for name, value in context.fields():
+        norm = normalize_for_audit(value)
+        if len(norm) >= MIN_MATCH_CHARS:
+            fields.append((name, norm))
+    hits: list[AuditHit] = []
+    for idx, record in enumerate(records):
+        payload = normalize_for_audit(record.payload.decode("utf-8", errors="replace"))
+        for name, norm in fields:
+            found_here = set()
+            for start in range(0, len(norm) - MIN_MATCH_CHARS + 1):
+                window = norm[start : start + MIN_MATCH_CHARS]
+                offset = payload.find(window)
+                if offset != -1 and offset not in found_here:
+                    found_here.add(offset)
+                    hits.append(
+                        AuditHit(
+                            request_index=idx,
+                            field=name,
+                            offset=offset,
+                            fragment=window,
+                        )
+                    )
+    return AuditVerdict(passed=not hits, hits=tuple(hits), requests_scanned=len(records))

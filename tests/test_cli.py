@@ -148,6 +148,22 @@ class TestGenerate:
         assert code == 3
         assert "transport" in err.lower()
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_malformed_service_address_exits_2_naming_it(self, workdir, capsys, monkeypatch, source):
+        if source == "env":
+            monkeypatch.setenv("COGEN_LISTEN", "localhost")
+        else:
+            config = json.loads((workdir / "config.json").read_text())
+            config["service_address"] = "localhost"
+            (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "fuse",
+            "--strategy", "mean", "--seed", "0", "--remote",
+        )
+        assert code == 2
+        assert "'localhost'" in err and "port" in err
+
     def test_remote_generate_against_live_service(self, workdir, capsys):
         config = load_config(workdir / "config.json")
         backend = build_backend(config.backends["llm"])
@@ -682,6 +698,12 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.communicate(timeout=10)  # waits, and closes both pipes
+
+    @pytest.mark.parametrize("address", ["nohost", "127.0.0.1:70000"])
+    def test_malformed_listen_address_exits_2_naming_it(self, workdir, capsys, address):
+        code, _, err = run(capsys, "serve", "--config", workdir / "config.json", "--listen", address)
+        assert code == 2
+        assert repr(address) in err and "port" in err
 
 
 class TestHelp:
