@@ -59,25 +59,23 @@ class BackendKind(str, Enum):
 
 @dataclass(frozen=True)
 class ContextBundle:
-    """Private conditioning material: profile, writing history, activity logs."""
+    """Private conditioning material, what a corpus record holds: the
+    user's profile and writing history."""
 
     profile: str = ""
     history: tuple[str, ...] = ()
-    activities: tuple[str, ...] = ()
 
     def fields(self):
         if self.profile:
             yield "profile", self.profile
         for i, item in enumerate(self.history):
             yield f"history[{i}]", item
-        for i, item in enumerate(self.activities):
-            yield f"activities[{i}]", item
 
     def __bool__(self) -> bool:
-        return bool(self.profile or self.history or self.activities)
+        return bool(self.profile or self.history)
 
     def as_text(self) -> str:
-        parts = [self.profile] + list(self.history) + list(self.activities)
+        parts = [self.profile] + list(self.history)
         return "\n".join(p for p in parts if p)
 
 

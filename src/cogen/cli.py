@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except CogenError as exc:
         # A session that aborted on a transport failure is a transport error.
-        cause = exc.cause if isinstance(exc, SessionError) else exc
+        cause = exc.__cause__ if isinstance(exc, SessionError) else exc
         if isinstance(cause, _TRANSPORT_ERRORS):
             print(f"cogen: transport error in {args.command}: {exc}", file=sys.stderr)
             return EXIT_TRANSPORT

@@ -113,9 +113,7 @@ def _check_top10(name: str, vec) -> np.ndarray:
 
 def padded_top_probs(dist: TokenDistribution) -> tuple[float, ...]:
     """Descending top-``TOP_K`` probabilities padded with zeros to that length."""
-    if not dist.is_sparse:
-        dist = top_k_project(dist, TOP_K)
-    probs = [float(p) for p in dist.sparse_probs[:TOP_K]]
+    probs = top_k_project(dist, TOP_K).sparse_probs.tolist()
     probs.extend(0.0 for _ in range(TOP_K - len(probs)))
     return tuple(probs)
 

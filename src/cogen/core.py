@@ -313,24 +313,27 @@ def argmax_token(dist: TokenDistribution) -> int:
 def top_k_project(dist: TokenDistribution, k: int) -> TokenDistribution:
     """Keep the k highest-probability entries without renormalizing.
 
-    Ties at the cut go to lower token ids. Projection of an already
-    normalized distribution with k >= vocab size keeps mass 1. The view
-    for the last ``k`` is cached on the distribution and returned again.
+    A dense distribution is ordered, ties at the cut going to lower token
+    ids; projecting a normalized one with k >= vocab size keeps mass 1. A
+    sparse distribution already descends with ties toward the lower id,
+    so its first k entries are its top k, and one with at most k entries
+    is its own view. The view for the last ``k`` is cached on the
+    distribution and returned again.
     """
     if k < 1:
         raise InvalidConfigError("k must be >= 1")
-    if not dist.is_dense:
-        raise InvalidInputError("top_k_project expects a dense distribution")
+    if dist.is_sparse and dist.sparse_probs.size <= k:
+        return dist
     slot = dist._top_k
     if slot is not None and slot[0] == k:
         return slot[1]
-    probs = np.asarray(dist.dense_probs)
-    # A copy, so the cache does not keep the whole vocabulary's order alive.
-    order = np.array(_descending_order(probs)[: min(k, probs.size)], dtype=np.int64)
-    view = TokenDistribution(
-        vocab_size=dist.vocab_size,
-        sparse_ids=order,
-        sparse_probs=probs[order],
-    )
+    if dist.is_dense:
+        probs = np.asarray(dist.dense_probs)
+        # A copy, so the cache does not keep the whole vocabulary's order alive.
+        ids = np.array(_descending_order(probs)[: min(k, probs.size)], dtype=np.int64)
+        probs = probs[ids]
+    else:
+        ids, probs = dist.sparse_ids[:k], dist.sparse_probs[:k]
+    view = TokenDistribution(vocab_size=dist.vocab_size, sparse_ids=ids, sparse_probs=probs)
     object.__setattr__(dist, "_top_k", (k, view))
     return view

@@ -449,7 +449,6 @@ def decode(
         raise SessionError(
             f"large backend failed at step {len(trace.steps) + 1}: {exc}",
             partial_trace=trace,
-            cause=exc,
         ) from exc
     return DecodeResult(token_ids=tuple(tokens), trace=trace, sketch=sketch)
 

@@ -83,10 +83,10 @@ class SessionError(CogenError):
     """A generation session aborted mid-stream.
 
     Carries the partial trace so callers can inspect what was emitted
-    before the failure.
+    before the failure; the failure itself is ``__cause__``, which
+    ``raise ... from`` sets.
     """
 
-    def __init__(self, message: str, partial_trace=None, cause: Exception | None = None) -> None:
+    def __init__(self, message: str, partial_trace=None) -> None:
         super().__init__(message)
         self.partial_trace = partial_trace
-        self.cause = cause

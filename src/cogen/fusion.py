@@ -134,19 +134,8 @@ def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPai
 def top_k_views(
     p_s: TokenDistribution, p_l: TokenDistribution
 ) -> tuple[TokenDistribution, TokenDistribution]:
-    """Both sources' top-k views: a dense input's ``TOP_K`` highest entries,
-    and a sparse input's first ``TOP_K``, its top ones, since sparse entries
-    descend with ties toward the lower id (a short one passes as is)."""
-    return _top_k_view(p_s), _top_k_view(p_l)
-
-
-def _top_k_view(dist: TokenDistribution) -> TokenDistribution:
-    if dist.is_dense:
-        return top_k_project(dist, TOP_K)
-    if dist.sparse_probs.size <= TOP_K:
-        return dist
-    ids, probs = dist.sparse_ids[:TOP_K], dist.sparse_probs[:TOP_K]
-    return TokenDistribution(dist.vocab_size, sparse_ids=ids, sparse_probs=probs)
+    """Both sources' top-k views: ``top_k_project`` of each at ``TOP_K``."""
+    return top_k_project(p_s, TOP_K), top_k_project(p_l, TOP_K)
 
 
 def _pairwise_sum(values, ids=None, size=None) -> float:
@@ -357,13 +346,10 @@ class FusedDistribution:
         ranked = [probs[j] for j in order]
         kept = len(ranked) - probs.count(0.0)
         cut = min(bisect_left(list(accumulate(ranked)), top_p) + 1, kept)
-        if cut == 1:  # a lone entry renormalizes to exactly 1.0
-            kept_ids, cum = [ids[order[0]]], [1.0]
-        else:
-            nucleus = ranked[:cut]
-            total = _pairwise_sum(nucleus)
-            kept_ids = [ids[j] for j in order[:cut]]
-            cum = list(accumulate([p / total for p in nucleus]))
+        nucleus = ranked[:cut]
+        total = _pairwise_sum(nucleus)
+        kept_ids = [ids[j] for j in order[:cut]]
+        cum = list(accumulate([p / total for p in nucleus]))
         self._nucleus_slot = (key, kept_ids, cum)
         return kept_ids, cum
 

@@ -125,7 +125,6 @@ def score_pair(candidate_tokens, reference_tokens) -> MetricScore:
 @dataclass
 class AggregateReport:
     means: dict            # (setting, metric) -> mean rating
-    counts: dict           # (setting, metric) -> sample count
     curves: dict           # (setting, metric) -> list of running means
     rejected_rows: int
 
@@ -165,7 +164,6 @@ def aggregate_scores(rows) -> AggregateReport:
     mean of the first i accepted ratings in input order.
     """
     sums: dict = {}
-    counts: dict = {}
     curves: dict = {}
     rejected = 0
     for setting, metric, _item, rating in rows:
@@ -174,10 +172,10 @@ def aggregate_scores(rows) -> AggregateReport:
             continue
         key = (setting, metric)
         sums[key] = sums.get(key, 0.0) + rating
-        counts[key] = counts.get(key, 0) + 1
-        curves.setdefault(key, []).append(sums[key] / counts[key])
-    means = {key: sums[key] / counts[key] for key in sums}
-    return AggregateReport(means=means, counts=counts, curves=curves, rejected_rows=rejected)
+        curve = curves.setdefault(key, [])
+        curve.append(sums[key] / (len(curve) + 1))
+    means = {key: sums[key] / len(curves[key]) for key in sums}
+    return AggregateReport(means=means, curves=curves, rejected_rows=rejected)
 
 
 def render_score_grid(report: AggregateReport) -> str:

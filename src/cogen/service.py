@@ -49,6 +49,8 @@ TOP_K_CAP = 64
 CLIENT_TIMEOUT_S = 10.0
 # Most tokens one generate request may ask for; SamplingConfig's default fits.
 MAX_NEW_TOKENS_CAP = 8192
+# Seconds between the serve loop's checks for a stop: the most a stop waits.
+STOP_POLL_S = 0.02
 
 _ENVELOPE = {"version": int, "kind": str, "session": str}
 _REQUEST_FIELDS = {
@@ -219,7 +221,6 @@ class LogitService:
             raise InvalidConfigError("the logit service fronts a large_cloud backend")
         self.backend = backend
         self.config = config or ServeConfig()
-        self.vocab_hash = backend.vocab.digest()
         self.request_log = AuditLog()
         self._entries: list[RequestLogEntry] = []
         self._seq = 0
@@ -256,7 +257,7 @@ class LogitService:
     def answer(self, obj: dict) -> dict:
         kind = obj["kind"]
         # A hello reply is this envelope alone.
-        reply = {"version": PROTOCOL_VERSION, "kind": kind, "vocab_hash": self.vocab_hash}
+        reply = {"version": PROTOCOL_VERSION, "kind": kind, "vocab_hash": self.backend.vocab.digest()}
         if kind == "logits":
             top_k = min(obj.get("top_k", DEFAULT_TOP_K), TOP_K_CAP)
             request = ConditioningInput(
@@ -309,15 +310,25 @@ class ServiceHandle:
 
 def serve(backend: Backend, listen_address: tuple[str, int] | str, config: ServeConfig | None = None) -> ServiceHandle:
     """Start the service on ``listen_address`` (host, port) — port 0 picks
-    a free port — and return a handle exposing the bound address."""
+    a free port — and return a handle exposing the bound address. A
+    request log path that cannot be opened for append is an
+    ``InvalidConfigError`` naming it, raised before anything is served."""
     listen_address = _parse_address(listen_address)
     service = LogitService(backend, config)
+    log_path = service.config.log_path
+    if log_path:
+        try:
+            open(log_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise InvalidConfigError(f"request log {log_path}: {exc.strerror}") from exc
     try:
         server = _Server(listen_address, _Handler)
     except OSError as exc:
         raise ServiceStartupError(f"cannot bind {listen_address}: {exc}") from exc
     server.service = service
-    thread = threading.Thread(target=server.serve_forever, name="cogen-logit-service", daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(STOP_POLL_S,), name="cogen-logit-service", daemon=True
+    )
     thread.start()
     return ServiceHandle(service=service, address=server.server_address, _server=server, _thread=thread)
 

@@ -116,7 +116,6 @@ def contexts_and_payloads(draw):
     context = ContextBundle(
         profile=draw(_FIELD),
         history=tuple(draw(st.lists(_FIELD, max_size=3))),
-        activities=tuple(draw(st.lists(_FIELD, max_size=2))),
     )
     values = [value for _, value in context.fields()]
     payloads = []

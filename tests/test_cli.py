@@ -699,6 +699,25 @@ class TestServeCommand:
             proc.terminate()
             proc.communicate(timeout=10)  # waits, and closes both pipes
 
+    def test_a_log_path_that_cannot_be_opened_exits_2_naming_it(self, workdir):
+        import subprocess
+        import sys
+
+        log_path = workdir / "missing" / "requests.log"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "cogen.cli", "serve",
+                "--config", str(workdir / "config.json"),
+                "--backend", "llm", "--listen", "127.0.0.1:0", "--log", str(log_path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 2
+        assert "serving" not in done.stdout
+        assert str(log_path) in done.stderr
+
     @pytest.mark.parametrize("address", ["nohost", "127.0.0.1:70000"])
     def test_malformed_listen_address_exits_2_naming_it(self, workdir, capsys, address):
         code, _, err = run(capsys, "serve", "--config", workdir / "config.json", "--listen", address)

@@ -340,7 +340,7 @@ class TestTransportPolicy:
         session = make_session(simple_record, mode, slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)
-        assert isinstance(err.value.cause, TransportError)
+        assert isinstance(err.value.__cause__, TransportError)
         assert [s.token for s in err.value.partial_trace.steps] == ["A", "B"]
         assert all(s.w == 0.0 for s in err.value.partial_trace.steps)
 
@@ -351,7 +351,7 @@ class TestTransportPolicy:
         session = make_session(simple_record, DecodeMode.llm_no_context(), slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)
-        assert isinstance(err.value.cause, TransportError)
+        assert isinstance(err.value.__cause__, TransportError)
         assert err.value.partial_trace.steps == []
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
@@ -365,7 +365,7 @@ class TestTransportPolicy:
         session = make_session(simple_record, DecodeMode.sketch(conditioning), slm, llm)
         with pytest.raises(SessionError) as err:
             decode(session, on_transport_error=policy)
-        assert isinstance(err.value.cause, TransportError)
+        assert isinstance(err.value.__cause__, TransportError)
         assert err.value.partial_trace.steps == []
         assert llm.calls == 2
 
@@ -500,8 +500,11 @@ class TestCursorRequests:
                 world0.tokenizer,
             )
         assert len(log) == 1303
+        # Re-pinned when ContextBundle lost its never-filled activities
+        # field; the decoder before that cut gives this digest with the
+        # empty key dropped from every context.
         assert request_log_digest(log) == (
-            "8cc02957a6f49b597c42d5529cd8e65e664234358ed2afd04c1fbddd793c804d"
+            "07b2cd9f1fb2f2e5149b94957563a53e6fbde9db0e519322c1dab67081b8c0e5"
         )
 
     def test_audited_payloads_are_unchanged(self, world0, world0_backends):

@@ -310,17 +310,33 @@ def test_cached_top_k_matches_uncached(probs, ks):
 
 def test_top_k_cache_keeps_the_error_paths():
     dense = TokenDistribution.dense(np.array([0.5, 0.3, 0.2]))
-    sparse = TokenDistribution.sparse([0, 1], [0.5, 0.3], 3)
-    for dist, k, error in ((dense, 0, InvalidConfigError), (sparse, 2, InvalidInputError)):
-        for _ in range(2):
-            with pytest.raises(error):
-                top_k_project(dist, k)
-        assert dist._top_k is None
+    for _ in range(2):
+        with pytest.raises(InvalidConfigError):
+            top_k_project(dense, 0)
+    assert dense._top_k is None
     # A cached view does not mask a bad k.
     view = top_k_project(dense, 2)
     with pytest.raises(InvalidConfigError):
         top_k_project(dense, 0)
     assert dense._top_k == (2, view)
+
+
+def test_sparse_top_k_is_its_first_k_entries_and_cached():
+    """A sparse distribution already descends with ties toward the lower
+    id: its top k are its first k entries, and with at most k entries it
+    is its own view."""
+    sparse = TokenDistribution.sparse([4, 0, 2, 3, 1], [0.3, 0.2, 0.2, 0.1, 0.1], 6)
+    view = top_k_project(sparse, 3)
+    assert view.sparse_ids.tolist() == [4, 0, 2]
+    assert same_bits(view.sparse_probs, sparse.sparse_probs[:3])
+    assert view.vocab_size == 6
+    assert sparse._top_k == (3, view)
+    assert top_k_project(sparse, 3) is view
+    for k in (5, 6):
+        assert top_k_project(sparse, k) is sparse
+    assert sparse._top_k == (3, view)
+    with pytest.raises(InvalidConfigError):
+        top_k_project(sparse, 0)
 
 
 def test_top_k_cache_holds_one_view_per_distribution():

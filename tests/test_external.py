@@ -1,13 +1,21 @@
-"""The completions-with-logprobs adapter, exercised against stub clients."""
+"""The completions-with-logprobs adapter, exercised against stub clients
+and, over HTTP, against a loopback stub service."""
 
+import http.server
+import json
 import math
+import shutil
+import socket
+import threading
+from pathlib import Path
 
 import pytest
 
 from cogen.backends import ConditioningInput, ContextBundle, Role
+from cogen.cli import main
 from cogen.core import SPARSE_MASS_TOL, TokenDistribution, Vocab
 from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
-from cogen.external import ExternalBackend, external_next_logits
+from cogen.external import API_KEY_ENV, ExternalBackend, HttpCompletionsClient, external_next_logits
 from helpers import path_backend
 
 VOCAB = Vocab(tokens=("yes", "no", "maybe", "</s>", "<unk>"), eos_id=3, unk_id=4)
@@ -172,3 +180,127 @@ class TestExternalBackend:
         )
         with pytest.raises(InvalidDistributionError):
             decode(session)
+
+
+def completion(top_logprobs: dict) -> bytes:
+    return json.dumps({"choices": [{"logprobs": {"top_logprobs": [top_logprobs]}}]}).encode()
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Records each POST's JSON body and Authorization header, and answers
+    with the next of the server's ``replies`` (status, body); the last
+    one repeats."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((json.loads(body), self.headers.get("Authorization")))
+        replies = self.server.replies
+        status, reply = replies.pop(0) if len(replies) > 1 else replies[0]
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def http_stub(monkeypatch):
+    """A loopback completions service; no proxy and no API key in the
+    environment, so requests go straight to it unauthenticated."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", API_KEY_ENV):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.seen = []
+    server.replies = [(200, completion({"yes": -0.5, "no": -1.5}))]
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestHttpCompletionsClient:
+    def test_posts_prompt_one_token_and_k_logprobs(self, http_stub):
+        client = HttpCompletionsClient(http_stub.url)
+        result = external_next_logits(client, request(prefix=(0,)), top_k=5, vocab=VOCAB)
+        assert http_stub.seen == [({"prompt": "pick one yes", "max_tokens": 1, "logprobs": 5}, None)]
+        assert result.distribution.sparse_ids.tolist() == [VOCAB.id_of("yes"), VOCAB.id_of("no")]
+        assert result.distribution.sparse_probs.tolist() == [math.exp(-0.5), math.exp(-1.5)]
+
+    def test_bearer_token_only_with_an_api_key(self, http_stub, monkeypatch):
+        HttpCompletionsClient(http_stub.url).complete("p", max_tokens=1, logprobs=2)
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        HttpCompletionsClient(http_stub.url).complete("p", max_tokens=1, logprobs=2)
+        assert [auth for _, auth in http_stub.seen] == [None, "Bearer sk-test"]
+
+    @pytest.mark.parametrize(
+        "status, body",
+        [(500, b'{"error": "overloaded"}'), (200, b"<html>not json</html>")],
+        ids=["status-500", "not-json"],
+    )
+    def test_a_bad_reply_is_a_transport_error(self, http_stub, status, body):
+        http_stub.replies = [(status, body)]
+        with pytest.raises(TransportError, match="external service call failed"):
+            HttpCompletionsClient(http_stub.url).complete("p", max_tokens=1, logprobs=2)
+        assert len(http_stub.seen) == 1
+
+    def test_a_refused_port_is_a_transport_error(self, http_stub):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = HttpCompletionsClient(f"http://127.0.0.1:{port}/v1/completions")
+        with pytest.raises(TransportError, match="external service call failed"):
+            client.complete("p", max_tokens=1, logprobs=2)
+
+
+class TestGenerateWithAnExternalLargeModel:
+    FIXTURES = Path(__file__).parent / "fixtures"
+
+    @pytest.fixture()
+    def config_path(self, tmp_path, http_stub):
+        for name in ("slm_table.json", "corpus.jsonl"):
+            shutil.copy(self.FIXTURES / name, tmp_path / name)
+        config = json.loads((self.FIXTURES / "config.json").read_text())
+        config["backends"]["llm"] = {"kind": "external_http", "role": "large_cloud"}
+        config["external"] = {"endpoint": http_stub.url, "top_k": 3}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return path
+
+    def generate(self, capsys, config_path):
+        code = main([
+            "generate", "--config", str(config_path),
+            "--corpus", str(config_path.parent / "corpus.jsonl"),
+            "--mode", "llm-noctx", "--seed", "0",
+        ])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_prints_the_services_tokens(self, capsys, config_path, http_stub):
+        http_stub.replies = [
+            (200, completion({"C": -0.1, "A": -2.5})),
+            (200, completion({" D": -0.2})),
+            (200, completion({"</s>": -0.05})),
+        ]
+        code, out, _ = self.generate(capsys, config_path)
+        assert code == 0
+        assert out.strip() == "C D"
+        prompts = [body["prompt"] for body, _ in http_stub.seen]
+        assert prompts == ["A B", "A B C", "A B C D"]
+        assert all(body["logprobs"] == 3 for body, _ in http_stub.seen)
+
+    def test_a_500_exits_3(self, capsys, config_path, http_stub):
+        http_stub.replies = [(500, b"{}")]
+        code, out, err = self.generate(capsys, config_path)
+        assert code == 3
+        assert out == ""
+        assert "transport error in generate" in err

@@ -186,6 +186,16 @@ class TestFillPrompts:
         assert rendered == golden("fill_context_aware_full.txt")
         assert "## Reference Content" in rendered
 
+    def test_email_sketch_fill_matches_golden(self):
+        sk = parse_sketch("1. Kickoff date\\n2. Agenda items\\n3. Owners")
+        assert build_fill_prompt(EMAIL_RECORD, sk, "email") == golden("fill_email_sketch.txt")
+
+    def test_paper_full_content_fill_matches_golden(self):
+        rendered = build_fill_prompt(
+            PAPER_RECORD, "A complete draft from the large model.", "paper"
+        )
+        assert rendered == golden("fill_paper_full.txt")
+
     def test_every_sketch_point_verbatim(self):
         sk = parse_sketch("1. Opening hook\\n2. Workshop dates\\n3. Signup link")
         rendered = build_fill_prompt(CONTEXT_RECORD, sk, "context_aware")

@@ -154,7 +154,7 @@ class TestAggregate:
             [("s", "per", "i1", 5.0), ("s", "per", "i2", 11.0), ("s", "per", "i3", 0.0)]
         )
         assert report.rejected_rows == 2
-        assert report.counts[("s", "per")] == 1
+        assert len(report.curves[("s", "per")]) == 1
 
     def test_mean_invariant_to_row_order(self):
         rows = [("s", "per", f"i{k}", float(1 + k % 9)) for k in range(30)]

@@ -4,6 +4,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -424,6 +425,21 @@ class TestServiceRoundTrip:
         small = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         with pytest.raises(InvalidConfigError):
             serve(small, ("127.0.0.1", 0))
+
+    def test_a_stop_returns_within_50_ms(self, path_backends):
+        # The median of three stops, each of a service that answered once.
+        _, llm = path_backends
+        took = []
+        for _ in range(3):
+            handle = serve(llm, ("127.0.0.1", 0))
+            client = ServiceClient(handle.address)
+            client.hello(llm.vocab.digest())
+            client.close()
+            start = time.perf_counter()
+            handle.stop()
+            took.append(time.perf_counter() - start)
+            assert not handle._thread.is_alive()
+        assert sorted(took)[1] < 0.050, took
 
 
 def serve_tampered(llm, entries=None, tokens=None):
@@ -887,6 +903,13 @@ class TestRequestLogIsolation:
             handle.stop()
         rows = [json.loads(l) for l in log_path.read_text().splitlines()]
         assert all("payload_hex" in r for r in rows)
+
+    def test_a_log_path_that_cannot_be_opened_fails_at_start(self, tmp_path, path_backends):
+        _, llm = path_backends
+        log_path = tmp_path / "missing" / "requests.jsonl"
+        with pytest.raises(InvalidConfigError, match="request log") as info:
+            serve(llm, ("127.0.0.1", 0), ServeConfig(log_path=str(log_path)))
+        assert str(log_path) in str(info.value)
 
 
 class TestServerSidePrivacyAudit:
