@@ -264,11 +264,8 @@ def _cmd_generate(args) -> int:
 
                 if not config.external_endpoint:
                     raise InvalidConfigError("external_http backend needs external.endpoint in config")
-                llm = ExternalBackend(
-                    HttpCompletionsClient(config.external_endpoint),
-                    slm.vocab,
-                    top_k=config.external_top_k,
-                )
+                client = HttpCompletionsClient(config.external_endpoint)
+                llm = ExternalBackend(client, slm.vocab, top_k=config.external_top_k)
             else:
                 llm = build_backend(llm_spec)
 

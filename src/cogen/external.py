@@ -29,21 +29,24 @@ HTTP_TIMEOUT_S = 30.0
 
 
 class HttpCompletionsClient:
-    """Thin requests-based client; anything with the same ``complete``
-    method (e.g. a test stub) can stand in for it."""
+    """Thin requests-based client over one ``requests.Session``, so
+    successive calls reuse one connection; its owner calls ``close``.
+    Anything with the same ``complete`` method (e.g. a test stub) can
+    stand in for it. The API key, if any, is read from ``COGEN_API_KEY``."""
 
-    def __init__(self, endpoint: str, api_key: str | None = None) -> None:
+    def __init__(self, endpoint: str) -> None:
         if not endpoint:
             raise InvalidConfigError("external service endpoint is empty")
         self.endpoint = endpoint
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        self.api_key = os.environ.get(API_KEY_ENV)
+        self._session = requests.Session()
 
     def complete(self, prompt: str, max_tokens: int, logprobs: int) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            response = requests.post(
+            response = self._session.post(
                 self.endpoint,
                 json={"prompt": prompt, "max_tokens": max_tokens, "logprobs": logprobs},
                 headers=headers,
@@ -53,6 +56,9 @@ class HttpCompletionsClient:
             return response.json()
         except requests.RequestException as exc:
             raise TransportError(f"external service call failed: {exc}") from exc
+
+    def close(self) -> None:
+        self._session.close()
 
 
 @dataclass(frozen=True)

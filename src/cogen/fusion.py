@@ -12,15 +12,16 @@ A fused step works in Python floats, not numpy arrays: its inputs are
 two top-k views of at most ``TOP_K`` entries each, and at that size a
 numpy pipeline costs its count of calls, not its length.
 ``fuse_views`` aligns the views on the union of their ids with a dict
-and blends them; the ``FusedDistribution`` it returns orders, tempers
+and blends them; the ``FusedDistribution`` it returns tempers, orders
 and cuts the union and draws from it. ``blend`` is the one blend: the
 fused step, teacher-forced scoring, the weight net's loss and ``fuse``
-all read it. Every sum copies numpy's float64 summation order
+all read it. The blend's sums copy numpy's float64 summation order
 (``_pairwise_sum``), so each blended probability is the one the dense
-numpy path computed, and so is each pick, but for two cases: the
-last-bit differences between ``math.exp``/``math.log`` and numpy's
-vectorized ones, and the ``top_p = 1`` edge that
-``FusedDistribution._nucleus`` describes.
+numpy path computed. The sampler's three sums (the blend's mass, the
+tempered mass and the nucleus mass) are ``math.fsum``, which is
+correctly rounded and so needs no order; they may differ from numpy's
+in the last bit, which moves a pick only for a draw that falls between
+the two cumulative sums.
 
 ``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
 and a ``TokenDistribution``. Neither fused steps nor training examples
@@ -138,19 +139,14 @@ def top_k_views(
     return top_k_project(p_s, TOP_K), top_k_project(p_l, TOP_K)
 
 
-def _pairwise_sum(values, ids=None, size=None) -> float:
+def _pairwise_sum(values) -> float:
     """``np.sum`` of a float64 vector, to the bit, in Python floats.
 
     numpy adds fewer than 8 entries in one loop; up to 128 in 8 strided
     accumulators, combined as a tree before the entries past the last
     full block of 8 are added; and more by halving at a multiple of 8.
-    ``values`` alone is the vector. With ascending ``ids`` and a
-    ``size``, the vector is ``size`` long and holds ``values`` at ``ids``
-    and zeros elsewhere: adding a zero changes no partial sum, so only
-    the lane each value falls in matters.
     """
-    if size is None:
-        size = len(values)
+    size = len(values)
     if size < 8:
         total = 0.0
         for x in values:
@@ -159,29 +155,15 @@ def _pairwise_sum(values, ids=None, size=None) -> float:
     if size > 128:
         half = size // 2
         half -= half % 8
-        if ids is None:
-            return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-        cut = bisect_left(ids, half)
-        return _pairwise_sum(values[:cut], ids[:cut], half) + _pairwise_sum(
-            values[cut:], [i - half for i in ids[cut:]], size - half
-        )
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
     end = size - size % 8
-    if ids is None:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
-            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-        rest = values[end:]
-    else:
-        cut = bisect_left(ids, end)
-        lanes = [0.0] * 8
-        for i, x in zip(ids[:cut], values):
-            lanes[i & 7] += x
-        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
-        rest = values[cut:]
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
     total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in rest:
+    for x in values[end:]:
         total += x
     # numpy adds the sum to its identity 0.0, which turns -0.0 into 0.0.
     return total + 0.0
@@ -269,24 +251,19 @@ def fuse(
     return _to_distribution(pair, vec), 0.5 if w is None else w
 
 
-def _temper(ids: list[int], probs: list[float], temperature: float, size: int) -> list[float]:
-    """``core._temper_probs`` of the ``size``-long vector that holds
-    ``probs`` at ``ids``, in Python floats; returns the values at ``ids``."""
+def _temper(probs: list[float], temperature: float) -> list[float]:
+    """``probs`` raised to ``1 / temperature`` and renormalized, through
+    logs as ``core._temper_probs`` does, in Python floats with an
+    ``fsum`` mass. Each entry is at most 1 (``FusedDistribution._sampled``),
+    so no scaled entry is ``+inf`` and the top one adds ``exp(0) = 1`` to
+    the mass."""
     log, exp, inf = math.log, math.exp, math.inf
     scaled = [log(p) / temperature if p > 0 else -inf for p in probs]
     top = max(scaled)
-    if not math.isfinite(top):
-        # The dense path takes the maximum over finite entries only and
-        # zeroes the entry whose division overflowed to +inf.
-        finite = [s for s in scaled if math.isfinite(s)]
-        if not finite:
-            raise InvalidDistributionError("distribution has no support")
-        top = max(finite)
-        scaled = [s if s != inf else -inf for s in scaled]
+    if top == -inf:
+        raise InvalidDistributionError("distribution has no support")
     out = [exp(s - top) for s in scaled]
-    total = _pairwise_sum(out, ids, size)
-    if total <= 0:
-        raise InvalidDistributionError("temperature scaling annihilated all mass")
+    total = math.fsum(out)
     return [x / total for x in out]
 
 
@@ -303,12 +280,11 @@ class FusedDistribution:
     one immutable tuple checked against that key on read.
     """
 
-    __slots__ = ("ids", "probs", "vocab_size", "_nucleus_slot")
+    __slots__ = ("ids", "probs", "_nucleus_slot")
 
-    def __init__(self, ids: list[int], probs: list[float], vocab_size: int) -> None:
+    def __init__(self, ids: list[int], probs: list[float]) -> None:
         self.ids = ids
         self.probs = probs
-        self.vocab_size = vocab_size
         self._nucleus_slot = None
 
     def prob_of(self, token_id: int) -> float:
@@ -316,30 +292,27 @@ class FusedDistribution:
         return self.probs[i] if i < len(self.ids) and self.ids[i] == token_id else 0.0
 
     def _sampled(self) -> list[float]:
-        """The blend as the dense path sampled it: a sparse blend was
-        spread over the vocabulary after a division by its mass, summed
-        in descending order; a full-vocabulary one was taken as it is."""
-        if len(self.ids) == self.vocab_size:
-            return self.probs
-        mass = _pairwise_sum(sorted(self.probs, reverse=True))
+        """The blend divided by its ``fsum`` mass, the values the sampler
+        draws from; none exceeds 1, since the mass is at least each entry."""
+        mass = math.fsum(self.probs)
         return [p / mass for p in self.probs]
 
     def _nucleus(self, temperature: float, top_p: float) -> tuple[list[int], list[float]]:
         """The ids of the top-p nucleus after tempering, most probable
-        first, and the cumulative sum of their renormalized probabilities:
-        ``core._nucleus`` of the blend spread over the vocabulary, except
-        that the nucleus never reaches past the entries of positive
-        probability. Where those sum to just under a ``top_p`` of 1, the
-        dense path took every zero-probability id into the nucleus, and a
-        draw above that sum picked one of them. The result for the last
-        ``(temperature, top_p)`` is cached; callers must not change it."""
+        first, and the cumulative sum of their renormalized probabilities,
+        cut as ``core._nucleus`` cuts, except that the nucleus never
+        reaches past the entries of positive probability. Where those sum
+        to just under a ``top_p`` of 1, the dense path took every
+        zero-probability id into the nucleus, and a draw above that sum
+        picked one of them. The result for the last ``(temperature,
+        top_p)`` is cached; callers must not change it."""
         key = (temperature, top_p)
         slot = self._nucleus_slot
         if slot is not None and slot[0] == key:
             return slot[1], slot[2]
         ids, probs = self.ids, self._sampled()
         if temperature != 1.0:
-            probs = _temper(ids, probs, temperature, self.vocab_size)
+            probs = _temper(probs, temperature)
         # Descending, ties toward the lower id (``ids`` ascend, and a
         # reversed sort stays stable); zeros sort last.
         order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
@@ -347,7 +320,7 @@ class FusedDistribution:
         kept = len(ranked) - probs.count(0.0)
         cut = min(bisect_left(list(accumulate(ranked)), top_p) + 1, kept)
         nucleus = ranked[:cut]
-        total = _pairwise_sum(nucleus)
+        total = math.fsum(nucleus)
         kept_ids = [ids[j] for j in order[:cut]]
         cum = list(accumulate([p / total for p in nucleus]))
         self._nucleus_slot = (key, kept_ids, cum)
@@ -355,8 +328,7 @@ class FusedDistribution:
 
     def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
         """The greedy choice (ties toward the lower id), or one top-p draw
-        using exactly one RNG float, as ``TokenDistribution.pick`` makes
-        them from the blend spread over the vocabulary."""
+        using exactly one RNG float, by ``TokenDistribution.pick``'s rules."""
         if config.greedy:
             probs = self._sampled()
             return self.ids[probs.index(max(probs))]
@@ -372,7 +344,7 @@ def fuse_views(
 ) -> tuple[FusedDistribution, float]:
     """``fuse`` of two sparse top-k views, in Python floats: the same
     blend, the same ids and the same weight, with no arrays built."""
-    size = _shared_vocab_size(ps_k, pl_k)
+    _shared_vocab_size(ps_k, pl_k)
     w = _weight(strategy, w_override)
     ids, a, b = _align(ps_k, pl_k)
-    return FusedDistribution(ids, blend(a, b, w), size), 0.5 if w is None else w
+    return FusedDistribution(ids, blend(a, b, w)), 0.5 if w is None else w

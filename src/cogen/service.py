@@ -18,6 +18,7 @@ docs/protocol.md documents every field and pins two golden frames.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import socketserver
@@ -171,7 +172,6 @@ class RequestLogEntry:
     seq: int
     kind: str
     session: str
-    payload_digest: str
     payload_size: int
 
 
@@ -186,7 +186,8 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
             except ProtocolError as exc:
                 return self._send_error(str(exc))
-            service.log_request(obj, raw)
+            if not service.log_request(obj, raw):
+                return  # stopped: nothing is answered that the log does not hold
             try:
                 validate_request(obj, service.backend.vocab.size)
                 response = service.answer(obj)
@@ -214,7 +215,12 @@ class _Server(socketserver.ThreadingTCPServer):
 
 class LogitService:
     """Serves next-token distributions and whole generations for one
-    context-blind backend."""
+    context-blind backend.
+
+    With a ``log_path``, the service opens that file for append once, at
+    construction, and writes one line-buffered row per request; a path
+    that cannot be opened is an ``InvalidConfigError`` naming it. After
+    ``close`` it records, and so answers, no further request."""
 
     def __init__(self, backend: Backend, config: ServeConfig | None = None) -> None:
         if backend.role != Role.LARGE_CLOUD:
@@ -225,34 +231,51 @@ class LogitService:
         self._entries: list[RequestLogEntry] = []
         self._seq = 0
         self._lock = threading.Lock()
+        self._closed = False
+        self._log_file = None
+        if self.config.log_path:
+            try:
+                self._log_file = open(self.config.log_path, "a", encoding="utf-8", buffering=1)
+            except OSError as exc:
+                raise InvalidConfigError(f"request log {self.config.log_path}: {exc.strerror}") from exc
 
-    def log_request(self, obj: dict, raw: bytes) -> None:
-        import hashlib
-
+    def log_request(self, obj: dict, raw: bytes) -> bool:
+        """Record one request; False, with nothing recorded, once ``close``
+        has run."""
         with self._lock:
+            if self._closed:
+                return False
             self._seq += 1
             entry = RequestLogEntry(
                 seq=self._seq,
                 kind=obj.get("kind", "?"),
                 session=str(obj.get("session", "")),
-                payload_digest=hashlib.sha256(raw).hexdigest(),
                 payload_size=len(raw),
             )
             self._entries.append(entry)
             if self.config.capture_payloads:
                 self.request_log.record_payload(raw, kind=entry.kind)
-            if self.config.log_path:
+            if self._log_file is not None:
                 row = {
                     "seq": entry.seq,
                     "kind": entry.kind,
                     "session": entry.session,
-                    "digest": entry.payload_digest,
+                    "digest": hashlib.sha256(raw).hexdigest(),
                     "size": entry.payload_size,
                 }
                 if self.config.debug_payloads:
                     row["payload_hex"] = raw.hex()
-                with open(self.config.log_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                self._log_file.write(json.dumps(row, sort_keys=True) + "\n")
+        return True
+
+    def close(self) -> None:
+        """Close the request log; a connection still open is dropped at
+        its next request."""
+        with self._lock:
+            self._closed = True
+            if self._log_file is not None:
+                self._log_file.close()
+                self._log_file = None
 
     def answer(self, obj: dict) -> dict:
         kind = obj["kind"]
@@ -300,6 +323,7 @@ class ServiceHandle:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5)
+        self.service.close()
 
     def __enter__(self) -> "ServiceHandle":
         return self
@@ -315,15 +339,10 @@ def serve(backend: Backend, listen_address: tuple[str, int] | str, config: Serve
     ``InvalidConfigError`` naming it, raised before anything is served."""
     listen_address = _parse_address(listen_address)
     service = LogitService(backend, config)
-    log_path = service.config.log_path
-    if log_path:
-        try:
-            open(log_path, "a", encoding="utf-8").close()
-        except OSError as exc:
-            raise InvalidConfigError(f"request log {log_path}: {exc.strerror}") from exc
     try:
         server = _Server(listen_address, _Handler)
     except OSError as exc:
+        service.close()
         raise ServiceStartupError(f"cannot bind {listen_address}: {exc}") from exc
     server.service = service
     thread = threading.Thread(

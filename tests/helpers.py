@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from cogen.combmodel import (
     comb_init,
 )
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
-from cogen.errors import InvalidInputError
+from cogen.errors import InvalidDistributionError, InvalidInputError
 from cogen.fusion import _pairwise_sum
 from cogen.rng import Splitmix64
 
@@ -151,6 +152,52 @@ def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float
     )
     dense = TokenDistribution(vocab_size=size, dense_probs=fused.to_dense_array() / fused.mass)
     return fused, dense
+
+
+def fsum_sampler(ids: list[int], probs: list[float], temperature: float, top_p: float):
+    """The fused sampler's reference, written out step by step.
+
+    ``probs`` is a blend at ascending ``ids``. It is divided by its
+    correctly rounded mass (``math.fsum``), tempered through logs and
+    divided by the tempered mass, ranked by descending probability with
+    ties toward the lower id, and cut after the first entry at which the
+    running sum reaches ``top_p``, or after the last positive entry. The
+    nucleus is divided by its own ``fsum`` mass. Returns the sampled
+    values, the tempered ones, the nucleus ids and the nucleus's
+    cumulative sums.
+    """
+    mass = math.fsum(probs)
+    sampled = [p / mass for p in probs]
+    tempered = sampled
+    if temperature != 1.0:
+        scaled = [math.log(p) / temperature if p > 0 else -math.inf for p in sampled]
+        top = max(scaled)
+        if top == -math.inf:
+            raise InvalidDistributionError("distribution has no support")
+        powered = [math.exp(s - top) for s in scaled]
+        tempered_mass = math.fsum(powered)
+        tempered = [x / tempered_mass for x in powered]
+    ranked = sorted(zip(ids, tempered), key=lambda entry: (-entry[1], entry[0]))
+    nucleus, running = [], 0.0
+    for token_id, p in ranked:
+        if p <= 0:
+            break
+        nucleus.append((token_id, p))
+        running += p
+        if running >= top_p:
+            break
+    nucleus_mass = math.fsum(p for _, p in nucleus)
+    cum = list(accumulate(p / nucleus_mass for _, p in nucleus))
+    return sampled, tempered, [token_id for token_id, _ in nucleus], cum
+
+
+def fsum_pick(nucleus_ids: list[int], cum: list[float], u: float) -> int:
+    """The nucleus entry a draw ``u`` lands on: the first whose cumulative
+    sum exceeds ``u``, or the last."""
+    for token_id, c in zip(nucleus_ids, cum):
+        if c > u:
+            return token_id
+    return nucleus_ids[-1]
 
 
 def reference_forward(arrs, x: np.ndarray):

@@ -206,14 +206,13 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def http_stub(monkeypatch):
-    """A loopback completions service; no proxy and no API key in the
-    environment, so requests go straight to it unauthenticated."""
+def _serve_stub(monkeypatch, server):
+    """Run ``server`` as a loopback completions service; no proxy and no
+    API key in the environment, so requests go straight to it
+    unauthenticated."""
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", API_KEY_ENV):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.seen = []
     server.replies = [(200, completion({"yes": -0.5, "no": -1.5}))]
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
@@ -226,6 +225,35 @@ def http_stub(monkeypatch):
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture()
+def http_stub(monkeypatch):
+    """An HTTP/1.0 stub, which closes each connection after its reply."""
+    yield from _serve_stub(monkeypatch, http.server.HTTPServer(("127.0.0.1", 0), _StubHandler))
+
+
+class _KeepAliveHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
+
+
+class _CountingServer(http.server.ThreadingHTTPServer):
+    """Serves each connection on its own thread and counts the connections
+    it accepts."""
+
+    daemon_threads = True
+    connections = 0
+
+    def verify_request(self, request, client_address):
+        self.connections += 1
+        return True
+
+
+@pytest.fixture()
+def keep_alive_stub(monkeypatch):
+    """An HTTP/1.1 stub, which keeps each connection open for the next
+    request, and counts the connections it accepts."""
+    yield from _serve_stub(monkeypatch, _CountingServer(("127.0.0.1", 0), _KeepAliveHandler))
 
 
 class TestHttpCompletionsClient:
@@ -252,6 +280,16 @@ class TestHttpCompletionsClient:
         with pytest.raises(TransportError, match="external service call failed"):
             HttpCompletionsClient(http_stub.url).complete("p", max_tokens=1, logprobs=2)
         assert len(http_stub.seen) == 1
+
+    def test_calls_reuse_one_connection(self, keep_alive_stub):
+        client = HttpCompletionsClient(keep_alive_stub.url)
+        try:
+            for _ in range(5):
+                client.complete("p", max_tokens=1, logprobs=2)
+            assert len(keep_alive_stub.seen) == 5
+            assert keep_alive_stub.connections == 1
+        finally:
+            client.close()
 
     def test_a_refused_port_is_a_transport_error(self, http_stub):
         with socket.socket() as sock:

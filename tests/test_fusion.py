@@ -7,6 +7,7 @@ union is the whole vocabulary and the blend can be read id by id.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogen.core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, top_k_project
-from cogen.errors import IncompatibleVocabError, InvalidConfigError, InvalidInputError
+from cogen.errors import (
+    IncompatibleVocabError,
+    InvalidConfigError,
+    InvalidDistributionError,
+    InvalidInputError,
+)
 from cogen.fusion import FusionStrategy, blend, fuse_views
 from cogen.rng import Splitmix64
 from helpers import softmax
@@ -122,6 +128,22 @@ class TestFuse:
             fuse_dense([0.5, 0.5], [0.5, 0.5], strategy)
         fused, w = fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=0.25)
         assert w == 0.25
+
+    @pytest.mark.parametrize("w", [1.5, math.nan])
+    def test_a_learnable_weight_outside_the_unit_interval_is_rejected(self, w):
+        strategy = FusionStrategy.learnable(model=object())
+        with pytest.raises(InvalidInputError, match=re.escape(f"fusion weight {w} outside [0, 1]")):
+            fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=w)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_vanishing_temperature_leaves_no_support(self):
+        # At 1e-310 every log-probability below 0 divides to -inf, and the
+        # fused pick raises what the dense pick raises.
+        config = SamplingConfig(temperature=1e-310, top_p=0.9)
+        fused, _ = fuse_dense([0.5, 0.5], [0.5, 0.5], FusionStrategy.mean())
+        for dist in (fused, TokenDistribution.dense([0.5, 0.5])):
+            with pytest.raises(InvalidDistributionError, match="^distribution has no support$"):
+                dist.pick(config, Splitmix64(0))
 
     def test_empty_support_rejected(self):
         # A union that holds no mass leaves nothing to sample.

@@ -1,5 +1,6 @@
 """Wire protocol, the loopback service, and split-execution equivalence."""
 
+import builtins
 import json
 import socket
 import struct
@@ -21,6 +22,7 @@ from cogen.errors import (
     InvalidConfigError,
     PrivacyContractError,
     ProtocolError,
+    ServiceStartupError,
     TransportError,
 )
 from cogen.fusion import FusionStrategy
@@ -872,7 +874,69 @@ class TestConcurrentSessions:
         assert results == sequential
 
 
+def spy_on_opens(monkeypatch, path) -> list:
+    """Every file object ``open`` returns for ``path`` from now on."""
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        if str(file) == str(path):
+            opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
 class TestRequestLogIsolation:
+    def test_the_log_is_opened_once_and_closed_at_stop(self, tmp_path, path_backends, abc_vocab, monkeypatch):
+        _, llm = path_backends
+        log_path = tmp_path / "requests.jsonl"
+        opened = spy_on_opens(monkeypatch, log_path)
+        handle = serve(llm, ("127.0.0.1", 0), ServeConfig(log_path=str(log_path)))
+        try:
+            client = ServiceClient(handle.address)
+            try:
+                for _ in range(5):
+                    client.next_logits("A", (), 5, abc_vocab.size)
+            finally:
+                client.close()
+            assert len(opened) == 1
+            # A hello and five logits rows, each in the file before its reply.
+            assert len(log_path.read_text().splitlines()) == 6
+        finally:
+            handle.stop()
+        assert opened[0].closed
+
+    def test_a_stopped_service_answers_no_further_request(self, tmp_path, path_backends, abc_vocab):
+        _, llm = path_backends
+        log_path = tmp_path / "requests.jsonl"
+        handle = serve(llm, ("127.0.0.1", 0), ServeConfig(log_path=str(log_path)))
+        client = ServiceClient(handle.address)
+        try:
+            client.next_logits("A", (), 5, abc_vocab.size)
+            handle.stop()
+            with pytest.raises(TransportError):
+                client.next_logits("A", (0,), 5, abc_vocab.size)
+        finally:
+            client.close()
+            handle.stop()
+        # The hello and the one answered logits request.
+        assert len(log_path.read_text().splitlines()) == 2
+
+    def test_a_failed_bind_closes_the_log(self, tmp_path, path_backends, monkeypatch):
+        _, llm = path_backends
+        log_path = tmp_path / "requests.jsonl"
+        opened = spy_on_opens(monkeypatch, log_path)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(ServiceStartupError, match="cannot bind"):
+                serve(llm, taken.getsockname(), ServeConfig(log_path=str(log_path)))
+        assert len(opened) == 1
+        assert opened[0].closed
+
     def test_default_log_keeps_digests_only(self, tmp_path, served_world):
         world, llm, _, _ = served_world
         log_path = tmp_path / "requests.jsonl"
