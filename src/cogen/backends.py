@@ -11,10 +11,11 @@ instruction, context)`` fixes the instruction and context once, then
 ``push(token_id)`` appends each emitted token and ``distribution()``
 answers for the prefix pushed so far. ``NGramBackend.open`` is the one
 native cursor; it keeps only the last n-1 ids of the conditioning stream,
-so a step costs the same at any prefix length. Every other backend (the
-table, remote and external adapters, and wrappers such as test doubles)
-gets ``RequestCursor``, which keeps the prefix and sends each step as the
-``ConditioningInput`` a direct caller would build.
+so a step costs the same at any prefix length, and it reads them from the
+stream's end, so an open costs the same at any context length. Every
+other backend (the table, remote and external adapters, and wrappers
+such as test doubles) gets ``RequestCursor``, which keeps the prefix and
+sends each step as the ``ConditioningInput`` a direct caller would build.
 
 The privacy boundary is enforced structurally here: a request addressed
 to a context-blind (large_cloud) backend cannot be constructed with
@@ -33,6 +34,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -299,10 +301,11 @@ class NGramBackend(Backend):
     matter, which is exactly the point: a context-holding instance trained
     on a user's text behaves differently from a context-blind one trained
     on everyone's. The stream is the instruction, then the context, then
-    the prefix. Only the tokens that reach the window are looked up: none
-    of the instruction and context once the prefix alone holds n-1
-    tokens. ``open`` looks them up once and returns an ``NGramCursor``
-    that keeps only the window.
+    the prefix. It is read from its end, at a cost set by n rather than
+    by the context: only the fields that reach the window are split and
+    only the tokens in it are looked up, and none of the instruction and
+    context once the prefix alone holds n-1 tokens. ``open`` reads them
+    once and returns an ``NGramCursor`` that keeps only the window.
 
     Each history's distribution is built once and memoized. Every history
     the model never counted gets the same uniform distribution, so all of
@@ -321,11 +324,26 @@ class NGramBackend(Backend):
 
     def _stream_tail(self, instruction: str, context, k: int) -> list[int]:
         """Ids of the last ``k`` (at least 1) tokens of the instruction
-        followed by the context; only those pieces are looked up."""
-        pieces = instruction.split()
-        if context:
-            pieces += context.as_text().split()
-        return [self.vocab.id_of(piece) for piece in pieces[-k:]]
+        followed by the context, read from the stream's end.
+
+        The walk takes the history items last to first, then the profile,
+        then the instruction, splits each only for the pieces still
+        missing, and stops once it holds ``k``, so its cost is set by
+        ``k``, not by the context's length. The ids are those of
+        ``(instruction.split() + context.as_text().split())[-k:]``:
+        ``as_text`` joins the fields with a newline, and
+        ``str.rsplit(None, need)`` splits where ``str.split()`` does.
+        """
+        id_of = self.vocab.id_of
+        if context is None:
+            return [id_of(piece) for piece in instruction.rsplit(None, k)[-k:]]
+        pieces: list[str] = []
+        for text in chain(reversed(context.history), (context.profile, instruction)):
+            need = k - len(pieces)
+            pieces = text.rsplit(None, need)[-need:] + pieces
+            if len(pieces) == k:
+                break
+        return [id_of(piece) for piece in pieces]
 
     def _distribution(self, request: ConditioningInput) -> TokenDistribution:
         ids = request.prefix_ids

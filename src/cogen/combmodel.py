@@ -288,13 +288,23 @@ def _backward(blocks, examples, ws, acts, scale: float, out) -> None:
     x, h1, h2 = acts
     d1, d2, d3 = out
     g = np.array([_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)])
-    np.matmul(h2.T, g[:, None], out=d3)
+    matmul = np.matmul if len(g) > 1 else _one_row_matmul
+    matmul(h2.T, g[:, None], out=d3)
     dz2 = np.multiply.outer(g, l3[:-1, 0])
     dz2 *= h2[:, :-1] > 0
-    np.matmul(h1.T, dz2, out=d2)
+    matmul(h1.T, dz2, out=d2)
     dz1 = dz2 @ l2[:-1].T
     dz1 *= h1[:, :-1] > 0
-    np.matmul(x.T, dz1, out=d1)
+    matmul(x.T, dz1, out=d1)
+
+
+def _one_row_matmul(a, b, out) -> None:
+    """``np.matmul(a, b, out=out)`` over an inner dimension of 1, bit for
+    bit: matmul sends that shape to its slow non-BLAS loop, and ``np.dot``
+    to BLAS. Each entry is one product under any kernel; adding 0.0 turns
+    -0.0 into 0.0, as matmul's sum from zero does."""
+    np.dot(a, b, out=out)
+    out += 0.0
 
 
 def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:

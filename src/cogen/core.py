@@ -256,7 +256,8 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
         return probs
     positive = probs > 0
     scaled = np.full(probs.size, -np.inf)
-    scaled[positive] = np.log(probs[positive]) / temperature
+    with np.errstate(over="ignore"):  # a tiny T sends log(p) < 0 to -inf
+        scaled[positive] = np.log(probs[positive]) / temperature
     finite = scaled[np.isfinite(scaled)]
     if finite.size == 0:
         raise InvalidDistributionError("distribution has no support")

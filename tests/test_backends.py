@@ -201,6 +201,30 @@ class TestNGramConditioning:
         assert plain.top1()[0] == vocab.id_of("beta")
         assert with_ctx.top1()[0] == vocab.id_of("delta")
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fields_before_the_window_are_never_read(self, n):
+        """The window is read from the stream's end: a field it does not
+        reach is not split, measured or even truth-tested."""
+
+        class Unread(str):
+            def _read(self, *args):
+                raise AssertionError(f"read {str(self)!r} before the window")
+
+            __len__ = __iter__ = split = rsplit = _read
+
+        model = train_ngram(CURSOR_TEXTS, n=n, alpha=0.1)
+        backend = NGramBackend(model, Role.SMALL_DEVICE)
+        # Instruction, profile, then history. Each of the last items holds
+        # one piece, so the trigram's window crosses into the item before.
+        fields = ("a b c", "x b", "c d", "b", "a")
+        guarded = [Unread(f) for f in fields[: 1 - n]] + list(fields[1 - n :])
+        plain = ContextBundle(profile=fields[1], history=fields[2:])
+        context = ContextBundle(profile=guarded[1], history=tuple(guarded[2:]))
+        want = backend.open(fields[0], plain).distribution()
+        assert backend.open(guarded[0], context).distribution() is want
+        request = ConditioningInput(guarded[0], (), context)
+        assert backend.next_distribution(request) is want
+
     def test_large_cloud_given_context_still_raises(self, world0_backends):
         llm, _ = world0_backends
         # Addressed to the small side, so the request itself builds; the

@@ -584,11 +584,13 @@ def test_view_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which, jit
 # --- backend request checks and n-gram conditioning -------------------------
 
 
+NGRAM_TEXTS = ["a b c d", "x b d a", "c c a b x"]
+
+
 @pytest.fixture(scope="module")
 def ngram_pair():
-    texts = ["a b c d", "x b d a", "c c a b x"]
-    small = NGramBackend(train_ngram(texts, n=2, alpha=0.1), Role.SMALL_DEVICE)
-    large = NGramBackend(train_ngram(texts, n=3, alpha=0.1), Role.LARGE_CLOUD)
+    small = NGramBackend(train_ngram(NGRAM_TEXTS, n=2, alpha=0.1), Role.SMALL_DEVICE)
+    large = NGramBackend(train_ngram(NGRAM_TEXTS, n=3, alpha=0.1), Role.LARGE_CLOUD)
     return small, large
 
 
@@ -606,8 +608,25 @@ def test_backend_check_matches(ngram_pair, prefix, use_large, with_context, waiv
     assert outcome(backend._check, request) == outcome(ref_backend_check, backend, request)
 
 
+# The short-prefix path reads the stream from its end, field by field, so
+# these hold empty fields between others, last fields shorter than the
+# window, and every kind of whitespace ``str.split`` splits at.
 CONTEXTS = st.sampled_from(
-    [None, ContextBundle(), ContextBundle(profile="x"), ContextBundle(history=("c", "d a"))]
+    [
+        None,
+        ContextBundle(),
+        ContextBundle(profile="x"),
+        ContextBundle(history=("c", "d a")),
+        ContextBundle(profile="b", history=("", "c", "", "x")),
+        ContextBundle(profile="", history=("a b c", "")),
+        ContextBundle(profile="c d", history=("a",)),
+        ContextBundle(profile="q a", history=("b", "x", "d")),
+        ContextBundle(profile=" \t a\n\n b  ", history=("\u3000c\x1cd\x85", "  ", "x\t")),
+        ContextBundle(profile="a\x85b", history=("\n", "c\u3000\u3000", "\x1c")),
+    ]
+)
+INSTRUCTIONS = st.sampled_from(
+    ["", "a", "b x", "q a c", "  ", " a\t\nb  ", "\u3000x\x85c", "\x1cd\x1c"]
 )
 
 
@@ -617,23 +636,28 @@ def fresh_ngram(ngram_pair, use_large):
     return NGramBackend(shared.model, shared.role)
 
 
+@pytest.fixture(scope="module")
+def ngram_models(ngram_pair):
+    """The pair's models, then a device trigram and 4-gram, whose windows
+    reach back across more than one field."""
+    extra = [train_ngram(NGRAM_TEXTS, n=n, alpha=0.1) for n in (3, 4)]
+    return [b.model for b in ngram_pair] + extra
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     requests=st.lists(
-        st.tuples(
-            st.lists(st.integers(0, 6), max_size=5),
-            st.sampled_from(["", "a", "b x", "q a c"]),
-            CONTEXTS,
-        ),
+        st.tuples(st.lists(st.integers(0, 6), max_size=5), INSTRUCTIONS, CONTEXTS),
         min_size=1,
         max_size=12,
     ),
-    use_large=st.booleans(),
+    which=st.integers(0, 3),
 )
-def test_ngram_distribution_matches_full_stream(ngram_pair, requests, use_large):
+def test_ngram_distribution_matches_full_stream(ngram_models, requests, which):
     """Memo hits and misses, seen and unseen histories, and the short-prefix
     path with and without context all return the freshly built bits."""
-    backend = fresh_ngram(ngram_pair, use_large)
+    role = Role.LARGE_CLOUD if which == 1 else Role.SMALL_DEVICE
+    backend = NGramBackend(ngram_models[which], role)
     for prefix, instruction, context in requests:
         request = ConditioningInput(
             instruction, tuple(np.int64(i) for i in prefix), context, backend.role,

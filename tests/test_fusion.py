@@ -135,7 +135,6 @@ class TestFuse:
         with pytest.raises(InvalidInputError, match=re.escape(f"fusion weight {w} outside [0, 1]")):
             fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=w)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_a_vanishing_temperature_leaves_no_support(self):
         # At 1e-310 every log-probability below 0 divides to -inf, and the
         # fused pick raises what the dense pick raises.
