@@ -40,7 +40,7 @@ from .errors import (
     SessionError,
     TransportError,
 )
-from .fusion import TOP_K, FusionStrategy
+from .fusion import FusionStrategy
 from .prompting import TemplateLibrary
 from .report import (
     aggregate_scores,
@@ -258,7 +258,7 @@ def _cmd_generate(args) -> int:
             llm_spec = None if args.remote else config.backend(args.llm)
             if llm_spec is None or llm_spec.kind == BackendKind.REMOTE:
                 client = ServiceClient(config.service_address)
-                llm = RemoteBackend(client, slm.vocab, top_k=TOP_K)
+                llm = RemoteBackend(client, slm.vocab)
             elif llm_spec.kind == BackendKind.EXTERNAL_HTTP:
                 from .external import ExternalBackend, HttpCompletionsClient
 

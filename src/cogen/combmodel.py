@@ -81,6 +81,12 @@ class CombModelParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
+    def weight(self, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
+        """Blend weight from both sources' sparse top-k views: ``comb_forward``
+        on the padded views, without the checks each view passed when built:
+        the weight a learnable ``FusionStrategy`` blends with."""
+        return _row_weight(self.arrays(), _view_input(pl_k, ps_k))
+
 
 @dataclass(frozen=True)
 class CombTrainConfig:
@@ -195,12 +201,6 @@ def _view_input(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
     x[: top_l.size] = top_l
     x[TOP_K : TOP_K + top_s.size] = top_s
     return x
-
-
-def view_weight(params: CombModelParams, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
-    """Blend weight from both sources' sparse top-k views: ``comb_forward``
-    on the padded views, without the checks each view passed when built."""
-    return _row_weight(params.arrays(), _view_input(pl_k, ps_k))
 
 
 class CombExample:

@@ -9,10 +9,10 @@ functions of immutable inputs, stored as immutable tuples in one
 assignment each, so threads that race on a cache can only compute the
 same value twice. The nucleus slot serves the single-backend modes, whose
 dense distributions a backend memoizes and sampling reads again. A fused
-step samples its own union of top-k entries in ``fusion``; the
-``FusedDistribution`` it returns keeps its own nucleus slot, and
-``decoder.blend_step`` memoizes it on the large view (``_fused``), so a
-step whose two views recur reuses the blend and its nucleus.
+step (``fusion.blend_step``) samples its own union of top-k entries;
+the ``FusedDistribution`` it returns keeps its own nucleus slot, and
+the step memoizes it on the large view (``_fused``), so a step whose
+two views recur reuses the blend and its nucleus.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -138,7 +138,7 @@ class TokenDistribution:
     immutable tuple stored in one assignment and checked against its key
     on read, so a lost race only computes the entry again.
 
-    The fourth cache, ``_fused``, is a dict that ``decoder.blend_step``
+    The fourth cache, ``_fused``, is a dict that ``fusion.blend_step``
     fills on a large model's top-k view: one entry per small view and
     strategy it was blended with (see there). It lives and dies with the
     view, and stays None on every distribution no fused step read as its
@@ -263,16 +263,16 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
         raise InvalidDistributionError("distribution has no support")
     out = np.exp(scaled - finite.max())
     out[~np.isfinite(out)] = 0.0
-    total = out.sum()
-    if total <= 0:
-        raise InvalidDistributionError("temperature scaling annihilated all mass")
-    return out / total
+    # The largest finite entry adds exp(0) = 1, so the total is at least 1.
+    return out / out.sum()
 
 
 def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     """Token ids of the top-p nucleus after tempering, most probable first,
     and the cumulative sum of their renormalized probabilities, both as
-    Python lists."""
+    Python lists. The nucleus never reaches past the entries of positive
+    probability: where those sum to just under a ``top_p`` of 1, a draw
+    above that sum would otherwise pick an id of probability zero."""
     key = (temperature, top_p)
     slot = dist._nucleus
     if slot is not None and slot[0] == key:
@@ -286,7 +286,7 @@ def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     sorted_probs = probs[order]
     cum = np.cumsum(sorted_probs)
     cut = int(np.searchsorted(cum, top_p, side="left")) + 1
-    cut = min(cut, probs.size)
+    cut = min(cut, int(np.count_nonzero(probs)))
     nucleus = sorted_probs[:cut]
     ids, cum = order[:cut].tolist(), np.cumsum(nucleus / nucleus.sum()).tolist()
     object.__setattr__(dist, "_nucleus", (key, ids, cum))

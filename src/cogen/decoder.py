@@ -14,11 +14,10 @@ log records for a large-side step.
 
 A fused step queries the context-holding small backend with
 instruction, context, and the emitted prefix, and the context-blind
-large backend with instruction and prefix only. Both views are truncated
-to their top-k entries and handed to ``fusion.fuse_views``, which aligns
-and blends them by the active fusion strategy in Python floats;
-``blend_step`` memoizes that on the large view, so a pair of views that
-recurs reuses its blend. The loop
+large backend with instruction and prefix only. ``fusion.blend_step``
+cuts both to their top-k views, weighs and blends them by the active
+fusion strategy in Python floats, and memoizes that on the large view,
+so a pair of views that recurs reuses its blend. The loop
 samples the resulting ``FusedDistribution`` over that union of at most
 ``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
 single-backend step spreads its distribution densely (``_dense``) for
@@ -41,7 +40,7 @@ from functools import partial
 from typing import get_type_hints
 
 from .backends import ContextBundle, Role, check_context_blind, open_cursor
-from .combmodel import teacher_forced_steps, view_weight
+from .combmodel import teacher_forced_steps
 from .core import SamplingConfig, TokenDistribution
 from .corpus import check_fields, json_object_lines
 from .errors import (
@@ -54,7 +53,7 @@ from .errors import (
     SketchParseError,
     TransportError,
 )
-from .fusion import FusionStrategy, FusedDistribution, fuse_views, top_k_views
+from .fusion import FusionStrategy, blend_step
 from .prompting import (
     DEFAULT_LIBRARY,
     TemplateLibrary,
@@ -65,12 +64,6 @@ from .prompting import (
 )
 from .rng import Splitmix64
 from .tokenizer import Tokenizer
-
-# Entries one large view's fused-step memo holds at most. The benchmark's
-# decode workloads peak at 43 (seeds 0-3); a small side that returned new
-# views at every call would otherwise grow a long-lived large view's memo
-# without bound.
-FUSED_MEMO_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -199,44 +192,6 @@ def _dense(dist: TokenDistribution) -> TokenDistribution:
     # Sparse entries are finite and non-negative from where they enter the
     # program, so dividing by a positive mass needs no second validation.
     return TokenDistribution(vocab_size=dist.vocab_size, dense_probs=dist.to_dense_array() / mass)
-
-
-def blend_step(
-    p_s: TokenDistribution, p_l: TokenDistribution, strategy: FusionStrategy
-) -> tuple[FusedDistribution, float, TokenDistribution, TokenDistribution]:
-    """One fused step: both sources' top-k views, aligned and blended.
-
-    A learnable strategy gets its weight from the weight network on the
-    two top-k views. Returns the fused distribution, the weight
-    used, and the small and large top-k views.
-
-    The step is memoized on the large view, keyed by the strategy's kind
-    and weight and the small view's identity; the entry holds the small
-    view and the weight net, and a read hits only when both are the very
-    objects of this call. The views and the net never change, so a hit
-    returns the bits the step would compute. A local backend's views live
-    in its memo, so a recurring pair of histories reuses one blend and its
-    cached nucleus; a remote large view is new at every call, and its
-    entry dies with it. A large view holds at most one entry per small
-    view and strategy it was blended with, and at most ``FUSED_MEMO_CAP``
-    in all: a miss on a full memo stores nothing.
-    """
-    ps_k, pl_k = top_k_views(p_s, p_l)
-    memo = pl_k._fused
-    if memo is None:
-        memo = {}
-        object.__setattr__(pl_k, "_fused", memo)
-    key = (strategy.kind, strategy.w, id(ps_k))
-    hit = memo.get(key)
-    if hit is not None and hit[0] is ps_k and hit[1] is strategy.model:
-        return hit[2], hit[3], ps_k, pl_k
-    w_override = None
-    if strategy.kind == "learnable":
-        w_override = view_weight(strategy.model, pl_k, ps_k)
-    fused, w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
-    if len(memo) < FUSED_MEMO_CAP:
-        memo[key] = (ps_k, strategy.model, fused, w)
-    return fused, w, ps_k, pl_k
 
 
 def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> list[int]:

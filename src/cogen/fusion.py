@@ -1,14 +1,18 @@
 """Combining two next-token distributions into one.
 
 Four strategies: a fixed convex weight, mean pooling (weight 0.5), max
-pooling (elementwise maximum), and a learnable weight supplied per step
-by the trained weight network. Convex combination happens over the union
+pooling (elementwise maximum), and a learnable weight that the
+strategy's trained weight network computes from the step's two top-k
+views. Convex combination happens over the union
 support of the two inputs; whenever truncation has shaved mass off, the
 result is renormalized so downstream sampling always sees a proper
 distribution. Dense, already-normalized inputs pass through untouched,
 which keeps the weight-1 and weight-0 endpoints exact to the bit.
 
-A fused step works in Python floats, not numpy arrays: its inputs are
+``blend_step`` is the fused step that decoding and teacher-forced
+scoring take: it cuts both sources to their top-k views, weighs and
+blends them with ``fuse_views``, and memoizes the result on the large
+view. The step works in Python floats, not numpy arrays: its inputs are
 two top-k views of at most ``TOP_K`` entries each, and at that size a
 numpy pipeline costs its count of calls, not its length.
 ``fuse_views`` aligns the views on the union of their ids with a dict
@@ -24,8 +28,9 @@ in the last bit, which moves a pick only for a draw that falls between
 the two cumulative sums.
 
 ``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
-and a ``TokenDistribution``. Neither fused steps nor training examples
-use them: they serve the benchmark's per-layer tracer and test oracles.
+and a ``TokenDistribution``, for sparse inputs and the fixed, mean and
+max strategies. Neither fused steps nor training examples use them: they
+serve the benchmark's per-layer tracer and test oracles.
 """
 
 from __future__ import annotations
@@ -46,8 +51,14 @@ from .errors import (
 )
 from .rng import Splitmix64
 
-# Size of each source's top-k view: the fused step's cut and the weight net's input.
+# Size of each source's top-k view: the fused step's cut, the weight net's
+# input and the number of entries a logits request asks the service for.
 TOP_K = 10
+# Entries one large view's fused-step memo holds at most. The benchmark's
+# decode workloads peak at 43 (seeds 0-3); a small side that returned new
+# views at every call would otherwise grow a long-lived large view's memo
+# without bound.
+FUSED_MEMO_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,10 @@ class FusionStrategy:
 
     @classmethod
     def learnable(cls, model) -> "FusionStrategy":
+        """A strategy whose ``model`` weighs each step: it must provide
+        ``weight(pl_k, ps_k)``, the blend weight in [0, 1] from the large
+        and the small top-k view, and never change (the fused-step memo
+        keeps its answers). ``combmodel.CombModelParams`` is such a model."""
         return cls(kind="learnable", model=model)
 
     def label(self) -> str:
@@ -119,15 +134,9 @@ def _align(ps_k: TokenDistribution, pl_k: TokenDistribution):
 
 
 def align_supports(p_s: TokenDistribution, p_l: TokenDistribution) -> AlignedPair:
-    """Express two distributions over their union support.
-
-    Entries a source never mentioned are exactly zero. Dense inputs pass
-    through losslessly (the union is then the whole vocabulary).
-    """
+    """Express two sparse distributions over their union support; entries
+    a source never mentioned are exactly zero."""
     size = _shared_vocab_size(p_s, p_l)
-    if p_s.is_dense or p_l.is_dense:
-        support = np.arange(size, dtype=np.int64)
-        return AlignedPair(support, p_s.to_dense_array(), p_l.to_dense_array(), size)
     ids, a, b = _align(p_s, p_l)
     return AlignedPair(np.array(ids, dtype=np.int64), np.array(a), np.array(b), size)
 
@@ -202,8 +211,9 @@ def blend(a, b, w: float | None) -> list[float]:
     return [x / total for x in vec]
 
 
-def _weight(strategy: FusionStrategy, w_override: float | None) -> float | None:
-    """The blend weight ``strategy`` uses, None for max pooling."""
+def _weight(strategy: FusionStrategy, ps_k, pl_k) -> float | None:
+    """The blend weight ``strategy`` uses on the two top-k views, None for
+    max pooling."""
     if strategy.kind == "max":
         return None
     if strategy.kind == "mean":
@@ -212,10 +222,8 @@ def _weight(strategy: FusionStrategy, w_override: float | None) -> float | None:
         # A weight of -0.0 blends as 0.0, and is reported so: the fused
         # step's memo treats the two as one key.
         w = float(strategy.w) + 0.0
-    else:  # learnable: the weight network ran upstream
-        if w_override is None:
-            raise InvalidInputError("learnable fusion requires w_override from the weight model")
-        w = float(w_override)
+    else:  # learnable: the strategy's net reads both views
+        w = float(strategy.model.weight(pl_k, ps_k))
     if not (0.0 <= w <= 1.0):
         raise InvalidInputError(f"fusion weight {w} outside [0, 1]")
     return w
@@ -233,20 +241,17 @@ def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
     )
 
 
-def fuse(
-    pair: AlignedPair,
-    strategy: FusionStrategy,
-    w_override: float | None = None,
-) -> tuple[TokenDistribution, float]:
+def fuse(pair: AlignedPair, strategy: FusionStrategy) -> tuple[TokenDistribution, float]:
     """Blend the aligned pair and report the weight that was used.
 
     Convex strategies compute w*p_s + (1-w)*p_l; max pooling takes the
     elementwise maximum. Max pooling has no single blend weight, so its
-    recorded weight is the neutral 0.5.
+    recorded weight is the neutral 0.5. A learnable strategy is refused:
+    its net reads the top-k views, which ``fuse_views`` takes.
     """
-    if pair.support.size == 0:
-        raise InvalidInputError("cannot fuse over an empty support")
-    w = _weight(strategy, w_override)
+    if strategy.kind == "learnable":
+        raise InvalidInputError("fuse takes no learnable strategy; use fuse_views on the top-k views")
+    w = _weight(strategy, None, None)
     vec = np.array(blend(pair.p_s.tolist(), pair.p_l.tolist(), w))
     return _to_distribution(pair, vec), 0.5 if w is None else w
 
@@ -272,7 +277,7 @@ class FusedDistribution:
 
     ``ids`` ascend and ``probs`` holds the blend at each of them; every
     other id of the vocabulary has probability zero. Neither changes
-    after construction. ``decoder.blend_step`` memoizes a step's
+    after construction. ``blend_step`` memoizes a step's
     distribution for as long as its large view lives, so one instance may
     serve many steps, sessions and threads. Its one cache slot follows
     ``core.TokenDistribution``'s pattern: ``_nucleus_slot`` keeps the
@@ -337,14 +342,46 @@ class FusedDistribution:
 
 
 def fuse_views(
-    ps_k: TokenDistribution,
-    pl_k: TokenDistribution,
-    strategy: FusionStrategy,
-    w_override: float | None = None,
+    ps_k: TokenDistribution, pl_k: TokenDistribution, strategy: FusionStrategy
 ) -> tuple[FusedDistribution, float]:
     """``fuse`` of two sparse top-k views, in Python floats: the same
-    blend, the same ids and the same weight, with no arrays built."""
+    blend, the same ids and the same weight, with no arrays built; a
+    learnable strategy's net weighs the two views."""
     _shared_vocab_size(ps_k, pl_k)
-    w = _weight(strategy, w_override)
+    w = _weight(strategy, ps_k, pl_k)
     ids, a, b = _align(ps_k, pl_k)
     return FusedDistribution(ids, blend(a, b, w)), 0.5 if w is None else w
+
+
+def blend_step(
+    p_s: TokenDistribution, p_l: TokenDistribution, strategy: FusionStrategy
+) -> tuple[FusedDistribution, float, TokenDistribution, TokenDistribution]:
+    """One fused step: both sources' top-k views, weighed and blended by
+    ``fuse_views``. Returns the fused distribution, the weight used, and
+    the small and large top-k views.
+
+    The step is memoized on the large view, keyed by the strategy's kind
+    and weight and the small view's identity. The entry holds the small
+    view, so no other view takes that id while the entry lives, and the
+    strategy's net; a read hits only when that net is this call's. The
+    views and the net never change, so a hit returns the bits the step
+    would compute. A local backend's views live in its memo, so a
+    recurring pair of histories reuses one blend and its cached nucleus;
+    a remote large view is new at every call, and its entry dies with it.
+    A large view holds at most one entry per small view and strategy it
+    was blended with, and at most ``FUSED_MEMO_CAP`` in all: a miss on a
+    full memo stores nothing.
+    """
+    ps_k, pl_k = top_k_views(p_s, p_l)
+    memo = pl_k._fused
+    if memo is None:
+        memo = {}
+        object.__setattr__(pl_k, "_fused", memo)
+    key = (strategy.kind, strategy.w, id(ps_k))
+    hit = memo.get(key)
+    if hit is not None and hit[1] is strategy.model:
+        return hit[2], hit[3], ps_k, pl_k
+    fused, w = fuse_views(ps_k, pl_k, strategy)
+    if len(memo) < FUSED_MEMO_CAP:
+        memo[key] = (ps_k, strategy.model, fused, w)
+    return fused, w, ps_k, pl_k

@@ -40,10 +40,10 @@ from .errors import (
     ServiceStartupError,
     TransportError,
 )
+from .fusion import TOP_K
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 24
-DEFAULT_TOP_K = 10
 # Most entries one logits reply carries, whatever top_k the client asks for.
 TOP_K_CAP = 64
 # Seconds a client waits to connect, and then on each socket operation.
@@ -127,7 +127,7 @@ def validate_request(obj: dict, vocab_size: int) -> dict:
         if ids and max(ids) >= vocab_size:
             bad = next(i for i in ids if i >= vocab_size)
             raise ProtocolError(f"prefix_ids entry {bad} outside vocab of size {vocab_size}")
-    if kind == "logits" and obj.get("top_k", DEFAULT_TOP_K) < 1:
+    if kind == "logits" and obj.get("top_k", TOP_K) < 1:
         raise ProtocolError("top_k must be a positive integer")
     if kind == "generate":
         sampling = obj["sampling"]
@@ -282,7 +282,7 @@ class LogitService:
         # A hello reply is this envelope alone.
         reply = {"version": PROTOCOL_VERSION, "kind": kind, "vocab_hash": self.backend.vocab.digest()}
         if kind == "logits":
-            top_k = min(obj.get("top_k", DEFAULT_TOP_K), TOP_K_CAP)
+            top_k = min(obj.get("top_k", TOP_K), TOP_K_CAP)
             request = ConditioningInput(
                 instruction=obj["instruction"],
                 prefix_ids=tuple(obj["prefix_ids"]),
@@ -467,7 +467,7 @@ class RemoteBackend:
 
     role = Role.LARGE_CLOUD
 
-    def __init__(self, client: ServiceClient, vocab, top_k: int = DEFAULT_TOP_K) -> None:
+    def __init__(self, client: ServiceClient, vocab, top_k: int = TOP_K) -> None:
         self.client = client
         self.vocab = vocab
         self.top_k = top_k

@@ -121,6 +121,16 @@ def perturbed_params(params, rng: np.random.Generator, scale: float = 0.05):
     )
 
 
+class ConstantNet:
+    """A learnable strategy's model whose ``weight`` is always ``w``."""
+
+    def __init__(self, w: float) -> None:
+        self.w = w
+
+    def weight(self, pl_k: TokenDistribution, ps_k: TokenDistribution) -> float:
+        return self.w
+
+
 def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float | None):
     """The fused step as numpy arrays, the reference for the scalar path.
 
@@ -203,7 +213,7 @@ def fsum_pick(nucleus_ids: list[int], cum: list[float], u: float) -> int:
 def reference_forward(arrs, x: np.ndarray):
     """The net on one input row ``(IN_DIM,)``, unfolded: each bias added
     on its own, ``x @ w1 + b1``. Returns the weight and the activations
-    ``reference_backward`` reads. ``combmodel.view_weight`` must match it
+    ``reference_backward`` reads. ``CombModelParams.weight`` must match it
     to the bit, and ``comb_train``'s folded batches within rounding."""
     w1, b1, w2, b2, w3, b3 = arrs
     z1 = x @ w1 + b1

@@ -23,7 +23,6 @@ from cogen.combmodel import (
     comb_loss,
     comb_train,
     harvest_examples,
-    view_weight,
 )
 from cogen.core import SamplingConfig, TokenDistribution, top_k_project
 from cogen.corpus import CorpusRecord, filter_lamp, split_train_val
@@ -33,7 +32,7 @@ from cogen.decoder import (
     fused_teacher_forced_ppl,
     session_for_record,
 )
-from cogen.fusion import FusionStrategy, fuse_views, top_k_views
+from cogen.fusion import FusionStrategy, fuse_views
 from cogen.prompting import (
     build_judge_prompt,
     build_request_prompt,
@@ -88,11 +87,9 @@ def test_criterion_1_fusion_correctness():
         # Full-length views, so the fused step blends the whole vocabulary.
         ps_v, pl_v = top_k_project(p_s, p_s.vocab_size), top_k_project(p_l, p_l.vocab_size)
         for strategy in strategies:
-            w_override = None
-            if strategy.kind == "learnable":
-                ps_k, pl_k = top_k_views(p_s, p_l)
-                w_override = view_weight(comb, pl_k, ps_k)
-            fused, _ = fuse_views(ps_v, pl_v, strategy, w_override=w_override)
+            # A learnable strategy's net reads each view's first TOP_K
+            # entries, which are the top-k views' entries.
+            fused, _ = fuse_views(ps_v, pl_v, strategy)
             assert abs(math.fsum(fused.probs) - 1.0) < 1e-9
         one, _ = fuse_views(ps_v, pl_v, FusionStrategy.fixed(1.0))
         zero, _ = fuse_views(ps_v, pl_v, FusionStrategy.fixed(0.0))

@@ -64,6 +64,17 @@ class TestGenerate:
         assert code == 0
         assert out.strip() == "A B D"
 
+    def test_fuse_max_pooling(self, workdir, capsys):
+        # After "A B" the small side's C and the large side's D tie under
+        # max pooling, and greedy decoding takes the lower id.
+        code, out, _ = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "fuse",
+            "--strategy", "max", "--seed", "0",
+        )
+        assert code == 0
+        assert out.strip() == "A B C"
+
     def test_first_k_zero_matches_slm_stdout(self, workdir, capsys):
         argv_common = [
             "generate", "--config", workdir / "config.json",
@@ -230,8 +241,18 @@ class TestGenerate:
             (["--mode", "first-k", "x"], "--mode first-k: 'x' is not a valid int"),
             (["--mode", "fuse", "--strategy", "fixed", "abc"], "--strategy fixed: 'abc' is not a valid float"),
             (["--mode", "slm", "--max-new-tokens", "0"], "max_new_tokens must be >= 1"),
+            (["--mode", "first-k"], "--mode first-k needs a token count"),
+            (["--mode", "nosuch"], "unknown mode 'nosuch'"),
+            (["--mode", "fuse", "--strategy", "nosuch"], "unknown strategy 'nosuch'"),
+            (["--mode", "fuse", "--strategy", "fixed"], "--strategy fixed needs a weight"),
+            (["--mode", "fuse", "--strategy", "learnable"], "--strategy learnable needs a parameter container path"),
+            (["--mode", "slm", "--index", "1"], "record index 1 outside corpus of 1 records"),
         ],
-        ids=["first-k-count", "fixed-weight", "zero-max-new-tokens"],
+        ids=[
+            "first-k-count", "fixed-weight", "zero-max-new-tokens", "first-k-without-count",
+            "unknown-mode", "unknown-strategy", "fixed-without-weight", "learnable-without-path",
+            "index-past-corpus",
+        ],
     )
     def test_malformed_argument_exits_2(self, workdir, capsys, argv, message):
         code, out, err = run(

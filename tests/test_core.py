@@ -24,6 +24,16 @@ from cogen.errors import (
 from cogen.rng import Splitmix64
 from helpers import softmax
 
+class FixedDraw:
+    """An RNG whose every float is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_float(self):
+        return self.u
+
+
 finite_logits = st.lists(
     st.floats(min_value=-60, max_value=60, allow_nan=False, allow_infinity=False),
     min_size=1,
@@ -145,6 +155,15 @@ class TestSampleTopP:
         cfg = SamplingConfig(temperature=1.0, top_p=0.5, seed=0)
         picks = {sample_top_p(dist, cfg, Splitmix64(i)) for i in range(200)}
         assert picks <= {0, 1}
+
+    def test_top_p_one_never_picks_a_zero_probability_id(self):
+        # The ten positive entries sum to 1 - 2**-53, just under a top_p of
+        # 1, so a cut by top_p alone reached the zeros; Splitmix64 can draw
+        # 1 - 2**-53, which then picked id 15, of probability 0.
+        dist = TokenDistribution.dense([0.1] * 10 + [0.0] * 6)
+        cfg = SamplingConfig(temperature=1.0, top_p=1.0)
+        assert sample_top_p(dist, cfg, FixedDraw(math.nextafter(1.0, 0.0))) == 9
+        assert sample_top_p(dist, cfg, FixedDraw(0.0)) == 0
 
     def test_rejects_sparse_and_unnormalized(self):
         sparse = TokenDistribution.sparse([0], [0.5], vocab_size=3)

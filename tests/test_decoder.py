@@ -2,7 +2,8 @@
 
 import hashlib
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -408,6 +409,20 @@ class TestTeacherForcedScoring:
         assert [len(r.prefix_ids) for r in counting.requests] == list(range(expected))
         assert all(r.instruction == simple_record.general_task for r in counting.requests)
         assert all(r.context is None for r in counting.requests)
+
+    @pytest.mark.parametrize("first_k", [None, 1], ids=["fused", "first-k-tail"])
+    def test_a_reference_token_outside_the_support_scores_infinite(
+        self, path_backends, simple_record, abc_vocab, first_k
+    ):
+        # After "A B" the small side says C and the large side D, each with
+        # probability 1, so the reference's last A has none: at a fused
+        # position, and past first_k, where the small side scores alone.
+        slm, llm = path_backends
+        record = replace(simple_record, reference="A B A")
+        ppl = fused_teacher_forced_ppl(
+            slm, llm, record, Tokenizer(abc_vocab), FusionStrategy.mean(), first_k=first_k
+        )
+        assert ppl == math.inf
 
     def test_small_alone_never_queries_large(self, path_backends, simple_record, abc_vocab):
         slm, llm = path_backends

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from cogen.corpus import load_corpus
+from cogen.fusion import TOP_K
 from cogen.rng import Splitmix64
 from cogen.service import MAX_NEW_TOKENS_CAP, TOP_K_CAP, encode_frame, float_to_bits, read_frame
 
@@ -54,6 +55,14 @@ def test_protocol_doc_states_the_service_caps():
     text = (DOCS / "protocol.md").read_text(encoding="utf-8")
     assert f"`min(top_k, {TOP_K_CAP})`" in text
     assert f"at most {MAX_NEW_TOKENS_CAP} (`MAX_NEW_TOKENS_CAP`)" in text
+
+
+def test_protocol_doc_states_the_top_k_default():
+    # A logits request without top_k gets the fused step's own cut.
+    text = (DOCS / "protocol.md").read_text(encoding="utf-8")
+    row = re.search(r"^\| logits +\| `top_k` +\|[^|\n]*\| optional; defaults to (\d+) +\|$", text, re.M)
+    assert row, "protocol.md lost the top_k row"
+    assert int(row.group(1)) == TOP_K
 
 
 def test_rng_doc_reference_sequences():

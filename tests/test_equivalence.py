@@ -72,7 +72,7 @@ def ref_sample_top_p(dist, config, rng):
     sorted_probs = probs[order]
     cum = np.cumsum(sorted_probs)
     cut = int(np.searchsorted(cum, config.top_p, side="left")) + 1
-    cut = min(cut, probs.size)
+    cut = min(cut, int(np.count_nonzero(probs)))
     nucleus = sorted_probs[:cut]
     nucleus = nucleus / nucleus.sum()
     u = rng.next_float()
@@ -543,7 +543,7 @@ def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
     params = weight_nets[which]
     ex = combmodel.CombExample(ps_k, pl_k, target)
     got = combmodel._row_weight(params.arrays(), ex.x)
-    assert same_bits(np.float64(got), np.float64(combmodel.view_weight(params, pl_k, ps_k)))
+    assert same_bits(np.float64(got), np.float64(params.weight(pl_k, ps_k)))
     got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
     want = outcome(lambda: fuse_views(ps_k, pl_k, FusionStrategy.fixed(w))[0].prob_of(target))
     assert got[1] == want[1]
@@ -566,13 +566,13 @@ def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
     jitter=st.sampled_from([0.0, 0.05, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_view_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which, jitter, seed):
+def test_net_weight_matches_checked_forward(weight_nets, pl_k, ps_k, which, jitter, seed):
     """The fused step's unchecked weight is the checked weight on the
     padded views, large model first, and the unfolded one-row forward of
     ``helpers.reference_forward`` (``x @ w1 + b1``), bit for bit, on
     initial and perturbed parameters, biases included."""
     params = perturbed_params(weight_nets[which], np.random.default_rng(seed), scale=jitter)
-    got = combmodel.view_weight(params, pl_k, ps_k)
+    got = params.weight(pl_k, ps_k)
     top10_l, top10_s = combmodel.padded_top_probs(pl_k), combmodel.padded_top_probs(ps_k)
     want = combmodel.comb_forward(params, top10_l, top10_s)
     assert type(got) is float
@@ -883,8 +883,9 @@ EVERY_STRATEGY_ON_ONE_PAIR = dict(
 def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed):
     """Fused steps in any order over a shared pool of distributions, the
     strategy and the sampling config changing between calls, return the
-    bits of ``fuse_views`` run afresh (with ``view_weight`` for a learnable
-    strategy), and pick what the fresh blend picks from the same stream."""
+    bits of ``fuse_views`` run afresh (a learnable strategy's net weighing
+    the views again), and pick what the fresh blend picks from the same
+    stream."""
     small, large = pools
     strategies = memo_strategies(weight_nets)
     assert len(strategies) == MEMO_STRATEGY_COUNT
@@ -892,14 +893,11 @@ def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed
     for i, j, which, c in calls:
         p_s, p_l = small[i % len(small)], large[j % len(large)]
         strategy, config = strategies[which], MEMO_CONFIGS[c]
-        fused, w, ps_k, pl_k = decoder.blend_step(p_s, p_l, strategy)
+        fused, w, ps_k, pl_k = fusion.blend_step(p_s, p_l, strategy)
         for view, want_view in zip((ps_k, pl_k), fusion.top_k_views(p_s, p_l)):
             assert same_bits(view.sparse_ids, want_view.sparse_ids)
             assert same_bits(view.sparse_probs, want_view.sparse_probs)
-        w_override = None
-        if strategy.kind == "learnable":
-            w_override = combmodel.view_weight(strategy.model, pl_k, ps_k)
-        want, want_w = fuse_views(ps_k, pl_k, strategy, w_override=w_override)
+        want, want_w = fuse_views(ps_k, pl_k, strategy)
         assert fused.ids == want.ids
         assert same_bits(np.array(fused.probs), np.array(want.probs))
         assert same_bits(np.float64(w), np.float64(want_w))
@@ -919,16 +917,16 @@ def test_fused_step_memo_never_serves_a_dead_small_views_entry():
     for i in range(300):
         head = 0.2 + (i % 97) / 1000
         probs = np.array([head] + [(1 - head) / 11] * 11)
-        fused, w, ps_k, pl_k = decoder.blend_step(
+        fused, w, ps_k, pl_k = fusion.blend_step(
             TokenDistribution.sparse(ids, probs, 16), large, FusionStrategy.mean()
         )
         want, _ = fuse_views(ps_k, pl_k, FusionStrategy.mean())
         assert same_bits(np.array(fused.probs), np.array(want.probs))
         memo = pl_k._fused
         memos.add(id(memo))
-        assert len(memo) <= decoder.FUSED_MEMO_CAP
+        assert len(memo) <= fusion.FUSED_MEMO_CAP
         del fused, ps_k, pl_k, want  # so the next view may take this one's id
-    assert len(memos) == 1 and len(memo) == decoder.FUSED_MEMO_CAP
+    assert len(memos) == 1 and len(memo) == fusion.FUSED_MEMO_CAP
 
 
 def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weight_nets):
@@ -954,7 +952,7 @@ def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weig
                         cursor.push(token)
                 for strategy in strategies:
                     p_s, p_l = (cursor.distribution() for cursor in cursors)
-                    _, _, ps_k, pl_k = decoder.blend_step(p_s, p_l, strategy)
+                    _, _, ps_k, pl_k = fusion.blend_step(p_s, p_l, strategy)
                     paired.setdefault(id(pl_k), (pl_k, set()))[1].add(id(ps_k))
     assert len(paired) > 1
     for pl_k, small_ids in paired.values():

@@ -1,7 +1,8 @@
 """Blending two distributions in the fused step: the union of the two
 views, the four strategies, invariants.
 
-Every test runs ``fuse_views``, the blend decode samples from. A dense
+Every test but one runs ``fuse_views``, the blend decode samples from;
+that one checks that ``fuse`` refuses a learnable strategy. A dense
 input enters as its full-length view, ``top_k_project(p, size)``, so the
 union is the whole vocabulary and the blend can be read id by id.
 """
@@ -21,9 +22,9 @@ from cogen.errors import (
     InvalidDistributionError,
     InvalidInputError,
 )
-from cogen.fusion import FusionStrategy, blend, fuse_views
+from cogen.fusion import FusionStrategy, align_supports, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
-from helpers import softmax
+from helpers import ConstantNet, softmax
 
 
 def full_view(dist: TokenDistribution) -> TokenDistribution:
@@ -32,9 +33,9 @@ def full_view(dist: TokenDistribution) -> TokenDistribution:
     return top_k_project(dist, dist.vocab_size) if dist.is_dense else dist
 
 
-def fuse_dense(p_s, p_l, strategy, w_override=None):
+def fuse_dense(p_s, p_l, strategy):
     a, b = TokenDistribution.dense(p_s), TokenDistribution.dense(p_l)
-    return fuse_views(full_view(a), full_view(b), strategy, w_override=w_override)
+    return fuse_views(full_view(a), full_view(b), strategy)
 
 
 random_dense = st.lists(
@@ -122,18 +123,22 @@ class TestFuse:
         assert fused.prob_of(0) == pytest.approx(0.75)
         assert fused.prob_of(1) == pytest.approx(0.25)
 
-    def test_learnable_requires_override(self):
-        strategy = FusionStrategy.learnable(model=object())
-        with pytest.raises(InvalidInputError):
-            fuse_dense([0.5, 0.5], [0.5, 0.5], strategy)
-        fused, w = fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=0.25)
+    def test_a_learnable_strategy_blends_with_its_nets_weight(self):
+        fused, w = fuse_dense([0.5, 0.5], [0.5, 0.5], FusionStrategy.learnable(ConstantNet(0.25)))
         assert w == 0.25
+
+    def test_fuse_refuses_a_learnable_strategy(self):
+        # The net reads the top-k views, which an aligned pair no longer holds.
+        a = TokenDistribution.sparse([0], [0.9], vocab_size=4)
+        b = TokenDistribution.sparse([1], [0.8], vocab_size=4)
+        with pytest.raises(InvalidInputError, match="^fuse takes no learnable strategy"):
+            fuse(align_supports(a, b), FusionStrategy.learnable(ConstantNet(0.5)))
 
     @pytest.mark.parametrize("w", [1.5, math.nan])
     def test_a_learnable_weight_outside_the_unit_interval_is_rejected(self, w):
-        strategy = FusionStrategy.learnable(model=object())
+        strategy = FusionStrategy.learnable(ConstantNet(w))
         with pytest.raises(InvalidInputError, match=re.escape(f"fusion weight {w} outside [0, 1]")):
-            fuse_dense([0.5, 0.5], [0.5, 0.5], strategy, w_override=w)
+            fuse_dense([0.5, 0.5], [0.5, 0.5], strategy)
 
     def test_a_vanishing_temperature_leaves_no_support(self):
         # At 1e-310 every log-probability below 0 divides to -inf, and the
@@ -208,19 +213,19 @@ STRATEGIES = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(FusionStrategy.fixed),
     st.just(FusionStrategy.mean()),
     st.just(FusionStrategy.max_pool()),
-    st.just(FusionStrategy.learnable(model=object())),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda w: FusionStrategy.learnable(ConstantNet(w))),
 )
 
 
-@given(fusion_pairs(), STRATEGIES, st.floats(min_value=0.0, max_value=1.0))
+@given(fusion_pairs(), STRATEGIES)
 @settings(max_examples=300, deadline=None)
-def test_fuse_normalizes_and_orders_any_pair(pair, strategy, w):
+def test_fuse_normalizes_and_orders_any_pair(pair, strategy):
     """Over random sparse and dense pairs and every strategy, the fused
     mass is 1, entries are non-negative, the ids are the ascending union
     of both views', and the greedy pick is the most probable id, ties
     toward the lower one."""
     ps_k, pl_k = map(full_view, pair)
-    fused, _ = fuse_views(ps_k, pl_k, strategy, w_override=w)
+    fused, _ = fuse_views(ps_k, pl_k, strategy)
     assert abs(math.fsum(fused.probs) - 1.0) <= DENSE_SUM_TOL
     assert all(p >= 0 for p in fused.probs)
     union = set(ps_k.sparse_ids.tolist()) | set(pl_k.sparse_ids.tolist())
@@ -234,9 +239,8 @@ def test_fuse_normalizes_and_orders_any_pair(pair, strategy, w):
 @settings(max_examples=200, deadline=None)
 def test_fuse_endpoints_return_a_dense_input_bitwise(pair):
     p_s, p_l = pair
-    learnable = FusionStrategy.learnable(model=object())
     for w, chosen in ((1.0, p_s), (0.0, p_l)):
-        for strategy in (FusionStrategy.fixed(w), learnable):
-            fused, used = fuse_views(full_view(p_s), full_view(p_l), strategy, w_override=w)
+        for strategy in (FusionStrategy.fixed(w), FusionStrategy.learnable(ConstantNet(w))):
+            fused, used = fuse_views(full_view(p_s), full_view(p_l), strategy)
             assert used == w
             assert np.array(fused.probs).tobytes() == chosen.dense_probs.tobytes()

@@ -418,6 +418,41 @@ class TestServiceRoundTrip:
         assert remote == local
         client.close()
 
+    def test_generate_continues_from_a_prefix(self, path_backends, abc_vocab):
+        # The large side spells A B D; from the prefix A it goes on with B D.
+        _, llm = path_backends
+        with serve(llm, ("127.0.0.1", 0)) as handle:
+            client = ServiceClient(handle.address)
+            client.hello(abc_vocab.digest())
+            sampling = SamplingConfig(greedy=True, max_new_tokens=8)
+            tokens = client.generate("A B", (abc_vocab.id_of("A"),), sampling, abc_vocab.size)
+            client.close()
+        assert [abc_vocab.token(t) for t in tokens] == ["B", "D"]
+
+    def test_a_top_k_of_zero_is_the_clients_fault(self, served_world):
+        world, _, _, handle = served_world
+        client = ServiceClient(handle.address)
+        client.hello(world.vocab.digest())
+        with pytest.raises(ProtocolError, match="^service rejected the request: top_k must be a positive integer$"):
+            client.next_logits("hi", (), 0, world.vocab.size)
+        client.close()
+
+    def test_a_generate_at_temperature_zero_is_the_clients_fault(self, served_world):
+        _, _, _, handle = served_world
+        payload = {
+            "version": 1,
+            "kind": "generate",
+            "session": "x",
+            "instruction": "hi",
+            "prefix_ids": [],
+            "sampling": {**sampling_to_wire(SamplingConfig()), "temperature": 0.0},
+        }
+        with socket.create_connection(handle.address, timeout=5) as sock:
+            sock.sendall(encode_frame(payload))
+            obj, _ = read_frame(sock.makefile("rb").read)
+        assert obj["kind"] == "error"
+        assert obj["error"] == "bad sampling config on the wire: temperature must be > 0"
+
     def test_dead_address_is_transport_error(self):
         client = ServiceClient(("127.0.0.1", 1))
         with pytest.raises(TransportError):
@@ -477,8 +512,13 @@ class TestMalformedLogitsReply:
             ([[0, QUARTER], [1, HALF]], "sorted"),
             ([[0, HALF], [0, QUARTER]], "unique"),
             ([["0", HALF]], "pairs"),
+            ([[0, "zz" * 8]], "bad float bit pattern"),
+            ([[0, HALF[:4]]], "16 hex digits"),
         ],
-        ids=["out-of-vocab", "nan-bits", "unsorted", "duplicate-ids", "string-id"],
+        ids=[
+            "out-of-vocab", "nan-bits", "unsorted", "duplicate-ids", "string-id",
+            "non-hex-bits", "short-bits",
+        ],
     )
     def test_client_rejects(self, path_backends, abc_vocab, entries, message):
         _, llm = path_backends
@@ -570,6 +610,37 @@ def test_client_reconnects_after_an_error_frame(served_world):
     assert got.sparse_ids.tolist() == want.sparse_ids.tolist()
     assert got.sparse_probs.tolist() == want.sparse_probs.tolist()
     client.close()
+
+
+class FailingBackend:
+    """A large side whose requests with the instruction "explode" raise."""
+
+    role = Role.LARGE_CLOUD
+
+    def __init__(self, inner):
+        self.inner, self.vocab = inner, inner.vocab
+
+    def next_distribution(self, request):
+        if request.instruction == "explode":
+            raise RuntimeError("backend blew up")
+        return self.inner.next_distribution(request)
+
+
+def test_a_backend_failure_is_an_internal_error_and_the_client_reconnects(path_backends, abc_vocab):
+    """A backend that raises is answered with an ``internal:`` error frame
+    and a closed connection; the client's next call connects and greets
+    the service again."""
+    _, llm = path_backends
+    with serve(FailingBackend(llm), ("127.0.0.1", 0)) as handle:
+        client = ServiceClient(handle.address)
+        client.hello(abc_vocab.digest())
+        with pytest.raises(ProtocolError, match="^service rejected the request: internal: backend blew up$"):
+            client.next_logits("explode", (), 5, abc_vocab.size)
+        got = client.next_logits("A", (), 5, abc_vocab.size)
+        client.close()
+        kinds = [entry.kind for entry in handle.service.entries]
+    assert got.top1() == (abc_vocab.id_of("A"), 1.0)
+    assert kinds == ["hello", "logits", "hello", "logits"]
 
 
 def test_client_drops_the_socket_after_a_reply_it_cannot_parse():
