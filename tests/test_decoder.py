@@ -1,9 +1,20 @@
-"""The generation loop: mode semantics, traces, degeneracies, failure policy."""
+"""The generation loop: mode semantics, traces, degeneracies, failure policy.
+
+``tests/goldens/trace_digests.json`` holds, per decode mode, a SHA-256
+over the ``write_trace`` bytes of each session on ``TRACE_WORLDS``: the
+token ids pin only the picks, the trace also pins each step's weight and
+top-1 probabilities. The learnable mode has no entry, since its weight
+comes through the weight net's BLAS product, which differs by kernel.
+Regenerate the file only for a change that is meant to alter a trace:
+
+    PYTHONPATH=src python tests/test_decoder.py
+"""
 
 import hashlib
 import json
 import math
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +42,17 @@ from cogen.errors import (
     SessionError,
     TransportError,
 )
+from cogen import fusion
 from cogen.fusion import FusionStrategy
+from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
 from helpers import path_backend, perplexity
+from test_decode_golden import MAX_NEW_TOKENS, MODES, RECORDS_PER_WORLD
+
+TRACE_GOLDEN = Path(__file__).parent / "goldens" / "trace_digests.json"
+TRACE_WORLDS = range(2)
+# Modes whose trace bytes do not depend on the BLAS kernel.
+TRACE_PINNED = [name for name in MODES if name != "learnable"]
 
 
 class FlakyBackend:
@@ -195,6 +214,56 @@ class TestTraces:
         trace = WeightTrace(mode=mode, seed=seed, steps=steps, events=events)
         write_trace(trace, path)
         assert read_trace(path) == trace
+
+
+def trace_worlds():
+    """Each of ``TRACE_WORLDS`` with backends no session has read yet."""
+    worlds = []
+    for world_seed in TRACE_WORLDS:
+        world = build_world(world_seed)
+        worlds.append((world_seed, world, large_backend(world), small_backends(world)))
+    return worlds
+
+
+def trace_bytes(name, comb, worlds, path) -> bytes:
+    """The ``write_trace`` file of each session of mode ``name`` on
+    ``worlds``, one after another; a session that fails adds its error's
+    class name."""
+    out = []
+    for world_seed, world, llm, slms in worlds:
+        for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
+            sampling = SamplingConfig(seed=100 * world_seed + r, max_new_tokens=MAX_NEW_TOKENS)
+            session = session_for_record(record, MODES[name](comb), sampling, slms[record.user_id], llm)
+            try:
+                write_trace(decode(session).trace, path)
+            except CogenError as exc:
+                out.append(type(exc).__name__.encode() + b"\n")
+            else:
+                out.append(path.read_bytes())
+    return b"".join(out)
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_warm_pass_writes_the_cold_pass_bytes(self, name, tmp_path, monkeypatch):
+        """A second pass over the same backends, where every fused step
+        finds its blend in the memo, writes the first pass's trace bytes,
+        and those match the golden digest."""
+        comb, worlds, path = comb_init(0), trace_worlds(), tmp_path / "trace.jsonl"
+        cold = trace_bytes(name, comb, worlds, path)
+        fused = []
+        fuse_views = fusion.fuse_views
+        monkeypatch.setattr(fusion, "fuse_views", lambda *a: fused.append(a) or fuse_views(*a))
+        warm = trace_bytes(name, comb, worlds, path)
+        assert warm == cold
+        assert fused == []
+        if name in TRACE_PINNED:
+            golden = json.loads(TRACE_GOLDEN.read_text(encoding="utf-8"))
+            assert hashlib.sha256(cold).hexdigest() == golden[name]
+
+    def test_golden_pins_every_mode_but_learnable(self):
+        golden = json.loads(TRACE_GOLDEN.read_text(encoding="utf-8"))
+        assert sorted(golden) == sorted(TRACE_PINNED)
 
 
 class TestFirstK:
@@ -544,3 +613,17 @@ class TestCursorRequests:
             h.update(rec.kind.encode() + b"\0" + rec.payload + b"\n")
         assert len(audit.records) == 237
         assert h.hexdigest() == "0992bb0424f57260bd8d66611620f73f552977cd7ef36fa827ee4718dba4e2c9"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    comb, worlds = comb_init(0), trace_worlds()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        digests = {
+            name: hashlib.sha256(trace_bytes(name, comb, worlds, path)).hexdigest()
+            for name in TRACE_PINNED
+        }
+    TRACE_GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {TRACE_GOLDEN}")
