@@ -4,15 +4,16 @@ Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
 The only mutable pieces are a distribution's four caches: its last
 sampling nucleus, its last top-k view, its top-1 entry and, on a large
-model's top-k view, the fused steps it took part in. Each holds pure
+model's distribution, the fused steps it took part in. Each holds pure
 functions of immutable inputs, stored as immutable tuples in one
 assignment each, so threads that race on a cache can only compute the
 same value twice. The nucleus slot serves the single-backend modes, whose
 dense distributions a backend memoizes and sampling reads again. A fused
 step (``fusion.blend_step``) samples its own union of top-k entries;
 the ``FusedDistribution`` it returns keeps its own nucleus slot, and
-the step memoizes it on the large view (``_fused``), so a step whose
-two views recur reuses the blend and its nucleus.
+the step memoizes it and both top-k views on the large side's
+distribution (``_fused``), so a step whose two distributions recur
+reuses the blend and its nucleus without cutting a view again.
 
 Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
 nucleus cuts, argmax) resolve toward the lowest token id so that runs are
@@ -139,10 +140,11 @@ class TokenDistribution:
     on read, so a lost race only computes the entry again.
 
     The fourth cache, ``_fused``, is a dict that ``fusion.blend_step``
-    fills on a large model's top-k view: one entry per small view and
-    strategy it was blended with (see there). It lives and dies with the
-    view, and stays None on every distribution no fused step read as its
-    large side.
+    fills on a large model's distribution: one entry per small
+    distribution and strategy it was blended with (see there). It lives
+    and dies with the distribution, and stays None on every distribution
+    no fused step read as its large side, and on one that is its own
+    top-k view.
     """
 
     vocab_size: int

@@ -16,8 +16,9 @@ A fused step queries the context-holding small backend with
 instruction, context, and the emitted prefix, and the context-blind
 large backend with instruction and prefix only. ``fusion.blend_step``
 cuts both to their top-k views, weighs and blends them by the active
-fusion strategy in Python floats, and memoizes that on the large view,
-so a pair of views that recurs reuses its blend. The loop
+fusion strategy in Python floats, and memoizes that on the large side's
+distribution, so a pair of distributions that recurs reuses its blend
+and cuts no view again. The loop
 samples the resulting ``FusedDistribution`` over that union of at most
 ``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
 single-backend step spreads its distribution densely (``_dense``) for
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from .backends import ContextBundle, Role, check_context_blind, open_cursor
 from .combmodel import teacher_forced_steps
@@ -124,8 +125,9 @@ class DecodeMode:
         return self.kind
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One emitted token's trace row; a tuple, so it cannot change."""
+
     step: int
     token_id: int
     token: str
@@ -445,7 +447,7 @@ def write_trace(trace: WeightTrace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"mode": trace.mode, "seed": trace.seed, "events": trace.events}) + "\n")
         for s in trace.steps:
-            fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
+            fh.write(json.dumps(s._asdict(), sort_keys=True) + "\n")
 
 
 # The fields of a trace's metadata line and of each step line, all required.

@@ -12,6 +12,7 @@ which keeps the weight-1 and weight-0 endpoints exact to the bit.
 ``blend_step`` is the fused step that decoding and teacher-forced
 scoring take: it cuts both sources to their top-k views, weighs and
 blends them with ``fuse_views``, and memoizes the result on the large
+side's distribution, where a later step finds it before cutting any
 view. The step works in Python floats, not numpy arrays: its inputs are
 two top-k views of at most ``TOP_K`` entries each, and at that size a
 numpy pipeline costs its count of calls, not its length.
@@ -54,10 +55,10 @@ from .rng import Splitmix64
 # Size of each source's top-k view: the fused step's cut, the weight net's
 # input and the number of entries a logits request asks the service for.
 TOP_K = 10
-# Entries one large view's fused-step memo holds at most. The benchmark's
-# decode workloads peak at 43 (seeds 0-3); a small side that returned new
-# views at every call would otherwise grow a long-lived large view's memo
-# without bound.
+# Entries one large distribution's fused-step memo holds at most. The
+# benchmark's local-mix workload peaks at 43 (seeds 0-3) and long-context
+# at 11; a small side that returned new distributions at every call would
+# otherwise grow a long-lived large distribution's memo without bound.
 FUSED_MEMO_CAP = 64
 
 
@@ -278,7 +279,7 @@ class FusedDistribution:
     ``ids`` ascend and ``probs`` holds the blend at each of them; every
     other id of the vocabulary has probability zero. Neither changes
     after construction. ``blend_step`` memoizes a step's
-    distribution for as long as its large view lives, so one instance may
+    distribution for as long as its large side lives, so one instance may
     serve many steps, sessions and threads. Its one cache slot follows
     ``core.TokenDistribution``'s pattern: ``_nucleus_slot`` keeps the
     nucleus of the last ``(temperature, top_p)`` it was sampled with, as
@@ -360,28 +361,34 @@ def blend_step(
     ``fuse_views``. Returns the fused distribution, the weight used, and
     the small and large top-k views.
 
-    The step is memoized on the large view, keyed by the strategy's kind
-    and weight and the small view's identity. The entry holds the small
-    view, so no other view takes that id while the entry lives, and the
-    strategy's net; a read hits only when that net is this call's. The
-    views and the net never change, so a hit returns the bits the step
-    would compute. A local backend's views live in its memo, so a
-    recurring pair of histories reuses one blend and its cached nucleus;
-    a remote large view is new at every call, and its entry dies with it.
-    A large view holds at most one entry per small view and strategy it
-    was blended with, and at most ``FUSED_MEMO_CAP`` in all: a miss on a
-    full memo stores nothing.
+    The step is memoized on the large side's distribution, keyed by the
+    strategy's kind and weight and the small side's identity, and read
+    before any view is cut. The entry holds the small side, so no other
+    distribution takes that id while the entry lives, the strategy's net,
+    whose identity a hit must match, and the step's answer with both
+    views. The distributions and the net never change, so a hit returns
+    the bits the step would compute. A local backend's distributions live
+    in its memo, so a recurring pair of histories reuses one blend and its
+    cached nucleus. A large side that is its own top-k view, as a remote
+    reply is, gets no memo: its entry would hold the side itself, which
+    is new at every call, so no step would read it. A large side holds at
+    most one entry per small side and strategy it was blended with, and
+    at most ``FUSED_MEMO_CAP`` in all: a miss on a full memo stores
+    nothing.
     """
+    memo = p_l._fused
+    key = (strategy.kind, strategy.w, id(p_s))
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None and hit[1] is strategy.model:
+            return hit[2]
     ps_k, pl_k = top_k_views(p_s, p_l)
-    memo = pl_k._fused
-    if memo is None:
-        memo = {}
-        object.__setattr__(pl_k, "_fused", memo)
-    key = (strategy.kind, strategy.w, id(ps_k))
-    hit = memo.get(key)
-    if hit is not None and hit[1] is strategy.model:
-        return hit[2], hit[3], ps_k, pl_k
     fused, w = fuse_views(ps_k, pl_k, strategy)
-    if len(memo) < FUSED_MEMO_CAP:
-        memo[key] = (ps_k, strategy.model, fused, w)
-    return fused, w, ps_k, pl_k
+    step = fused, w, ps_k, pl_k
+    if pl_k is not p_l:
+        if memo is None:
+            memo = {}
+            object.__setattr__(p_l, "_fused", memo)
+        if len(memo) < FUSED_MEMO_CAP:
+            memo[key] = (p_s, strategy.model, step)
+    return step

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogen import fusion
 from cogen.audit import AuditLog
 from cogen.backends import Role, TableBackend
 from cogen.combmodel import comb_init, harvest_examples
@@ -42,7 +43,6 @@ from cogen.errors import (
     SessionError,
     TransportError,
 )
-from cogen import fusion
 from cogen.fusion import FusionStrategy
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
@@ -190,6 +190,28 @@ class TestTraces:
         assert loaded.seed == result.trace.seed
         assert loaded.steps == result.trace.steps
         assert loaded.events == result.trace.events
+
+    def test_a_trace_row_cannot_change(self):
+        row = TraceStep(1, 2, "B", 0.5, 0.25, 0.75)
+        with pytest.raises(AttributeError):
+            row.w = 0.0
+        assert row == TraceStep(1, 2, "B", 0.5, 0.25, 0.75)
+
+    def test_each_row_is_written_as_an_object_with_six_sorted_keys(
+        self, path_backends, simple_record, tmp_path
+    ):
+        slm, llm = path_backends
+        session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
+        result = decode(session)
+        path = tmp_path / "trace.jsonl"
+        write_trace(result.trace, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == len(result.trace.steps) > 0
+        keys = ["p_l_top1", "p_s_top1", "step", "token", "token_id", "w"]
+        for line, step in zip(lines, result.trace.steps):
+            row = json.loads(line)
+            assert isinstance(row, dict) and list(row) == keys
+            assert row == {key: getattr(step, key) for key in keys}
 
     @settings(max_examples=100, deadline=None)
     @given(

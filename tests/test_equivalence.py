@@ -19,6 +19,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -906,33 +907,32 @@ def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed
 
 
 def test_fused_step_memo_never_serves_a_dead_small_views_entry():
-    """A sparse small side longer than ``TOP_K`` gets a new view at every
-    call, and each dies with its step unless something holds it. An entry
-    keyed by a dead view's id must never answer for a new view that
-    happens to reuse that id. The large view's memo stops growing at
-    ``FUSED_MEMO_CAP`` entries."""
+    """Here the small side is a new sparse distribution, longer than
+    ``TOP_K``, at every call, and each dies with its step unless
+    something holds it. An entry keyed by a dead small side's id must
+    never answer for a new one that happens to reuse that id. The large
+    side's memo stops growing at ``FUSED_MEMO_CAP`` entries."""
     large = TokenDistribution.dense(np.full(16, 1 / 16))
     ids = np.arange(12, dtype=np.int64)
     memos = set()
     for i in range(300):
         head = 0.2 + (i % 97) / 1000
         probs = np.array([head] + [(1 - head) / 11] * 11)
-        fused, w, ps_k, pl_k = fusion.blend_step(
-            TokenDistribution.sparse(ids, probs, 16), large, FusionStrategy.mean()
-        )
+        p_s = TokenDistribution.sparse(ids, probs, 16)
+        fused, w, ps_k, pl_k = fusion.blend_step(p_s, large, FusionStrategy.mean())
         want, _ = fuse_views(ps_k, pl_k, FusionStrategy.mean())
         assert same_bits(np.array(fused.probs), np.array(want.probs))
-        memo = pl_k._fused
+        memo = large._fused
         memos.add(id(memo))
         assert len(memo) <= fusion.FUSED_MEMO_CAP
-        del fused, ps_k, pl_k, want  # so the next view may take this one's id
+        del p_s, fused, ps_k, pl_k, want  # so the next small side may take this one's id
     assert len(memos) == 1 and len(memo) == fusion.FUSED_MEMO_CAP
 
 
 def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weight_nets):
     """A decode walk over every pair of ids under five strategies: each
-    large view holds no more entries than the small views it was blended
-    with times the strategies used, each keyed by one of those views."""
+    large side holds no more entries than the small sides it was blended
+    with times the strategies used, each keyed by one of those sides."""
     small, large = fresh_ngram(ngram_pair, False), fresh_ngram(ngram_pair, True)
     strategies = [
         FusionStrategy.fixed(0.3),
@@ -941,7 +941,7 @@ def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weig
         FusionStrategy.learnable(weight_nets[0]),
         FusionStrategy.learnable(weight_nets[1]),
     ]
-    paired: dict[int, tuple] = {}  # id(pl_k) -> (pl_k, ids of the small views)
+    paired: dict[int, tuple] = {}  # id(p_l) -> (p_l, ids of the small sides)
     size = small.vocab.size
     for a in range(size):
         for b in range(size):
@@ -952,12 +952,49 @@ def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weig
                         cursor.push(token)
                 for strategy in strategies:
                     p_s, p_l = (cursor.distribution() for cursor in cursors)
-                    _, _, ps_k, pl_k = fusion.blend_step(p_s, p_l, strategy)
-                    paired.setdefault(id(pl_k), (pl_k, set()))[1].add(id(ps_k))
+                    fusion.blend_step(p_s, p_l, strategy)
+                    paired.setdefault(id(p_l), (p_l, set()))[1].add(id(p_s))
     assert len(paired) > 1
-    for pl_k, small_ids in paired.values():
-        assert 0 < len(pl_k._fused) <= len(small_ids) * len(strategies)
-        assert {key[2] for key in pl_k._fused} <= small_ids
+    for p_l, small_ids in paired.values():
+        assert 0 < len(p_l._fused) <= len(small_ids) * len(strategies)
+        assert {key[2] for key in p_l._fused} <= small_ids
+
+
+def test_a_memo_hit_cuts_no_view(weight_nets, monkeypatch):
+    """A second fused step on the same two distributions and strategy
+    reads the memo before any top-k cut, and returns the first step's
+    four objects."""
+    p_s = TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1] + [0.0] * 12))
+    p_l = TokenDistribution.dense(np.full(16, 1 / 16))
+
+    def no_cut(*args):
+        raise AssertionError("a memo hit cut a top-k view")
+
+    for strategy in (FusionStrategy.mean(), FusionStrategy.learnable(weight_nets[0])):
+        first = fusion.blend_step(p_s, p_l, strategy)
+        with monkeypatch.context() as patched:
+            patched.setattr(fusion, "top_k_views", no_cut)
+            again = fusion.blend_step(p_s, p_l, strategy)
+        assert len(again) == 4
+        assert all(a is b for a, b in zip(again, first))
+
+
+def test_a_large_side_that_is_its_own_view_gets_no_memo():
+    """A remote reply has at most ``TOP_K`` entries, so it is its own
+    top-k view, and an entry on it would hold it in a reference cycle.
+    It gets no memo, and dies as soon as the step's result is dropped,
+    without waiting for the cycle collector."""
+    p_s = TokenDistribution.dense(np.full(16, 1 / 16))
+    p_l = TokenDistribution.sparse(np.arange(10), np.full(10, 0.1), 16)
+    gone = weakref.ref(p_l)
+    gc.disable()
+    try:
+        step = fusion.blend_step(p_s, p_l, FusionStrategy.mean())
+        assert step[3] is p_l and p_l._fused is None
+        del step, p_l
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 class StubRemoteLarge:
