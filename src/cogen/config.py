@@ -15,6 +15,7 @@ from .backends import BackendKind, NGramBackend, Role, TableBackend, train_ngram
 from .core import SAMPLING_TYPES, SamplingConfig, Vocab
 from .corpus import check_fields, parse_object
 from .errors import InvalidConfigError
+from .fusion import TOP_K
 from .tokenizer import EOS_TOKEN, UNK_TOKEN
 
 LISTEN_ENV = "COGEN_LISTEN"
@@ -107,7 +108,7 @@ def load_config(path) -> AppConfig:
         raise InvalidConfigError(f"templates_dir {templates_dir} does not exist")
 
     external = check_fields(obj.get("external", {}), _EXTERNAL_FIELDS, InvalidConfigError, "external")
-    external_top_k = external.get("top_k", 10)
+    external_top_k = external.get("top_k", TOP_K)
     if external_top_k < 1:
         raise InvalidConfigError(f"external.top_k must be >= 1, not {external_top_k}")
 

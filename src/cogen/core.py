@@ -15,14 +15,16 @@ the step memoizes it and both top-k views on the large side's
 distribution (``_fused``), so a step whose two distributions recur
 reuses the blend and its nucleus without cutting a view again.
 
-Probabilities are 64-bit floats end to end. All tie-breaks (top-k cuts,
-nucleus cuts, argmax) resolve toward the lowest token id so that runs are
-reproducible bit for bit.
+Probabilities are 64-bit floats end to end: a dense distribution holds
+a numpy vector, a top-k view tuples of Python ints and floats. All
+tie-breaks (top-k cuts, nucleus cuts, argmax) resolve toward the lowest
+token id so that runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
@@ -114,20 +116,45 @@ class SamplingConfig:
 SAMPLING_TYPES = {f.name: type(f.default) for f in fields(SamplingConfig)}
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _pairwise_sum(values) -> float:
+    """``np.sum`` of a float64 vector, to the bit, in Python floats.
+
+    numpy adds fewer than 8 entries in one loop; up to 128 in 8 strided
+    accumulators, combined as a tree before the entries past the last
+    full block of 8 are added; and more by halving at a multiple of 8.
+    """
+    size = len(values)
+    if size < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if size > 128:
+        half = size // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    end = size - size % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in values[end:]:
+        total += x
+    # numpy adds the sum to its identity 0.0, which turns -0.0 into 0.0.
+    return total + 0.0
 
 
 @dataclass(frozen=True)
 class TokenDistribution:
     """Probability mass over token ids, in dense or sparse (top-K) form.
 
-    Dense form carries one probability per vocab index and must sum to 1.
-    Sparse form carries (id, probability) entries sorted by descending
-    probability (ties by ascending id) with total mass at most 1; it is
-    what survives a top-K cut and is never renormalized by the cut itself.
+    Dense form is a read-only numpy vector, one probability per vocab
+    index, summing to 1. Sparse form is a top-k view, as a cut, a service
+    reply, the external adapter and ``fusion.fuse`` build it: a tuple of
+    int ids and a tuple of float probabilities, sorted by descending
+    probability (ties by ascending id), mass at most 1, never renormalized.
 
     Three cache slots follow one pattern. ``_nucleus`` caches
     ``sample_top_p``'s deterministic part for the last ``(temperature,
@@ -149,8 +176,8 @@ class TokenDistribution:
 
     vocab_size: int
     dense_probs: np.ndarray | None = None
-    sparse_ids: np.ndarray | None = None
-    sparse_probs: np.ndarray | None = None
+    sparse_ids: tuple[int, ...] | None = None
+    sparse_probs: tuple[float, ...] | None = None
     _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top_k: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top1: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -168,35 +195,35 @@ class TokenDistribution:
         mass = float(probs.sum())
         if abs(mass - 1.0) > DENSE_SUM_TOL:
             raise InvalidDistributionError(f"dense mass {mass!r} not within {DENSE_SUM_TOL} of 1")
-        return cls(vocab_size=probs.size, dense_probs=_readonly(probs))
+        return cls(vocab_size=probs.size, dense_probs=probs.copy())
 
     @classmethod
     def sparse(cls, ids, probs, vocab_size: int) -> "TokenDistribution":
-        ids = np.asarray(ids, dtype=np.int64)
-        probs = np.asarray(probs, dtype=np.float64)
-        if ids.ndim != 1 or probs.shape != ids.shape or ids.size == 0:
+        try:
+            ids, probs = tuple(map(int, ids)), tuple(map(float, probs))
+        except (TypeError, ValueError):
+            ids = probs = ()
+        if not ids or len(probs) != len(ids):
             raise InvalidDistributionError("sparse ids/probs must be matching non-empty vectors")
-        if not np.all(np.isfinite(probs)):
+        if not all(map(math.isfinite, probs)):
             raise InvalidDistributionError("probabilities must be finite")
-        if np.any(probs < 0) or np.any(probs > 1 + 1e-12):
+        if min(probs) < 0 or max(probs) > 1 + 1e-12:
             raise InvalidDistributionError("probabilities must lie in [0, 1]")
-        if np.any(ids < 0) or np.any(ids >= vocab_size):
+        if min(ids) < 0 or max(ids) >= vocab_size:
             raise InvalidDistributionError("sparse id out of vocab range")
-        if len(set(ids.tolist())) != ids.size:
+        if len(set(ids)) != len(ids):
             raise InvalidDistributionError("sparse ids must be unique")
-        if np.any(np.diff(probs) > 0):
+        if any(p < q for p, q in zip(probs, probs[1:])):
             raise InvalidDistributionError("sparse entries must be sorted by descending probability")
-        mass = float(probs.sum())
+        mass = _pairwise_sum(probs)
         if mass > 1 + SPARSE_MASS_TOL:
             raise InvalidDistributionError(f"sparse mass {mass!r} exceeds 1")
-        return cls(vocab_size=vocab_size, sparse_ids=ids.copy(), sparse_probs=_readonly(probs))
+        return cls(vocab_size=vocab_size, sparse_ids=ids, sparse_probs=probs)
 
     def __post_init__(self) -> None:
-        # The arrays are frozen in place: a caller that built them fresh
-        # hands them over without a copy.
-        for arr in (self.dense_probs, self.sparse_ids, self.sparse_probs):
-            if arr is not None:
-                arr.flags.writeable = False
+        # Frozen in place: a caller hands a vector it built over uncopied.
+        if self.dense_probs is not None:
+            self.dense_probs.flags.writeable = False
 
     @property
     def is_dense(self) -> bool:
@@ -210,13 +237,13 @@ class TokenDistribution:
     def mass(self) -> float:
         if self.is_dense:
             return float(self.dense_probs.sum())
-        return float(self.sparse_probs.sum())
+        return _pairwise_sum(self.sparse_probs)
 
     def prob_of(self, token_id: int) -> float:
         if self.is_dense:
             return float(self.dense_probs[token_id])
-        hits = np.nonzero(self.sparse_ids == token_id)[0]
-        return float(self.sparse_probs[hits[0]]) if hits.size else 0.0
+        ids = self.sparse_ids
+        return self.sparse_probs[ids.index(token_id)] if token_id in ids else 0.0
 
     def top1(self) -> tuple[int, float]:
         """Highest-probability (id, p); ties resolve to the lowest id."""
@@ -226,7 +253,7 @@ class TokenDistribution:
                 i = int(np.argmax(self.dense_probs))
                 top = i, float(self.dense_probs[i])
             else:
-                top = int(self.sparse_ids[0]), float(self.sparse_probs[0])
+                top = self.sparse_ids[0], self.sparse_probs[0]
             object.__setattr__(self, "_top1", top)
         return top
 
@@ -239,7 +266,7 @@ class TokenDistribution:
         if self.is_dense:
             return np.array(self.dense_probs, dtype=np.float64)
         out = np.zeros(self.vocab_size, dtype=np.float64)
-        out[self.sparse_ids] = self.sparse_probs
+        out[list(self.sparse_ids)] = self.sparse_probs
         return out
 
 
@@ -325,16 +352,14 @@ def top_k_project(dist: TokenDistribution, k: int) -> TokenDistribution:
     """
     if k < 1:
         raise InvalidConfigError("k must be >= 1")
-    if dist.is_sparse and dist.sparse_probs.size <= k:
+    if dist.is_sparse and len(dist.sparse_probs) <= k:
         return dist
     slot = dist._top_k
     if slot is not None and slot[0] == k:
         return slot[1]
     if dist.is_dense:
-        probs = np.asarray(dist.dense_probs)
-        # A copy, so the cache does not keep the whole vocabulary's order alive.
-        ids = np.array(_descending_order(probs)[: min(k, probs.size)], dtype=np.int64)
-        probs = probs[ids]
+        order = _descending_order(dist.dense_probs)[:k]
+        ids, probs = tuple(order.tolist()), tuple(dist.dense_probs[order].tolist())
     else:
         ids, probs = dist.sparse_ids[:k], dist.sparse_probs[:k]
     view = TokenDistribution(vocab_size=dist.vocab_size, sparse_ids=ids, sparse_probs=probs)

@@ -15,12 +15,12 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
 import requests
 
 from .backends import ConditioningInput, Role, check_context_blind
-from .core import TokenDistribution, Vocab
+from .core import TokenDistribution, Vocab, _pairwise_sum
 from .errors import InvalidConfigError, TransportError
+from .fusion import TOP_K
 from .tokenizer import Tokenizer
 
 API_KEY_ENV = "COGEN_API_KEY"
@@ -70,12 +70,14 @@ class ExternalLogits:
 
 def _top_logprobs(payload: dict) -> dict:
     try:
-        return payload["choices"][0]["logprobs"]["top_logprobs"][0]
-    except (KeyError, IndexError, TypeError) as exc:
+        raw = payload["choices"][0]["logprobs"]["top_logprobs"][0]
+    except (KeyError, IndexError, TypeError):
+        raw = None
+    if not isinstance(raw, dict):
         raise TransportError(
-            "external service reply lacks choices[0].logprobs.top_logprobs[0]",
-            retryable=False,
-        ) from exc
+            "external service reply lacks a choices[0].logprobs.top_logprobs[0] object", retryable=False
+        )
+    return raw
 
 
 def external_next_logits(client, request: ConditioningInput, top_k: int, vocab: Vocab) -> ExternalLogits:
@@ -116,10 +118,10 @@ def external_next_logits(client, request: ConditioningInput, top_k: int, vocab: 
             degraded=True,
         )
     items = sorted(probs_by_id.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    probs = np.array([min(p, 1.0) for _, p in items], dtype=np.float64)
-    kept = probs.sum()
+    probs = [min(p, 1.0) for _, p in items]
+    kept = _pairwise_sum(probs)
     if kept > 1.0:
-        probs = probs / kept
+        probs = [p / kept for p in probs]
     return ExternalLogits(
         distribution=TokenDistribution.sparse([i for i, _ in items], probs, vocab.size),
         lost_mass=lost,
@@ -137,7 +139,7 @@ class ExternalBackend:
 
     role = Role.LARGE_CLOUD
 
-    def __init__(self, client, vocab: Vocab, top_k: int = 10):
+    def __init__(self, client, vocab: Vocab, top_k: int = TOP_K):
         self.client = client
         self.vocab = vocab
         self.top_k = top_k

@@ -14,24 +14,25 @@ scoring take: it cuts both sources to their top-k views, weighs and
 blends them with ``fuse_views``, and memoizes the result on the large
 side's distribution, where a later step finds it before cutting any
 view. The step works in Python floats, not numpy arrays: its inputs are
-two top-k views of at most ``TOP_K`` entries each, and at that size a
-numpy pipeline costs its count of calls, not its length.
-``fuse_views`` aligns the views on the union of their ids with a dict
-and blends them; the ``FusedDistribution`` it returns tempers, orders
-and cuts the union and draws from it. ``blend`` is the one blend: the
-fused step, teacher-forced scoring, the weight net's loss and ``fuse``
-all read it. The blend's sums copy numpy's float64 summation order
-(``_pairwise_sum``), so each blended probability is the one the dense
-numpy path computed. The sampler's three sums (the blend's mass, the
-tempered mass and the nucleus mass) are ``math.fsum``, which is
-correctly rounded and so needs no order; they may differ from numpy's
-in the last bit, which moves a pick only for a draw that falls between
-the two cumulative sums.
+two top-k views of at most ``TOP_K`` entries each, held as tuples of
+ints and floats, and at that size a numpy pipeline costs its count of
+calls, not its length. ``fuse_views`` aligns the views' tuples on the
+union of their ids with a dict and blends them; the
+``FusedDistribution`` it returns tempers, orders and cuts the union and
+draws from it. ``blend`` is the one blend: the fused step, teacher-forced
+scoring, the weight net's loss and ``fuse`` all read it. The blend's
+sums copy numpy's float64 summation order (``core._pairwise_sum``), so
+each blended probability is the one the dense numpy path computed. The
+sampler's three sums (the blend's mass, the tempered mass and the
+nucleus mass) are ``math.fsum``, which is correctly rounded and so needs
+no order; they may differ from numpy's in the last bit, which moves a
+pick only for a draw that falls between the two cumulative sums.
 
-``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``
-and a ``TokenDistribution``, for sparse inputs and the fixed, mean and
-max strategies. Neither fused steps nor training examples use them: they
-serve the benchmark's per-layer tracer and test oracles.
+``align_supports`` and ``fuse`` keep the numpy form, an ``AlignedPair``,
+for sparse inputs and the fixed, mean and max strategies; ``fuse``
+returns a ``TokenDistribution``, sparse as a top-k view is. Neither
+fused steps nor training examples use them: they serve the benchmark's
+per-layer tracer and test oracles.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, top_k_project
+from .core import DENSE_SUM_TOL, SamplingConfig, TokenDistribution, _pairwise_sum, top_k_project
 from .errors import (
     IncompatibleVocabError,
     InvalidConfigError,
@@ -128,8 +129,8 @@ def _shared_vocab_size(p_s: TokenDistribution, p_l: TokenDistribution) -> int:
 def _align(ps_k: TokenDistribution, pl_k: TokenDistribution):
     """The ascending union of two sparse views' ids and each view's
     probability at every one of them, 0.0 where it has none, as lists."""
-    a = dict(zip(ps_k.sparse_ids.tolist(), ps_k.sparse_probs.tolist()))
-    b = dict(zip(pl_k.sparse_ids.tolist(), pl_k.sparse_probs.tolist()))
+    a = dict(zip(ps_k.sparse_ids, ps_k.sparse_probs))
+    b = dict(zip(pl_k.sparse_ids, pl_k.sparse_probs))
     ids = sorted(a.keys() | b.keys())
     return ids, [a.get(i, 0.0) for i in ids], [b.get(i, 0.0) for i in ids]
 
@@ -147,36 +148,6 @@ def top_k_views(
 ) -> tuple[TokenDistribution, TokenDistribution]:
     """Both sources' top-k views: ``top_k_project`` of each at ``TOP_K``."""
     return top_k_project(p_s, TOP_K), top_k_project(p_l, TOP_K)
-
-
-def _pairwise_sum(values) -> float:
-    """``np.sum`` of a float64 vector, to the bit, in Python floats.
-
-    numpy adds fewer than 8 entries in one loop; up to 128 in 8 strided
-    accumulators, combined as a tree before the entries past the last
-    full block of 8 are added; and more by halving at a multiple of 8.
-    """
-    size = len(values)
-    if size < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    if size > 128:
-        half = size // 2
-        half -= half % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    end = size - size % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    for i in range(8, end, 8):
-        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
-        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in values[end:]:
-        total += x
-    # numpy adds the sum to its identity 0.0, which turns -0.0 into 0.0.
-    return total + 0.0
 
 
 def _mixture(a, b, w: float | None) -> tuple[list[float], float]:
@@ -237,8 +208,8 @@ def _to_distribution(pair: AlignedPair, vec: np.ndarray) -> TokenDistribution:
     order = np.argsort(-vec, kind="stable")
     return TokenDistribution(
         vocab_size=pair.vocab_size,
-        sparse_ids=np.asarray(pair.support[order], dtype=np.int64),
-        sparse_probs=vec[order],
+        sparse_ids=tuple(pair.support[order].tolist()),
+        sparse_probs=tuple(vec[order].tolist()),
     )
 
 

@@ -292,8 +292,7 @@ class LogitService:
             dense = self.backend.next_distribution(request)
             sparse = top_k_project(dense, top_k)
             reply["entries"] = [
-                [int(tid), float_to_bits(float(p))]
-                for tid, p in zip(sparse.sparse_ids, sparse.sparse_probs)
+                [tid, float_to_bits(p)] for tid, p in zip(sparse.sparse_ids, sparse.sparse_probs)
             ]
         elif kind == "generate":
             sampling = sampling_from_wire(obj["sampling"])

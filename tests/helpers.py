@@ -22,9 +22,8 @@ from cogen.combmodel import (
     _sigmoid,
     comb_init,
 )
-from cogen.core import DENSE_SUM_TOL, TokenDistribution, top_k_project
+from cogen.core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
 from cogen.errors import InvalidDistributionError, InvalidInputError
-from cogen.fusion import _pairwise_sum
 from cogen.rng import Splitmix64
 
 
@@ -101,8 +100,8 @@ def random_comb_example(rng: np.random.Generator, vocab: int = 30, k: int = 6) -
     pl = rng.random(k)
     pl = pl / pl.sum() * rng.uniform(0.6, 1.0)
     order_s, order_l = np.argsort(-ps), np.argsort(-pl)
-    dist_s = TokenDistribution(vocab_size=vocab, sparse_ids=ids_s[order_s], sparse_probs=ps[order_s])
-    dist_l = TokenDistribution(vocab_size=vocab, sparse_ids=ids_l[order_l], sparse_probs=pl[order_l])
+    dist_s = TokenDistribution.sparse(ids_s[order_s], ps[order_s], vocab)
+    dist_l = TokenDistribution.sparse(ids_l[order_l], pl[order_l], vocab)
     support = np.union1d(ids_s, ids_l)
     mass = np.zeros(vocab)
     mass[ids_s] += ps
@@ -158,7 +157,7 @@ def numpy_fused_chain(ps_k: TokenDistribution, pl_k: TokenDistribution, w: float
         return fused, fused
     order = np.argsort(-vec, kind="stable")
     fused = TokenDistribution(
-        vocab_size=size, sparse_ids=ids[order].astype(np.int64), sparse_probs=vec[order]
+        vocab_size=size, sparse_ids=tuple(ids[order].tolist()), sparse_probs=tuple(vec[order].tolist())
     )
     dense = TokenDistribution(vocab_size=size, dense_probs=fused.to_dense_array() / fused.mass)
     return fused, dense

@@ -191,23 +191,32 @@ class TestTopKProject:
     def test_no_truncation_when_k_covers_vocab(self):
         dist = TokenDistribution.dense([0.5, 0.3, 0.2])
         sparse = top_k_project(dist, 10)
-        assert sparse.sparse_ids.size == 3
+        assert len(sparse.sparse_ids) == 3
         assert sparse.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_forced_selection(self):
         sparse = top_k_project(TokenDistribution.dense([0.5, 0.3, 0.2]), 2)
-        assert sparse.sparse_ids.tolist() == [0, 1]
-        assert sparse.sparse_probs.tolist() == [0.5, 0.3]
+        assert sparse.sparse_ids == (0, 1)
+        assert sparse.sparse_probs == (0.5, 0.3)
         assert sparse.mass == pytest.approx(0.8)
 
     def test_tie_break_takes_lowest_id(self):
         sparse = top_k_project(TokenDistribution.dense([0.25] * 4), 1)
-        assert sparse.sparse_ids.tolist() == [0]
-        assert sparse.sparse_probs.tolist() == [0.25]
+        assert sparse.sparse_ids == (0,)
+        assert sparse.sparse_probs == (0.25,)
 
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidConfigError):
             top_k_project(TokenDistribution.dense([1.0, 0.0]), 0)
+
+    def test_views_hold_python_ints_and_floats(self):
+        dense = TokenDistribution.dense(np.array([0.1, 0.4, 0.2, 0.3]))
+        sparse = TokenDistribution.sparse(np.array([3, 1, 0]), np.array([0.4, 0.3, 0.2]), vocab_size=4)
+        for view in (top_k_project(dense, 2), top_k_project(sparse, 2), sparse):
+            assert type(view.sparse_ids) is tuple and type(view.sparse_probs) is tuple
+            assert {type(i) for i in view.sparse_ids} == {int}
+            assert {type(p) for p in view.sparse_probs} == {float}
+        assert top_k_project(dense, 2).sparse_ids == (1, 3)
 
     @given(finite_logits, st.integers(min_value=1, max_value=50))
     @settings(max_examples=150, deadline=None)
@@ -249,12 +258,21 @@ class TestTokenDistribution:
             TokenDistribution.dense([1.5, -0.5])
 
     def test_sparse_validation(self):
-        with pytest.raises(InvalidDistributionError):
-            TokenDistribution.sparse([0, 0], [0.5, 0.4], vocab_size=3)
-        with pytest.raises(InvalidDistributionError):
-            TokenDistribution.sparse([0, 1], [0.3, 0.5], vocab_size=3)  # ascending probs
-        with pytest.raises(InvalidDistributionError):
-            TokenDistribution.sparse([5], [0.5], vocab_size=3)
+        for ids, probs, message in [
+            ([], [], "must be matching non-empty vectors"),
+            ([0, 1], [0.5], "must be matching non-empty vectors"),
+            ([[0, 1]], [[0.5, 0.4]], "must be matching non-empty vectors"),
+            ([0], [math.nan], "must be finite"),
+            ([0], [-0.25], r"must lie in \[0, 1\]"),
+            ([0], [1.5], r"must lie in \[0, 1\]"),
+            ([5], [0.5], "out of vocab range"),
+            ([-1], [0.5], "out of vocab range"),
+            ([0, 0], [0.5, 0.4], "must be unique"),
+            ([0, 1], [0.3, 0.5], "sorted by descending probability"),
+            ([0, 1], [0.6, 0.5], r"sparse mass 1\.1 exceeds 1"),
+        ]:
+            with pytest.raises(InvalidDistributionError, match=message):
+                TokenDistribution.sparse(ids, probs, vocab_size=3)
 
     def test_prob_lookup_and_top1(self):
         sparse = TokenDistribution.sparse([3, 1], [0.6, 0.2], vocab_size=5)

@@ -13,9 +13,11 @@ import pytest
 
 from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.cli import main
+from cogen.config import load_config
 from cogen.core import SPARSE_MASS_TOL, TokenDistribution, Vocab
 from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
 from cogen.external import API_KEY_ENV, ExternalBackend, HttpCompletionsClient, external_next_logits
+from cogen.fusion import TOP_K
 from helpers import path_backend
 
 VOCAB = Vocab(tokens=("yes", "no", "maybe", "</s>", "<unk>"), eos_id=3, unk_id=4)
@@ -56,7 +58,7 @@ class TestExternalNextLogits:
     def test_top_k_one_is_singleton(self):
         client = StubClient({"yes": -0.2, "no": -1.0, "maybe": -2.0})
         result = external_next_logits(client, request(), top_k=1, vocab=VOCAB)
-        assert result.distribution.sparse_ids.size == 1
+        assert len(result.distribution.sparse_ids) == 1
         assert result.distribution.top1()[0] == VOCAB.id_of("yes")
 
     def test_unmappable_tokens_dropped_and_mass_recorded(self):
@@ -96,9 +98,22 @@ class TestExternalNextLogits:
         client = StubClient({"yes": 0.0, "no": 0.0, "maybe": 0.0})
         dist = external_next_logits(client, request(), top_k=5, vocab=VOCAB).distribution
         assert dist.mass <= 1.0 + SPARSE_MASS_TOL
-        assert dist.sparse_probs.tolist() == [1 / 3] * 3
-        assert dist.sparse_ids.tolist() == [0, 1, 2]
+        assert dist.sparse_probs == (1 / 3,) * 3
+        assert dist.sparse_ids == (0, 1, 2)
         TokenDistribution.sparse(dist.sparse_ids, dist.sparse_probs, VOCAB.size)
+
+    @pytest.mark.parametrize("raw", [[["yes", -0.5]], "yes"], ids=["list", "string"])
+    def test_top_logprobs_not_an_object_is_permanent_transport_error(self, raw):
+        with pytest.raises(TransportError, match=r"top_logprobs\[0\] object") as info:
+            external_next_logits(StubClient(raw), request(), top_k=5, vocab=VOCAB)
+        assert info.value.retryable is False
+
+    def test_the_view_holds_python_ints_and_floats(self):
+        client = StubClient({"yes": -0.5, "no": -1.5, "maybe": 0.0})
+        dist = external_next_logits(client, request(), top_k=5, vocab=VOCAB).distribution
+        assert type(dist.sparse_ids) is tuple and type(dist.sparse_probs) is tuple
+        assert {type(i) for i in dist.sparse_ids} == {int}
+        assert {type(p) for p in dist.sparse_probs} == {float}
 
     @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, "-0.5", None])
     def test_unusable_logprob_is_permanent_transport_error(self, logprob):
@@ -122,6 +137,12 @@ class TestExternalBackend:
         assert dist.is_sparse
         assert backend.last_result is not None
         assert backend.last_result.lost_mass == 0.0
+
+    def test_default_top_k_is_the_fused_steps(self):
+        # The fixture config has no "external" section.
+        config = load_config(Path(__file__).parent / "fixtures" / "config.json")
+        assert config.external_top_k == TOP_K
+        assert ExternalBackend(StubClient({}), VOCAB).top_k == TOP_K
 
     def test_timeout_mid_decode_follows_decoder_policy(self):
         # external transport failure engages the decoder's degrade policy
@@ -261,8 +282,8 @@ class TestHttpCompletionsClient:
         client = HttpCompletionsClient(http_stub.url)
         result = external_next_logits(client, request(prefix=(0,)), top_k=5, vocab=VOCAB)
         assert http_stub.seen == [({"prompt": "pick one yes", "max_tokens": 1, "logprobs": 5}, None)]
-        assert result.distribution.sparse_ids.tolist() == [VOCAB.id_of("yes"), VOCAB.id_of("no")]
-        assert result.distribution.sparse_probs.tolist() == [math.exp(-0.5), math.exp(-1.5)]
+        assert result.distribution.sparse_ids == (VOCAB.id_of("yes"), VOCAB.id_of("no"))
+        assert result.distribution.sparse_probs == (math.exp(-0.5), math.exp(-1.5))
 
     def test_bearer_token_only_with_an_api_key(self, http_stub, monkeypatch):
         HttpCompletionsClient(http_stub.url).complete("p", max_tokens=1, logprobs=2)
@@ -342,3 +363,10 @@ class TestGenerateWithAnExternalLargeModel:
         assert code == 3
         assert out == ""
         assert "transport error in generate" in err
+
+    def test_top_logprobs_as_a_list_exits_3(self, capsys, config_path, http_stub):
+        http_stub.replies = [(200, completion([["C", -0.1]]))]
+        code, out, err = self.generate(capsys, config_path)
+        assert code == 3
+        assert out == ""
+        assert "top_logprobs[0] object" in err

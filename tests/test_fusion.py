@@ -197,7 +197,7 @@ def source_distribution(draw, vocab_size, form):
         return dense
     view = top_k_project(dense, draw(st.integers(1, vocab_size)))
     scale = draw(st.sampled_from([1.0, 0.9, 0.3]))
-    return TokenDistribution.sparse(view.sparse_ids, view.sparse_probs * scale, vocab_size)
+    return TokenDistribution.sparse(view.sparse_ids, [p * scale for p in view.sparse_probs], vocab_size)
 
 
 @st.composite
@@ -228,7 +228,7 @@ def test_fuse_normalizes_and_orders_any_pair(pair, strategy):
     fused, _ = fuse_views(ps_k, pl_k, strategy)
     assert abs(math.fsum(fused.probs) - 1.0) <= DENSE_SUM_TOL
     assert all(p >= 0 for p in fused.probs)
-    union = set(ps_k.sparse_ids.tolist()) | set(pl_k.sparse_ids.tolist())
+    union = set(ps_k.sparse_ids) | set(pl_k.sparse_ids)
     assert fused.ids == sorted(union) and len(fused.probs) == len(union)
     top = max(fused.probs)
     want = min(i for i, p in zip(fused.ids, fused.probs) if p == top)

@@ -80,7 +80,7 @@ def summand_lists(draw, size=None):
 def test_pairwise_sum_matches_numpy(values):
     """Every length from 0 to 300 crosses the plain loop (under 8), the
     8 accumulators (up to 128) and the halving above that."""
-    assert bits(fusion._pairwise_sum(values)) == bits(np.sum(np.array(values, dtype=np.float64)))
+    assert bits(core._pairwise_sum(values)) == bits(np.sum(np.array(values, dtype=np.float64)))
 
 
 # --- the fused step ----------------------------------------------------------
@@ -191,7 +191,7 @@ def test_scalar_step_matches_numpy_chain(pair, kind, w, temperature, top_p, draw
         ref_ids, ref_probs = np.arange(ref.vocab_size), ref.dense_probs
     else:
         by_id = np.argsort(ref.sparse_ids)
-        ref_ids, ref_probs = ref.sparse_ids[by_id], ref.sparse_probs[by_id]
+        ref_ids, ref_probs = np.array(ref.sparse_ids)[by_id], np.array(ref.sparse_probs)[by_id]
     assert fused.ids == ref_ids.tolist()
     assert np.array(fused.probs).tobytes() == ref_probs.tobytes()
     fsum_ref = outcome(fsum_sampler, fused.ids, fused.probs, temperature, top_p)

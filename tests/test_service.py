@@ -337,8 +337,11 @@ class TestServiceRoundTrip:
             ),
             10,
         )
-        assert remote.sparse_ids.tolist() == local.sparse_ids.tolist()
-        assert remote.sparse_probs.tolist() == local.sparse_probs.tolist()
+        assert remote == local
+        assert struct.pack("<10d", *remote.sparse_probs) == struct.pack("<10d", *local.sparse_probs)
+        assert type(remote.sparse_ids) is tuple and type(remote.sparse_probs) is tuple
+        assert {type(i) for i in remote.sparse_ids} == {int}
+        assert {type(p) for p in remote.sparse_probs} == {float}
         client.close()
 
     def test_top_k_respected(self, served_world):
@@ -346,7 +349,7 @@ class TestServiceRoundTrip:
         client = ServiceClient(handle.address)
         client.hello(world.vocab.digest())
         remote = client.next_logits("anything", (), 3, world.vocab.size)
-        assert remote.sparse_ids.size <= 3
+        assert len(remote.sparse_ids) <= 3
         client.close()
 
     def test_unknown_extra_field_rejected_on_wire(self, served_world):
@@ -514,10 +517,13 @@ class TestMalformedLogitsReply:
             ([["0", HALF]], "pairs"),
             ([[0, "zz" * 8]], "bad float bit pattern"),
             ([[0, HALF[:4]]], "16 hex digits"),
+            ([[0, float_to_bits(-0.25)]], r"must lie in \[0, 1\]"),
+            ([[0, float_to_bits(0.75)], [1, HALF]], "exceeds 1"),
+            ([], "non-empty"),
         ],
         ids=[
             "out-of-vocab", "nan-bits", "unsorted", "duplicate-ids", "string-id",
-            "non-hex-bits", "short-bits",
+            "non-hex-bits", "short-bits", "negative-bits", "mass-over-1", "no-entries",
         ],
     )
     def test_client_rejects(self, path_backends, abc_vocab, entries, message):
@@ -607,8 +613,7 @@ def test_client_reconnects_after_an_error_frame(served_world):
     want = top_k_project(
         llm.next_distribution(ConditioningInput("hi", (0,), None, Role.LARGE_CLOUD)), 5
     )
-    assert got.sparse_ids.tolist() == want.sparse_ids.tolist()
-    assert got.sparse_probs.tolist() == want.sparse_probs.tolist()
+    assert got == want
     client.close()
 
 
@@ -800,7 +805,7 @@ def test_top_k_is_capped_at_64_entries(world0_backends, world0):
         client.hello(world0.vocab.digest())
         reply = client.next_logits("anything", (), 1000, world0.vocab.size)
         client.close()
-    assert reply.sparse_ids.size == 64
+    assert len(reply.sparse_ids) == 64
 
 
 def test_remote_at_the_top_k_cap_matches_in_process(world0_backends, world0):
