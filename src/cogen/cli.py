@@ -314,7 +314,7 @@ def _cmd_train_comb(args) -> int:
     comb_save(params, args.out)
     print(
         f"trained on {len(train_examples)} examples "
-        f"({train_stats.skipped_missing_target} skipped), "
+        f"({train_stats.skipped_missing_target} skipped, {report.degenerate_examples} with a floored loss), "
         f"best val loss {report.best_val_loss:.6f} at epoch {report.best_epoch}, "
         f"{'stopped early' if report.stopped_early else 'ran all epochs'}; saved to {args.out}"
     )

@@ -13,7 +13,9 @@ sparse top-k views, and the loss is an entry of the step's own blend.
 ``comb_train`` runs a mini-batch as three matmuls forward and three back:
 in its flat buffers each weight is followed by its bias row, and its input
 and hidden rows end in a 1. Its bits differ from a per-example loop's only
-by summation order (``tests/test_train_in_place.py``: within 1e-12).
+by summation order (``tests/test_train_in_place.py``: within 1e-12). Its
+buffers are built once per run, and an epoch's losses are one numpy pass
+per aligned length, with a one-example blend's bits.
 
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import open_cursor
-from .core import TokenDistribution, _pairwise_sum, top_k_project
+from .core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import TOP_K, _align, _mixture, top_k_views
+from .fusion import TOP_K, _align, top_k_views
 from .rng import Splitmix64
 
 IN_DIM = 2 * TOP_K  # both sources' top-k probabilities
@@ -179,17 +181,6 @@ def _views(flat: np.ndarray) -> list[np.ndarray]:
     return [part for block in _blocks(flat) for part in (block[:-1], block[-1])]
 
 
-def _forward(blocks, acts) -> list[float]:
-    """One weight per row of ``acts = (x, h1, h2)``, rows ending in a 1 that
-    adds the bias: each layer's matmul and ReLU fill the next buffer's rest."""
-    l1, l2, l3 = blocks
-    x, h1, h2 = acts
-    z1, z2 = h1[:, :-1], h2[:, :-1]
-    np.maximum(np.matmul(x, l1, out=z1), 0.0, out=z1)
-    np.maximum(np.matmul(h1, l2, out=z2), 0.0, out=z2)
-    return [_sigmoid(z) for z in (h2 @ l3)[:, 0].tolist()]
-
-
 def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
     """Blend weight in (0, 1) from both sources' descending top-10 probs."""
     x = np.concatenate([_check_top10("top10_l", top10_l), _check_top10("top10_s", top10_s)])
@@ -230,20 +221,42 @@ class CombExample:
         return tuple(self.x[TOP_K:].tolist())
 
 
-@dataclass
-class LossStats:
-    degenerate: int = 0
+def _loss_groups(examples: list[CombExample]) -> list[tuple]:
+    """The examples by aligned length, one group per length: their indices,
+    their ``a`` and ``b`` lists stacked, and each gold slot's index into
+    the flattened stack."""
+    by_length: dict[int, list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_length.setdefault(len(ex.a), []).append(i)
+    return [
+        (np.array(idx), np.array([examples[i].a for i in idx]), np.array([examples[i].b for i in idx]),
+         [k * length + examples[i].y for k, i in enumerate(idx)])
+        for length, idx in by_length.items()
+    ]
 
 
-def _loss_at(example: CombExample, w: float, stats: "LossStats | None") -> float:
-    # The gold token's entry of the very blend a fused step samples from.
-    vec, total = _mixture(example.a, example.b, w)
-    p = vec[example.y] / total
-    if p < _PROB_FLOOR:
-        p = _PROB_FLOOR
-        if stats is not None:
-            stats.degenerate += 1
-    return -math.log(p)
+def _losses(groups, ws: np.ndarray, floored: set[int]) -> list[float]:
+    """Each grouped example's loss at its weight ``ws[i]``, by index: the
+    negative log of ``fusion.blend``'s entry at the gold slot, floored at
+    1e-12, in one numpy pass per group. Elementwise products and a row
+    ``sum`` give ``blend``'s bits, since a row sums in the pairwise
+    order ``core._pairwise_sum`` copies; the log is ``math.log``, as
+    numpy's SIMD log may differ. Adds each floored index to ``floored``."""
+    losses = [0.0] * len(ws)
+    for idx, a, b, gold in groups:
+        w = ws[idx, None]
+        vec = w * a + (1.0 - w) * b
+        total = vec.sum(axis=1)
+        if (total <= 0).any():
+            raise InvalidInputError("fused distribution has no mass")
+        total[abs(total - 1.0) <= DENSE_SUM_TOL] = 1.0
+        p = vec.take(gold) / total
+        low = p < _PROB_FLOOR
+        p[low] = _PROB_FLOOR
+        floored.update(idx[low].tolist())
+        for i, q in zip(idx.tolist(), p.tolist()):
+            losses[i] = -math.log(q)
+    return losses
 
 
 def comb_loss(params: CombModelParams, example: CombExample) -> float:
@@ -252,7 +265,7 @@ def comb_loss(params: CombModelParams, example: CombExample) -> float:
     A fused probability of zero is floored at 1e-12 rather than crashing
     the run (``comb_train`` counts such examples).
     """
-    return _loss_at(example, _row_weight(params.arrays(), example.x), None)
+    return _losses(_loss_groups([example]), np.array([_row_weight(params.arrays(), example.x)]), set())[0]
 
 
 @dataclass(frozen=True)
@@ -280,22 +293,41 @@ def _logit_grad(example: CombExample, w: float) -> float:
     return (-(a_y - b_y) / u + (mass_a - mass_b) / s) * w * (1.0 - w)
 
 
-def _backward(blocks, examples, ws, acts, scale: float, out) -> None:
-    """Write ``scale`` times the batch's summed gradient into ``out``'s
-    ``[dw; db]`` blocks, one matmul each (the rows' trailing 1 sums ``db``).
-    ``ws`` and ``acts`` are ``_forward``'s; ReLU outputs mask as inputs would."""
-    _, l2, l3 = blocks
-    x, h1, h2 = acts
-    d1, d2, d3 = out
-    g = np.array([_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)])
-    matmul = np.matmul if len(g) > 1 else _one_row_matmul
-    matmul(h2.T, g[:, None], out=d3)
-    dz2 = np.multiply.outer(g, l3[:-1, 0])
-    dz2 *= h2[:, :-1] > 0
-    matmul(h1.T, dz2, out=d2)
-    dz1 = dz2 @ l2[:-1].T
-    dz1 *= h1[:, :-1] > 0
-    matmul(x.T, dz1, out=d1)
+def _batch_pass(blocks, grads, n: int, scale: float):
+    """``forward(x)`` and ``backward(x.T, examples, ws)`` on ``n`` input
+    rows ending in a 1, over buffers and views built here once. ``forward``
+    returns one weight per row; each layer's matmul and ReLU fill the next
+    buffer, whose trailing 1 adds the bias. ``backward`` writes ``scale``
+    times the summed gradient into ``grads``' blocks, one matmul each;
+    ``np.sign`` of a ReLU output masks as its input would. Each product
+    keeps its layouts: a contiguous ``l2[:-1].T`` is faster but moves bits.
+    """
+    l1, l2, l3 = blocks
+    d1, d2, d3 = grads
+    h1, h2, z3 = np.ones((n, HIDDEN1 + 1)), np.ones((n, HIDDEN2 + 1)), np.empty((n, 1))
+    z1, z2, z3_col, h1_t, h2_t = h1[:, :-1], h2[:, :-1], z3[:, 0], h1.T, h2.T
+    w3, l2_t = l3[:-1, 0], l2[:-1].T
+    dz1, dz2, g = np.empty((n, HIDDEN1)), np.empty((n, HIDDEN2)), np.empty(n)
+    m1, m2, g_col = np.empty_like(dz1), np.empty_like(dz2), g[:, None]
+    matmul = np.matmul if n > 1 else _one_row_matmul
+
+    def forward(x) -> list[float]:
+        np.maximum(np.matmul(x, l1, out=z1), 0.0, out=z1)
+        np.maximum(np.matmul(h1, l2, out=z2), 0.0, out=z2)
+        np.matmul(h2, l3, out=z3)
+        return [_sigmoid(z) for z in z3_col.tolist()]
+
+    def backward(x_t, examples, ws) -> None:
+        g[:] = [_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)]
+        matmul(h2_t, g_col, out=d3)
+        np.multiply(g_col, w3, out=dz2)
+        np.multiply(dz2, np.sign(z2, out=m2), out=dz2)
+        matmul(h1_t, dz2, out=d2)
+        np.matmul(dz2, l2_t, out=dz1)
+        np.multiply(dz1, np.sign(z1, out=m1), out=dz1)
+        matmul(x_t, dz1, out=d1)
+
+    return forward, backward
 
 
 def _one_row_matmul(a, b, out) -> None:
@@ -320,9 +352,9 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     """
     theta = np.concatenate(params.arrays(), axis=None)
     grad = np.empty_like(theta)
-    blocks = _blocks(theta)
-    acts = (np.append(example.x, 1.0)[None], np.ones((1, HIDDEN1 + 1)), np.ones((1, HIDDEN2 + 1)))
-    _backward(blocks, [example], _forward(blocks, acts), acts, 1.0, _blocks(grad))
+    forward, backward = _batch_pass(_blocks(theta), _blocks(grad), 1, 1.0)
+    x = np.append(example.x, 1.0)[None]
+    backward(x.T, [example], forward(x))
     return CombGradients(*_views(grad))
 
 
@@ -355,9 +387,12 @@ def comb_train(
     ``InvalidConfigError`` when no epoch gives a finite validation loss,
     which a learning rate that diverges causes.
 
-    Each epoch gathers its shuffled input rows once, so a batch is a
-    slice; its pass through the ``[w; b]`` blocks writes ``learning_rate /
-    len(batch)`` times its gradient, and one subtraction applies it.
+    Each batch size gets one ``_batch_pass``, and each epoch gathers its
+    shuffled input rows into the buffer the batches slice. A batch writes
+    ``learning_rate / len(batch)`` times its gradient, and one subtraction
+    applies it. The epoch's losses take the weights its batches computed,
+    summed in batch order. ``degenerate_examples`` counts the train
+    examples whose loss was floored in any epoch.
     """
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
@@ -366,32 +401,36 @@ def comb_train(
     blocks, grads = _blocks(theta), _blocks(grad)
     x_all = np.ones((len(train) + len(val), IN_DIM + 1))
     x_all[:, :-1] = [ex.x for ex in train + val]
-    rows = max(min(config.batch_size, len(train)), len(val))
-    h1, h2 = np.ones((rows, HIDDEN1 + 1)), np.ones((rows, HIDDEN2 + 1))
+    x_train, x_val, x_epoch = x_all[: len(train)], x_all[len(train) :], np.empty((len(train), IN_DIM + 1))
+    starts = range(0, len(train), config.batch_size)
+    xs = [x_epoch[start : start + config.batch_size] for start in starts]
+    passes = {n: _batch_pass(blocks, grads, n, config.learning_rate / n) for n in {len(val), *map(len, xs)}}
+    batches = [(start, start + len(x), x, x.T, *passes[len(x)]) for start, x in zip(starts, xs)]
+    train_groups, val_groups, val_forward = _loss_groups(train), _loss_groups(val), passes[len(val)][0]
+    w_train = np.empty(len(train))
     rng = Splitmix64(config.seed)
-    stats = LossStats()
+    floored: set[int] = set()
     report = TrainReport()
     best = theta.copy()
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(len(train)))
         rng.shuffle(order)
-        x_epoch = x_all[order]
-        batch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[start : start + config.batch_size]]
-            n = len(batch)
-            acts = (x_epoch[start : start + n], h1[:n], h2[:n])
-            # One forward pass feeds both the reported losses and the gradient.
-            ws = _forward(blocks, acts)
-            batch_losses.extend(_loss_at(ex, w, stats) for ex, w in zip(batch, ws))
-            _backward(blocks, batch, ws, acts, config.learning_rate / n, grads)
+        # "raise", the default mode, would gather into a buffer and copy it over
+        np.take(x_train, order, axis=0, out=x_epoch, mode="clip")
+        shuffled = [train[i] for i in order]
+        ws = []
+        for start, stop, x, x_t, forward, backward in batches:
+            # One forward pass feeds both the epoch's losses and the gradient.
+            batch_ws = forward(x)
+            backward(x_t, shuffled[start:stop], batch_ws)
             theta -= grad
-        ws = _forward(blocks, (x_all[len(train) :], h1[: len(val)], h2[: len(val)]))
-        val_loss = sum(_loss_at(ex, w, None) for ex, w in zip(val, ws)) / len(val)
-        report.epochs.append(
-            EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
-        )
+            ws += batch_ws
+        w_train[order] = ws
+        losses = _losses(train_groups, w_train, floored)
+        train_loss = sum([losses[i] for i in order]) / len(order)
+        val_loss = sum(_losses(val_groups, np.array(val_forward(x_val)), set())) / len(val)
+        report.epochs.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
@@ -407,7 +446,7 @@ def comb_train(
             "training diverged: no epoch gave a finite validation loss "
             f"(learning_rate {config.learning_rate!r})"
         )
-    report.degenerate_examples = stats.degenerate
+    report.degenerate_examples = len(floored)
     return CombModelParams(*_views(best), seed=config.seed), report
 
 

@@ -20,9 +20,11 @@ calls, not its length. ``fuse_views`` aligns the views' tuples on the
 union of their ids with a dict and blends them; the
 ``FusedDistribution`` it returns tempers, orders and cuts the union and
 draws from it. ``blend`` is the one blend: the fused step, teacher-forced
-scoring, the weight net's loss and ``fuse`` all read it. The blend's
-sums copy numpy's float64 summation order (``core._pairwise_sum``), so
-each blended probability is the one the dense numpy path computed. The
+scoring and ``fuse`` all read it. The blend's sums copy numpy's float64
+summation order (``core._pairwise_sum``), so each blended probability is
+the one the dense numpy path computed; the weight net's loss
+(``combmodel._losses``) takes those bits in numpy, one pass over every
+example of an aligned length, and its row sums keep that order. The
 sampler's three sums (the blend's mass, the tempered mass and the
 nucleus mass) are ``math.fsum``, which is correctly rounded and so needs
 no order; they may differ from numpy's in the last bit, which moves a
@@ -150,10 +152,17 @@ def top_k_views(
     return top_k_project(p_s, TOP_K), top_k_project(p_l, TOP_K)
 
 
-def _mixture(a, b, w: float | None) -> tuple[list[float], float]:
-    """``blend``'s values before normalization and the divisor that
-    normalizes them: their mass, or 1.0 where ``blend`` skips the
-    division. Dividing one entry by it gives that entry of the blend."""
+def blend(a, b, w: float | None) -> list[float]:
+    """w*a + (1-w)*b over one aligned support, or the elementwise maximum
+    when ``w`` is None, normalized: the values every fused step samples
+    from and teacher-forced scoring reads, and whose bits the weight net's
+    loss takes in numpy.
+
+    The division is skipped when the mass already lies within the
+    dense-validation tolerance of 1, which keeps convex combinations of
+    clean dense inputs bit-exact (a weight of 1 really returns the first
+    operand unchanged).
+    """
     if w is None:
         vec = [x if x >= y else y for x, y in zip(a, b)]
     else:
@@ -163,22 +172,6 @@ def _mixture(a, b, w: float | None) -> tuple[list[float], float]:
     if total <= 0:
         raise InvalidInputError("fused distribution has no mass")
     if abs(total - 1.0) <= DENSE_SUM_TOL:
-        return vec, 1.0
-    return vec, total
-
-
-def blend(a, b, w: float | None) -> list[float]:
-    """w*a + (1-w)*b over one aligned support, or the elementwise maximum
-    when ``w`` is None, normalized: the values every fused step samples
-    from, teacher-forced scoring reads and the weight net's loss takes.
-
-    The division is skipped when the mass already lies within the
-    dense-validation tolerance of 1, which keeps convex combinations of
-    clean dense inputs bit-exact (a weight of 1 really returns the first
-    operand unchanged).
-    """
-    vec, total = _mixture(a, b, w)
-    if total == 1.0:
         return vec
     return [x / total for x in vec]
 

@@ -16,14 +16,13 @@ from cogen.combmodel import (
     CombExample,
     CombModelParams,
     EpochStats,
-    LossStats,
     TrainReport,
-    _loss_at,
     _sigmoid,
     comb_init,
 )
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
 from cogen.errors import InvalidDistributionError, InvalidInputError
+from cogen.fusion import blend
 from cogen.rng import Splitmix64
 
 
@@ -209,6 +208,15 @@ def fsum_pick(nucleus_ids: list[int], cum: list[float], u: float) -> int:
     return nucleus_ids[-1]
 
 
+def reference_loss(example: CombExample, w: float) -> tuple[float, bool]:
+    """One example's loss at weight ``w``, one blend at a time: the negative
+    log of ``fusion.blend``'s entry at the gold slot, floored at 1e-12, and
+    whether it was floored. ``combmodel._losses`` must match it to the bit."""
+    p = blend(example.a, example.b, w)[example.y]
+    floored = p < _PROB_FLOOR
+    return -math.log(_PROB_FLOOR if floored else p), floored
+
+
 def reference_forward(arrs, x: np.ndarray):
     """The net on one input row ``(IN_DIM,)``, unfolded: each bias added
     on its own, ``x @ w1 + b1``. Returns the weight and the activations
@@ -257,13 +265,14 @@ def reference_comb_train(train, val, config):
     """``comb_train`` as plain SGD, one example at a time, over freshly
     allocated arrays: each batch sums its examples' gradients into zeroed
     arrays and updates with ``w -= lr * (g / n)``, and the validation loss
-    is a mean over one forward pass per example. The batched trainer must
-    match it within rounding."""
+    is a mean over one forward pass per example. ``degenerate_examples``
+    counts the train examples whose loss was floored in any epoch. The
+    batched trainer must match it within rounding."""
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
     current = [np.array(a) for a in comb_init(config.seed).arrays()]
     rng = Splitmix64(config.seed)
-    stats = LossStats()
+    floored = set()
     report = TrainReport()
     best = [a.copy() for a in current]
     bad_epochs = 0
@@ -272,17 +281,21 @@ def reference_comb_train(train, val, config):
         rng.shuffle(order)
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[start : start + config.batch_size]]
+            batch = order[start : start + config.batch_size]
             grads = [np.zeros_like(a) for a in current]
-            for ex in batch:
+            for i in batch:
+                ex = train[i]
                 # One forward pass feeds both the reported loss and the gradient.
                 w, cache = reference_forward(current, ex.x)
-                batch_losses.append(_loss_at(ex, w, stats))
+                loss, low = reference_loss(ex, w)
+                batch_losses.append(loss)
+                if low:
+                    floored.add(i)
                 for acc, g in zip(grads, reference_backward(current, ex, w, cache)):
                     acc += g
             for arr, g in zip(current, grads):
                 arr -= config.learning_rate * (g / len(batch))
-        val_loss = sum(_loss_at(ex, reference_forward(current, ex.x)[0], None) for ex in val) / len(val)
+        val_loss = sum(reference_loss(ex, reference_forward(current, ex.x)[0])[0] for ex in val) / len(val)
         report.epochs.append(
             EpochStats(epoch=epoch, train_loss=sum(batch_losses) / len(batch_losses), val_loss=val_loss)
         )
@@ -296,7 +309,7 @@ def reference_comb_train(train, val, config):
             if bad_epochs >= config.patience:
                 report.stopped_early = True
                 break
-    report.degenerate_examples = stats.degenerate
+    report.degenerate_examples = len(floored)
     return CombModelParams(*best, seed=config.seed), report
 
 

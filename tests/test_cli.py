@@ -547,6 +547,7 @@ class TestTrainComb:
     def test_trains_and_saves_loadable_params(self, train_comb_argv, workdir, capsys):
         code, out, err = run(capsys, *train_comb_argv)
         assert code == 0, err
+        assert re.search(r"\(\d+ skipped, \d+ with a floored loss\)", out), out
         from cogen.combmodel import comb_load
 
         params = comb_load(workdir / "weights.cgcm")

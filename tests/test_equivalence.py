@@ -548,7 +548,7 @@ def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
     got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
     want = outcome(lambda: fuse_views(ps_k, pl_k, FusionStrategy.fixed(w))[0].prob_of(target))
     assert got[1] == want[1]
-    loss = outcome(combmodel._loss_at, ex, w, None)
+    loss = outcome(lambda: combmodel._losses(combmodel._loss_groups([ex]), np.array([w]), set())[0])
     assert loss[1] == want[1]
     if want[1] is None:
         assert type(got[0]) is float

@@ -8,7 +8,8 @@ agree within a tolerance fixed ahead of the batched code: parameters
 within 1e-12 absolute and every epoch loss within 1e-12 relative, on
 every batch size, on a short last batch, through early stopping and on
 examples whose loss is floored. Which epoch is best, whether training
-stopped early and how many losses were floored must be identical.
+stopped early and how many train examples had a loss floored must be
+identical.
 """
 
 from __future__ import annotations
@@ -90,6 +91,15 @@ def test_in_place_trainer_matches_reference(batch_size, patience, learning_rate)
     # One update per epoch at batch size 16 is too few to overshoot.
     if learning_rate == 0.5 and patience == 1 and batch_size < TRAIN_SIZE:
         assert report.stopped_early and report.best_epoch < len(report.epochs)
+
+
+def test_degenerate_examples_counts_each_floored_example_once():
+    """Both floored train examples floor their loss in every one of 15
+    epochs; the report counts each example once, not once per epoch."""
+    train, val = splits()
+    _, report = comb_train(train, val, CombTrainConfig(max_epochs=15, patience=15, seed=4))
+    assert len(report.epochs) == 15
+    assert report.degenerate_examples == len(floored_examples())
 
 
 def test_comb_grad_matches_reference_backward():
