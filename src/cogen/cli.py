@@ -30,7 +30,7 @@ from .corpus import (
     task_verb_stats,
     tsv_lines,
 )
-from .decoder import DecodeMode, decode, read_trace, session_for_record, write_trace
+from .decoder import DecodeMode, WeightTrace, decode, read_trace, session_for_record, write_trace
 from .errors import (
     CogenError,
     InvalidConfigError,
@@ -273,7 +273,8 @@ def _cmd_generate(args) -> int:
         library = TemplateLibrary(template_dir) if template_dir else None
         audit_log = AuditLog() if config.audit else None
         session = session_for_record(record, mode, sampling, slm, llm)
-        result = decode(session, template_library=library, audit_log=audit_log)
+        trace = WeightTrace(mode=mode.label(), seed=sampling.seed) if args.trace_out else None
+        result = decode(session, template_library=library, audit_log=audit_log, trace=trace)
     finally:
         if client is not None:
             client.close()
@@ -286,8 +287,8 @@ def _cmd_generate(args) -> int:
             return EXIT_DATA
     speaker = llm if mode.kind in ("llm_only_with_context", "llm_only_no_context") else slm
     print(result.text(Tokenizer(speaker.vocab)))
-    if args.trace_out:
-        write_trace(result.trace, args.trace_out)
+    if trace is not None:
+        write_trace(trace, args.trace_out)
     return EXIT_OK
 
 

@@ -293,29 +293,40 @@ def _logit_grad(example: CombExample, w: float) -> float:
     return (-(a_y - b_y) / u + (mass_a - mass_b) / s) * w * (1.0 - w)
 
 
-def _batch_pass(blocks, grads, n: int, scale: float):
-    """``forward(x)`` and ``backward(x.T, examples, ws)`` on ``n`` input
-    rows ending in a 1, over buffers and views built here once. ``forward``
-    returns one weight per row; each layer's matmul and ReLU fill the next
-    buffer, whose trailing 1 adds the bias. ``backward`` writes ``scale``
-    times the summed gradient into ``grads``' blocks, one matmul each;
-    ``np.sign`` of a ReLU output masks as its input would. Each product
-    keeps its layouts: a contiguous ``l2[:-1].T`` is faster but moves bits.
-    """
+def _forward_pass(blocks, n: int):
+    """``forward(x)`` on ``n`` input rows ending in a 1, over buffers built
+    here once, and the two hidden buffers it fills. ``forward`` returns one
+    weight per row; each layer's matmul and ReLU fill the next buffer,
+    whose trailing 1 adds the bias."""
     l1, l2, l3 = blocks
-    d1, d2, d3 = grads
     h1, h2, z3 = np.ones((n, HIDDEN1 + 1)), np.ones((n, HIDDEN2 + 1)), np.empty((n, 1))
-    z1, z2, z3_col, h1_t, h2_t = h1[:, :-1], h2[:, :-1], z3[:, 0], h1.T, h2.T
-    w3, l2_t = l3[:-1, 0], l2[:-1].T
-    dz1, dz2, g = np.empty((n, HIDDEN1)), np.empty((n, HIDDEN2)), np.empty(n)
-    m1, m2, g_col = np.empty_like(dz1), np.empty_like(dz2), g[:, None]
-    matmul = np.matmul if n > 1 else _one_row_matmul
+    z1, z2, z3_col = h1[:, :-1], h2[:, :-1], z3[:, 0]
 
     def forward(x) -> list[float]:
         np.maximum(np.matmul(x, l1, out=z1), 0.0, out=z1)
         np.maximum(np.matmul(h1, l2, out=z2), 0.0, out=z2)
         np.matmul(h2, l3, out=z3)
         return [_sigmoid(z) for z in z3_col.tolist()]
+
+    return forward, h1, h2
+
+
+def _batch_pass(blocks, grads, n: int, scale: float):
+    """``_forward_pass``'s ``forward(x)`` and a ``backward(x.T, examples,
+    ws)`` over the same buffers, plus backward scratch built here once.
+    ``backward`` writes ``scale`` times the summed gradient into
+    ``grads``' blocks, one matmul each; ``np.sign`` of a ReLU output masks
+    as its input would. Each product keeps its layouts: a contiguous
+    ``l2[:-1].T`` is faster but moves bits.
+    """
+    _, l2, l3 = blocks
+    d1, d2, d3 = grads
+    forward, h1, h2 = _forward_pass(blocks, n)
+    z1, z2, h1_t, h2_t = h1[:, :-1], h2[:, :-1], h1.T, h2.T
+    w3, l2_t = l3[:-1, 0], l2[:-1].T
+    dz1, dz2, g = np.empty((n, HIDDEN1)), np.empty((n, HIDDEN2)), np.empty(n)
+    m1, m2, g_col = np.empty_like(dz1), np.empty_like(dz2), g[:, None]
+    matmul = np.matmul if n > 1 else _one_row_matmul
 
     def backward(x_t, examples, ws) -> None:
         g[:] = [_logit_grad(ex, w) * scale for ex, w in zip(examples, ws)]
@@ -387,7 +398,8 @@ def comb_train(
     ``InvalidConfigError`` when no epoch gives a finite validation loss,
     which a learning rate that diverges causes.
 
-    Each batch size gets one ``_batch_pass``, and each epoch gathers its
+    Each batch size gets one ``_batch_pass``, and validation a
+    ``_forward_pass`` with no backward scratch. Each epoch gathers its
     shuffled input rows into the buffer the batches slice. A batch writes
     ``learning_rate / len(batch)`` times its gradient, and one subtraction
     applies it. The epoch's losses take the weights its batches computed,
@@ -404,9 +416,10 @@ def comb_train(
     x_train, x_val, x_epoch = x_all[: len(train)], x_all[len(train) :], np.empty((len(train), IN_DIM + 1))
     starts = range(0, len(train), config.batch_size)
     xs = [x_epoch[start : start + config.batch_size] for start in starts]
-    passes = {n: _batch_pass(blocks, grads, n, config.learning_rate / n) for n in {len(val), *map(len, xs)}}
+    passes = {n: _batch_pass(blocks, grads, n, config.learning_rate / n) for n in set(map(len, xs))}
     batches = [(start, start + len(x), x, x.T, *passes[len(x)]) for start, x in zip(starts, xs)]
-    train_groups, val_groups, val_forward = _loss_groups(train), _loss_groups(val), passes[len(val)][0]
+    val_forward = _forward_pass(blocks, len(val))[0]
+    train_groups, val_groups = _loss_groups(train), _loss_groups(val)
     w_train = np.empty(len(train))
     rng = Splitmix64(config.seed)
     floored: set[int] = set()

@@ -64,9 +64,11 @@ class CorpusRecord:
         if self.dataset_kind == "context_aware" and (not self.profile or not self.history):
             raise CorpusError("context_aware records need a profile and history")
         object.__setattr__(self, "history", tuple(self.history))
+        # Built once: every session, scoring call and audit reads this one.
+        object.__setattr__(self, "_context", ContextBundle(profile=self.profile, history=self.history))
 
     def context_bundle(self) -> ContextBundle:
-        return ContextBundle(profile=self.profile, history=self.history)
+        return self._context
 
     @property
     def llm_task(self) -> str:

@@ -3,7 +3,12 @@
 Every mode samples through one per-token loop, ``_sample``. It owns the
 RNG, the pick, the EOS stop and the trace row; a mode only supplies the
 step that returns each position's distribution, blend weight and the
-two sources' top-1 probabilities.
+two source distributions a trace row reads its top-1 probabilities from.
+
+A trace is a sink the caller passes in, as it passes an audit log:
+``decode(..., trace=WeightTrace(...))`` fills it, and an untraced
+session builds no trace row and reads no top-1 probability or token
+string for one.
 
 A step talks to its backends only through cursors (see ``backends``):
 each is opened once per session with its instruction and context, which
@@ -144,10 +149,11 @@ class WeightTrace:
     events: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
+    """A finished session's tokens and, for sketch-then-fill, its sketch
+    (or draft text)."""
+
     token_ids: tuple[int, ...]
-    trace: WeightTrace
     sketch: object | None = None
 
     def text(self, tokenizer) -> str:
@@ -202,22 +208,34 @@ def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> 
     ``step(tokens, i)`` gives step ``i`` (from 1) the distribution it
     picks from (a dense ``TokenDistribution`` or a fused step's
     ``FusedDistribution``), its blend weight, and the small and large
-    top-1 probabilities. ``tokens`` is the loop's own list of the initial
-    prefix and the tokens emitted so far, which the step must not change;
-    from step 2 on its last entry is the token emitted by the step before.
-    This loop draws from the session's splitmix64 stream, stops at EOS,
-    and appends one trace row per emitted token when ``trace`` is given.
+    distributions whose top-1 probabilities a trace row holds, either of
+    which may be None for a side the step did not read (the row's 0.0).
+    ``tokens`` is the loop's own list of the initial prefix and the tokens
+    emitted so far, which the step must not change; from step 2 on its
+    last entry is the token emitted by the step before. This loop draws
+    from the session's splitmix64 stream and stops at EOS. Only with a
+    ``trace`` does it read the two top-1 probabilities and the token's
+    string, and append one row per emitted token.
+
+    A transport failure in a step leaves this loop with the step's number
+    in its ``failed_step``, which ``decode`` names in its session error.
     """
     rng = Splitmix64(sampling.seed)
     tokens = list(initial_prefix)
-    for i in range(1, sampling.max_new_tokens + 1):
-        dist, w, ps1, pl1 = step(tokens, i)
-        token_id = dist.pick(sampling, rng)
-        if token_id == vocab.eos_id:
-            break
-        tokens.append(token_id)
-        if trace is not None:
-            trace.steps.append(TraceStep(i, token_id, vocab.token(token_id), w, ps1, pl1))
+    try:
+        for i in range(1, sampling.max_new_tokens + 1):
+            dist, w, p_s, p_l = step(tokens, i)
+            token_id = dist.pick(sampling, rng)
+            if token_id == vocab.eos_id:
+                break
+            tokens.append(token_id)
+            if trace is not None:
+                ps1 = 0.0 if p_s is None else p_s.top1()[1]
+                pl1 = 0.0 if p_l is None else p_l.top1()[1]
+                trace.steps.append(TraceStep(i, token_id, vocab.token(token_id), w, ps1, pl1))
+    except TransportError as exc:
+        exc.failed_step = i
+        raise
     return tokens[len(initial_prefix):]
 
 
@@ -234,10 +252,12 @@ def decode_single(
 
     Remote backends delegate the loop to the service's generate call,
     which runs this same function server-side, so local and remote
-    placements emit identical sequences for identical seeds. A traced
-    token carries weight 1.0 from a small_device backend and 0.0 from a
-    large_cloud one. A remote trace's top-1 probabilities read 0.0, since
-    the generate reply carries none, and one trace event says so.
+    placements emit identical sequences for identical seeds. With a
+    ``trace``, each token's row carries weight 1.0 from a small_device
+    backend and 0.0 from a large_cloud one, and the backend's top-1
+    probability on its own side. A remote trace's top-1 probabilities
+    read 0.0, since the generate reply carries none, and one trace event
+    says so. Untraced, no step reads a top-1 probability.
     ``audit_log`` records what a large_cloud backend is sent: each step in
     process, the one generate request when remote.
     """
@@ -268,18 +288,19 @@ def decode_single(
         if audited:
             audit_log.record_input(instruction, tokens)
         dist = _dense(cursor.distribution())
-        top1 = 0.0 if trace is None else dist.top1()[1]
-        return (dist, w, top1, 0.0) if small else (dist, w, 0.0, top1)
+        return (dist, w, dist, None) if small else (dist, w, None, dist)
 
     return _sample(step, sampling, backend.vocab, trace, initial_prefix)
 
 
-def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: WeightTrace):
+def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: WeightTrace | None):
     """The step of logit fusion, fused only for the opening first_k steps
     when set (every step when None); slm_only is the same step fused for 0
     steps, so it never touches session.llm. With ``degrade``, a transport
     failure of the large backend ends fusion and the session continues
-    on the small model."""
+    on the small model, and a ``trace`` records the event. A fused step
+    returns ``blend_step``'s four values as they are: the trace row reads
+    its top-1 probabilities from the two top-k views."""
     mode, record, llm = session.mode, session.record, session.llm
     fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
     small = open_cursor(session.slm, record.task, record.context_bundle())
@@ -300,12 +321,12 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
             except TransportError:
                 if not degrade:
                     raise
-                trace.events.append(f"step {i}: large backend down, degraded to slm_only")
+                if trace is not None:
+                    trace.events.append(f"step {i}: large backend down, degraded to slm_only")
                 fused_limit = 0
             else:
-                fused, w, ps_k, pl_k = blend_step(p_s, p_l, mode.strategy)
-                return fused, w, ps_k.top1()[1], pl_k.top1()[1]
-        return _dense(p_s), 1.0, p_s.top1()[1], 0.0
+                return blend_step(p_s, p_l, mode.strategy)
+        return _dense(p_s), 1.0, p_s, None
 
     return step
 
@@ -332,7 +353,11 @@ def run_sketch_then_fill(
     kind = record.dataset_kind
 
     def draft(prompt: str, draft_sampling: SamplingConfig) -> str:
-        ids = decode_single(llm_backend, (prompt, None), draft_sampling, audit_log=audit_log)
+        try:
+            ids = decode_single(llm_backend, (prompt, None), draft_sampling, audit_log=audit_log)
+        except TransportError as exc:
+            exc.failed_step = 1  # the fill's first step waits on the draft
+            raise
         return tokenizer.detokenize(ids)
 
     if conditioning == "sketch":
@@ -359,23 +384,26 @@ def decode(
     on_transport_error: str = "abort",
     audit_log=None,
     template_library: TemplateLibrary | None = None,
+    trace: WeightTrace | None = None,
 ) -> DecodeResult:
     """Run the session's mode to completion.
 
     ``on_transport_error`` selects the policy when a remote backend
     fails mid-stream. In every mode ``abort`` raises a session error
-    carrying the partial trace and the transport error as its cause.
-    ``degrade`` applies to fused modes only: it records the event and
-    finishes on the small model alone. The llm-only modes have no small
-    model, and sketch-then-fill's fill needs the large model's draft, so
-    both abort under either policy.
+    naming the step that failed, with the transport error as its cause.
+    ``degrade`` applies to fused modes only: it finishes on the small
+    model alone, and a trace records the event. The llm-only modes have
+    no small model, and sketch-then-fill's fill needs the large model's
+    draft, so both abort under either policy.
     ``audit_log``, when given, captures every payload bound for the
-    large backend for the privacy audit.
+    large backend for the privacy audit. ``trace``, when given, receives
+    one row per emitted token (sketch-then-fill: per fill token) and the
+    session's events; after an abort it holds the rows emitted before the
+    failure. Untraced, no step builds a row or reads what one would hold.
     """
     if on_transport_error not in ("abort", "degrade"):
         raise InvalidConfigError("on_transport_error must be 'abort' or 'degrade'")
     mode, sampling, record = session.mode, session.sampling, session.record
-    trace = WeightTrace(mode=mode.label(), seed=sampling.seed)
     sketch = None
     try:
         if mode.kind == "sketch_then_fill":
@@ -403,11 +431,8 @@ def decode(
             step = _fusion_step(session, on_transport_error == "degrade", audit_log, trace)
             tokens = _sample(step, sampling, session.slm.vocab, trace)
     except TransportError as exc:
-        raise SessionError(
-            f"large backend failed at step {len(trace.steps) + 1}: {exc}",
-            partial_trace=trace,
-        ) from exc
-    return DecodeResult(token_ids=tuple(tokens), trace=trace, sketch=sketch)
+        raise SessionError(f"large backend failed at step {exc.failed_step}: {exc}") from exc
+    return DecodeResult(tuple(tokens), sketch)
 
 
 def fused_teacher_forced_ppl(

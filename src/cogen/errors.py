@@ -64,7 +64,14 @@ class ModelIOError(CogenError):
 
 
 class TransportError(CogenError):
-    """A network operation failed."""
+    """A network operation failed.
+
+    ``failed_step`` is the decode step it failed, which the decode loop
+    notes on its way out (1 for a call that precedes the first step), so
+    a session error can name it.
+    """
+
+    failed_step = 1
 
     def __init__(self, message: str, retryable: bool = True) -> None:
         super().__init__(message)
@@ -82,11 +89,6 @@ class ServiceStartupError(CogenError):
 class SessionError(CogenError):
     """A generation session aborted mid-stream.
 
-    Carries the partial trace so callers can inspect what was emitted
-    before the failure; the failure itself is ``__cause__``, which
-    ``raise ... from`` sets.
+    The failure itself is ``__cause__``, which ``raise ... from`` sets; a
+    trace the caller passed to ``decode`` holds what was emitted before it.
     """
-
-    def __init__(self, message: str, partial_trace=None) -> None:
-        super().__init__(message)
-        self.partial_trace = partial_trace

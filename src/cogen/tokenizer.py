@@ -47,4 +47,4 @@ class Tokenizer:
         return [self.vocab.id_of(tok) for tok in text.split()]
 
     def detokenize(self, ids) -> str:
-        return " ".join(self.vocab.token(i) for i in ids)
+        return " ".join(map(self.vocab.tokens.__getitem__, ids))

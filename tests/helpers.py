@@ -21,6 +21,7 @@ from cogen.combmodel import (
     comb_init,
 )
 from cogen.core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
+from cogen.decoder import WeightTrace, decode
 from cogen.errors import InvalidDistributionError, InvalidInputError
 from cogen.fusion import blend
 from cogen.rng import Splitmix64
@@ -43,6 +44,18 @@ def softmax(logits) -> TokenDistribution:
 def path_backend(vocab, role, path_tokens) -> TableBackend:
     """A table backend that spells out a fixed path, then EOS."""
     return TableBackend(vocab, role, rules=TableBackend.path_rules(vocab, path_tokens))
+
+
+def session_trace(session) -> WeightTrace:
+    """An empty trace for ``session``, labelled as ``cogen generate`` labels one."""
+    return WeightTrace(mode=session.mode.label(), seed=session.sampling.seed)
+
+
+def traced_decode(session, **kwargs):
+    """``decode(session, **kwargs)`` with a fresh trace; returns the
+    result and the trace it filled."""
+    trace = session_trace(session)
+    return decode(session, trace=trace, **kwargs), trace
 
 
 def scalar_uniform(rng: Splitmix64, low: float, high: float) -> float:

@@ -44,7 +44,13 @@ from cogen.service import RemoteBackend, ServeConfig, ServiceClient, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
-from helpers import one_sided_examples, path_backend, perturbed_params, random_comb_example
+from helpers import (
+    one_sided_examples,
+    path_backend,
+    perturbed_params,
+    random_comb_example,
+    traced_decode,
+)
 from test_report import make_trace, oracle_bleu, oracle_lcs, random_tokens
 
 
@@ -305,10 +311,12 @@ def test_criterion_6_split_equivalence():
                 mode = DecodeMode.first_k_mode(rng.next_below(12), strategy)
             sampling = SamplingConfig(seed=rng.next_below(1 << 32), max_new_tokens=20)
             slm = slms[record.user_id]
-            local = decode(session_for_record(record, mode, sampling, slm, llm))
-            remote = decode(session_for_record(record, mode, sampling, slm, remote_llm))
+            local, local_trace = traced_decode(session_for_record(record, mode, sampling, slm, llm))
+            remote, remote_trace = traced_decode(
+                session_for_record(record, mode, sampling, slm, remote_llm)
+            )
             assert local.token_ids == remote.token_ids
-            assert local.trace.steps == remote.trace.steps
+            assert local_trace.steps == remote_trace.steps
             sessions += 1
         client.close()
     finally:

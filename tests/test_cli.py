@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from cogen import service
+from cogen import cli, decoder, service
 from cogen.backends import Role
 from cogen.cli import main
 from cogen.combmodel import comb_init, comb_save
 from cogen.config import build_backend, load_config
 from cogen.core import SamplingConfig
+from cogen.decoder import read_trace
 from cogen.errors import InvalidConfigError
 from cogen.service import ServeConfig, sampling_to_wire, serve
 
@@ -130,6 +131,45 @@ class TestGenerate:
         assert html_path.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
         code, out, _ = run(capsys, "visualize", "--trace", trace_path, "--format", "ansi")
         assert code == 0 and "\x1b[48;2;" in out
+
+    def test_trace_out_holds_one_row_per_printed_token(self, workdir, capsys):
+        trace_path = workdir / "trace.jsonl"
+        code, out, _ = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "fuse",
+            "--strategy", "fixed", "0.0", "--seed", "7", "--trace-out", trace_path,
+        )
+        assert code == 0
+        trace = read_trace(trace_path)
+        assert (trace.mode, trace.seed, trace.events) == ("logit_fusion[fixed(0)]", 7, [])
+        assert [s.token for s in trace.steps] == out.split() == ["A", "B", "D"]
+        assert [s.step for s in trace.steps] == [1, 2, 3]
+        assert all(s.w == 0.0 for s in trace.steps)
+
+    @pytest.mark.parametrize("mode", ["fuse", "llm-noctx"])
+    def test_without_trace_out_no_trace_is_built(self, workdir, capsys, monkeypatch, mode):
+        # Remote: fused steps read logits over loopback, and llm-noctx
+        # hands its whole loop to the service's generate call.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untraced generate built a trace")
+
+        monkeypatch.setattr(cli, "WeightTrace", refuse)
+        monkeypatch.setattr(decoder, "TraceStep", refuse)
+        config = load_config(workdir / "config.json")
+        handle = serve(build_backend(config.backends["llm"]), ("127.0.0.1", 0), ServeConfig())
+        try:
+            cfg = json.loads((workdir / "config.json").read_text())
+            cfg["service_address"] = f"127.0.0.1:{handle.address[1]}"
+            (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            common = [
+                "generate", "--config", workdir / "config.json", "--corpus", workdir / "corpus.jsonl",
+                "--mode", mode, "--strategy", "fixed", "0.0", "--seed", "0",
+            ]
+            local = run(capsys, *common)
+            remote = run(capsys, *common, "--remote")
+        finally:
+            handle.stop()
+        assert local == remote == (0, "A B D\n", "")
 
     def test_configured_audit_catches_leaky_record(self, workdir, capsys):
         # a record whose "context-free" task actually embeds the profile

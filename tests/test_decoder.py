@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen import fusion
+from cogen import decoder, fusion
 from cogen.audit import AuditLog
 from cogen.backends import Role, TableBackend
 from cogen.combmodel import comb_init, harvest_examples
-from cogen.core import SamplingConfig, Vocab
+from cogen.core import SamplingConfig, TokenDistribution, Vocab
 from cogen.decoder import (
     DecodeMode,
     TraceStep,
@@ -44,10 +44,12 @@ from cogen.errors import (
     TransportError,
 )
 from cogen.fusion import FusionStrategy
+from cogen.service import RemoteBackend, ServiceClient, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
-from helpers import path_backend, perplexity
-from test_decode_golden import MAX_NEW_TOKENS, MODES, RECORDS_PER_WORLD
+from helpers import path_backend, perplexity, session_trace, traced_decode
+from test_decode_golden import GOLDEN as DECODE_GOLDEN
+from test_decode_golden import MAX_NEW_TOKENS, MODES, RECORDS_PER_WORLD, golden_setup
 
 TRACE_GOLDEN = Path(__file__).parent / "goldens" / "trace_digests.json"
 TRACE_WORLDS = range(2)
@@ -164,32 +166,32 @@ class TestTraces:
     def test_trace_one_entry_per_token_with_weights(self, path_backends, simple_record):
         slm, llm = path_backends
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.fixed(0.7)), slm, llm)
-        result = decode(session)
-        assert len(result.trace.steps) == len(result.token_ids)
-        assert all(s.w == 0.7 for s in result.trace.steps)
-        assert all(0.0 <= s.w <= 1.0 for s in result.trace.steps)
+        result, trace = traced_decode(session)
+        assert len(trace.steps) == len(result.token_ids)
+        assert all(s.w == 0.7 for s in trace.steps)
+        assert all(0.0 <= s.w <= 1.0 for s in trace.steps)
 
     def test_slm_only_trace_all_ones(self, path_backends, simple_record):
         slm, _ = path_backends
         sampling = SamplingConfig(greedy=True, max_new_tokens=16)
         session = session_for_record(simple_record, DecodeMode.slm_only(), sampling, slm)
-        result = decode(session)
+        result, trace = traced_decode(session)
         assert len(result.token_ids) == 3
-        assert all(s.w == 1.0 for s in result.trace.steps)
-        assert all(s.p_l_top1 == 0.0 for s in result.trace.steps)
+        assert all(s.w == 1.0 for s in trace.steps)
+        assert all(s.p_l_top1 == 0.0 for s in trace.steps)
 
     def test_trace_round_trip_through_file(self, path_backends, simple_record, tmp_path):
         slm, llm = path_backends
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
-        result = decode(session)
-        result.trace.events.append("synthetic event for the round trip")
+        _, trace = traced_decode(session)
+        trace.events.append("synthetic event for the round trip")
         path = tmp_path / "trace.jsonl"
-        write_trace(result.trace, path)
+        write_trace(trace, path)
         loaded = read_trace(path)
-        assert loaded.mode == result.trace.mode
-        assert loaded.seed == result.trace.seed
-        assert loaded.steps == result.trace.steps
-        assert loaded.events == result.trace.events
+        assert loaded.mode == trace.mode
+        assert loaded.seed == trace.seed
+        assert loaded.steps == trace.steps
+        assert loaded.events == trace.events
 
     def test_a_trace_row_cannot_change(self):
         row = TraceStep(1, 2, "B", 0.5, 0.25, 0.75)
@@ -202,13 +204,13 @@ class TestTraces:
     ):
         slm, llm = path_backends
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.mean()), slm, llm)
-        result = decode(session)
+        _, trace = traced_decode(session)
         path = tmp_path / "trace.jsonl"
-        write_trace(result.trace, path)
+        write_trace(trace, path)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert len(lines) == len(result.trace.steps) > 0
+        assert len(lines) == len(trace.steps) > 0
         keys = ["p_l_top1", "p_s_top1", "step", "token", "token_id", "w"]
-        for line, step in zip(lines, result.trace.steps):
+        for line, step in zip(lines, trace.steps):
             row = json.loads(line)
             assert isinstance(row, dict) and list(row) == keys
             assert row == {key: getattr(step, key) for key in keys}
@@ -247,22 +249,36 @@ def trace_worlds():
     return worlds
 
 
-def trace_bytes(name, comb, worlds, path) -> bytes:
-    """The ``write_trace`` file of each session of mode ``name`` on
-    ``worlds``, one after another; a session that fails adds its error's
-    class name."""
-    out = []
+def run_mode(name, comb, worlds, path=None) -> tuple[list[str], bytes]:
+    """Each session of mode ``name`` on ``worlds``, one after another, as
+    ``test_decode_golden`` runs it: the outcome lines that golden hashes
+    (token ids, or the error's class name), and with ``path`` the
+    ``write_trace`` file of each session traced into a fresh
+    ``WeightTrace`` (a session that fails adds its error's class name).
+    Without ``path`` no session is traced."""
+    lines, out = [], []
     for world_seed, world, llm, slms in worlds:
         for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
             sampling = SamplingConfig(seed=100 * world_seed + r, max_new_tokens=MAX_NEW_TOKENS)
             session = session_for_record(record, MODES[name](comb), sampling, slms[record.user_id], llm)
+            trace = None if path is None else session_trace(session)
             try:
-                write_trace(decode(session).trace, path)
+                outcome = " ".join(map(str, decode(session, trace=trace).token_ids))
             except CogenError as exc:
-                out.append(type(exc).__name__.encode() + b"\n")
+                outcome = type(exc).__name__
+                if trace is not None:
+                    out.append(outcome.encode() + b"\n")
             else:
-                out.append(path.read_bytes())
-    return b"".join(out)
+                if trace is not None:
+                    write_trace(trace, path)
+                    out.append(path.read_bytes())
+            lines.append(f"{world_seed}/{r}: {outcome}")
+    return lines, b"".join(out)
+
+
+def trace_bytes(name, comb, worlds, path) -> bytes:
+    """The ``write_trace`` bytes of ``run_mode``'s traced sessions."""
+    return run_mode(name, comb, worlds, path)[1]
 
 
 class TestTraceBytes:
@@ -283,9 +299,67 @@ class TestTraceBytes:
             golden = json.loads(TRACE_GOLDEN.read_text(encoding="utf-8"))
             assert hashlib.sha256(cold).hexdigest() == golden[name]
 
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_untraced_passes_emit_the_traced_and_golden_tokens(self, name, tmp_path):
+        """Untraced, on fresh backends and again on the same ones, each
+        mode emits the token ids of its traced pass on ``TRACE_WORLDS``,
+        and on every world of the decode golden hashes to its digest."""
+        comb = comb_init(0)
+        traced, _ = run_mode(name, comb, trace_worlds(), tmp_path / "trace.jsonl")
+        _, worlds = golden_setup()
+        assert [w[0] for w in worlds[: len(TRACE_WORLDS)]] == list(TRACE_WORLDS)
+        golden = json.loads(DECODE_GOLDEN.read_text(encoding="utf-8"))[name]
+        for _ in ("cold", "warm"):
+            untraced, _ = run_mode(name, comb, worlds)
+            assert untraced[: len(traced)] == traced
+            assert hashlib.sha256("\n".join(untraced).encode("utf-8")).hexdigest() == golden
+
     def test_golden_pins_every_mode_but_learnable(self):
         golden = json.loads(TRACE_GOLDEN.read_text(encoding="utf-8"))
         assert sorted(golden) == sorted(TRACE_PINNED)
+
+
+def raise_trace_work(*args, **kwargs):
+    raise AssertionError("an untraced decode did trace work")
+
+
+class TestUntracedDecode:
+    def test_no_mode_builds_a_row_or_reads_what_one_holds(self, monkeypatch):
+        """Untraced, no decode mode builds a trace row or reads a top-1
+        probability or a token's string: with all three patched to raise,
+        every mode emits its unpatched tokens, in process and against a
+        loopback service (whose generate call runs ``decode_single``),
+        on fresh backends and again on the same ones. Sampling is not
+        greedy, since a greedy pick reads the top-1 slot."""
+        comb = comb_init(0)
+
+        def outcomes(remote):
+            _, world, llm, slms = trace_worlds()[0]
+            if remote:
+                llm = RemoteBackend(client, world.vocab)
+            rows = []
+            for _ in ("cold", "warm"):
+                for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
+                    sampling = SamplingConfig(seed=r, max_new_tokens=MAX_NEW_TOKENS)
+                    for make in MODES.values():
+                        session = session_for_record(record, make(comb), sampling, slms[record.user_id], llm)
+                        try:
+                            rows.append(decode(session).token_ids)
+                        except CogenError as exc:
+                            rows.append(type(exc).__name__)
+            return rows
+
+        with serve(large_backend(trace_worlds()[0][1]), ("127.0.0.1", 0)) as handle:
+            client = ServiceClient(handle.address)
+            try:
+                expected = outcomes(False), outcomes(True)
+                monkeypatch.setattr(decoder, "TraceStep", raise_trace_work)
+                monkeypatch.setattr(Vocab, "token", raise_trace_work)
+                monkeypatch.setattr(TokenDistribution, "top1", raise_trace_work)
+                assert (outcomes(False), outcomes(True)) == expected
+            finally:
+                client.close()
+        assert sum(type(row) is tuple and len(row) > 0 for row in expected[1]) > len(MODES)
 
 
 class TestFirstK:
@@ -311,9 +385,9 @@ class TestFirstK:
             full = session_for_record(
                 simple_record, DecodeMode.fusion(FusionStrategy.mean()), sampling, slm, llm,
             )
-            a, b = decode(first), decode(full)
+            (a, a_trace), (b, b_trace) = traced_decode(first), traced_decode(full)
             assert a.token_ids == b.token_ids
-            assert [s.w for s in a.trace.steps] == [s.w for s in b.trace.steps]
+            assert [s.w for s in a_trace.steps] == [s.w for s in b_trace.steps]
 
     def test_prefix_follows_large_then_small_continuation(self, abc_vocab, simple_record):
         # large path A B D; small keyed to continue any prefix with C
@@ -327,12 +401,12 @@ class TestFirstK:
         session = make_session(
             simple_record, DecodeMode.first_k_mode(2, FusionStrategy.fixed(0.0)), slm, llm
         )
-        result = decode(session)
+        result, trace = traced_decode(session)
         names = [abc_vocab.token(t) for t in result.token_ids]
         assert names[:2] == ["A", "B"]
         assert set(names[2:]) == {"C"}
-        assert [s.w for s in result.trace.steps[:2]] == [0.0, 0.0]
-        assert all(s.w == 1.0 for s in result.trace.steps[2:])
+        assert [s.w for s in trace.steps[:2]] == [0.0, 0.0]
+        assert all(s.w == 1.0 for s in trace.steps[2:])
 
     def test_no_large_queries_after_step_n(self, path_backends, simple_record):
         slm, llm = path_backends
@@ -387,10 +461,10 @@ class TestSingleBackendModes:
         session = session_for_record(
             simple_record, DecodeMode.llm_with_context(), sampling, slm, llm
         )
-        result = decode(session)
+        result, trace = traced_decode(session)
         assert result.token_ids
         assert all(r.context_upload_waiver for r in llm.requests)
-        assert all(s.w == 0.0 for s in result.trace.steps)
+        assert all(s.w == 0.0 for s in trace.steps)
 
     def test_sketch_parses_from_a_large_backend_without_a_kind(self, simple_record):
         # The draft is parsed from its text alone, so a double that only
@@ -409,18 +483,20 @@ class TestTransportPolicy:
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
         llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.fixed(1.0)), slm, llm)
+        trace = session_trace(session)
         with pytest.raises(SessionError) as err:
-            decode(session, on_transport_error="abort")
-        assert len(err.value.partial_trace.steps) == 2
+            decode(session, on_transport_error="abort", trace=trace)
+        assert len(trace.steps) == 2
+        assert "failed at step 3:" in str(err.value)
 
     def test_degrade_finishes_on_small_model(self, abc_vocab, simple_record):
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
         llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, DecodeMode.fusion(FusionStrategy.fixed(1.0)), slm, llm)
-        result = decode(session, on_transport_error="degrade")
+        result, trace = traced_decode(session, on_transport_error="degrade")
         assert [abc_vocab.token(t) for t in result.token_ids] == ["A", "B", "C"]
-        assert result.trace.events
-        assert result.trace.steps[-1].w == 1.0
+        assert trace.events
+        assert trace.steps[-1].w == 1.0
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
     @pytest.mark.parametrize("mode", [DecodeMode.llm_no_context(), DecodeMode.llm_with_context()])
@@ -430,21 +506,25 @@ class TestTransportPolicy:
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
         llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
         session = make_session(simple_record, mode, slm, llm)
+        trace = session_trace(session)
         with pytest.raises(SessionError) as err:
-            decode(session, on_transport_error=policy)
+            decode(session, on_transport_error=policy, trace=trace)
         assert isinstance(err.value.__cause__, TransportError)
-        assert [s.token for s in err.value.partial_trace.steps] == ["A", "B"]
-        assert all(s.w == 0.0 for s in err.value.partial_trace.steps)
+        assert [s.token for s in trace.steps] == ["A", "B"]
+        assert all(s.w == 0.0 for s in trace.steps)
+        assert "failed at step 3:" in str(err.value)
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
     def test_remote_generate_failure_is_a_session_error(self, abc_vocab, simple_record, policy):
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         llm = FlakyRemoteBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"]), 0)
         session = make_session(simple_record, DecodeMode.llm_no_context(), slm, llm)
+        trace = session_trace(session)
         with pytest.raises(SessionError) as err:
-            decode(session, on_transport_error=policy)
+            decode(session, on_transport_error=policy, trace=trace)
         assert isinstance(err.value.__cause__, TransportError)
-        assert err.value.partial_trace.steps == []
+        assert trace.steps == []
+        assert "failed at step 1:" in str(err.value)
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
     @pytest.mark.parametrize("conditioning", ["sketch", "full_content"])
@@ -455,11 +535,14 @@ class TestTransportPolicy:
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
         llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 1)
         session = make_session(simple_record, DecodeMode.sketch(conditioning), slm, llm)
+        trace = session_trace(session)
         with pytest.raises(SessionError) as err:
-            decode(session, on_transport_error=policy)
+            decode(session, on_transport_error=policy, trace=trace)
         assert isinstance(err.value.__cause__, TransportError)
-        assert err.value.partial_trace.steps == []
+        assert trace.steps == []
         assert llm.calls == 2
+        # The draft failed at its own second step; the session had not begun.
+        assert "failed at step 1:" in str(err.value)
 
 
 class TestTeacherForcedScoring:

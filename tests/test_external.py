@@ -18,7 +18,7 @@ from cogen.core import SPARSE_MASS_TOL, TokenDistribution, Vocab
 from cogen.errors import InvalidDistributionError, PrivacyContractError, TransportError
 from cogen.external import API_KEY_ENV, ExternalBackend, HttpCompletionsClient, external_next_logits
 from cogen.fusion import TOP_K
-from helpers import path_backend
+from helpers import path_backend, traced_decode
 
 VOCAB = Vocab(tokens=("yes", "no", "maybe", "</s>", "<unk>"), eos_id=3, unk_id=4)
 
@@ -148,7 +148,7 @@ class TestExternalBackend:
         # external transport failure engages the decoder's degrade policy
         from cogen.core import SamplingConfig
         from cogen.corpus import CorpusRecord
-        from cogen.decoder import DecodeMode, decode, session_for_record
+        from cogen.decoder import DecodeMode, session_for_record
         from cogen.fusion import FusionStrategy
 
         slm = path_backend(VOCAB, Role.SMALL_DEVICE, ["yes", "no"])
@@ -160,9 +160,9 @@ class TestExternalBackend:
             record, DecodeMode.fusion(FusionStrategy.mean()),
             SamplingConfig(greedy=True, max_new_tokens=4), slm, llm,
         )
-        result = decode(session, on_transport_error="degrade")
+        result, trace = traced_decode(session, on_transport_error="degrade")
         assert [VOCAB.token(t) for t in result.token_ids] == ["yes", "no"]
-        assert result.trace.events
+        assert trace.events
 
     def test_context_upload_baseline_never_reaches_the_service(self):
         # decode waives the gate for the in-process baseline, but the

@@ -34,7 +34,7 @@ from cogen.prompting import (
 )
 from cogen.tokenizer import build_vocab
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
-from helpers import path_backend
+from helpers import path_backend, traced_decode
 
 GOLDENS = Path(__file__).parent / "goldens"
 RECORDS = {"context_aware": CONTEXT_RECORD, "email": EMAIL_RECORD, "paper": PAPER_RECORD}
@@ -299,8 +299,10 @@ class TestSketchThenFill:
     def test_fill_trace_is_all_small_model(self):
         vocab, llm_a, _, slm = _sketch_world()
         sampling = SamplingConfig(greedy=True, max_new_tokens=12)
-        result = decode(session_for_record(CONTEXT_RECORD, DecodeMode.sketch(), sampling, slm, llm_a))
-        steps = result.trace.steps
+        _, trace = traced_decode(
+            session_for_record(CONTEXT_RECORD, DecodeMode.sketch(), sampling, slm, llm_a)
+        )
+        steps = trace.steps
         assert [s.token for s in steps] == ["opening", "about", "alpha", "closing"]
         assert all(s.w == 1.0 and s.p_l_top1 == 0.0 for s in steps)
 

@@ -43,7 +43,7 @@ from cogen.service import (
     validate_request,
 )
 from cogen.synthetic import build_world, large_backend, small_backends
-from helpers import path_backend
+from helpers import path_backend, traced_decode
 
 GOLDEN_HELLO_REQUEST = (
     "0000004f"
@@ -821,10 +821,12 @@ def test_remote_at_the_top_k_cap_matches_in_process(world0_backends, world0):
             for record in world0.test_records[:10]:
                 sampling = SamplingConfig(seed=seed, max_new_tokens=40)
                 slm = slms[record.user_id]
-                local = decode(session_for_record(record, mode, sampling, slm, llm))
-                remote = decode(session_for_record(record, mode, sampling, slm, remote_llm))
+                local, local_trace = traced_decode(session_for_record(record, mode, sampling, slm, llm))
+                remote, remote_trace = traced_decode(
+                    session_for_record(record, mode, sampling, slm, remote_llm)
+                )
                 assert local.token_ids == remote.token_ids
-                assert local.trace.steps == remote.trace.steps
+                assert local_trace.steps == remote_trace.steps
         client.close()
 
 
@@ -861,12 +863,12 @@ class TestSplitExecutionEquivalence:
         for seed, record in zip(range(3), world.test_records):
             sampling = SamplingConfig(seed=seed, max_new_tokens=24)
             slm = slms[record.user_id]
-            local = decode(session_for_record(
+            local, local_trace = traced_decode(session_for_record(
                 record, DecodeMode.fusion(strategy), sampling, slm, llm))
-            remote = decode(session_for_record(
+            remote, remote_trace = traced_decode(session_for_record(
                 record, DecodeMode.fusion(strategy), sampling, slm, remote_llm))
             assert local.token_ids == remote.token_ids
-            assert local.trace.steps == remote.trace.steps
+            assert local_trace.steps == remote_trace.steps
         client.close()
 
     def test_first_k_remote_matches_in_process(self, served_world):
@@ -878,10 +880,12 @@ class TestSplitExecutionEquivalence:
         for n in (0, 2, 5):
             sampling = SamplingConfig(seed=n + 100, max_new_tokens=24)
             mode = DecodeMode.first_k_mode(n, FusionStrategy.mean())
-            local = decode(session_for_record(record, mode, sampling, slm, llm))
-            remote = decode(session_for_record(record, mode, sampling, slm, remote_llm))
+            local, local_trace = traced_decode(session_for_record(record, mode, sampling, slm, llm))
+            remote, remote_trace = traced_decode(
+                session_for_record(record, mode, sampling, slm, remote_llm)
+            )
             assert local.token_ids == remote.token_ids
-            assert local.trace.steps == remote.trace.steps
+            assert local_trace.steps == remote_trace.steps
         client.close()
 
 
@@ -895,15 +899,19 @@ class TestSplitExecutionEquivalence:
         record = world.test_records[0]
         sampling = SamplingConfig(seed=0, max_new_tokens=20)
         mode = DecodeMode.llm_no_context()
-        local = decode(session_for_record(record, mode, sampling, slms[record.user_id], llm))
-        remote = decode(session_for_record(record, mode, sampling, slms[record.user_id], remote_llm))
+        local, local_trace = traced_decode(
+            session_for_record(record, mode, sampling, slms[record.user_id], llm)
+        )
+        remote, remote_trace = traced_decode(
+            session_for_record(record, mode, sampling, slms[record.user_id], remote_llm)
+        )
         client.close()
         assert local.token_ids == remote.token_ids
         assert local.token_ids
-        assert local.trace.events == []
-        assert len(remote.trace.events) == 1
-        assert "no probabilities" in remote.trace.events[0]
-        assert [s.p_l_top1 for s in remote.trace.steps] == [0.0] * len(remote.token_ids)
+        assert local_trace.events == []
+        assert len(remote_trace.events) == 1
+        assert "no probabilities" in remote_trace.events[0]
+        assert [s.p_l_top1 for s in remote_trace.steps] == [0.0] * len(remote.token_ids)
 
 
 class TestConcurrentSessions:
