@@ -423,7 +423,7 @@ def main(argv=None) -> int:
             return EXIT_TRANSPORT
         print(f"cogen: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory or unreadable
         print(f"cogen: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_DATA
 

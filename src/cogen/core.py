@@ -2,18 +2,19 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads. Sampling takes an explicit RNG stream so callers own sequencing.
-The only mutable pieces are a distribution's four caches: its last
-sampling nucleus, its last top-k view, its top-1 entry and, on a large
-model's distribution, the fused steps it took part in. Each holds pure
+The only mutable pieces are a distribution's three caches: its last
+sampling nucleus, its last top-k view and, on a large model's
+distribution, the fused steps it took part in. Each holds pure
 functions of immutable inputs, stored as immutable tuples in one
 assignment each, so threads that race on a cache can only compute the
 same value twice. The nucleus slot serves the single-backend modes, whose
 dense distributions a backend memoizes and sampling reads again. A fused
 step (``fusion.blend_step``) samples its own union of top-k entries;
 the ``FusedDistribution`` it returns keeps its own nucleus slot, and
-the step memoizes it and both top-k views on the large side's
-distribution (``_fused``), so a step whose two distributions recur
-reuses the blend and its nucleus without cutting a view again.
+the step memoizes it and its weight on the large side's distribution
+(``_fused``), so a step whose two distributions recur reuses the blend
+and its nucleus without cutting a view again. README's "What a run
+caches" gives the figure each cache buys.
 
 Probabilities are 64-bit floats end to end: a dense distribution holds
 a numpy vector, a top-k view tuples of Python ints and floats. All
@@ -156,17 +157,18 @@ class TokenDistribution:
     int ids and a tuple of float probabilities, sorted by descending
     probability (ties by ascending id), mass at most 1, never renormalized.
 
-    Three cache slots follow one pattern. ``_nucleus`` caches
+    Two cache slots follow one pattern. ``_nucleus`` caches
     ``sample_top_p``'s deterministic part for the last ``(temperature,
     top_p)`` it was sampled with; ``_top_k`` caches ``top_k_project``'s
-    view for the last ``k``; ``_top1`` caches ``top1()``, which has no key.
-    Each is one slot, overwritten when its key changes, so a distribution
-    never holds more than one nucleus and one view however many configs or
-    cuts read it. Concurrent readers may race on a slot; each entry is an
-    immutable tuple stored in one assignment and checked against its key
-    on read, so a lost race only computes the entry again.
+    view for the last ``k``. Each is one slot, overwritten when its key
+    changes, so a distribution never holds more than one nucleus and one
+    view however many configs or cuts read it. Concurrent readers may
+    race on a slot; each entry is an immutable tuple stored in one
+    assignment and checked against its key on read, so a lost race only
+    computes the entry again. ``top1()`` is computed on every read: only
+    greedy picks and trace rows call it.
 
-    The fourth cache, ``_fused``, is a dict that ``fusion.blend_step``
+    The third cache, ``_fused``, is a dict that ``fusion.blend_step``
     fills on a large model's distribution: one entry per small
     distribution and strategy it was blended with (see there). It lives
     and dies with the distribution, and stays None on every distribution
@@ -180,7 +182,6 @@ class TokenDistribution:
     sparse_probs: tuple[float, ...] | None = None
     _nucleus: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _top_k: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _top1: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _fused: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
@@ -247,15 +248,10 @@ class TokenDistribution:
 
     def top1(self) -> tuple[int, float]:
         """Highest-probability (id, p); ties resolve to the lowest id."""
-        top = self._top1
-        if top is None:
-            if self.is_dense:
-                i = int(np.argmax(self.dense_probs))
-                top = i, float(self.dense_probs[i])
-            else:
-                top = self.sparse_ids[0], self.sparse_probs[0]
-            object.__setattr__(self, "_top1", top)
-        return top
+        if self.is_dense:
+            i = int(np.argmax(self.dense_probs))
+            return i, float(self.dense_probs[i])
+        return self.sparse_ids[0], self.sparse_probs[0]
 
     def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
         """The greedy choice, or one ``sample_top_p`` draw."""

@@ -207,9 +207,10 @@ def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> 
 
     ``step(tokens, i)`` gives step ``i`` (from 1) the distribution it
     picks from (a dense ``TokenDistribution`` or a fused step's
-    ``FusedDistribution``), its blend weight, and the small and large
-    distributions whose top-1 probabilities a trace row holds, either of
-    which may be None for a side the step did not read (the row's 0.0).
+    ``FusedDistribution``), its blend weight, and the step's two source
+    distributions, small and large, whose top-1 probabilities a trace row
+    holds, either of which may be None for a side the step did not read
+    (the row's 0.0).
     ``tokens`` is the loop's own list of the initial prefix and the tokens
     emitted so far, which the step must not change; from step 2 on its
     last entry is the token emitted by the step before. This loop draws
@@ -299,8 +300,8 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
     steps, so it never touches session.llm. With ``degrade``, a transport
     failure of the large backend ends fusion and the session continues
     on the small model, and a ``trace`` records the event. A fused step
-    returns ``blend_step``'s four values as they are: the trace row reads
-    its top-1 probabilities from the two top-k views."""
+    returns ``blend_step``'s fused distribution and weight, and the two
+    source distributions a trace row reads its top-1 probabilities from."""
     mode, record, llm = session.mode, session.record, session.llm
     fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
     small = open_cursor(session.slm, record.task, record.context_bundle())
@@ -325,7 +326,8 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
                     trace.events.append(f"step {i}: large backend down, degraded to slm_only")
                 fused_limit = 0
             else:
-                return blend_step(p_s, p_l, mode.strategy)
+                fused, w = blend_step(p_s, p_l, mode.strategy)
+                return fused, w, p_s, p_l
         return _dense(p_s), 1.0, p_s, None
 
     return step
@@ -458,7 +460,7 @@ def fused_teacher_forced_ppl(
         if p_l is None:
             p = p_s.prob_of(target)
         else:
-            fused, _, _, _ = blend_step(p_s, p_l, strategy)
+            fused, _ = blend_step(p_s, p_l, strategy)
             p = fused.prob_of(target)
         if p <= 0.0:
             return math.inf

@@ -320,25 +320,23 @@ def fuse_views(
 
 def blend_step(
     p_s: TokenDistribution, p_l: TokenDistribution, strategy: FusionStrategy
-) -> tuple[FusedDistribution, float, TokenDistribution, TokenDistribution]:
+) -> tuple[FusedDistribution, float]:
     """One fused step: both sources' top-k views, weighed and blended by
-    ``fuse_views``. Returns the fused distribution, the weight used, and
-    the small and large top-k views.
+    ``fuse_views``. Returns the fused distribution and the weight used.
 
     The step is memoized on the large side's distribution, keyed by the
     strategy's kind and weight and the small side's identity, and read
     before any view is cut. The entry holds the small side, so no other
     distribution takes that id while the entry lives, the strategy's net,
-    whose identity a hit must match, and the step's answer with both
-    views. The distributions and the net never change, so a hit returns
-    the bits the step would compute. A local backend's distributions live
-    in its memo, so a recurring pair of histories reuses one blend and its
-    cached nucleus. A large side that is its own top-k view, as a remote
-    reply is, gets no memo: its entry would hold the side itself, which
-    is new at every call, so no step would read it. A large side holds at
-    most one entry per small side and strategy it was blended with, and
-    at most ``FUSED_MEMO_CAP`` in all: a miss on a full memo stores
-    nothing.
+    whose identity a hit must match, and the step's answer. The
+    distributions and the net never change, so a hit returns the bits the
+    step would compute. A local backend's distributions live in its memo,
+    so a recurring pair of histories reuses one blend and its cached
+    nucleus. A large side that is its own top-k view, as a remote reply
+    is, gets no memo: such a side is new at every call, so no step would
+    read its entry. A large side holds at most
+    one entry per small side and strategy it was blended with, and at
+    most ``FUSED_MEMO_CAP`` in all: a miss on a full memo stores nothing.
     """
     memo = p_l._fused
     key = (strategy.kind, strategy.w, id(p_s))
@@ -347,8 +345,7 @@ def blend_step(
         if hit is not None and hit[1] is strategy.model:
             return hit[2]
     ps_k, pl_k = top_k_views(p_s, p_l)
-    fused, w = fuse_views(ps_k, pl_k, strategy)
-    step = fused, w, ps_k, pl_k
+    step = fuse_views(ps_k, pl_k, strategy)
     if pl_k is not p_l:
         if memo is None:
             memo = {}

@@ -479,6 +479,27 @@ def test_deeply_nested_input_exits_2_naming_the_file(workdir, capsys, monkeypatc
         assert "line 1:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "validate", "--in"],
+        ["generate", "--corpus", "corpus.jsonl", "--mode", "slm", "--seed", "0", "--config"],
+        ["visualize", "--trace"],
+        ["eval", "metrics", "--pairs"],
+    ],
+    ids=["corpus", "config", "trace", "pairs"],
+)
+def test_a_directory_given_as_a_file_exits_2(workdir, capsys, monkeypatch, argv):
+    """A path that exists but cannot be read as a file is bad input, not a
+    crash: the command exits 2 with its one-line failure message."""
+    monkeypatch.chdir(workdir)
+    (workdir / "subdir").mkdir()
+    code, out, err = run(capsys, *argv, "subdir")
+    assert code == 2 and out == ""
+    assert err.startswith(f"cogen: {argv[0]} failed: ") and "subdir" in err
+    assert err.count("\n") == 1
+
+
 class TestEvalCommands:
     def test_metrics(self, workdir, capsys):
         code, out, _ = run(capsys, "eval", "metrics", "--pairs", workdir / "pairs.jsonl")

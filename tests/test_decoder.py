@@ -330,7 +330,7 @@ class TestUntracedDecode:
         every mode emits its unpatched tokens, in process and against a
         loopback service (whose generate call runs ``decode_single``),
         on fresh backends and again on the same ones. Sampling is not
-        greedy, since a greedy pick reads the top-1 slot."""
+        greedy, since a greedy pick reads the top-1."""
         comb = comb_init(0)
 
         def outcomes(remote):

@@ -258,11 +258,14 @@ class FixedDraw:
     top_p=st.sampled_from([0.05, 0.5, 0.9, 1.0]),
     draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
 )
-def test_list_nucleus_and_cached_top1_match_array_code(probs, temperature, top_p, draws):
+def test_list_nucleus_and_top1_match_array_code(probs, temperature, top_p, draws):
     """The nucleus kept as lists and searched with ``bisect`` picks the
     token the array search picks for every draw, the cumulative sums
     themselves included, and greedy reads the argmax with ties toward the
-    lower id, from a dense distribution and from its top-k view."""
+    lower id, from a dense distribution and from its top-k view. A
+    ``TOP_K`` view's top-1 is its source's, to the bit and ties included,
+    for a dense source and for a sparse one longer than ``TOP_K``: a trace
+    row reads it from the source, where the fused step cuts the view."""
     dist = TokenDistribution.dense(probs)
     config = SamplingConfig(temperature=temperature, top_p=top_p)
     ok, error = outcome(core._nucleus, dist, temperature, top_p)
@@ -277,6 +280,10 @@ def test_list_nucleus_and_cached_top1_match_array_code(probs, temperature, top_p
         assert d.top1() == ref_top1(d)
         assert core.argmax_token(d) == ref_top1(d)[0]
         assert type(d.top1()[0]) is int and type(d.top1()[1]) is float
+    for source in (dist, top_k_project(dist, dist.vocab_size)):
+        top = top_k_project(source, fusion.TOP_K).top1()
+        assert top[0] == source.top1()[0]
+        assert same_bits(np.float64(top[1]), np.float64(source.top1()[1]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -894,11 +901,8 @@ def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed
     for i, j, which, c in calls:
         p_s, p_l = small[i % len(small)], large[j % len(large)]
         strategy, config = strategies[which], MEMO_CONFIGS[c]
-        fused, w, ps_k, pl_k = fusion.blend_step(p_s, p_l, strategy)
-        for view, want_view in zip((ps_k, pl_k), fusion.top_k_views(p_s, p_l)):
-            assert same_bits(view.sparse_ids, want_view.sparse_ids)
-            assert same_bits(view.sparse_probs, want_view.sparse_probs)
-        want, want_w = fuse_views(ps_k, pl_k, strategy)
+        fused, w = fusion.blend_step(p_s, p_l, strategy)
+        want, want_w = fuse_views(*fusion.top_k_views(p_s, p_l), strategy)
         assert fused.ids == want.ids
         assert same_bits(np.array(fused.probs), np.array(want.probs))
         assert same_bits(np.float64(w), np.float64(want_w))
@@ -919,13 +923,13 @@ def test_fused_step_memo_never_serves_a_dead_small_views_entry():
         head = 0.2 + (i % 97) / 1000
         probs = np.array([head] + [(1 - head) / 11] * 11)
         p_s = TokenDistribution.sparse(ids, probs, 16)
-        fused, w, ps_k, pl_k = fusion.blend_step(p_s, large, FusionStrategy.mean())
-        want, _ = fuse_views(ps_k, pl_k, FusionStrategy.mean())
+        fused, w = fusion.blend_step(p_s, large, FusionStrategy.mean())
+        want, _ = fuse_views(*fusion.top_k_views(p_s, large), FusionStrategy.mean())
         assert same_bits(np.array(fused.probs), np.array(want.probs))
         memo = large._fused
         memos.add(id(memo))
         assert len(memo) <= fusion.FUSED_MEMO_CAP
-        del p_s, fused, ps_k, pl_k, want  # so the next small side may take this one's id
+        del p_s, fused, want  # so the next small side may take this one's id
     assert len(memos) == 1 and len(memo) == fusion.FUSED_MEMO_CAP
 
 
@@ -963,7 +967,7 @@ def test_fused_memo_holds_one_entry_per_small_view_and_strategy(ngram_pair, weig
 def test_a_memo_hit_cuts_no_view(weight_nets, monkeypatch):
     """A second fused step on the same two distributions and strategy
     reads the memo before any top-k cut, and returns the first step's
-    four objects."""
+    two objects."""
     p_s = TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1] + [0.0] * 12))
     p_l = TokenDistribution.dense(np.full(16, 1 / 16))
 
@@ -975,22 +979,22 @@ def test_a_memo_hit_cuts_no_view(weight_nets, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(fusion, "top_k_views", no_cut)
             again = fusion.blend_step(p_s, p_l, strategy)
-        assert len(again) == 4
+        assert len(again) == 2
         assert all(a is b for a, b in zip(again, first))
 
 
 def test_a_large_side_that_is_its_own_view_gets_no_memo():
     """A remote reply has at most ``TOP_K`` entries, so it is its own
-    top-k view, and an entry on it would hold it in a reference cycle.
-    It gets no memo, and dies as soon as the step's result is dropped,
-    without waiting for the cycle collector."""
+    top-k view, and it is new at every call, so an entry on it would
+    never be read. It gets no memo, and dies as soon as the step's result
+    is dropped, without waiting for the cycle collector."""
     p_s = TokenDistribution.dense(np.full(16, 1 / 16))
     p_l = TokenDistribution.sparse(np.arange(10), np.full(10, 0.1), 16)
     gone = weakref.ref(p_l)
     gc.disable()
     try:
         step = fusion.blend_step(p_s, p_l, FusionStrategy.mean())
-        assert step[3] is p_l and p_l._fused is None
+        assert top_k_project(p_l, fusion.TOP_K) is p_l and p_l._fused is None
         del step, p_l
         assert gone() is None
     finally:
