@@ -353,7 +353,14 @@ class NGramBackend(Backend):
         return self._memoized(self.model.history_key(ids))
 
     def _memoized(self, h: tuple) -> TokenDistribution:
-        """The distribution after history ``h`` (at most n-1 ids)."""
+        """The distribution after history ``h`` (at most n-1 ids).
+
+        ``h`` itself is looked up first, so a counted history whose entry
+        exists costs one dict lookup; only a miss tests whether the model
+        counted ``h`` and, if not, reads the shared ``None`` entry."""
+        dist = self._memo.get(h)
+        if dist is not None:
+            return dist
         slot = h if h in self.model.counts else None
         dist = self._memo.get(slot)
         if dist is None:
@@ -369,20 +376,31 @@ class NGramBackend(Backend):
 
 
 class NGramCursor:
-    """An n-gram backend's cursor: the last n-1 ids of the stream so far."""
+    """An n-gram backend's cursor: the last n-1 ids of the stream so far.
 
-    __slots__ = ("_backend", "_history", "_keep", "_size")
+    It holds its backend's memo and reads the entry for its history
+    straight from it; a history with no entry of its own (one not yet
+    seen, or one the model never counted) goes through
+    ``NGramBackend._memoized``. ``push`` range-checks the id inline and
+    calls ``_check_id`` only to raise its error."""
+
+    __slots__ = ("_backend", "_memo", "_history", "_keep", "_size")
 
     def __init__(self, backend: NGramBackend, history: tuple) -> None:
         self._backend = backend
+        self._memo = backend._memo
         self._history = history
         self._keep = backend.model.n - 1
         self._size = backend.vocab.size
 
     def push(self, token_id: int) -> None:
-        _check_id(token_id, self._size)
+        if not 0 <= token_id < self._size:
+            _check_id(token_id, self._size)
         if self._keep:
             self._history = (self._history + (token_id,))[-self._keep:]
 
     def distribution(self) -> TokenDistribution:
-        return self._backend._memoized(self._history)
+        dist = self._memo.get(self._history)
+        if dist is None:
+            dist = self._backend._memoized(self._history)
+        return dist

@@ -297,14 +297,18 @@ def _forward_pass(blocks, n: int):
     """``forward(x)`` on ``n`` input rows ending in a 1, over buffers built
     here once, and the two hidden buffers it fills. ``forward`` returns one
     weight per row; each layer's matmul and ReLU fill the next buffer,
-    whose trailing 1 adds the bias."""
+    whose trailing 1 adds the bias. The ReLU runs over the whole
+    contiguous buffer, which leaves that 1 as it is and is faster than
+    over the strided view of the matmul's columns."""
     l1, l2, l3 = blocks
     h1, h2, z3 = np.ones((n, HIDDEN1 + 1)), np.ones((n, HIDDEN2 + 1)), np.empty((n, 1))
     z1, z2, z3_col = h1[:, :-1], h2[:, :-1], z3[:, 0]
 
     def forward(x) -> list[float]:
-        np.maximum(np.matmul(x, l1, out=z1), 0.0, out=z1)
-        np.maximum(np.matmul(h1, l2, out=z2), 0.0, out=z2)
+        np.matmul(x, l1, out=z1)
+        np.maximum(h1, 0.0, out=h1)
+        np.matmul(h1, l2, out=z2)
+        np.maximum(h2, 0.0, out=h2)
         np.matmul(h2, l3, out=z3)
         return [_sigmoid(z) for z in z3_col.tolist()]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -157,10 +157,10 @@ class TokenDistribution:
     int ids and a tuple of float probabilities, sorted by descending
     probability (ties by ascending id), mass at most 1, never renormalized.
 
-    Two cache slots follow one pattern. ``_nucleus`` caches
-    ``sample_top_p``'s deterministic part for the last ``(temperature,
-    top_p)`` it was sampled with; ``_top_k`` caches ``top_k_project``'s
-    view for the last ``k``. Each is one slot, overwritten when its key
+    Two cache slots follow one pattern. ``_nucleus`` caches a top-p
+    draw's deterministic part for the last ``(temperature, top_p)`` it
+    was sampled with, which ``pick`` reads in place; ``_top_k`` caches
+    ``top_k_project``'s view for the last ``k``. Each is one slot, overwritten when its key
     changes, so a distribution never holds more than one nucleus and one
     view however many configs or cuts read it. Concurrent readers may
     race on a slot; each entry is an immutable tuple stored in one
@@ -254,8 +254,21 @@ class TokenDistribution:
         return self.sparse_ids[0], self.sparse_probs[0]
 
     def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
-        """The greedy choice, or one ``sample_top_p`` draw."""
-        return argmax_token(self) if config.greedy else sample_top_p(self, config, rng)
+        """The greedy choice, or one top-p draw using exactly one RNG
+        float (``sample_top_p``'s rules).
+
+        A draw whose ``(temperature, top_p)`` keys the nucleus slot reads
+        the ids and cumulative sums from the slot and bisects once; any
+        other draw builds the slot first (``_nucleus``).
+        """
+        if config.greedy:
+            return argmax_token(self)
+        slot = self._nucleus
+        if slot is not None and slot[0] == (config.temperature, config.top_p):
+            ids, cum = slot[1], slot[2]
+        else:
+            ids, cum = _nucleus(self, config.temperature, config.top_p)
+        return ids[min(bisect_right(cum, rng.next_float()), len(cum) - 1)]
 
     def to_dense_array(self) -> np.ndarray:
         """Full-vocab probability vector (zeros off the sparse support)."""
@@ -295,13 +308,11 @@ def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
 def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     """Token ids of the top-p nucleus after tempering, most probable first,
     and the cumulative sum of their renormalized probabilities, both as
-    Python lists. The nucleus never reaches past the entries of positive
-    probability: where those sum to just under a ``top_p`` of 1, a draw
-    above that sum would otherwise pick an id of probability zero."""
-    key = (temperature, top_p)
-    slot = dist._nucleus
-    if slot is not None and slot[0] == key:
-        return slot[1], slot[2]
+    Python lists, built afresh and stored in the nucleus slot, where
+    ``TokenDistribution.pick`` reads them; callers must not change them.
+    The nucleus never reaches past the entries of positive probability:
+    where those sum to just under a ``top_p`` of 1, a draw above that sum
+    would otherwise pick an id of probability zero."""
     if not dist.is_dense:
         raise InvalidDistributionError("sample_top_p requires a dense distribution")
     if abs(dist.mass - 1.0) > DENSE_SUM_TOL:
@@ -314,21 +325,23 @@ def _nucleus(dist: TokenDistribution, temperature: float, top_p: float):
     cut = min(cut, int(np.count_nonzero(probs)))
     nucleus = sorted_probs[:cut]
     ids, cum = order[:cut].tolist(), np.cumsum(nucleus / nucleus.sum()).tolist()
-    object.__setattr__(dist, "_nucleus", (key, ids, cum))
+    object.__setattr__(dist, "_nucleus", ((temperature, top_p), ids, cum))
     return ids, cum
 
 
 def sample_top_p(dist: TokenDistribution, config: SamplingConfig, rng: Splitmix64) -> int:
-    """Nucleus sampling after temperature scaling.
+    """Nucleus sampling after temperature scaling, whatever
+    ``config.greedy`` says.
 
     Sorts by descending probability (ties toward lower ids), keeps the
     smallest prefix whose cumulative mass reaches ``top_p``, renormalizes
-    it, and draws one token using exactly one RNG float. The nucleus of the
-    last ``(temperature, top_p)`` is cached on the distribution.
+    it, and draws one token using exactly one RNG float. The draw is
+    ``dist.pick``'s, which caches the nucleus of the last ``(temperature,
+    top_p)`` on the distribution.
     """
-    order, cum = _nucleus(dist, config.temperature, config.top_p)
-    u = rng.next_float()
-    return order[min(bisect_right(cum, u), len(cum) - 1)]
+    if config.greedy:
+        config = replace(config, greedy=False)
+    return dist.pick(config, rng)
 
 
 def argmax_token(dist: TokenDistribution) -> int:

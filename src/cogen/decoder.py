@@ -26,8 +26,8 @@ distribution, so a pair of distributions that recurs reuses its blend
 and cuts no view again. The loop
 samples the resulting ``FusedDistribution`` over that union of at most
 ``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
-single-backend step spreads its distribution densely (``_dense``) for
-``core.sample_top_p``. first-k mode restricts collaboration to the
+single-backend step spreads a sparse distribution, such as a remote
+reply, densely (``_dense``) for its pick. first-k mode restricts collaboration to the
 opening tokens: after step k the large backend is never queried or
 pushed to again and the loop continues on the small model alone.
 slm-only is the same step with fusion limited to 0 steps.
@@ -192,8 +192,7 @@ def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSessi
 
 
 def _dense(dist: TokenDistribution) -> TokenDistribution:
-    if dist.is_dense:
-        return dist
+    """A sparse distribution spread over the vocabulary and normalized."""
     mass = dist.mass
     if not mass > 0:
         raise InvalidDistributionError("distribution has no mass to sample from")
@@ -222,12 +221,13 @@ def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> 
     in its ``failed_step``, which ``decode`` names in its session error.
     """
     rng = Splitmix64(sampling.seed)
+    eos_id = vocab.eos_id
     tokens = list(initial_prefix)
     try:
         for i in range(1, sampling.max_new_tokens + 1):
             dist, w, p_s, p_l = step(tokens, i)
             token_id = dist.pick(sampling, rng)
-            if token_id == vocab.eos_id:
+            if token_id == eos_id:
                 break
             tokens.append(token_id)
             if trace is not None:
@@ -288,7 +288,9 @@ def decode_single(
             cursor.push(tokens[-1])
         if audited:
             audit_log.record_input(instruction, tokens)
-        dist = _dense(cursor.distribution())
+        dist = cursor.distribution()
+        if dist.dense_probs is None:
+            dist = _dense(dist)
         return (dist, w, dist, None) if small else (dist, w, None, dist)
 
     return _sample(step, sampling, backend.vocab, trace, initial_prefix)
@@ -303,6 +305,7 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
     returns ``blend_step``'s fused distribution and weight, and the two
     source distributions a trace row reads its top-1 probabilities from."""
     mode, record, llm = session.mode, session.record, session.llm
+    strategy = mode.strategy
     fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
     small = open_cursor(session.slm, record.task, record.context_bundle())
     large = None if fused_limit == 0 else open_cursor(llm, record.llm_task)
@@ -326,9 +329,9 @@ def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: We
                     trace.events.append(f"step {i}: large backend down, degraded to slm_only")
                 fused_limit = 0
             else:
-                fused, w = blend_step(p_s, p_l, mode.strategy)
+                fused, w = blend_step(p_s, p_l, strategy)
                 return fused, w, p_s, p_l
-        return _dense(p_s), 1.0, p_s, None
+        return (p_s if p_s.dense_probs is not None else _dense(p_s)), 1.0, p_s, None
 
     return step
 

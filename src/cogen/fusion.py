@@ -274,12 +274,8 @@ class FusedDistribution:
         reaches past the entries of positive probability. Where those sum
         to just under a ``top_p`` of 1, the dense path took every
         zero-probability id into the nucleus, and a draw above that sum
-        picked one of them. The result for the last ``(temperature,
-        top_p)`` is cached; callers must not change it."""
-        key = (temperature, top_p)
-        slot = self._nucleus_slot
-        if slot is not None and slot[0] == key:
-            return slot[1], slot[2]
+        picked one of them. Built afresh and stored in the nucleus slot,
+        where ``pick`` reads it; callers must not change it."""
         ids, probs = self.ids, self._sampled()
         if temperature != 1.0:
             probs = _temper(probs, temperature)
@@ -293,16 +289,22 @@ class FusedDistribution:
         total = math.fsum(nucleus)
         kept_ids = [ids[j] for j in order[:cut]]
         cum = list(accumulate([p / total for p in nucleus]))
-        self._nucleus_slot = (key, kept_ids, cum)
+        self._nucleus_slot = ((temperature, top_p), kept_ids, cum)
         return kept_ids, cum
 
     def pick(self, config: SamplingConfig, rng: Splitmix64) -> int:
         """The greedy choice (ties toward the lower id), or one top-p draw
-        using exactly one RNG float, by ``TokenDistribution.pick``'s rules."""
+        using exactly one RNG float, by ``TokenDistribution.pick``'s rules:
+        a draw whose ``(temperature, top_p)`` keys the nucleus slot reads
+        the slot in place and bisects once; any other builds it first."""
         if config.greedy:
             probs = self._sampled()
             return self.ids[probs.index(max(probs))]
-        ids, cum = self._nucleus(config.temperature, config.top_p)
+        slot = self._nucleus_slot
+        if slot is not None and slot[0] == (config.temperature, config.top_p):
+            ids, cum = slot[1], slot[2]
+        else:
+            ids, cum = self._nucleus(config.temperature, config.top_p)
         return ids[min(bisect_right(cum, rng.next_float()), len(cum) - 1)]
 
 

@@ -31,8 +31,13 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        """Uniform double in [0, 1) built from the top 53 bits:
+        ``(next_u64() >> 11) * 2**-53``, with the step written out here,
+        since the sampler draws one per emitted token."""
+        z = self._state = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def next_below(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is negligible for n << 2**64."""
@@ -41,14 +46,30 @@ class Splitmix64:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates shuffle driven by this stream: for ``i``
+        from ``len(items) - 1`` down to 1, swap ``items[i]`` with
+        ``items[next_below(i + 1)]``.
+
+        The ``len(items) - 1`` draws are computed as one block (see
+        ``_block``) and reduced ``mod (i + 1)`` in uint64, so the
+        permutation and the stream's state afterwards are those of the
+        scalar loop.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), (self._block(n - 1) % bounds).tolist()):
             items[i], items[j] = items[j], items[i]
 
     def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
         """The next ``n`` draws of ``low + (high - low) * next_float()`` as
-        one float64 array.
+        one float64 array, computed as one block (see ``_block``)."""
+        z = self._block(n)
+        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
+    def _block(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of ``next_u64`` as one uint64 array.
 
         The stream is counter-based (the i-th state is seed + i*gamma), so
         the whole block is computed at once in wrapping uint64 arithmetic
@@ -59,4 +80,4 @@ class Splitmix64:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
-        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        return z

@@ -63,6 +63,29 @@ def scalar_uniform(rng: Splitmix64, low: float, high: float) -> float:
     return low + (high - low) * rng.next_float()
 
 
+class CountedDraws:
+    """A splitmix64 stream that counts the floats drawn from it."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = Splitmix64(seed)
+        self.draws = 0
+
+    def next_float(self) -> float:
+        self.draws += 1
+        return self._rng.next_float()
+
+    def next_u64(self) -> int:
+        return self._rng.next_u64()
+
+
+def scalar_shuffle(rng: Splitmix64, items: list) -> None:
+    """``Splitmix64.shuffle``'s scalar reference, as docs/rng.md states it:
+    Fisher-Yates from the top, one ``next_below(i + 1)`` per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def perplexity(backend, token_ids, instruction: str = "", context=None) -> float:
     """exp of the mean negative log probability of each token given its
     true prefix; a zero-probability token yields infinity, not a crash."""

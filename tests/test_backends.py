@@ -311,12 +311,16 @@ class TestCursors:
     @pytest.mark.parametrize("which", range(len(CURSOR_BACKENDS)))
     @pytest.mark.parametrize("bad", [-1, 7, 100])
     def test_push_rejects_an_out_of_range_id(self, which, bad):
+        """The id is checked before the cursor moves: a rejected push
+        leaves it answering for the prefix it had."""
         backend = CURSOR_BACKENDS[which]
         assert backend.vocab.size == 7
         cursor = open_cursor(backend, "a")
         cursor.push(6)
-        with pytest.raises(InvalidInputError, match=f"token id {bad} outside vocab of size 7"):
+        before = cursor.distribution()
+        with pytest.raises(InvalidInputError, match=f"^token id {bad} outside vocab of size 7$"):
             cursor.push(bad)
+        assert cursor.distribution() is before
 
 
 class TestPerplexity:

@@ -39,7 +39,7 @@ from cogen.fusion import AlignedPair, FusionStrategy, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
-from helpers import perturbed_params, reference_forward
+from helpers import CountedDraws, fsum_pick, fsum_sampler, perturbed_params, reference_forward
 
 # --- reference implementations -------------------------------------------
 
@@ -232,10 +232,11 @@ def test_top_k_project_matches(probs, k):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_sample_top_p_matches(probs, temperature, top_p, seed):
+    """``sample_top_p`` samples, also under a greedy config."""
     dist = TokenDistribution.dense(probs)
-    config = SamplingConfig(temperature=temperature, top_p=top_p, seed=seed)
     got, want = Splitmix64(seed), Splitmix64(seed)
-    for _ in range(3):
+    for greedy in (False, False, True):
+        config = SamplingConfig(temperature=temperature, top_p=top_p, seed=seed, greedy=greedy)
         assert outcome(sample_top_p, dist, config, got) == outcome(
             ref_sample_top_p, dist, config, want
         )
@@ -708,6 +709,7 @@ CONFIG_STEPS = st.tuples(
     st.integers(0, 1),
     st.sampled_from([0.5, 0.7, 1.0]),
     st.sampled_from([0.3, 0.9, 1.0]),
+    st.sampled_from([False, False, False, True]),
 )
 
 
@@ -721,19 +723,30 @@ CONFIG_STEPS = st.tuples(
 @example(
     first=np.array([0.5, 0.3, 0.2]),
     second=np.array([0.25, 0.75]),
-    steps=[(0, 0.7, 0.3), (0, 0.7, 1.0), (1, 0.7, 0.3), (0, 0.7, 0.3)] * 4,
+    # An empty slot, then the slot's own key, another key and greedy.
+    steps=[(0, 0.7, 0.3, False), (0, 0.7, 0.3, False), (0, 0.7, 1.0, False), (1, 0.7, 0.3, False),
+           (0, 0.7, 0.3, True), (0, 0.7, 0.3, False)] * 3,
     seed=1,
 )
 def test_cached_nucleus_sampling_matches_uncached(first, second, steps, seed):
-    """Two distributions sampled in turn from one RNG stream, the config
-    changing between calls, give the ids of the uncached function."""
+    """Two distributions picked from in turn with one RNG stream, the
+    config changing between calls, give the ids of the uncached function
+    and the argmax, whether the nucleus slot is empty, holds the call's
+    key or holds another; a draw takes exactly one float, greedy none."""
     dists = [TokenDistribution.dense(first), TokenDistribution.dense(second)]
-    got, want = Splitmix64(seed), Splitmix64(seed)
-    for which, temperature, top_p in steps:
-        config = SamplingConfig(temperature=temperature, top_p=top_p, seed=seed)
-        assert outcome(sample_top_p, dists[which], config, got) == outcome(
-            ref_sample_top_p, dists[which], config, want
-        )
+    got, want = CountedDraws(seed), Splitmix64(seed)
+    for which, temperature, top_p, greedy in steps:
+        dist = dists[which]
+        config = SamplingConfig(temperature=temperature, top_p=top_p, seed=seed, greedy=greedy)
+        before = got.draws
+        if greedy:
+            assert dist.pick(config, got) == ref_top1(dist)[0]
+            assert got.draws == before
+            continue
+        got_pick = outcome(dist.pick, config, got)
+        assert got_pick == outcome(ref_sample_top_p, dist, config, want)
+        assert got.draws == before + (got_pick[1] is None)
+        assert got_pick[1] is not None or dist._nucleus[0] == (temperature, top_p)
     assert got.next_u64() == want.next_u64()
 
 
@@ -880,7 +893,8 @@ EVERY_STRATEGY_ON_ONE_PAIR = dict(
         [TokenDistribution.dense(np.array([0.4, 0.3, 0.2, 0.1]))],
         [TokenDistribution.dense(np.array([0.1, 0.2, 0.3, 0.4]))],
     ),
-    calls=[(0, 0, s, c) for s in range(MEMO_STRATEGY_COUNT) for c in (0, 3)],
+    # An empty slot, then the slot's own key, another key and greedy.
+    calls=[(0, 0, s, c) for s in range(MEMO_STRATEGY_COUNT) for c in (0, 0, 3, 6)],
     seed=5,
 )
 
@@ -893,11 +907,14 @@ def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed
     strategy and the sampling config changing between calls, return the
     bits of ``fuse_views`` run afresh (a learnable strategy's net weighing
     the views again), and pick what the fresh blend picks from the same
-    stream."""
+    stream. A memoized distribution's nucleus slot may be empty, hold the
+    call's key or hold another: each pick equals the reference sampler's
+    (``fsum_sampler``) and takes exactly one float, and greedy takes
+    none."""
     small, large = pools
     strategies = memo_strategies(weight_nets)
     assert len(strategies) == MEMO_STRATEGY_COUNT
-    got_rng, want_rng = Splitmix64(seed), Splitmix64(seed)
+    got_rng, want_rng, ref_rng = CountedDraws(seed), Splitmix64(seed), Splitmix64(seed)
     for i, j, which, c in calls:
         p_s, p_l = small[i % len(small)], large[j % len(large)]
         strategy, config = strategies[which], MEMO_CONFIGS[c]
@@ -906,8 +923,18 @@ def test_memoized_fused_step_matches_a_fresh_one(weight_nets, pools, calls, seed
         assert fused.ids == want.ids
         assert same_bits(np.array(fused.probs), np.array(want.probs))
         assert same_bits(np.float64(w), np.float64(want_w))
-        assert fused.pick(config, got_rng) == want.pick(config, want_rng)
-    assert got_rng.next_u64() == want_rng.next_u64()
+        before = got_rng.draws
+        token = fused.pick(config, got_rng)
+        assert token == want.pick(config, want_rng)
+        sampled, _, ids, cum = fsum_sampler(want.ids, want.probs, config.temperature, config.top_p)
+        if config.greedy:
+            assert got_rng.draws == before
+            assert token == min(want.ids, key=lambda t: (-sampled[want.ids.index(t)], t))
+        else:
+            assert got_rng.draws == before + 1
+            assert token == fsum_pick(ids, cum, ref_rng.next_float())
+            assert fused._nucleus_slot[0] == (config.temperature, config.top_p)
+    assert got_rng.next_u64() == want_rng.next_u64() == ref_rng.next_u64()
 
 
 def test_fused_step_memo_never_serves_a_dead_small_views_entry():

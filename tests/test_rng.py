@@ -3,7 +3,7 @@
 import numpy as np
 
 from cogen.rng import Splitmix64
-from helpers import scalar_uniform
+from helpers import scalar_shuffle, scalar_uniform
 
 # First三 outputs of splitmix64 for the reference seeds; these match the
 # algorithm's published test vectors and are mirrored in docs/rng.md.
@@ -47,6 +47,33 @@ def test_shuffle_deterministic():
     Splitmix64(9).shuffle(items2)
     assert items1 == items2
     assert sorted(items1) == list(range(20))
+
+
+REFERENCE_SEEDS = (0, 1, 42, 2**63, 2**64 - 1)
+
+
+def test_shuffle_matches_the_scalar_fisher_yates():
+    # The block form draws all n-1 outputs at once and reduces them in
+    # uint64; the permutation and the state after it must be the scalar
+    # loop's, at every length and across a wrap past 2**64.
+    for seed in REFERENCE_SEEDS:
+        for n in range(301):
+            block, scalar = Splitmix64(seed), Splitmix64(seed)
+            got, want = list(range(n)), list(range(n))
+            block.shuffle(got)
+            scalar_shuffle(scalar, want)
+            assert got == want, (seed, n)
+            assert block.next_u64() == scalar.next_u64(), (seed, n)
+
+
+def test_next_float_is_the_top_53_bits_of_next_u64():
+    # Seed 2**64 - 1 wraps past 2**64 on its first step; the last seed
+    # wraps 5000 steps in.
+    for seed in (0, 2**64 - 1, (-5000 * 0x9E3779B97F4A7C15) % 2**64):
+        got, want = Splitmix64(seed), Splitmix64(seed)
+        for _ in range(10_000):
+            assert got.next_float() == (want.next_u64() >> 11) * 2**-53
+        assert got.next_u64() == want.next_u64()
 
 
 def test_next_below_range():
