@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import TokenDistribution, Vocab
 from .errors import (
+    IncompatibleVocabError,
     InvalidConfigError,
     InvalidInputError,
     PrivacyContractError,
@@ -90,6 +91,13 @@ def check_context_blind(role: Role, context: ContextBundle | None, waiver: bool 
     """
     if role == Role.LARGE_CLOUD and context and not waiver:
         raise PrivacyContractError("large_cloud backend given context")
+
+
+def check_shared_vocab(slm, llm) -> None:
+    """The rule of every fused decode and teacher-forced walk that reads
+    both sides: one vocabulary, so an id names one token on either."""
+    if slm.vocab.digest() != llm.vocab.digest():
+        raise IncompatibleVocabError("fusing two backends requires them to share one vocabulary")
 
 
 @dataclass(frozen=True)

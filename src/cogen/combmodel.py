@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import open_cursor
+from .backends import check_shared_vocab, open_cursor
 from .core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
-from .fusion import TOP_K, _align, top_k_views
+from .fusion import TOP_K, _align, blend, top_k_views
 from .rng import Splitmix64
 
 IN_DIM = 2 * TOP_K  # both sources' top-k probabilities
@@ -260,12 +260,15 @@ def _losses(groups, ws: np.ndarray, floored: set[int]) -> list[float]:
 
 
 def comb_loss(params: CombModelParams, example: CombExample) -> float:
-    """Negative log-likelihood of the fused distribution at the gold token.
+    """Negative log-likelihood of the fused distribution at the gold token,
+    ``fusion.blend``'s entry at its slot: the bits of ``comb_train``'s
+    grouped epoch loss.
 
     A fused probability of zero is floored at 1e-12 rather than crashing
     the run (``comb_train`` counts such examples).
     """
-    return _losses(_loss_groups([example]), np.array([_row_weight(params.arrays(), example.x)]), set())[0]
+    w = _row_weight(params.arrays(), example.x)
+    return -math.log(max(blend(example.a, example.b, w)[example.y], _PROB_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -509,11 +512,16 @@ def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = 
     personal task and the record's context; the large backend gets the
     context-free task variant and no context, and is queried (after the
     small one) only at the first ``fused_limit`` positions, or at every
-    position when that is None. Past the limit ``p_l`` is None.
+    position when that is None. Past the limit ``p_l`` is None. A walk
+    that reads the large side raises ``IncompatibleVocabError`` on a pair
+    of backends whose vocabularies differ.
     """
     ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
     small = open_cursor(slm, record.task, record.context_bundle())
-    large = None if fused_limit == 0 else open_cursor(llm, record.llm_task)
+    large = None
+    if fused_limit != 0:
+        check_shared_vocab(slm, llm)
+        large = open_cursor(llm, record.llm_task)
     for i, target in enumerate(ids):
         p_s = small.distribution()
         p_l = None

@@ -45,13 +45,12 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple, get_type_hints
 
-from .backends import ContextBundle, Role, check_context_blind, open_cursor
+from .backends import ContextBundle, Role, check_context_blind, check_shared_vocab, open_cursor
 from .combmodel import teacher_forced_steps
 from .core import SamplingConfig, TokenDistribution
 from .corpus import check_fields, json_object_lines
 from .errors import (
     CorpusError,
-    IncompatibleVocabError,
     InvalidConfigError,
     InvalidDistributionError,
     InvalidInputError,
@@ -179,10 +178,7 @@ class GenerationSession:
         if self.mode.kind != "slm_only" and self.llm is None:
             raise InvalidConfigError(f"mode {self.mode.kind} needs a large backend")
         if self.mode.kind == "logit_fusion":
-            if self.slm.vocab.digest() != self.llm.vocab.digest():
-                raise IncompatibleVocabError(
-                    "fused modes require both backends to share one vocabulary"
-                )
+            check_shared_vocab(self.slm, self.llm)
 
 
 def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSession:
@@ -289,9 +285,8 @@ def decode_single(
         if audited:
             audit_log.record_input(instruction, tokens)
         dist = cursor.distribution()
-        if dist.dense_probs is None:
-            dist = _dense(dist)
-        return (dist, w, dist, None) if small else (dist, w, None, dist)
+        pick = dist if dist.dense_probs is not None else _dense(dist)
+        return (pick, w, dist, None) if small else (pick, w, None, dist)
 
     return _sample(step, sampling, backend.vocab, trace, initial_prefix)
 
@@ -377,7 +372,7 @@ def run_sketch_then_fill(
         if not reference:
             raise InvalidInputError("large model produced an empty draft")
 
-    fill_prompt = build_fill_prompt(record, reference, kind)
+    fill_prompt = build_fill_prompt(record, reference, kind, library)
     tokens = decode_single(
         slm_backend, (fill_prompt, record.context_bundle()), sampling, trace=trace
     )

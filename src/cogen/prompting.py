@@ -1,10 +1,11 @@
 """Prompt assembly and parsing; no decoding happens here.
 
-Templates ship as data files (one per variant) and render byte-stably:
+Templates ship as data files (one per layout) and render byte-stably:
 rendering the same record twice yields identical bytes, and no-context
-renders provably contain no context fields. The skeleton parser accepts
-both real newlines and the literal two-character "\\n" separator that
-the sketch exemplars themselves use.
+renders provably contain no context fields. A fill prompt is its kind's
+with-context request layout with the reference in ``{reference_section}``.
+The skeleton parser accepts both real newlines and the literal
+two-character "\\n" separator that the sketch exemplars themselves use.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 
 _PLACEHOLDER = re.compile(
-    r"\{(profile|history|task|examples|question|answer|profile_info|writing_history)\}"
+    r"\{(profile|history|task|examples|question|answer|profile_info|writing_history|reference_section)\}"
 )
 
 
@@ -101,21 +102,20 @@ def build_request_prompt(
             if dataset_kind == "context_aware"
             else "request_system_with_context_lamp"
         )
-        user_id = f"request_user_with_context_{dataset_kind}"
-        values = {
-            "profile": record.profile,
-            "history": join_history(record.history),
-            "examples": join_history(record.history),
-            "task": record.task,
-        }
+        user = _with_context_user(record, dataset_kind, library, "")
     else:
         system_id = "request_system_no_context"
-        user_id = f"request_user_no_context_{dataset_kind}"
-        values = {"task": record.llm_task}
-    return RenderedPrompt(
-        system=library.text(system_id),
-        user=library.render(user_id, values),
-    )
+        user = library.render(f"request_user_no_context_{dataset_kind}", {"task": record.llm_task})
+    return RenderedPrompt(system=library.text(system_id), user=user)
+
+
+def _with_context_user(record, dataset_kind: str, library: TemplateLibrary, reference_section: str) -> str:
+    """``request_user_with_context_<kind>`` rendered for ``record``, with
+    ``reference_section`` in its placeholder: "" for a request."""
+    history = join_history(record.history)
+    values = {"profile": record.profile, "history": history, "examples": history, "task": record.task}
+    values["reference_section"] = reference_section
+    return library.render(f"request_user_with_context_{dataset_kind}", values)
 
 
 def build_sketch_prompt(
@@ -173,13 +173,11 @@ def build_fill_prompt(
     record,
     conditioning,
     dataset_kind: str = "context_aware",
+    library: TemplateLibrary = DEFAULT_LIBRARY,
 ) -> str:
-    """With-context request layout extended by a reference section.
-
-    Section order is fixed: profile, history, reference sketch (or
-    reference content), task. ``conditioning`` is either a parsed sketch
-    or the large model's full draft text.
-    """
+    """The kind's with-context request layout with a reference section, a
+    parsed sketch's "## Reference Sketch" or a full draft's "## Reference
+    Content", in its ``{reference_section}``, which the template must keep."""
     _require_kind(dataset_kind)
     if isinstance(conditioning, SketchArtifact):
         header, body = "## Reference Sketch", format_sketch(conditioning)
@@ -189,26 +187,10 @@ def build_fill_prompt(
         raise InvalidInputError("fill prompt conditioning is empty")
     if not record.context_bundle():
         raise InvalidInputError("fill prompts require a record with context")
-
-    if dataset_kind == "context_aware":
-        lead = (
-            f"## User Profile\n{record.profile}\n\n"
-            f"## User Writing History\n{join_history(record.history)}\n\n"
-        )
-        task_text = record.task
-    elif dataset_kind == "email":
-        lead = f"## History Emails\n{join_history(record.history)}\n\n"
-        task_text = (
-            f"Compose an email for the subject '{record.task}' "
-            "that matches the author's unique style and tone."
-        )
-    else:
-        lead = f"## History Paper Abstracts\n{join_history(record.history)}\n\n"
-        task_text = (
-            f"Compose an abstract for the title '{record.task}' "
-            "that matches the author's unique content, style and tone."
-        )
-    return f"{lead}{header}\n{body}\n\n## Task\n{task_text}"
+    template_id = f"request_user_with_context_{dataset_kind}"
+    if "{reference_section}" not in library.text(template_id):
+        raise TemplateError(f"template {template_id!r} has no {{reference_section}} for the fill's reference")
+    return _with_context_user(record, dataset_kind, library, f"{header}\n{body}\n\n")
 
 
 _RATING = re.compile(r"Rating:\s*\[\[(\d+)\]\]")

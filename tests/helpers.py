@@ -46,6 +46,20 @@ def path_backend(vocab, role, path_tokens) -> TableBackend:
     return TableBackend(vocab, role, rules=TableBackend.path_rules(vocab, path_tokens))
 
 
+class CountingBackend:
+    """Delegates to ``inner`` and keeps every request it answers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.role = inner.role
+        self.requests = []
+
+    def next_distribution(self, request):
+        self.requests.append(request)
+        return self.inner.next_distribution(request)
+
+
 def session_trace(session) -> WeightTrace:
     """An empty trace for ``session``, labelled as ``cogen generate`` labels one."""
     return WeightTrace(mode=session.mode.label(), seed=session.sampling.seed)

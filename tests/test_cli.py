@@ -544,6 +544,23 @@ class TestEvalCommands:
         assert code == 0
         assert curves.read_text().startswith("setting,metric,n,running_mean")
 
+    def test_metrics_on_an_empty_pairs_file_exits_2(self, workdir, capsys):
+        empty = workdir / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "metrics", "--pairs", empty)
+        assert (code, out) == (2, "")
+        assert err == "cogen: eval failed: no candidate/reference pairs found\n"
+
+    def test_aggregate_reports_rejected_rows_on_stderr(self, workdir, capsys):
+        scores = workdir / "scores.tsv"
+        text = scores.read_text(encoding="utf-8")
+        scores.write_text(text + "Learnable Weights Fusing\tovl_w\titem99\t11\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "aggregate", "--scores", scores)
+        assert code == 0
+        assert err == "rejected 1 out-of-range rows\n"
+        line = next(l for l in out.splitlines() if l.startswith("Learnable"))
+        assert "8.12" in line
+
     def test_wtl(self, workdir, capsys):
         code, out, _ = run(capsys, "eval", "wtl", "--judgments", workdir / "judgments.tsv")
         assert code == 0
@@ -624,6 +641,31 @@ class TestTrainComb:
         assert "learning_rate" in err
         assert not (workdir / "weights.cgcm").exists()
 
+    def test_a_harvest_without_examples_exits_2(self, workdir, capsys):
+        (workdir / "empty.jsonl").write_text("", encoding="utf-8")
+        code, out, err = run(
+            capsys, "train-comb", "--config", workdir / "config.json", "--train", workdir / "corpus.jsonl",
+            "--val", workdir / "empty.jsonl", "--out", workdir / "weights.cgcm", "--seed", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "cogen: train-comb failed: harvesting produced no usable examples\n"
+        assert not (workdir / "weights.cgcm").exists()
+
+    def test_backends_whose_vocabularies_differ_exit_2(self, workdir, capsys):
+        # The large table's tokens in reverse order: as many ids, each
+        # naming another token, so the harvest's pairs of views would
+        # misalign.
+        params = json.loads((workdir / "llm_table.json").read_text())
+        params["vocab"]["tokens"].reverse()
+        (workdir / "llm_table.json").write_text(json.dumps(params), encoding="utf-8")
+        code, out, err = run(
+            capsys, "train-comb", "--config", workdir / "config.json", "--train", workdir / "corpus.jsonl",
+            "--val", workdir / "corpus.jsonl", "--out", workdir / "weights.cgcm", "--seed", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "cogen: train-comb failed: fusing two backends requires them to share one vocabulary\n"
+        assert not (workdir / "weights.cgcm").exists()
+
 
 class TestConfig:
     def test_unknown_top_key_rejected(self, workdir):
@@ -664,10 +706,13 @@ class TestConfig:
             (("external",), {"top_k": "ten"}, "external.top_k must be int, not str"),
             (("audit",), "false", "audit must be bool, not str"),
             (("external",), {"top_k": 0}, "external.top_k must be >= 1, not 0"),
+            (("backends", "slm", "kind"), "quantum", "backends.slm: bad kind/role: 'quantum' is not a valid BackendKind"),
+            (("backends", "slm", "role"), "edge", "backends.slm: bad kind/role: 'edge' is not a valid Role"),
+            (("templates_dir",), "no_templates", "no_templates does not exist"),
         ],
         ids=[
             "backends-list", "backend-string", "sampling-type", "external-top-k", "audit-string",
-            "external-top-k-zero",
+            "external-top-k-zero", "backend-kind", "backend-role", "templates-dir",
         ],
     )
     def test_mistyped_value_exits_2(self, workdir, capsys, path, value, message):
@@ -735,6 +780,17 @@ class TestConfig:
         monkeypatch.setenv("COGEN_LISTEN", "127.0.0.1:9999")
         config = load_config(workdir / "config.json")
         assert config.service_address == "127.0.0.1:9999"
+
+    def test_an_external_large_backend_without_an_endpoint_exits_2(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["backends"]["llm"] = {"kind": "external_http", "role": "large_cloud"}
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(
+            capsys, "generate", "--config", workdir / "config.json",
+            "--corpus", workdir / "corpus.jsonl", "--mode", "fuse", "--seed", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "cogen: generate failed: external_http backend needs external.endpoint in config\n"
 
 
 class TestServeCommand:
@@ -806,6 +862,17 @@ class TestServeCommand:
         code, _, err = run(capsys, "serve", "--config", workdir / "config.json", "--listen", address)
         assert code == 2
         assert repr(address) in err and "port" in err
+
+    def test_serving_a_remote_backend_exits_2(self, workdir, capsys):
+        # A remote backend is a client of some service, not a model to serve.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["backends"]["far"] = {"kind": "remote", "role": "large_cloud"}
+        (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(
+            capsys, "serve", "--config", workdir / "config.json", "--backend", "far", "--listen", "127.0.0.1:0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "cogen: serve failed: remote backends are built per session, not from params\n"
 
 
 class TestHelp:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cogen import decoder, fusion
 from cogen.audit import AuditLog
-from cogen.backends import Role, TableBackend
+from cogen.backends import NGramBackend, Role, TableBackend, train_ngram
 from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig, TokenDistribution, Vocab
 from cogen.decoder import (
@@ -47,7 +47,7 @@ from cogen.fusion import FusionStrategy
 from cogen.service import RemoteBackend, ServiceClient, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
-from helpers import path_backend, perplexity, session_trace, traced_decode
+from helpers import CountingBackend, path_backend, perplexity, session_trace, traced_decode
 from test_decode_golden import GOLDEN as DECODE_GOLDEN
 from test_decode_golden import MAX_NEW_TOKENS, MODES, RECORDS_PER_WORLD, golden_setup
 
@@ -81,16 +81,17 @@ class FlakyRemoteBackend(FlakyBackend):
         raise TransportError("injected connection drop")
 
 
-class CountingBackend:
-    def __init__(self, inner):
-        self.inner = inner
-        self.vocab = inner.vocab
-        self.role = inner.role
-        self.requests = []
+class SparseBackend:
+    """A small backend whose every reply is the sparse view {A: 0.3, B: 0.2},
+    half the mass, as a remote reply's top-k may be."""
+
+    role = Role.SMALL_DEVICE
+
+    def __init__(self, vocab):
+        self.vocab = vocab
 
     def next_distribution(self, request):
-        self.requests.append(request)
-        return self.inner.next_distribution(request)
+        return TokenDistribution.sparse([0, 1], [0.3, 0.2], self.vocab.size)
 
 
 def make_session(record, mode, slm, llm, **sampling_kwargs):
@@ -466,6 +467,21 @@ class TestSingleBackendModes:
         assert all(r.context_upload_waiver for r in llm.requests)
         assert all(s.w == 0.0 for s in trace.steps)
 
+    def test_a_sparse_backend_traces_its_own_top1_in_either_single_backend_step(
+        self, abc_vocab, simple_record
+    ):
+        # Both steps pick from the sparse reply spread over the vocabulary,
+        # and each row holds the reply's own top-1, 0.3, not the spread
+        # copy's 0.6.
+        slm = SparseBackend(abc_vocab)
+        sampling = SamplingConfig(seed=5, max_new_tokens=8)
+        single = WeightTrace(mode="single", seed=sampling.seed)
+        tokens = decode_single(slm, (simple_record.task, simple_record.context_bundle()), sampling, trace=single)
+        result, fused = traced_decode(session_for_record(simple_record, DecodeMode.slm_only(), sampling, slm))
+        assert tokens == list(result.token_ids) and {abc_vocab.token(t) for t in tokens} == {"A", "B"}
+        assert [s.p_s_top1 for s in single.steps] == [0.3] * len(tokens)
+        assert single.steps == fused.steps
+
     def test_sketch_parses_from_a_large_backend_without_a_kind(self, simple_record):
         # The draft is parsed from its text alone, so a double that only
         # answers next_distribution drafts a usable sketch.
@@ -605,6 +621,26 @@ class TestTeacherForcedScoring:
             slm, counting, simple_record, Tokenizer(abc_vocab), None, first_k=3
         )
         assert counting.requests == []
+
+    def test_a_pair_of_vocabularies_that_differ_is_refused(self, world0, world0_backends):
+        # A large n-gram over world 0's tokens in reverse order: as many ids
+        # as the small side's, each naming another token. A walk that reads
+        # the large side refuses it, as a fused session does; the small side
+        # alone still scores.
+        _, slms = world0_backends
+        tokens = world0.vocab.tokens[::-1]
+        eos, unk = (world0.vocab.token(i) for i in (world0.vocab.eos_id, world0.vocab.unk_id))
+        reordered = Vocab(tokens=tokens, eos_id=tokens.index(eos), unk_id=tokens.index(unk))
+        llm = NGramBackend(train_ngram(world0.llm_corpus, n=3, alpha=0.02, vocab=reordered), Role.LARGE_CLOUD)
+        record = world0.train_records[0]
+        slm, tok = slms[record.user_id], world0.tokenizer
+        with pytest.raises(IncompatibleVocabError, match="share one vocabulary"):
+            harvest_examples(slm, llm, [record], tok)
+        with pytest.raises(IncompatibleVocabError, match="share one vocabulary"):
+            fused_teacher_forced_ppl(slm, llm, record, tok, FusionStrategy.mean())
+        with pytest.raises(IncompatibleVocabError, match="share one vocabulary"):
+            fused_teacher_forced_ppl(slm, llm, record, tok, FusionStrategy.mean(), first_k=1)
+        assert fused_teacher_forced_ppl(slm, llm, record, tok, None) < math.inf
 
     def test_harvest_queries_large_at_every_position(self, world0, world0_backends):
         llm, slms = world0_backends

@@ -105,6 +105,23 @@ def test_grouped_pass_matches_reference_loss(batch):
     assert_grouped_pass_matches([ex for ex, _ in batch], [w for _, w in batch])
 
 
+def test_comb_loss_is_the_grouped_epoch_loss_on_harvested_examples(world0, world0_backends):
+    """``comb_loss`` blends one example through ``fusion.blend``; on every
+    example harvested from world 0's train records at ``comb_init(0)`` it
+    equals the grouped pass of ``comb_train``'s epochs, bit for bit."""
+    llm, slms = world0_backends
+    examples = [
+        ex
+        for record in world0.train_records
+        for ex in combmodel.harvest_examples(slms[record.user_id], llm, [record], world0.tokenizer)[0]
+    ]
+    params = combmodel.comb_init(0)
+    ws = np.array([combmodel._row_weight(params.arrays(), ex.x) for ex in examples])
+    grouped = combmodel._losses(combmodel._loss_groups(examples), ws, set())
+    assert len(examples) > 300
+    assert [combmodel.comb_loss(params, ex).hex() for ex in examples] == [loss.hex() for loss in grouped]
+
+
 def test_a_blend_without_mass_raises_as_blend_does():
     empty = TokenDistribution.sparse([0], [0.0], vocab_size=3)
     example = CombExample(empty, empty, 0)

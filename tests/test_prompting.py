@@ -1,6 +1,7 @@
 """Prompt rendering fidelity, skeleton parsing, the two-step pipeline."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from cogen.prompting import (
 )
 from cogen.tokenizer import build_vocab
 from golden_fixtures import CONTEXT_RECORD, EMAIL_RECORD, JUDGE_ANSWER, PAPER_RECORD
-from helpers import path_backend, traced_decode
+from helpers import CountingBackend, path_backend, traced_decode
 
 GOLDENS = Path(__file__).parent / "goldens"
 RECORDS = {"context_aware": CONTEXT_RECORD, "email": EMAIL_RECORD, "paper": PAPER_RECORD}
@@ -42,6 +43,14 @@ RECORDS = {"context_aware": CONTEXT_RECORD, "email": EMAIL_RECORD, "paper": PAPE
 
 def golden(name: str) -> str:
     return (GOLDENS / name).read_text(encoding="utf-8")
+
+
+def override_library(tmp_path, template_id: str, text: str) -> TemplateLibrary:
+    """A library over a copy of the packaged templates in which
+    ``template_id`` reads ``text``."""
+    shutil.copytree(Path(cogen.__file__).parent / "templates", tmp_path, dirs_exist_ok=True)
+    (tmp_path / f"{template_id}.txt").write_text(text, encoding="utf-8")
+    return TemplateLibrary(tmp_path)
 
 
 class TestRequestPrompts:
@@ -217,6 +226,19 @@ class TestFillPrompts:
         with pytest.raises(InvalidInputError):
             build_fill_prompt(CONTEXT_RECORD, "", "context_aware")
 
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_each_layout_has_one_reference_section_just_before_its_task(self, kind):
+        text = TemplateLibrary().text(f"request_user_with_context_{kind}")
+        assert text.count("{reference_section}") == 1
+        assert "\n\n{reference_section}## Task\n" in text
+
+    def test_an_override_without_the_reference_section_raises_on_a_fill(self, tmp_path):
+        template_id = "request_user_with_context_email"
+        library = override_library(tmp_path, template_id, "## History Emails\n{examples}\n\n## Task\n{task}\n")
+        assert build_request_prompt(EMAIL_RECORD, True, "email", library).user.endswith(EMAIL_RECORD.task)
+        with pytest.raises(TemplateError, match=template_id):
+            build_fill_prompt(EMAIL_RECORD, "A complete draft.", "email", library)
+
     def test_contextless_record_rejected(self):
         from cogen.corpus import CorpusRecord
 
@@ -332,6 +354,23 @@ class TestSketchThenFill:
         tokens, artifact = run_sketch_then_fill(llm, slm, CONTEXT_RECORD, sampling)
         assert artifact.points == ("alpha", "beta")
         assert [vocab.token(t) for t in tokens] == ["opening", "about", "alpha", "closing"]
+
+    def test_a_with_context_override_reaches_the_request_and_the_fill(self, tmp_path):
+        library = override_library(
+            tmp_path,
+            "request_user_with_context_context_aware",
+            "## Override\n{history}\n\n{reference_section}## Task\n{task}\n",
+        )
+        history = "\n\n".join(CONTEXT_RECORD.history)
+        request = build_request_prompt(CONTEXT_RECORD, True, "context_aware", library)
+        assert request.user == f"## Override\n{history}\n\n## Task\n{CONTEXT_RECORD.task}"
+        vocab, llm_a, _, slm = _sketch_world()
+        counting = CountingBackend(slm)
+        sampling = SamplingConfig(greedy=True, max_new_tokens=12)
+        run_sketch_then_fill(llm_a, counting, CONTEXT_RECORD, sampling, library=library)
+        assert {r.instruction for r in counting.requests} == {
+            f"## Override\n{history}\n\n## Reference Sketch\n1. alpha\n2. beta\n\n## Task\n{CONTEXT_RECORD.task}"
+        }
 
     def test_unparseable_sketch_retries_then_raises(self):
         vocab, *_ , slm = _sketch_world()
