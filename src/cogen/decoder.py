@@ -1,40 +1,40 @@
 """The collaborative generation loop and its baseline modes.
 
-Every mode samples through one per-token loop, ``_sample``. It owns the
-RNG, the pick, the EOS stop and the trace row; a mode only supplies the
-step that returns each position's distribution, blend weight and the
-two source distributions a trace row reads its top-1 probabilities from.
+Every mode samples through one per-token loop, ``_sample``, over one
+step, ``_step``. The loop owns the RNG, the pick, the EOS stop and the
+trace row; the step returns each position's distribution, blend weight
+and the two source distributions a trace row reads its top-1
+probabilities from.
 
 A trace is a sink the caller passes in, as it passes an audit log:
 ``decode(..., trace=WeightTrace(...))`` fills it, and an untraced
 session builds no trace row and reads no top-1 probability or token
 string for one.
 
-A step talks to its backends only through cursors (see ``backends``):
-each is opened once per session with its instruction and context, which
-is where the privacy gate refuses context bound for a large_cloud
-backend, and the step pushes the token emitted before it. No step
-rebuilds a request from the whole prefix, except the payload an audit
-log records for a large-side step.
+A step talks to its backends only through two cursors (see
+``backends``), small and large, either of which may be absent. Each is
+opened once per session with its instruction and context, which is
+where the privacy gate refuses context bound for a large_cloud backend,
+and the step pushes the token emitted before it. No step rebuilds a
+request from the whole prefix, except the payload an audit log records
+for each large-side read.
 
-A fused step queries the context-holding small backend with
-instruction, context, and the emitted prefix, and the context-blind
-large backend with instruction and prefix only. ``fusion.blend_step``
-cuts both to their top-k views, weighs and blends them by the active
-fusion strategy in Python floats, and memoizes that on the large side's
+With both cursors, the step reads the context-holding small backend
+(instruction, context and the emitted prefix) and the context-blind
+large backend (instruction and prefix only). ``fusion.blend_step`` cuts
+both to their top-k views, weighs and blends them by the active fusion
+strategy in Python floats, and memoizes that on the large side's
 distribution, so a pair of distributions that recurs reuses its blend
-and cuts no view again. The loop
-samples the resulting ``FusedDistribution`` over that union of at most
-``2 * TOP_K`` ids, never over a vocabulary-long vector; only a
-single-backend step spreads a sparse distribution, such as a remote
-reply, densely (``_dense``) for its pick. first-k mode restricts collaboration to the
-opening tokens: after step k the large backend is never queried or
-pushed to again and the loop continues on the small model alone.
-slm-only is the same step with fusion limited to 0 steps.
+and cuts no view again. The loop samples the resulting
+``FusedDistribution`` over that union of at most ``2 * TOP_K`` ids,
+never over a vocabulary-long vector. With one cursor, the step picks
+from that side alone at weight 1.0 (small) or 0.0 (large), spreading a
+sparse distribution, such as a remote reply, densely (``_dense``).
 
-The llm-only baselines and both halves of sketch-then-fill (the large
-model's draft, the small model's fill) step one backend through
-``decode_single``.
+first-k reads the large side for its opening k tokens only, and
+slm-only never opens a large cursor. The llm-only baselines and both
+halves of sketch-then-fill (the large model's draft, the small model's
+fill) step one cursor through ``decode_single``.
 """
 
 from __future__ import annotations
@@ -188,7 +188,10 @@ def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSessi
 
 
 def _dense(dist: TokenDistribution) -> TokenDistribution:
-    """A sparse distribution spread over the vocabulary and normalized."""
+    """A dense distribution as it is; a sparse one spread over the
+    vocabulary and normalized."""
+    if dist.dense_probs is not None:
+        return dist
     mass = dist.mass
     if not mass > 0:
         raise InvalidDistributionError("distribution has no mass to sample from")
@@ -278,55 +281,46 @@ def decode_single(
     cursor = open_cursor(backend, instruction, context, waiver=context_upload_waiver)
     for token_id in initial_prefix:
         cursor.push(token_id)
-
-    def step(tokens, i):
-        if i > 1:
-            cursor.push(tokens[-1])
-        if audited:
-            audit_log.record_input(instruction, tokens)
-        dist = cursor.distribution()
-        pick = dist if dist.dense_probs is not None else _dense(dist)
-        return (pick, w, dist, None) if small else (pick, w, None, dist)
-
+    audit = partial(audit_log.record_input, instruction) if audited else None
+    sides = (cursor, None) if small else (None, cursor)
+    step = _step(*sides, None, None, audit, False, trace)
     return _sample(step, sampling, backend.vocab, trace, initial_prefix)
 
 
-def _fusion_step(session: GenerationSession, degrade: bool, audit_log, trace: WeightTrace | None):
-    """The step of logit fusion, fused only for the opening first_k steps
-    when set (every step when None); slm_only is the same step fused for 0
-    steps, so it never touches session.llm. With ``degrade``, a transport
-    failure of the large backend ends fusion and the session continues
-    on the small model, and a ``trace`` records the event. A fused step
-    returns ``blend_step``'s fused distribution and weight, and the two
-    source distributions a trace row reads its top-1 probabilities from."""
-    mode, record, llm = session.mode, session.record, session.llm
-    strategy = mode.strategy
-    fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
-    small = open_cursor(session.slm, record.task, record.context_bundle())
-    large = None if fused_limit == 0 else open_cursor(llm, record.llm_task)
+def _step(small, large, fused_limit, strategy, audit, degrade, trace):
+    """The step of every in-process mode over a small and a large cursor,
+    either of which may be None. The large side is read, and each read
+    recorded by ``audit(prefix)`` when given, at the opening
+    ``fused_limit`` steps (every step when None). With ``degrade`` and a
+    small side, a transport failure of the large backend ends its reads,
+    the session continues on the small model and a ``trace`` records it."""
 
     def step(tokens, i):
-        nonlocal fused_limit
-        if i > 1:
-            small.push(tokens[-1])
-        p_s = small.distribution()
-        if fused_limit is None or i <= fused_limit:
+        nonlocal large
+        p_s = None
+        if small is not None:
+            if i > 1:
+                small.push(tokens[-1])
+            p_s = small.distribution()
+        if large is not None and (fused_limit is None or i <= fused_limit):
             if i > 1:
                 large.push(tokens[-1])
-            if audit_log is not None:
-                audit_log.record_input(record.llm_task, tokens)
+            if audit is not None:
+                audit(tokens)
             try:
                 p_l = large.distribution()
             except TransportError:
-                if not degrade:
+                if not degrade or small is None:
                     raise
                 if trace is not None:
                     trace.events.append(f"step {i}: large backend down, degraded to slm_only")
-                fused_limit = 0
+                large = None
             else:
+                if p_s is None:
+                    return _dense(p_l), 0.0, None, p_l
                 fused, w = blend_step(p_s, p_l, strategy)
                 return fused, w, p_s, p_l
-        return (p_s if p_s.dense_probs is not None else _dense(p_s)), 1.0, p_s, None
+        return _dense(p_s), 1.0, p_s, None
 
     return step
 
@@ -428,7 +422,12 @@ def decode(
                 trace=trace,
             )
         else:
-            step = _fusion_step(session, on_transport_error == "degrade", audit_log, trace)
+            fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
+            small = open_cursor(session.slm, record.task, record.context_bundle())
+            large = None if fused_limit == 0 else open_cursor(session.llm, record.llm_task)
+            audit = None if audit_log is None else partial(audit_log.record_input, record.llm_task)
+            degrade = on_transport_error == "degrade"
+            step = _step(small, large, fused_limit, mode.strategy, audit, degrade, trace)
             tokens = _sample(step, sampling, session.slm.vocab, trace)
     except TransportError as exc:
         raise SessionError(f"large backend failed at step {exc.failed_step}: {exc}") from exc

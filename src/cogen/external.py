@@ -143,10 +143,7 @@ class ExternalBackend:
         self.client = client
         self.vocab = vocab
         self.top_k = top_k
-        self.last_result: ExternalLogits | None = None
 
     def next_distribution(self, request: ConditioningInput) -> TokenDistribution:
         check_context_blind(self.role, request.context)
-        result = external_next_logits(self.client, request, self.top_k, self.vocab)
-        self.last_result = result
-        return result.distribution
+        return external_next_logits(self.client, request, self.top_k, self.vocab).distribution

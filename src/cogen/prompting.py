@@ -34,10 +34,13 @@ class TemplateLibrary:
 
     def __init__(self, template_dir: str | Path | None = None) -> None:
         self._dir = Path(template_dir) if template_dir else None
-        self._cache: dict[str, str] = {}
+        # Each template's text and its _PLACEHOLDER.split parts: literals
+        # at even indices, placeholder names at odd ones.
+        self._cache: dict[str, tuple[str, list[str]]] = {}
 
-    def text(self, template_id: str) -> str:
-        if template_id not in self._cache:
+    def _load(self, template_id: str) -> tuple[str, list[str]]:
+        entry = self._cache.get(template_id)
+        if entry is None:
             name = f"{template_id}.txt"
             if self._dir is not None:
                 path = self._dir / name
@@ -49,21 +52,23 @@ class TemplateLibrary:
                 if not ref.is_file():
                     raise TemplateError(f"unknown template id {template_id!r}")
                 raw = ref.read_text(encoding="utf-8")
-            self._cache[template_id] = raw[:-1] if raw.endswith("\n") else raw
-        return self._cache[template_id]
+            text = raw[:-1] if raw.endswith("\n") else raw
+            entry = self._cache[template_id] = (text, _PLACEHOLDER.split(text))
+        return entry
+
+    def text(self, template_id: str) -> str:
+        return self._load(template_id)[0]
 
     def render(self, template_id: str, values: dict) -> str:
-        text = self.text(template_id)
-
-        def sub(match: re.Match) -> str:
-            key = match.group(1)
-            if key not in values:
-                raise TemplateError(
-                    f"template {template_id!r} needs placeholder {{{key}}} but no value was given"
-                )
-            return values[key]
-
-        return _PLACEHOLDER.sub(sub, text)
+        parts = self._load(template_id)[1]
+        out = parts.copy()
+        try:
+            out[1::2] = [values[key] for key in parts[1::2]]
+        except KeyError as exc:
+            raise TemplateError(
+                f"template {template_id!r} needs placeholder {{{exc.args[0]}}} but no value was given"
+            ) from None
+        return "".join(out)
 
 
 DEFAULT_LIBRARY = TemplateLibrary()

@@ -735,10 +735,14 @@ class TestCursorRequests:
     def test_audited_payloads_are_unchanged(self, world0, world0_backends):
         llm, slms = world0_backends
         audit = AuditLog()
+        # slm-only and llm-with-context audit nothing, so the count and
+        # digest are those of the other four modes.
         modes = (
+            DecodeMode.slm_only(),
             DecodeMode.fusion(FusionStrategy.mean()),
             DecodeMode.first_k_mode(3, FusionStrategy.mean()),
             DecodeMode.llm_no_context(),
+            DecodeMode.llm_with_context(),
             DecodeMode.sketch(),
         )
         for record in world0.test_records[:3]:

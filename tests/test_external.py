@@ -131,12 +131,15 @@ class TestExternalBackend:
                 "do", (), ContextBundle(profile="private"), backend.role
             )
 
-    def test_next_distribution_sparse_and_recorded(self):
-        backend = ExternalBackend(StubClient({"yes": -0.5, "no": -1.5}), VOCAB)
-        dist = backend.next_distribution(request())
+    def test_next_distribution_is_the_sparse_view_without_lost_mass(self):
+        client = StubClient({"yes": -0.5, "no": -1.5})
+        dist = ExternalBackend(client, VOCAB).next_distribution(request())
+        result = external_next_logits(client, request(), top_k=TOP_K, vocab=VOCAB)
         assert dist.is_sparse
-        assert backend.last_result is not None
-        assert backend.last_result.lost_mass == 0.0
+        assert (dist.sparse_ids, dist.sparse_probs) == (
+            result.distribution.sparse_ids, result.distribution.sparse_probs
+        )
+        assert result.lost_mass == 0.0
 
     def test_default_top_k_is_the_fused_steps(self):
         # The fixture config has no "external" section.

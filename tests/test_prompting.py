@@ -109,6 +109,14 @@ class TestRequestPrompts:
         library = TemplateLibrary(tmp_path)
         with pytest.raises(TemplateError, match="answer"):
             library.render("custom", {})
+        (tmp_path / "first.txt").write_text("{task} {answer} {question}\n", encoding="utf-8")
+        with pytest.raises(TemplateError, match=r"'first' needs placeholder \{answer\}"):
+            library.render("first", {"task": "t"})
+
+    def test_a_repeated_placeholder_fills_each_place_and_other_braces_stay(self, tmp_path):
+        (tmp_path / "custom.txt").write_text("{task}{task} {unknown} {}\n", encoding="utf-8")
+        library = TemplateLibrary(tmp_path)
+        assert library.render("custom", {"task": "x", "answer": "unused"}) == "xx {unknown} {}"
 
 
 class TestSketchPrompts:
