@@ -8,7 +8,8 @@ distribution at the gold token, with gradient flowing only through the
 weight — both source distributions are treated as constants.
 
 A training example is built from what one fused step consumes, its two
-sparse top-k views, and the loss is an entry of the step's own blend.
+sparse top-k views, at one position of ``decoder.teacher_forced_steps``;
+the loss is an entry of the step's own blend.
 
 ``comb_train`` runs a mini-batch as three matmuls forward and three back:
 in its flat buffers each weight is followed by its bias row, and its input
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import check_shared_vocab, open_cursor
 from .core import DENSE_SUM_TOL, TokenDistribution, _pairwise_sum, top_k_project
+from .decoder import teacher_forced_steps
 from .errors import InvalidConfigError, InvalidInputError, ModelIOError
 from .fusion import TOP_K, _align, blend, top_k_views
 from .rng import Splitmix64
@@ -505,42 +506,11 @@ class HarvestStats:
     skipped_missing_target: int = 0
 
 
-def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = None):
-    """Walk the record's reference plus the closing EOS, teacher-forced.
-
-    Yields ``(target, p_s, p_l)`` per position. The small backend gets the
-    personal task and the record's context; the large backend gets the
-    context-free task variant and no context, and is queried (after the
-    small one) only at the first ``fused_limit`` positions, or at every
-    position when that is None. Past the limit ``p_l`` is None. A walk
-    that reads the large side raises ``IncompatibleVocabError`` on a pair
-    of backends whose vocabularies differ.
-    """
-    ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
-    small = open_cursor(slm, record.task, record.context_bundle())
-    large = None
-    if fused_limit != 0:
-        check_shared_vocab(slm, llm)
-        large = open_cursor(llm, record.llm_task)
-    for i, target in enumerate(ids):
-        p_s = small.distribution()
-        p_l = None
-        if fused_limit is None or i < fused_limit:
-            p_l = large.distribution()
-            large.push(target)
-        small.push(target)
-        yield target, p_s, p_l
-
-
 def harvest_examples(slm, llm, records, tokenizer) -> tuple[list[CombExample], HarvestStats]:
-    """Teacher-forced training examples from reference outputs.
-
-    For each position in a record's reference plus the closing EOS, both
-    backends are queried with the true prefix and cut to the top-k views
-    a fused step reads; each step becomes one ``CombExample`` of those
-    views. Steps whose gold token fell out of both views are skipped and
-    counted rather than trained on.
-    """
+    """Training examples from the records' references: each position of
+    the decoder's teacher-forced walk, both sides read, becomes one
+    ``CombExample`` of the top-k views a fused step reads. Steps whose
+    gold token fell out of both views are skipped and counted."""
     examples: list[CombExample] = []
     stats = HarvestStats()
     for record in records:

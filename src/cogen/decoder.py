@@ -1,40 +1,40 @@
-"""The collaborative generation loop and its baseline modes.
+"""The collaborative generation loop, its baseline modes, and the
+teacher-forced walk that scores and harvests under the same rule.
 
 Every mode samples through one per-token loop, ``_sample``, over one
 step, ``_step``. The loop owns the RNG, the pick, the EOS stop and the
 trace row; the step returns each position's distribution, blend weight
 and the two source distributions a trace row reads its top-1
-probabilities from.
-
-A trace is a sink the caller passes in, as it passes an audit log:
-``decode(..., trace=WeightTrace(...))`` fills it, and an untraced
-session builds no trace row and reads no top-1 probability or token
-string for one.
+probabilities from. A trace is a sink the caller passes in, as it passes
+an audit log; an untraced session builds no trace row and reads no
+top-1 probability or token string for one.
 
 A step talks to its backends only through two cursors (see
-``backends``), small and large, either of which may be absent. Each is
-opened once per session with its instruction and context, which is
-where the privacy gate refuses context bound for a large_cloud backend,
-and the step pushes the token emitted before it. No step rebuilds a
-request from the whole prefix, except the payload an audit log records
-for each large-side read.
+``backends``), small and large, either of which may be absent, and
+pushes the token emitted before it; no step rebuilds a request from the
+whole prefix, except the payload an audit log records for each
+large-side read. ``_open_sides`` opens a record's two sides, each with
+its ``_side_prompt``: the small one with the personal task and the
+context, the large one with the context-free task and none, only when
+its window (the opening first_k steps, or all) is not empty and the two
+sides share a vocabulary. Opening is where the privacy gate refuses
+context bound for a large_cloud backend. ``decode`` and
+``teacher_forced_steps`` (fused scoring, the weight net's harvest) both
+open through it and read the large side at the same steps, counted from
+1, after the small side.
 
-With both cursors, the step reads the context-holding small backend
-(instruction, context and the emitted prefix) and the context-blind
-large backend (instruction and prefix only). ``fusion.blend_step`` cuts
-both to their top-k views, weighs and blends them by the active fusion
-strategy in Python floats, and memoizes that on the large side's
-distribution, so a pair of distributions that recurs reuses its blend
-and cuts no view again. The loop samples the resulting
-``FusedDistribution`` over that union of at most ``2 * TOP_K`` ids,
-never over a vocabulary-long vector. With one cursor, the step picks
-from that side alone at weight 1.0 (small) or 0.0 (large), spreading a
-sparse distribution, such as a remote reply, densely (``_dense``).
-
-first-k reads the large side for its opening k tokens only, and
-slm-only never opens a large cursor. The llm-only baselines and both
-halves of sketch-then-fill (the large model's draft, the small model's
-fill) step one cursor through ``decode_single``.
+With both cursors, ``fusion.blend_step`` cuts the two sides' replies to
+their top-k views, weighs and blends them by the active fusion strategy
+in Python floats, and memoizes that on the large side's distribution, so
+a pair of distributions that recurs reuses its blend and cuts no view
+again. The loop samples the resulting ``FusedDistribution`` over that
+union of at most ``2 * TOP_K`` ids, never over a vocabulary-long vector.
+With one cursor, the step picks from that side alone at weight 1.0
+(small) or 0.0 (large), spreading a sparse distribution, such as a
+remote reply, densely (``_dense``). slm-only never opens a large cursor.
+The llm-only baselines (either side's prompt) and both halves of
+sketch-then-fill (the large model's draft, the small model's fill) step
+one cursor through ``decode_single``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from functools import partial
 from typing import NamedTuple, get_type_hints
 
 from .backends import ContextBundle, Role, check_context_blind, check_shared_vocab, open_cursor
-from .combmodel import teacher_forced_steps
 from .core import SamplingConfig, TokenDistribution
 from .corpus import check_fields, json_object_lines
 from .errors import (
@@ -161,12 +160,8 @@ class DecodeResult(NamedTuple):
 
 @dataclass(frozen=True)
 class GenerationSession:
-    """Everything one generation run needs, with the privacy split baked in.
-
-    The small backend gets the record's full (possibly personal) task
-    and its context; the large backend only ever sees ``record.llm_task``,
-    the context-free task variant.
-    """
+    """Everything one generation run needs; ``decode`` opens its sides
+    through ``_open_sides``, or an llm-only mode's by ``_side_prompt``."""
 
     slm: object
     llm: object | None
@@ -182,9 +177,30 @@ class GenerationSession:
 
 
 def session_for_record(record, mode, sampling, slm, llm=None) -> GenerationSession:
-    """Session from a corpus record: the small model gets the personal
-    task plus private context, the large model the context-free variant."""
+    """A session for one corpus record."""
     return GenerationSession(slm=slm, llm=llm, mode=mode, sampling=sampling, record=record)
+
+
+def _side_prompt(record, small: bool) -> tuple[str, ContextBundle | None]:
+    """What a side is sent of a record: the small side the personal task
+    and the context, the large side the context-free task and none."""
+    return (record.task, record.context_bundle()) if small else (record.llm_task, None)
+
+
+def _open_sides(slm, llm, record, fused_limit: int | None):
+    """A record's small cursor and, unless the window of its opening
+    ``fused_limit`` steps (all when None; InvalidConfigError below 0) is
+    empty, its large one, after ``check_shared_vocab``; each side opened
+    with its ``_side_prompt``, unpacked, as a starred call is slower."""
+    if fused_limit is not None and fused_limit < 0:
+        raise InvalidConfigError("first_k count must be >= 0")
+    instruction, context = _side_prompt(record, True)
+    small = open_cursor(slm, instruction, context)
+    if fused_limit == 0:
+        return small, None
+    check_shared_vocab(slm, llm)
+    instruction, context = _side_prompt(record, False)
+    return small, open_cursor(llm, instruction, context)
 
 
 def _dense(dist: TokenDistribution) -> TokenDistribution:
@@ -415,7 +431,7 @@ def decode(
             with_ctx = mode.kind == "llm_only_with_context"
             tokens = decode_single(
                 session.llm,
-                (record.task, record.context_bundle()) if with_ctx else (record.llm_task, None),
+                _side_prompt(record, small=with_ctx),
                 sampling,
                 audit_log=audit_log,
                 context_upload_waiver=with_ctx,
@@ -423,8 +439,7 @@ def decode(
             )
         else:
             fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
-            small = open_cursor(session.slm, record.task, record.context_bundle())
-            large = None if fused_limit == 0 else open_cursor(session.llm, record.llm_task)
+            small, large = _open_sides(session.slm, session.llm, record, fused_limit)
             audit = None if audit_log is None else partial(audit_log.record_input, record.llm_task)
             degrade = on_transport_error == "degrade"
             step = _step(small, large, fused_limit, mode.strategy, audit, degrade, trace)
@@ -432,6 +447,24 @@ def decode(
     except TransportError as exc:
         raise SessionError(f"large backend failed at step {exc.failed_step}: {exc}") from exc
     return DecodeResult(tuple(tokens), sketch)
+
+
+def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = None):
+    """Walk the record's reference plus the closing EOS, teacher-forced,
+    over the cursors a decode opens (``_open_sides``). Yields ``(target,
+    p_s, p_l)`` at each position ``i`` from 1; the large side is read
+    after the small one while ``i <= fused_limit``, as ``_step`` reads it,
+    and ``p_l`` is None past that window."""
+    ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
+    small, large = _open_sides(slm, llm, record, fused_limit)
+    for i, target in enumerate(ids, start=1):
+        p_s = small.distribution()
+        p_l = None
+        if fused_limit is None or i <= fused_limit:
+            p_l = large.distribution()
+            large.push(target)
+        small.push(target)
+        yield target, p_s, p_l
 
 
 def fused_teacher_forced_ppl(
@@ -442,14 +475,11 @@ def fused_teacher_forced_ppl(
     strategy: FusionStrategy | None,
     first_k: int | None = None,
 ) -> float:
-    """Perplexity of the record's reference plus the closing EOS under the
-    fused next-token distribution, teacher-forced.
-
-    ``strategy`` None scores the small model alone; ``first_k`` limits
-    fusion to the opening steps with the remainder scored on the small
-    model, mirroring the generation-time first-k split. A target outside
-    the fused support yields infinite perplexity.
-    """
+    """Perplexity of ``teacher_forced_steps``' targets under the fused
+    distribution: the small model's alone when ``strategy`` is None, and
+    past the opening ``first_k`` positions, as a first-k decode fuses; a
+    negative ``first_k`` raises ``InvalidConfigError``, as ``DecodeMode``
+    does. A target outside the fused support scores infinite perplexity."""
     fused_limit = 0 if strategy is None else first_k
     nll = 0.0
     steps = teacher_forced_steps(slm, llm, record, tokenizer, fused_limit)

@@ -34,6 +34,7 @@ from cogen.decoder import (
     fused_teacher_forced_ppl,
     read_trace,
     session_for_record,
+    teacher_forced_steps,
     write_trace,
 )
 from cogen.errors import (
@@ -641,6 +642,72 @@ class TestTeacherForcedScoring:
         with pytest.raises(IncompatibleVocabError, match="share one vocabulary"):
             fused_teacher_forced_ppl(slm, llm, record, tok, FusionStrategy.mean(), first_k=1)
         assert fused_teacher_forced_ppl(slm, llm, record, tok, None) < math.inf
+
+    def test_a_negative_first_k_is_refused(self, path_backends, simple_record, abc_vocab):
+        # As DecodeMode refuses one, rather than scoring the small side
+        # alone behind a large side that was opened and never read.
+        slm, llm = path_backends
+        tok = Tokenizer(abc_vocab)
+        with pytest.raises(InvalidConfigError, match="first_k"):
+            fused_teacher_forced_ppl(slm, llm, simple_record, tok, FusionStrategy.mean(), first_k=-1)
+        with pytest.raises(InvalidConfigError, match="first_k"):
+            next(teacher_forced_steps(slm, llm, simple_record, tok, fused_limit=-1))
+
+    @pytest.mark.parametrize("first_k", [0, 1, 3, 4])
+    def test_scoring_sends_the_large_side_what_a_decode_of_the_reference_sends(
+        self, abc_vocab, simple_record, first_k
+    ):
+        # Both sides spell the reference, so a greedy fused decode emits it
+        # and then EOS, the positions the walk scores. The windows: empty,
+        # one step, the reference's tokens, and those with the EOS.
+        path = simple_record.reference.split()
+        assert first_k in (0, 1, len(path), len(path) + 1)
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, path)
+        decoded = CountingBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, path))
+        scored = CountingBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, path))
+        tok, strategy = Tokenizer(abc_vocab), FusionStrategy.mean()
+        session = make_session(simple_record, DecodeMode.first_k_mode(first_k, strategy), slm, decoded)
+        assert decode(session).text(tok) == simple_record.reference
+        fused_teacher_forced_ppl(slm, scored, simple_record, tok, strategy, first_k=first_k)
+        assert scored.requests == decoded.requests
+        assert len(decoded.requests) == min(first_k, len(path) + 1)
+
+    def test_scoring_and_harvest_over_the_wire_match_in_process(self, world0, world0_backends):
+        """A loopback large side answers the walk with the top-k views of
+        the in-process one: the same harvested example bytes and the same
+        perplexity bits under each strategy."""
+        llm, slms = world0_backends
+        tok = world0.tokenizer
+
+        def example_bytes(examples):
+            return [
+                (ex.x.tobytes(), [a.hex() for a in ex.a], [b.hex() for b in ex.b], ex.y, ex.target_id)
+                for ex in examples
+            ]
+
+        scorers = [
+            (FusionStrategy.mean(), None),
+            (FusionStrategy.max_pool(), 3),
+            (FusionStrategy.learnable(comb_init(0)), None),
+        ]
+        with serve(large_backend(world0), ("127.0.0.1", 0)) as handle:
+            client = ServiceClient(handle.address)
+            try:
+                remote = RemoteBackend(client, world0.vocab, top_k=10)
+                for record in world0.train_records[:4]:
+                    slm = slms[record.user_id]
+                    here, here_stats = harvest_examples(slm, llm, [record], tok)
+                    there, there_stats = harvest_examples(slm, remote, [record], tok)
+                    assert here and example_bytes(there) == example_bytes(here)
+                    assert there_stats == here_stats
+                for record in world0.test_records[:5]:
+                    slm = slms[record.user_id]
+                    for strategy, first_k in scorers:
+                        args = (record, tok, strategy, first_k)
+                        ppl = fused_teacher_forced_ppl(slm, llm, *args)
+                        assert fused_teacher_forced_ppl(slm, remote, *args).hex() == ppl.hex()
+            finally:
+                client.close()
 
     def test_harvest_queries_large_at_every_position(self, world0, world0_backends):
         llm, slms = world0_backends
