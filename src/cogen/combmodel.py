@@ -11,12 +11,14 @@ A training example is built from what one fused step consumes, its two
 sparse top-k views, at one position of ``decoder.teacher_forced_steps``;
 the loss is an entry of the step's own blend.
 
-``comb_train`` runs a mini-batch as three matmuls forward and three back:
-in its flat buffers each weight is followed by its bias row, and its input
-and hidden rows end in a 1. Its bits differ from a per-example loop's only
-by summation order (``tests/test_train_in_place.py``: within 1e-12). Its
-buffers are built once per run, and an epoch's losses are one numpy pass
-per aligned length, with a one-example blend's bits.
+One forward, ``_forward_pass``, serves a fused step's weight, scoring,
+``comb_loss``, ``comb_grad`` and ``comb_train``'s mini-batches: three
+matmuls over the container's layout, which is the parameters' too, each
+weight followed by its bias row and each row ending in a 1. Training's
+bits differ from a per-example loop's only by summation order
+(``tests/test_train_in_place.py``: within 1e-12); its buffers are built
+once per run, and an epoch's losses are one numpy pass per aligned
+length, with a one-example blend's bits.
 
 Parameters round-trip through a little binary container (magic "CGCM")
 documented field by field in ``comb_save``.
@@ -58,11 +60,14 @@ _DIMS = (IN_DIM, HIDDEN1, HIDDEN2, OUT_DIM)
 _HEADER = struct.Struct("<HHIIIIQ")
 _BODY_OFFSET = len(_MAGIC) + _HEADER.size
 _PROB_FLOOR = 1e-12
+_SIZE = sum(math.prod(shape) for _, shape in _LAYOUT)  # float64 entries in the container
 
 
 @dataclass(frozen=True)
 class CombModelParams:
-    """The weight net's tensors, each shaped as ``_LAYOUT`` says."""
+    """The weight net's tensors, each shaped as ``_LAYOUT`` says, copied at
+    construction into one read-only vector in the container's layout, whose
+    views they become; ``_layers`` holds its ``_blocks``, which the forward runs."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -79,7 +84,12 @@ class CombModelParams:
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected {want}")
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} contains non-finite entries")
-            arr.flags.writeable = False
+        flat = np.concatenate(self.arrays(), axis=None, dtype=np.float64)
+        flat.flags.writeable = False
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_layers", _blocks(flat))
+        for (name, _), view in zip(_LAYOUT, _views(self._layers)):
+            object.__setattr__(self, name, view)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
@@ -88,7 +98,7 @@ class CombModelParams:
         """Blend weight from both sources' sparse top-k views: ``comb_forward``
         on the padded views, without the checks each view passed when built:
         the weight a learnable ``FusionStrategy`` blends with."""
-        return _row_weight(self.arrays(), _view_input(pl_k, ps_k))
+        return _forward_pass(self._layers, _view_row(pl_k, ps_k))[0]
 
 
 @dataclass(frozen=True)
@@ -134,15 +144,11 @@ def comb_init(seed: int) -> CombModelParams:
     """Fan-balanced uniform init, U(-sqrt(6/(fan_in+fan_out)), +same);
     biases start at zero. Fully determined by the seed."""
     rng = Splitmix64(seed)
-    arrays = {}
-    for name, shape in _LAYOUT:
-        if len(shape) == 1:
-            arrays[name] = np.zeros(shape)
-            continue
-        fan_in, fan_out = shape
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        arrays[name] = rng.uniforms(-limit, limit, fan_in * fan_out).reshape(shape)
-    return CombModelParams(**arrays, seed=seed)
+    views = _views(_blocks(np.zeros(_SIZE)))
+    for weights in views[::2]:
+        limit = math.sqrt(6.0 / sum(weights.shape))
+        weights[:] = rng.uniforms(-limit, limit, weights.size).reshape(weights.shape)
+    return CombModelParams(*views, seed=seed)
 
 
 def _sigmoid(z: float) -> float:
@@ -159,15 +165,6 @@ def _sigmoid(z: float) -> float:
     return out
 
 
-def _row_weight(arrs, x: np.ndarray) -> float:
-    """The net on one input row ``(IN_DIM,)``, each bias added on its own
-    (on one row, folding it in is no faster): a fused step's weight."""
-    w1, b1, w2, b2, w3, b3 = arrs
-    h1 = np.maximum(x @ w1 + b1, 0.0)
-    h2 = np.maximum(h1 @ w2 + b2, 0.0)
-    return _sigmoid(float(h2 @ w3[:, 0] + b3[0]))
-
-
 def _blocks(flat: np.ndarray) -> list[np.ndarray]:
     """``flat`` cut into the layers' ``[w; b]`` blocks, bias last."""
     blocks, start = [], 0
@@ -177,30 +174,55 @@ def _blocks(flat: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _views(flat: np.ndarray) -> list[np.ndarray]:
-    """``flat`` cut into one view per tensor, as ``_LAYOUT`` says."""
-    return [part for block in _blocks(flat) for part in (block[:-1], block[-1])]
+def _views(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """``blocks`` cut into one view per tensor, as ``_LAYOUT`` says."""
+    return [part for block in blocks for part in (block[:-1], block[-1])]
+
+
+def _buffers(*rows: int) -> tuple[np.ndarray, ...]:
+    """``_forward_pass``'s buffers for inputs shaped ``(*rows, IN_DIM + 1)``:
+    each hidden layer's, ending in a 1 to add a bias, and it without the 1."""
+    h1, h2 = np.empty((*rows, HIDDEN1 + 1)), np.empty((*rows, HIDDEN2 + 1))
+    h1[..., -1] = h2[..., -1] = 1.0
+    return h1, h1[..., :-1], h2, h2[..., :-1]
+
+
+def _forward_pass(blocks, x: np.ndarray, buffers=None) -> list[float]:
+    """The net's one forward: a weight per row of ``x``, each ending in a 1
+    (one row may be 1-D, which numpy multiplies as a ``(1, IN_DIM + 1)``
+    matrix, at less cost). Each matmul and ReLU fill the next ``_buffers``
+    (made here when not given, so no caller shares scratch), whose 1 adds
+    the bias; the ReLU over the whole buffer keeps that 1 and is faster
+    than over the strided view of the matmul's columns."""
+    l1, l2, l3 = blocks
+    h1, z1, h2, z2 = _buffers(*x.shape[:-1]) if buffers is None else buffers
+    np.matmul(x, l1, out=z1)
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, l2, out=z2)
+    np.maximum(h2, 0.0, out=h2)
+    return [_sigmoid(z) for z in np.matmul(h2, l3).ravel().tolist()]
 
 
 def comb_forward(params: CombModelParams, top10_l, top10_s) -> float:
     """Blend weight in (0, 1) from both sources' descending top-10 probs."""
-    x = np.concatenate([_check_top10("top10_l", top10_l), _check_top10("top10_s", top10_s)])
-    return _row_weight(params.arrays(), x)
+    x = np.concatenate([_check_top10("top10_l", top10_l), _check_top10("top10_s", top10_s), [1.0]])
+    return _forward_pass(params._layers, x)[0]
 
 
-def _view_input(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
-    """The net's input from two sparse views, each ``_padded``, the large
-    model's first. ``fromiter`` reads the tuple faster than ``np.array`` or
-    slice assignments into a zeroed row do."""
-    return np.fromiter(_padded(pl_k.sparse_probs) + _padded(ps_k.sparse_probs), float, IN_DIM)
+def _view_row(pl_k: TokenDistribution, ps_k: TokenDistribution) -> np.ndarray:
+    """The net's input row from two sparse views, each ``_padded``, the
+    large model's first, and its trailing 1. ``fromiter`` reads the tuple
+    faster than ``np.array`` or slice assignments into a zeroed row do."""
+    return np.fromiter(_padded(pl_k.sparse_probs) + _padded(ps_k.sparse_probs) + (1.0,), float, IN_DIM + 1)
 
 
 class CombExample:
     """One supervised fused step, built from both sparse top-k views and
     the gold token. Training reads what is derived here, once: the net's
-    input ``x``, the views aligned as ``fusion.fuse_views`` aligns them
-    (``a`` small, ``b`` large) with the gold token's slot ``y``, and each
-    aligned list's mass (``np.sum``'s bits)."""
+    input ``x`` (``_view_row`` without its 1), the views aligned as
+    ``fusion.fuse_views`` aligns them (``a`` small, ``b`` large) with the
+    gold token's slot ``y``, and each aligned list's mass (``np.sum``'s
+    bits)."""
 
     __slots__ = ("target_id", "x", "a", "b", "y", "mass_a", "mass_b")
 
@@ -210,7 +232,7 @@ class CombExample:
         if y == len(ids) or ids[y] != target_id:
             raise InvalidInputError("target_id is outside both views")
         self.target_id, self.y = target_id, y
-        self.x = _view_input(pl_k, ps_k)
+        self.x = _view_row(pl_k, ps_k)[:IN_DIM]
         self.mass_a, self.mass_b = _pairwise_sum(self.a), _pairwise_sum(self.b)
 
     @property
@@ -268,7 +290,7 @@ def comb_loss(params: CombModelParams, example: CombExample) -> float:
     A fused probability of zero is floored at 1e-12 rather than crashing
     the run (``comb_train`` counts such examples).
     """
-    w = _row_weight(params.arrays(), example.x)
+    w = _forward_pass(params._layers, np.append(example.x, 1.0))[0]
     return -math.log(max(blend(example.a, example.b, w)[example.y], _PROB_FLOOR))
 
 
@@ -297,40 +319,17 @@ def _logit_grad(example: CombExample, w: float) -> float:
     return (-(a_y - b_y) / u + (mass_a - mass_b) / s) * w * (1.0 - w)
 
 
-def _forward_pass(blocks, n: int):
-    """``forward(x)`` on ``n`` input rows ending in a 1, over buffers built
-    here once, and the two hidden buffers it fills. ``forward`` returns one
-    weight per row; each layer's matmul and ReLU fill the next buffer,
-    whose trailing 1 adds the bias. The ReLU runs over the whole
-    contiguous buffer, which leaves that 1 as it is and is faster than
-    over the strided view of the matmul's columns."""
-    l1, l2, l3 = blocks
-    h1, h2, z3 = np.ones((n, HIDDEN1 + 1)), np.ones((n, HIDDEN2 + 1)), np.empty((n, 1))
-    z1, z2, z3_col = h1[:, :-1], h2[:, :-1], z3[:, 0]
-
-    def forward(x) -> list[float]:
-        np.matmul(x, l1, out=z1)
-        np.maximum(h1, 0.0, out=h1)
-        np.matmul(h1, l2, out=z2)
-        np.maximum(h2, 0.0, out=h2)
-        np.matmul(h2, l3, out=z3)
-        return [_sigmoid(z) for z in z3_col.tolist()]
-
-    return forward, h1, h2
-
-
 def _batch_pass(blocks, grads, n: int, scale: float):
-    """``_forward_pass``'s ``forward(x)`` and a ``backward(x.T, examples,
-    ws)`` over the same buffers, plus backward scratch built here once.
-    ``backward`` writes ``scale`` times the summed gradient into
-    ``grads``' blocks, one matmul each; ``np.sign`` of a ReLU output masks
-    as its input would. Each product keeps its layouts: a contiguous
-    ``l2[:-1].T`` is faster but moves bits.
-    """
+    """``_buffers(n)`` and a ``backward(x.T, examples, ws)`` that reads them
+    once ``_forward_pass`` has filled them, over scratch built here once.
+    ``backward`` writes ``scale`` times the summed gradient into ``grads``'
+    blocks, one matmul each; ``np.sign`` of a ReLU output masks as its
+    input would. Each product keeps its layouts: a contiguous
+    ``l2[:-1].T`` is faster but moves bits."""
     _, l2, l3 = blocks
     d1, d2, d3 = grads
-    forward, h1, h2 = _forward_pass(blocks, n)
-    z1, z2, h1_t, h2_t = h1[:, :-1], h2[:, :-1], h1.T, h2.T
+    buffers = h1, z1, h2, z2 = _buffers(n)
+    h1_t, h2_t = h1.T, h2.T
     w3, l2_t = l3[:-1, 0], l2[:-1].T
     dz1, dz2, g = np.empty((n, HIDDEN1)), np.empty((n, HIDDEN2)), np.empty(n)
     m1, m2, g_col = np.empty_like(dz1), np.empty_like(dz2), g[:, None]
@@ -346,7 +345,7 @@ def _batch_pass(blocks, grads, n: int, scale: float):
         np.multiply(dz1, np.sign(z1, out=m1), out=dz1)
         matmul(x_t, dz1, out=d1)
 
-    return forward, backward
+    return buffers, backward
 
 
 def _one_row_matmul(a, b, out) -> None:
@@ -369,12 +368,11 @@ def comb_grad(params: CombModelParams, example: CombExample) -> CombGradients:
     masses are 1. ReLU uses subgradient 0 at 0. This is ``comb_train``'s
     batched pass on a batch of one.
     """
-    theta = np.concatenate(params.arrays(), axis=None)
-    grad = np.empty_like(theta)
-    forward, backward = _batch_pass(_blocks(theta), _blocks(grad), 1, 1.0)
+    grads = _blocks(np.empty_like(params._flat))
+    buffers, backward = _batch_pass(params._layers, grads, 1, 1.0)
     x = np.append(example.x, 1.0)[None]
-    backward(x.T, [example], forward(x))
-    return CombGradients(*_views(grad))
+    backward(x.T, [example], _forward_pass(params._layers, x, buffers))
+    return CombGradients(*_views(grads))
 
 
 @dataclass(frozen=True)
@@ -406,8 +404,8 @@ def comb_train(
     ``InvalidConfigError`` when no epoch gives a finite validation loss,
     which a learning rate that diverges causes.
 
-    Each batch size gets one ``_batch_pass``, and validation a
-    ``_forward_pass`` with no backward scratch. Each epoch gathers its
+    Each batch size gets one ``_batch_pass``, and validation its own
+    ``_buffers`` with no backward scratch. Each epoch gathers its
     shuffled input rows into the buffer the batches slice. A batch writes
     ``learning_rate / len(batch)`` times its gradient, and one subtraction
     applies it. The epoch's losses take the weights its batches computed,
@@ -416,7 +414,7 @@ def comb_train(
     """
     if not train or not val:
         raise InvalidInputError("train and val splits must both be non-empty")
-    theta = np.concatenate(comb_init(config.seed).arrays(), axis=None)
+    theta = comb_init(config.seed)._flat.copy()
     grad = np.empty_like(theta)
     blocks, grads = _blocks(theta), _blocks(grad)
     x_all = np.ones((len(train) + len(val), IN_DIM + 1))
@@ -426,7 +424,7 @@ def comb_train(
     xs = [x_epoch[start : start + config.batch_size] for start in starts]
     passes = {n: _batch_pass(blocks, grads, n, config.learning_rate / n) for n in set(map(len, xs))}
     batches = [(start, start + len(x), x, x.T, *passes[len(x)]) for start, x in zip(starts, xs)]
-    val_forward = _forward_pass(blocks, len(val))[0]
+    val_buffers = _buffers(len(val))
     train_groups, val_groups = _loss_groups(train), _loss_groups(val)
     w_train = np.empty(len(train))
     rng = Splitmix64(config.seed)
@@ -441,16 +439,16 @@ def comb_train(
         np.take(x_train, order, axis=0, out=x_epoch, mode="clip")
         shuffled = [train[i] for i in order]
         ws = []
-        for start, stop, x, x_t, forward, backward in batches:
+        for start, stop, x, x_t, buffers, backward in batches:
             # One forward pass feeds both the epoch's losses and the gradient.
-            batch_ws = forward(x)
+            batch_ws = _forward_pass(blocks, x, buffers)
             backward(x_t, shuffled[start:stop], batch_ws)
             theta -= grad
             ws += batch_ws
         w_train[order] = ws
         losses = _losses(train_groups, w_train, floored)
         train_loss = sum([losses[i] for i in order]) / len(order)
-        val_loss = sum(_losses(val_groups, np.array(val_forward(x_val)), set())) / len(val)
+        val_loss = sum(_losses(val_groups, np.array(_forward_pass(blocks, x_val, val_buffers)), set())) / len(val)
         report.epochs.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
@@ -468,7 +466,7 @@ def comb_train(
             f"(learning_rate {config.learning_rate!r})"
         )
     report.degenerate_examples = len(floored)
-    return CombModelParams(*_views(best), seed=config.seed), report
+    return CombModelParams(*_views(_blocks(best)), seed=config.seed), report
 
 
 def comb_save(params: CombModelParams, path) -> None:
@@ -477,7 +475,7 @@ def comb_save(params: CombModelParams, path) -> None:
     then every tensor as little-endian float64 in row-major order."""
     header = _MAGIC + _HEADER.pack(_VERSION, len(_DIMS), *_DIMS, params.seed)
     with open(path, "wb") as fh:
-        fh.write(header + np.concatenate(params.arrays(), axis=None).astype("<f8").tobytes())
+        fh.write(header + params._flat.astype("<f8").tobytes())
 
 
 def comb_load(path) -> CombModelParams:
@@ -492,10 +490,10 @@ def comb_load(path) -> CombModelParams:
             raise ModelIOError(f"unsupported container version {version}")
         if (ndims, *dims) != (len(_DIMS), *_DIMS):
             raise ModelIOError(f"shape mismatch: container declares {tuple(dims)}, expected {_DIMS}")
-        if len(blob) != _BODY_OFFSET + 8 * sum(math.prod(shape) for _, shape in _LAYOUT):
+        if len(blob) != _BODY_OFFSET + 8 * _SIZE:
             raise ModelIOError("container truncated or padded")
-        flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET).astype(np.float64)
-        return CombModelParams(*_views(flat), seed=seed)  # checks every entry is finite
+        flat = np.frombuffer(blob, dtype="<f8", offset=_BODY_OFFSET)
+        return CombModelParams(*_views(_blocks(flat)), seed=seed)  # checks every entry is finite
     except (OSError, ModelIOError, InvalidInputError) as exc:
         raise ModelIOError(f"weight-model container {path}: {exc}") from exc
 

@@ -16,12 +16,13 @@ whole prefix, except the payload an audit log records for each
 large-side read. ``_open_sides`` opens a record's two sides, each with
 its ``_side_prompt``: the small one with the personal task and the
 context, the large one with the context-free task and none, only when
-its window (the opening first_k steps, or all) is not empty and the two
-sides share a vocabulary. Opening is where the privacy gate refuses
-context bound for a large_cloud backend. ``decode`` and
-``teacher_forced_steps`` (fused scoring, the weight net's harvest) both
-open through it and read the large side at the same steps, counted from
-1, after the small side.
+its window (the opening first_k steps, or all) is not empty. Opening is
+where the privacy gate refuses context bound for a large_cloud backend.
+``decode`` and ``teacher_forced_steps`` (fused scoring, the weight net's
+harvest) both open through it and read the large side at the same steps,
+counted from 1, after the small side. The two sides' shared vocabulary
+is checked once before they open: by a fused ``GenerationSession`` when
+it is made, and by the walk, which has no session.
 
 With both cursors, ``fusion.blend_step`` cuts the two sides' replies to
 their top-k views, weighs and blends them by the active fusion strategy
@@ -190,15 +191,16 @@ def _side_prompt(record, small: bool) -> tuple[str, ContextBundle | None]:
 def _open_sides(slm, llm, record, fused_limit: int | None):
     """A record's small cursor and, unless the window of its opening
     ``fused_limit`` steps (all when None; InvalidConfigError below 0) is
-    empty, its large one, after ``check_shared_vocab``; each side opened
-    with its ``_side_prompt``, unpacked, as a starred call is slower."""
+    empty, its large one; each side opened with its ``_side_prompt``,
+    unpacked, as a starred call is slower. The caller has checked that the
+    two sides share a vocabulary: a fused session when it was made, the
+    walk before it opens them."""
     if fused_limit is not None and fused_limit < 0:
         raise InvalidConfigError("first_k count must be >= 0")
     instruction, context = _side_prompt(record, True)
     small = open_cursor(slm, instruction, context)
     if fused_limit == 0:
         return small, None
-    check_shared_vocab(slm, llm)
     instruction, context = _side_prompt(record, False)
     return small, open_cursor(llm, instruction, context)
 
@@ -454,8 +456,11 @@ def teacher_forced_steps(slm, llm, record, tokenizer, fused_limit: int | None = 
     over the cursors a decode opens (``_open_sides``). Yields ``(target,
     p_s, p_l)`` at each position ``i`` from 1; the large side is read
     after the small one while ``i <= fused_limit``, as ``_step`` reads it,
-    and ``p_l`` is None past that window."""
+    and ``p_l`` is None past that window. The walk has no session, so it
+    checks the shared vocabulary itself whenever that window is not empty."""
     ids = tokenizer.tokenize(record.reference) + [tokenizer.vocab.eos_id]
+    if fused_limit is None or fused_limit > 0:
+        check_shared_vocab(slm, llm)
     small, large = _open_sides(slm, llm, record, fused_limit)
     for i, target in enumerate(ids, start=1):
         p_s = small.distribution()

@@ -2,6 +2,9 @@
 
 import math
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from cogen.combmodel import (
     harvest_examples,
 )
 from cogen.core import TokenDistribution, top_k_project
+from cogen.decoder import teacher_forced_steps
 from cogen.errors import InvalidConfigError, InvalidInputError, ModelIOError
+from cogen.fusion import top_k_views
 from cogen.rng import Splitmix64
 from helpers import one_sided_examples, perturbed_params, random_comb_example, scalar_uniform
 
@@ -330,8 +335,11 @@ class TestBlockLayout:
         real_blocks = combmodel._blocks
 
         def spy(flat):
-            cuts.append((flat.copy(), flat, real_blocks(flat)))
-            return cuts[-1][2]
+            blocks = real_blocks(flat)
+            # the trainer's own cuts, not those the parameters make of theirs
+            if sys._getframe(1).f_code is combmodel.comb_train.__code__:
+                cuts.append((flat.copy(), flat, blocks))
+            return blocks
 
         monkeypatch.setattr(combmodel, "_blocks", spy)
         comb_train(one_sided_examples(1, 5), one_sided_examples(2, 2), CombTrainConfig(seed=3, max_epochs=1))
@@ -377,3 +385,38 @@ class TestHarvest:
         assert stats.examples + stats.skipped_missing_target == expected_positions
         reference = set(world0_tokenizer.tokenize(record.reference))
         assert {ex.target_id for ex in examples} <= reference | {world0_tokenizer.vocab.eos_id}
+
+
+class TestSharedState:
+    def test_weight_from_four_threads_at_once_gives_the_single_threaded_bits(self, world0, world0_backends):
+        """``weight`` keeps no scratch on the parameters: four threads
+        weighing harvested view pairs at once, each from its own offset and
+        switching as often as the interpreter allows, get one thread's bits."""
+        llm, slms = world0_backends
+        pairs = [
+            top_k_views(p_s, p_l)
+            for record in world0.train_records
+            for _, p_s, p_l in teacher_forced_steps(slms[record.user_id], llm, record, world0.tokenizer)
+        ]
+        params = perturbed_params(comb_init(0), np.random.default_rng(0), scale=0.5)
+        want = [params.weight(pl_k, ps_k).hex() for ps_k, pl_k in pairs]
+        assert len(pairs) > 300 and len(set(want)) > 100
+        threads = 4
+        start = threading.Barrier(threads)
+
+        def weigh(offset: int) -> list[str]:
+            start.wait()
+            got = [""] * len(pairs)
+            for i in [*range(offset, len(pairs)), *range(offset)]:
+                ps_k, pl_k = pairs[i]
+                got[i] = params.weight(pl_k, ps_k).hex()
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(weigh, [k * len(pairs) // threads for k in range(threads)]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * threads

@@ -551,7 +551,7 @@ def test_example_holds_the_fused_steps_inputs(weight_nets, views, w, which):
     ps_k, pl_k, target = views
     params = weight_nets[which]
     ex = combmodel.CombExample(ps_k, pl_k, target)
-    got = combmodel._row_weight(params.arrays(), ex.x)
+    got = combmodel._forward_pass(params._layers, np.append(ex.x, 1.0))[0]
     assert same_bits(np.float64(got), np.float64(params.weight(pl_k, ps_k)))
     got = outcome(lambda: blend(ex.a, ex.b, w)[ex.y])
     want = outcome(lambda: fuse_views(ps_k, pl_k, FusionStrategy.fixed(w))[0].prob_of(target))

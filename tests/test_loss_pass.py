@@ -116,7 +116,7 @@ def test_comb_loss_is_the_grouped_epoch_loss_on_harvested_examples(world0, world
         for ex in combmodel.harvest_examples(slms[record.user_id], llm, [record], world0.tokenizer)[0]
     ]
     params = combmodel.comb_init(0)
-    ws = np.array([combmodel._row_weight(params.arrays(), ex.x) for ex in examples])
+    ws = np.array([combmodel._forward_pass(params._layers, np.append(ex.x, 1.0))[0] for ex in examples])
     grouped = combmodel._losses(combmodel._loss_groups(examples), ws, set())
     assert len(examples) > 300
     assert [combmodel.comb_loss(params, ex).hex() for ex in examples] == [loss.hex() for loss in grouped]
