@@ -1,14 +1,18 @@
-"""Byte-level privacy auditing of upstream payloads.
+"""Privacy auditing of upstream payloads, captured at the large backend's
+boundary: in process by ``AuditedBackend``, over the wire by the logit
+service's request log.
 
 The structural guarantee (context can't be attached to a context-blind
-request) is re-verified here on the actual bytes: the audit scans every
-captured payload for any sufficiently long substring of any context
-field, after case-folding and whitespace-collapsing both sides. A PASS
-means no context fragment of the minimum length appears anywhere in any
-payload; a FAIL lists every leaking request, offset and field. The scan
-reads each payload once, looking each of its windows up in one table of
-the context's windows, so it costs the total payload length, not that
-times the context length.
+request) is re-verified here on the actual payloads: the audit scans
+every captured payload for any sufficiently long substring of any
+context field, after case-folding and whitespace-collapsing both sides,
+reading each JSON string literal with its escapes decoded (the wire and
+``payload_for_input`` escape every non-ASCII character, quote, backslash
+and newline). A PASS means no context fragment of the minimum length
+appears anywhere in any payload; a FAIL lists every leaking request,
+offset and field. The scan reads each payload once, looking each of its
+windows up in one table of the context's windows, so it costs the total
+payload length, not that times the context length.
 """
 
 from __future__ import annotations
@@ -22,11 +26,35 @@ from .backends import ContextBundle
 MIN_MATCH_CHARS = 12
 
 _WS = re.compile(r"\s+")
+# A JSON string literal: a quoted run of characters and backslash escapes
+# that ends where a JSON value may end, so a stray quote outside the JSON
+# text (a frame's length header, say) opens none.
+_LITERAL = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"(?=\s*(?:[:,}\]]|$))', re.S)
 
 
 def normalize_for_audit(text: str) -> str:
     """Case-fold and collapse whitespace so trivial reformatting can't hide a leak."""
     return _WS.sub(" ", text.casefold()).strip()
+
+
+def _decoded_literal(match) -> str:
+    """A literal with its escapes decoded, inside its quotes; one that
+    does not decode as it is."""
+    try:
+        return f'"{json.loads(match.group())}"'
+    except ValueError:
+        return match.group()
+
+
+def _scan_text(payload: bytes) -> str:
+    """The text the audit scans for a payload: its UTF-8, an undecodable
+    byte replaced, with each JSON string literal's escapes decoded. Text
+    outside every literal, such as a payload that is not JSON, is scanned
+    as it is, and so is a literal that does not decode; nothing raises."""
+    text = payload.decode("utf-8", errors="replace")
+    if "\\" not in text:
+        return text
+    return _LITERAL.sub(_decoded_literal, text)
 
 
 def payload_for_input(instruction: str, prefix_ids) -> bytes:
@@ -60,6 +88,37 @@ class AuditLog:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+class AuditedBackend:
+    """A large backend that records in ``log`` each request it is sent,
+    before it forwards the request.
+
+    A ``next_distribution`` request is recorded as ``payload_for_input``
+    of its instruction and prefix, except one the context-uploading
+    baseline waives; ``generate_remote`` is forwarded, its one request
+    recorded first, only when the wrapped backend has it. There is no
+    ``open``, so a decode reads this backend through
+    ``backends.RequestCursor``, one whole-prefix request per step: exactly
+    the requests a remote run sends.
+    """
+
+    def __init__(self, backend, log: AuditLog) -> None:
+        self.backend = backend
+        self.log = log
+        self.vocab = backend.vocab
+        self.role = backend.role
+        if hasattr(backend, "generate_remote"):
+            self.generate_remote = self._generate_remote
+
+    def next_distribution(self, request):
+        if not request.context_upload_waiver:
+            self.log.record_input(request.instruction, request.prefix_ids)
+        return self.backend.next_distribution(request)
+
+    def _generate_remote(self, instruction: str, prefix_ids, sampling):
+        self.log.record_input(instruction, prefix_ids)
+        return self.backend.generate_remote(instruction, prefix_ids, sampling)
 
 
 @dataclass(frozen=True)
@@ -110,7 +169,7 @@ def privacy_audit(log, context: ContextBundle) -> AuditVerdict:
                 names.append(name)
     hits: list[AuditHit] = []
     for idx, record in enumerate(records):
-        payload = normalize_for_audit(record.payload.decode("utf-8", errors="replace"))
+        payload = normalize_for_audit(_scan_text(record.payload))
         for offset in range(len(payload) - MIN_MATCH_CHARS + 1):
             window = payload[offset : offset + MIN_MATCH_CHARS]
             for name in owners.get(window, ()):

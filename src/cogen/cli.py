@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .audit import AuditLog, privacy_audit
+from .audit import AuditedBackend, AuditLog, privacy_audit
 from .backends import BackendKind
 from .combmodel import CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
@@ -272,14 +272,16 @@ def _cmd_generate(args) -> int:
         template_dir = args.template_dir or config.templates_dir
         library = TemplateLibrary(template_dir) if template_dir else None
         audit_log = AuditLog() if config.audit else None
+        if audit_log is not None and llm is not None:
+            llm = AuditedBackend(llm, audit_log)
         session = session_for_record(record, mode, sampling, slm, llm)
         trace = WeightTrace(mode=mode.label(), seed=sampling.seed) if args.trace_out else None
-        result = decode(session, template_library=library, audit_log=audit_log, trace=trace)
+        result = decode(session, template_library=library, trace=trace)
     finally:
         if client is not None:
             client.close()
-    # The decoder records nothing for slm_only or for the waived upload of
-    # llm_only_with_context, so an empty log has no verdict.
+    # slm_only sends the large backend nothing and its wrapper skips the
+    # waived llm_only_with_context upload, so an empty log has no verdict.
     if audit_log:
         verdict = privacy_audit(audit_log, record.context_bundle())
         if not verdict.passed:

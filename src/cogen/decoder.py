@@ -5,15 +5,15 @@ Every mode samples through one per-token loop, ``_sample``, over one
 step, ``_step``. The loop owns the RNG, the pick, the EOS stop and the
 trace row; the step returns each position's distribution, blend weight
 and the two source distributions a trace row reads its top-1
-probabilities from. A trace is a sink the caller passes in, as it passes
-an audit log; an untraced session builds no trace row and reads no
-top-1 probability or token string for one.
+probabilities from. A trace is the one thing a session records, into a
+sink the caller passes in; an untraced session builds no trace row and
+reads no top-1 probability or token string for one. What the large
+model is sent is recorded at its boundary, by a wrapped backend.
 
 A step talks to its backends only through two cursors (see
 ``backends``), small and large, either of which may be absent, and
 pushes the token emitted before it; no step rebuilds a request from the
-whole prefix, except the payload an audit log records for each
-large-side read. ``_open_sides`` opens a record's two sides, each with
+whole prefix. ``_open_sides`` opens a record's two sides, each with
 its ``_side_prompt``: the small one with the personal task and the
 context, the large one with the context-free task and none, only when
 its window (the opening first_k steps, or all) is not empty. Opening is
@@ -218,7 +218,7 @@ def _dense(dist: TokenDistribution) -> TokenDistribution:
     return TokenDistribution(vocab_size=dist.vocab_size, dense_probs=dist.to_dense_array() / mass)
 
 
-def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> list[int]:
+def _sample(step, sampling: SamplingConfig, vocab, trace) -> list[int]:
     """The per-token loop of every decode mode; returns the new tokens.
 
     ``step(tokens, i)`` gives step ``i`` (from 1) the distribution it
@@ -227,19 +227,19 @@ def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> 
     distributions, small and large, whose top-1 probabilities a trace row
     holds, either of which may be None for a side the step did not read
     (the row's 0.0).
-    ``tokens`` is the loop's own list of the initial prefix and the tokens
-    emitted so far, which the step must not change; from step 2 on its
-    last entry is the token emitted by the step before. This loop draws
-    from the session's splitmix64 stream and stops at EOS. Only with a
-    ``trace`` does it read the two top-1 probabilities and the token's
-    string, and append one row per emitted token.
+    ``tokens`` is the loop's own list of the tokens emitted so far, which
+    the step must not change; from step 2 on its last entry is the token
+    emitted by the step before. This loop draws from the session's
+    splitmix64 stream and stops at EOS. Only with a ``trace`` does it read
+    the two top-1 probabilities and the token's string, and append one row
+    per emitted token.
 
     A transport failure in a step leaves this loop with the step's number
     in its ``failed_step``, which ``decode`` names in its session error.
     """
     rng = Splitmix64(sampling.seed)
     eos_id = vocab.eos_id
-    tokens = list(initial_prefix)
+    tokens = []
     try:
         for i in range(1, sampling.max_new_tokens + 1):
             dist, w, p_s, p_l = step(tokens, i)
@@ -254,14 +254,13 @@ def _sample(step, sampling: SamplingConfig, vocab, trace, initial_prefix=()) -> 
     except TransportError as exc:
         exc.failed_step = i
         raise
-    return tokens[len(initial_prefix):]
+    return tokens
 
 
 def decode_single(
     backend,
     prompt_parts: tuple[str, ContextBundle | None],
     sampling: SamplingConfig,
-    audit_log=None,
     context_upload_waiver: bool = False,
     trace: WeightTrace | None = None,
     initial_prefix: tuple[int, ...] = (),
@@ -276,17 +275,12 @@ def decode_single(
     probability on its own side. A remote trace's top-1 probabilities
     read 0.0, since the generate reply carries none, and one trace event
     says so. Untraced, no step reads a top-1 probability.
-    ``audit_log`` records what a large_cloud backend is sent: each step in
-    process, the one generate request when remote.
     """
     instruction, context = prompt_parts
     small = backend.role == Role.SMALL_DEVICE
     w = 1.0 if small else 0.0
-    audited = audit_log is not None and not small and not context_upload_waiver
     if hasattr(backend, "generate_remote"):
         check_context_blind(backend.role, context)
-        if audited:
-            audit_log.record_input(instruction, initial_prefix)
         token_ids = list(backend.generate_remote(instruction, initial_prefix, sampling))
         if trace is not None:
             trace.events.append(
@@ -299,16 +293,14 @@ def decode_single(
     cursor = open_cursor(backend, instruction, context, waiver=context_upload_waiver)
     for token_id in initial_prefix:
         cursor.push(token_id)
-    audit = partial(audit_log.record_input, instruction) if audited else None
     sides = (cursor, None) if small else (None, cursor)
-    step = _step(*sides, None, None, audit, False, trace)
-    return _sample(step, sampling, backend.vocab, trace, initial_prefix)
+    step = _step(*sides, None, None, False, trace)
+    return _sample(step, sampling, backend.vocab, trace)
 
 
-def _step(small, large, fused_limit, strategy, audit, degrade, trace):
+def _step(small, large, fused_limit, strategy, degrade, trace):
     """The step of every in-process mode over a small and a large cursor,
-    either of which may be None. The large side is read, and each read
-    recorded by ``audit(prefix)`` when given, at the opening
+    either of which may be None. The large side is read at the opening
     ``fused_limit`` steps (every step when None). With ``degrade`` and a
     small side, a transport failure of the large backend ends its reads,
     the session continues on the small model and a ``trace`` records it."""
@@ -323,8 +315,6 @@ def _step(small, large, fused_limit, strategy, audit, degrade, trace):
         if large is not None and (fused_limit is None or i <= fused_limit):
             if i > 1:
                 large.push(tokens[-1])
-            if audit is not None:
-                audit(tokens)
             try:
                 p_l = large.distribution()
             except TransportError:
@@ -350,7 +340,6 @@ def run_sketch_then_fill(
     sampling: SamplingConfig,
     conditioning: str = "sketch",
     library: TemplateLibrary = DEFAULT_LIBRARY,
-    audit_log=None,
     trace: WeightTrace | None = None,
 ):
     """Two-step collaboration: the context-blind large model drafts a
@@ -366,7 +355,7 @@ def run_sketch_then_fill(
 
     def draft(prompt: str, draft_sampling: SamplingConfig) -> str:
         try:
-            ids = decode_single(llm_backend, (prompt, None), draft_sampling, audit_log=audit_log)
+            ids = decode_single(llm_backend, (prompt, None), draft_sampling)
         except TransportError as exc:
             exc.failed_step = 1  # the fill's first step waits on the draft
             raise
@@ -394,7 +383,6 @@ def run_sketch_then_fill(
 def decode(
     session: GenerationSession,
     on_transport_error: str = "abort",
-    audit_log=None,
     template_library: TemplateLibrary | None = None,
     trace: WeightTrace | None = None,
 ) -> DecodeResult:
@@ -407,11 +395,10 @@ def decode(
     model alone, and a trace records the event. The llm-only modes have
     no small model, and sketch-then-fill's fill needs the large model's
     draft, so both abort under either policy.
-    ``audit_log``, when given, captures every payload bound for the
-    large backend for the privacy audit. ``trace``, when given, receives
-    one row per emitted token (sketch-then-fill: per fill token) and the
-    session's events; after an abort it holds the rows emitted before the
-    failure. Untraced, no step builds a row or reads what one would hold.
+    ``trace``, when given, receives one row per emitted token
+    (sketch-then-fill: per fill token) and the session's events; after an
+    abort it holds the rows emitted before the failure. Untraced, no step
+    builds a row or reads what one would hold.
     """
     if on_transport_error not in ("abort", "degrade"):
         raise InvalidConfigError("on_transport_error must be 'abort' or 'degrade'")
@@ -426,7 +413,6 @@ def decode(
                 sampling,
                 conditioning=mode.sketch_conditioning,
                 library=template_library or DEFAULT_LIBRARY,
-                audit_log=audit_log,
                 trace=trace,
             )
         elif mode.kind in ("llm_only_with_context", "llm_only_no_context"):
@@ -435,16 +421,14 @@ def decode(
                 session.llm,
                 _side_prompt(record, small=with_ctx),
                 sampling,
-                audit_log=audit_log,
                 context_upload_waiver=with_ctx,
                 trace=trace,
             )
         else:
             fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
             small, large = _open_sides(session.slm, session.llm, record, fused_limit)
-            audit = None if audit_log is None else partial(audit_log.record_input, record.llm_task)
             degrade = on_transport_error == "degrade"
-            step = _step(small, large, fused_limit, mode.strategy, audit, degrade, trace)
+            step = _step(small, large, fused_limit, mode.strategy, degrade, trace)
             tokens = _sample(step, sampling, session.slm.vocab, trace)
     except TransportError as exc:
         raise SessionError(f"large backend failed at step {exc.failed_step}: {exc}") from exc

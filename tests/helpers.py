@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import json
 import math
 from itertools import accumulate
 from pathlib import Path
@@ -382,13 +383,44 @@ def openblas_corename() -> str | None:
     return None
 
 
+def decoded_payload_text(payload: bytes) -> str:
+    """The audit's reading of a payload, walked a character at a time: a
+    quote opens a literal that runs to the next unescaped quote, and
+    counts as one only when a JSON value may end after it (``:``, ``,``,
+    ``}``, ``]`` or the end, past any whitespace); such a literal is
+    replaced by its ``json.loads`` text in quotes when that succeeds.
+    Everything else stays as it is."""
+    text = payload.decode("utf-8", errors="replace")
+    out, i = [], 0
+    while (start := text.find('"', i)) != -1:
+        end = start + 1
+        while end < len(text) and text[end] != '"':
+            end += 2 if text[end] == "\\" else 1
+        if end >= len(text):
+            break
+        after = text[end + 1 :].lstrip()
+        if after and after[0] not in ":,}]":
+            out.append(text[i : start + 1])
+            i = start + 1
+            continue
+        literal = text[start : end + 1]
+        try:
+            literal = '"' + json.loads(literal) + '"'
+        except ValueError:
+            pass
+        out.append(text[i:start] + literal)
+        i = end + 1
+    out.append(text[i:])
+    return "".join(out)
+
+
 def reference_privacy_audit(log, context: ContextBundle) -> AuditVerdict:
     """The per-field ``str.find`` scan that ``audit.privacy_audit``
-    replaced, verbatim: for each payload, field and window of the field,
-    the first offset of the window in the payload, reported once per
-    field and offset. It costs windows times payloads times payload
-    length; the single-pass scan must agree with its verdict and report
-    every hit it reports."""
+    replaced, over each payload as ``decoded_payload_text`` reads it: for
+    each payload, field and window of the field, the first offset of the
+    window in the payload, reported once per field and offset. It costs
+    windows times payloads times payload length; the single-pass scan must
+    agree with its verdict and report every hit it reports."""
     records = log.records if isinstance(log, AuditLog) else list(log)
     fields = []
     for name, value in context.fields():
@@ -397,7 +429,7 @@ def reference_privacy_audit(log, context: ContextBundle) -> AuditVerdict:
             fields.append((name, norm))
     hits: list[AuditHit] = []
     for idx, record in enumerate(records):
-        payload = normalize_for_audit(record.payload.decode("utf-8", errors="replace"))
+        payload = normalize_for_audit(decoded_payload_text(record.payload))
         for name, norm in fields:
             found_here = set()
             for start in range(0, len(norm) - MIN_MATCH_CHARS + 1):

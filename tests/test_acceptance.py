@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cogen.audit import AuditLog, privacy_audit
+from cogen.audit import AuditedBackend, AuditLog, privacy_audit
 from cogen.backends import ConditioningInput, Role
 from cogen.combmodel import (
     CombTrainConfig,
@@ -335,6 +335,7 @@ def test_criterion_7_privacy_audit():
         client = ServiceClient(handle.address, session_id="acceptance-7")
         remote_llm = RemoteBackend(client, world.vocab, top_k=10)
         in_process_log = AuditLog()
+        audited_llm = AuditedBackend(llm, in_process_log)
         for i, record in enumerate(world.test_records[:4]):
             slm = slms[record.user_id]
             sampling = SamplingConfig(seed=i, max_new_tokens=12)
@@ -345,9 +346,12 @@ def test_criterion_7_privacy_audit():
             )
             decode(
                 session_for_record(
-                    record, DecodeMode.first_k_mode(3, FusionStrategy.mean()), sampling, slm, llm
+                    record,
+                    DecodeMode.first_k_mode(3, FusionStrategy.mean()),
+                    sampling,
+                    slm,
+                    audited_llm,
                 ),
-                audit_log=in_process_log,
             )
         sketch_log = AuditLog()
         from cogen.decoder import run_sketch_then_fill
@@ -362,8 +366,8 @@ def test_criterion_7_privacy_audit():
             keyed=[("alpha", TableBackend.path_rules(vocab, ["opening", "about", "alpha", "closing"]))],
         )
         run_sketch_then_fill(
-            sk_llm, sk_slm, CONTEXT_RECORD, SamplingConfig(greedy=True, max_new_tokens=8),
-            audit_log=sketch_log,
+            AuditedBackend(sk_llm, sketch_log), sk_slm, CONTEXT_RECORD,
+            SamplingConfig(greedy=True, max_new_tokens=8),
         )
 
         for record in world.test_records[:4]:

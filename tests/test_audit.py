@@ -1,12 +1,16 @@
-"""The byte-level privacy audit."""
+"""The privacy audit, and the payloads it is given in process and over
+the wire."""
 
+import json
 from dataclasses import replace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cogen.audit import (
     MIN_MATCH_CHARS,
+    AuditedBackend,
     AuditLog,
     AuditRecord,
     normalize_for_audit,
@@ -17,6 +21,7 @@ from cogen.backends import ContextBundle
 from cogen.core import SamplingConfig
 from cogen.decoder import DecodeMode, decode, session_for_record
 from cogen.fusion import FusionStrategy
+from cogen.service import RemoteBackend, ServeConfig, ServiceClient, encode_frame, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 from helpers import reference_privacy_audit
 
@@ -26,6 +31,15 @@ CONTEXT = ContextBundle(
     profile=PROFILE,
     history=("Last night's observation session ran until three in the morning.",),
 )
+
+
+# Text JSON's ASCII-only escapes break up: a CJK profile, every character
+# of which crosses as \uXXXX, and a history entry with an accent in each
+# of its 12-character windows.
+CJK_PROFILE = "我喜欢在周末去公园散步和读书，也爱喝茶。"
+ACCENTED = "Zoë's café résumé naïve façade"
+ESCAPED_CONTEXT = ContextBundle(profile=CJK_PROFILE, history=(ACCENTED,))
+ESCAPED_LEAKS = (f"write about {CJK_PROFILE}", f"recall: {ACCENTED}")
 
 
 def log_with(*payloads: str) -> AuditLog:
@@ -166,7 +180,7 @@ class TestLongContextSession:
         log = AuditLog()
         mode = DecodeMode.fusion(FusionStrategy.mean())
         sampling = SamplingConfig(seed=0, max_new_tokens=128)
-        decode(session_for_record(record, mode, sampling, slm, llm), audit_log=log)
+        decode(session_for_record(record, mode, sampling, slm, AuditedBackend(llm, log)))
         return log
 
     def test_the_audit_passes_and_a_planted_leak_fails(self):
@@ -190,3 +204,118 @@ class TestLongContextSession:
         assert not verdict.passed
         assert {h.request_index for h in verdict.hits} == set(range(len(log)))
         assert any(h.field == f"history[{len(record.history) - 1}]" for h in verdict.hits)
+
+
+class TestEscapedPayloads:
+    """A payload is scanned as the text its JSON literals stand for."""
+
+    def test_escaped_leaks_fail_in_process(self):
+        log = AuditLog()
+        for instruction in ESCAPED_LEAKS:
+            log.record_input(instruction, [1, 2])
+        assert all(b"\\u" in record.payload for record in log.records)
+        verdict = privacy_audit(log, ESCAPED_CONTEXT)
+        assert not verdict.passed
+        assert {(h.request_index, h.field) for h in verdict.hits} == {(0, "profile"), (1, "history[0]")}
+        # Each literal's windows are the ones its raw UTF-8 text would show.
+        raw = privacy_audit(log_with(*ESCAPED_LEAKS), ESCAPED_CONTEXT)
+        assert sum(h.field == "profile" for h in raw.hits) == 9
+        assert [(h.field, h.fragment) for h in verdict.hits] == [(h.field, h.fragment) for h in raw.hits]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # not JSON: the escapes are read as the characters they are
+            b"notes: Zo\\u00eb's caf\\u00e9 r\\u00e9sum\\u00e9 na\\u00efve",
+            # a malformed literal (\\q) is scanned as it is
+            b'{"instruction": "Zo\\u00eb\'s caf\\u00e9 r\\u00e9sum\\u00e9 na\\u00efve \\q"}',
+        ],
+        ids=["not-json", "malformed-literal"],
+    )
+    def test_a_payload_that_does_not_decode_is_scanned_as_it_is(self, payload):
+        escaped = ContextBundle(profile=r"Zo\u00eb's caf\u00e9 r\u00e9sum\u00e9")
+        verdict = privacy_audit([AuditRecord(payload)], escaped)
+        assert not verdict.passed
+        normalized = normalize_for_audit(payload.decode())
+        assert all(normalized[h.offset : h.offset + MIN_MATCH_CHARS] == h.fragment for h in verdict.hits)
+        assert privacy_audit([AuditRecord(payload)], ESCAPED_CONTEXT).passed
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b'"\\', b'"\\u12"', b'"\\ud800" ', b'\xff\xfe"\\"', b'{"a": "\\x"}', b'"\n\\n"', b"\\"],
+    )
+    def test_malformed_payloads_never_raise(self, payload):
+        assert privacy_audit([AuditRecord(payload)], ESCAPED_CONTEXT).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(min_size=MIN_MATCH_CHARS), st.text(max_size=8), st.text(max_size=8))
+    def test_any_field_inside_an_instruction_fails(self, text, before, after):
+        assume(len(normalize_for_audit(text)) >= MIN_MATCH_CHARS)
+        context = ContextBundle(profile=text)
+        instruction = before + text + after
+        frame = encode_frame(
+            {"version": 1, "kind": "logits", "session": "s", "instruction": instruction,
+             "prefix_ids": [3], "top_k": 10}
+        )
+        for payload in (payload_for_input(instruction, [3]), frame):
+            records = [AuditRecord(payload)]
+            verdict = privacy_audit(records, context)
+            assert not verdict.passed
+            reference = reference_privacy_audit(records, context)
+            assert not reference.passed
+            assert set(reference.hits) <= set(verdict.hits)
+
+
+@pytest.fixture(scope="module")
+def capturing_service(world0_backends):
+    llm, _ = world0_backends
+    handle = serve(llm, ("127.0.0.1", 0), ServeConfig(capture_payloads=True))
+    yield handle
+    handle.stop()
+
+
+def captured(handle, session: str) -> list[tuple[AuditRecord, dict]]:
+    """Each request the service captured from one session, in order, with
+    its parsed body."""
+    records = handle.service.request_log.records
+    pairs = [(record, json.loads(record.payload)) for record in records]
+    return [(record, body) for record, body in pairs if body["session"] == session]
+
+
+class TestAuditOverTheWire:
+    def test_escaped_leaks_fail_in_the_service_log(self, world0, capturing_service):
+        client = ServiceClient(capturing_service.address, session_id="audit-escaped")
+        try:
+            client.hello(world0.vocab.digest())
+            for instruction in ESCAPED_LEAKS:
+                client.next_logits(instruction, (), 10, world0.vocab.size)
+        finally:
+            client.close()
+        sent = captured(capturing_service, "audit-escaped")
+        assert [body["kind"] for _, body in sent] == ["hello", "logits", "logits"]
+        verdict = privacy_audit([record for record, _ in sent], ESCAPED_CONTEXT)
+        assert not verdict.passed
+        assert {(h.request_index, h.field) for h in verdict.hits} == {(1, "profile"), (2, "history[0]")}
+
+    def test_the_client_log_equals_the_server_capture(self, world0, world0_backends, capturing_service):
+        """``payload_for_input`` mirrors the wire request body: a fused
+        session audited on the client records the requests the service
+        captured, in order."""
+        _, slms = world0_backends
+        record = world0.test_records[1]
+        client = ServiceClient(capturing_service.address, session_id="audit-mirror")
+        try:
+            log = AuditLog()
+            remote = AuditedBackend(RemoteBackend(client, world0.vocab, top_k=10), log)
+            mode = DecodeMode.fusion(FusionStrategy.mean())
+            sampling = SamplingConfig(seed=3, max_new_tokens=24)
+            decode(session_for_record(record, mode, sampling, slms[record.user_id], remote))
+        finally:
+            client.close()
+        client_side = [json.loads(r.payload) for r in log.records]
+        assert len(client_side) > 1
+        server_side = [body for _, body in captured(capturing_service, "audit-mirror")]
+        assert [body["kind"] for body in server_side] == ["hello"] + ["logits"] * len(client_side)
+        assert [(p["instruction"], p["prefix_ids"]) for p in client_side] == [
+            (body["instruction"], body["prefix_ids"]) for body in server_side[1:]
+        ]

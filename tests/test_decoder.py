@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogen import decoder, fusion
-from cogen.audit import AuditLog
+from cogen.audit import AuditedBackend, AuditLog, payload_for_input
 from cogen.backends import NGramBackend, Role, TableBackend, train_ngram
 from cogen.combmodel import comb_init, harvest_examples
 from cogen.core import SamplingConfig, TokenDistribution, Vocab
@@ -516,6 +516,26 @@ class TestTransportPolicy:
         assert trace.steps[-1].w == 1.0
 
     @pytest.mark.parametrize("policy", ["abort", "degrade"])
+    def test_every_attempted_large_read_is_audited_first(self, abc_vocab, simple_record, policy):
+        # The third read fails: its payload is recorded before the call and
+        # is the last one; a degraded session reads the large side no more.
+        slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
+        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        log = AuditLog()
+        mode = DecodeMode.fusion(FusionStrategy.fixed(1.0))
+        session = make_session(simple_record, mode, slm, AuditedBackend(llm, log))
+        if policy == "abort":
+            with pytest.raises(SessionError):
+                decode(session, on_transport_error=policy)
+        else:
+            decode(session, on_transport_error=policy)
+        assert llm.calls == 3
+        prefixes = [(), (0,), (0, 1)]  # A, then A B
+        assert [r.payload for r in log.records] == [
+            payload_for_input(simple_record.llm_task, prefix) for prefix in prefixes
+        ]
+
+    @pytest.mark.parametrize("policy", ["abort", "degrade"])
     @pytest.mark.parametrize("mode", [DecodeMode.llm_no_context(), DecodeMode.llm_with_context()])
     def test_llm_only_aborts_under_either_policy(self, abc_vocab, simple_record, policy, mode):
         # No small model to fall back to: the failure is a session error
@@ -815,9 +835,11 @@ class TestCursorRequests:
         for record in world0.test_records[:3]:
             for mode in modes:
                 sampling = SamplingConfig(seed=5, max_new_tokens=20)
-                session = session_for_record(record, mode, sampling, slms[record.user_id], llm)
+                session = session_for_record(
+                    record, mode, sampling, slms[record.user_id], AuditedBackend(llm, audit)
+                )
                 try:
-                    decode(session, audit_log=audit)
+                    decode(session)
                 except CogenError:
                     pass
         h = hashlib.sha256()

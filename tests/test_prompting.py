@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogen.audit import AuditLog, privacy_audit
+from cogen.audit import AuditedBackend, AuditLog, privacy_audit
 from cogen.backends import Role, TableBackend
 from cogen.core import SamplingConfig
 import cogen
@@ -340,7 +340,7 @@ class TestSketchThenFill:
         vocab, llm_a, _, slm = _sketch_world()
         sampling = SamplingConfig(greedy=True, max_new_tokens=12)
         log = AuditLog()
-        run_sketch_then_fill(llm_a, slm, CONTEXT_RECORD, sampling, audit_log=log)
+        run_sketch_then_fill(AuditedBackend(llm_a, log), slm, CONTEXT_RECORD, sampling)
         assert len(log) > 0
         verdict = privacy_audit(log, CONTEXT_RECORD.context_bundle())
         assert verdict.passed

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from cogen.audit import AuditLog, privacy_audit
+from cogen.audit import AuditedBackend, AuditLog, privacy_audit
 from cogen.backends import ConditioningInput, ContextBundle, Role
 from cogen.core import SamplingConfig, top_k_project
 from cogen.decoder import DecodeMode, decode, session_for_record
@@ -1108,8 +1108,9 @@ class TestServerSidePrivacyAudit:
             results = []
             for backend in (remote_llm, llm):
                 log = AuditLog()
-                session = session_for_record(rec, mode, sampling, slms[rec.user_id], backend)
-                tokens = decode(session, audit_log=log).token_ids
+                audited = AuditedBackend(backend, log)
+                session = session_for_record(rec, mode, sampling, slms[rec.user_id], audited)
+                tokens = decode(session).token_ids
                 assert privacy_audit(log, rec.context_bundle()).passed is honest
                 results.append((tokens, len(log)))
             (remote_tokens, remote_payloads), (local_tokens, local_payloads) = results
