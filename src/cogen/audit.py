@@ -58,10 +58,13 @@ def _scan_text(payload: bytes) -> str:
 
 
 def payload_for_input(instruction: str, prefix_ids) -> bytes:
-    """Canonical bytes for an in-process upstream request.
+    """Canonical bytes for an in-process upstream request: a JSON object
+    of its instruction and prefix ids, keys sorted, every non-ASCII
+    character escaped.
 
-    Mirrors the wire request body so in-process runs are audited against
-    the same surface a remote run would put on the network.
+    It holds what a remote run's request body puts on the network, so an
+    in-process run is audited against the same text; the wire's compact
+    body and its envelope fields report a leak at another offset.
     """
     return json.dumps(
         {"instruction": instruction, "prefix_ids": list(map(int, prefix_ids))},
@@ -95,10 +98,9 @@ class AuditedBackend:
     before it forwards the request.
 
     A ``next_distribution`` request is recorded as ``payload_for_input``
-    of its instruction and prefix, except one the context-uploading
-    baseline waives; ``generate_remote`` is forwarded, its one request
-    recorded first, only when the wrapped backend has it. There is no
-    ``open``, so a decode reads this backend through
+    of its instruction and prefix; ``generate_remote`` is forwarded, its
+    one request recorded first, only when the wrapped backend has it.
+    There is no ``open``, so a decode reads this backend through
     ``backends.RequestCursor``, one whole-prefix request per step: exactly
     the requests a remote run sends.
     """
@@ -112,8 +114,7 @@ class AuditedBackend:
             self.generate_remote = self._generate_remote
 
     def next_distribution(self, request):
-        if not request.context_upload_waiver:
-            self.log.record_input(request.instruction, request.prefix_ids)
+        self.log.record_input(request.instruction, request.prefix_ids)
         return self.backend.next_distribution(request)
 
     def _generate_remote(self, instruction: str, prefix_ids, sampling):

@@ -20,12 +20,11 @@ sends each step as the ``ConditioningInput`` a direct caller would build.
 The privacy boundary is enforced structurally here: a request addressed
 to a context-blind (large_cloud) backend cannot be constructed with
 context attached, and a large_cloud cursor cannot be opened with context.
-The only exception is an explicit waiver used by the context-uploading
-baseline, which exists precisely to measure what that privacy sacrifice
-buys. ``check_context_blind`` is the one gate every path toward a large
-backend goes through: ``ConditioningInput`` calls it on construction and
-each cursor calls it on ``open``. A cursor range-checks each id once, on
-``push``.
+``check_context_blind`` is the one gate every path toward a large backend
+goes through, with no exception: ``ConditioningInput`` calls it on
+construction and each cursor calls it on ``open``. The context-uploading
+baseline passes it only with its large model placed on the device, as a
+small_device backend. A cursor range-checks each id once, on ``push``.
 """
 
 from __future__ import annotations
@@ -82,14 +81,9 @@ class ContextBundle:
         return "\n".join(p for p in parts if p)
 
 
-def check_context_blind(role: Role, context: ContextBundle | None, waiver: bool = False) -> None:
-    """The privacy gate: a large_cloud receiver never gets context.
-
-    ``waiver`` lets the context-uploading baseline through in process;
-    the service client and the external adapter never pass it, so that
-    baseline cannot leave the process.
-    """
-    if role == Role.LARGE_CLOUD and context and not waiver:
+def check_context_blind(role: Role, context: ContextBundle | None) -> None:
+    """The privacy gate: a large_cloud receiver never gets context."""
+    if role == Role.LARGE_CLOUD and context:
         raise PrivacyContractError("large_cloud backend given context")
 
 
@@ -105,21 +99,18 @@ class ConditioningInput:
     """One next-token request: instruction, optional context, emitted prefix.
 
     ``receiver_role`` names the backend the request is addressed to.
-    Attaching context to a large_cloud request raises immediately unless
-    the caller sets ``context_upload_waiver`` — reserved for the
-    deliberately privacy-sacrificing baseline, and never honored by the
-    wire protocol, whose request schema has no context field at all.
+    Attaching context to a large_cloud request raises immediately; the
+    wire protocol's request schema has no context field at all.
     """
 
     instruction: str
     prefix_ids: tuple[int, ...] = ()
     context: ContextBundle | None = None
     receiver_role: Role = Role.SMALL_DEVICE
-    context_upload_waiver: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix_ids", tuple(map(int, self.prefix_ids)))
-        check_context_blind(self.receiver_role, self.context, self.context_upload_waiver)
+        check_context_blind(self.receiver_role, self.context)
 
 
 class Backend:
@@ -133,7 +124,7 @@ class Backend:
         return self._distribution(request)
 
     def _check(self, request: ConditioningInput) -> None:
-        check_context_blind(self.role, request.context, request.context_upload_waiver)
+        check_context_blind(self.role, request.context)
         ids = request.prefix_ids
         size = self.vocab.size
         if ids and (min(ids) < 0 or max(ids) >= size):
@@ -158,13 +149,12 @@ class RequestCursor:
     caller of ``next_distribution`` would make.
     """
 
-    def __init__(self, backend, instruction: str, context=None, waiver: bool = False):
+    def __init__(self, backend, instruction: str, context=None):
         self._role = backend.role
-        check_context_blind(self._role, context, waiver)
+        check_context_blind(self._role, context)
         self._backend = backend
         self._instruction = instruction
         self._context = context
-        self._waiver = waiver
         self._size = backend.vocab.size
         self._prefix: list[int] = []
 
@@ -173,19 +163,17 @@ class RequestCursor:
         self._prefix.append(token_id)
 
     def distribution(self) -> TokenDistribution:
-        request = ConditioningInput(
-            self._instruction, tuple(self._prefix), self._context, self._role, self._waiver
-        )
+        request = ConditioningInput(self._instruction, tuple(self._prefix), self._context, self._role)
         return self._backend.next_distribution(request)
 
 
-def open_cursor(backend, instruction: str, context=None, *, waiver: bool = False):
+def open_cursor(backend, instruction: str, context=None):
     """A cursor over ``backend`` for one instruction and context: the
     backend's own ``open`` when it has one, else a ``RequestCursor``."""
     native = getattr(backend, "open", None)
     if native is not None:
-        return native(instruction, context, waiver=waiver)
-    return RequestCursor(backend, instruction, context, waiver)
+        return native(instruction, context)
+    return RequestCursor(backend, instruction, context)
 
 
 def _resolve_dist(vocab: Vocab, mapping) -> TokenDistribution:
@@ -376,8 +364,8 @@ class NGramBackend(Backend):
             self._memo[slot] = dist
         return dist
 
-    def open(self, instruction: str, context=None, *, waiver: bool = False) -> "NGramCursor":
-        check_context_blind(self.role, context, waiver)
+    def open(self, instruction: str, context=None) -> "NGramCursor":
+        check_context_blind(self.role, context)
         keep = self.model.n - 1
         history = tuple(self._stream_tail(instruction, context, keep)) if keep else ()
         return NGramCursor(self, history)

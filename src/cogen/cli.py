@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import AuditedBackend, AuditLog, privacy_audit
-from .backends import BackendKind
+from .backends import BackendKind, Role
 from .combmodel import CombTrainConfig, comb_load, comb_save, comb_train, harvest_examples
 from .config import build_backend, load_config
 from .corpus import (
@@ -267,12 +267,14 @@ def _cmd_generate(args) -> int:
                 client = HttpCompletionsClient(config.external_endpoint)
                 llm = ExternalBackend(client, slm.vocab, top_k=config.external_top_k)
             else:
+                if mode.kind == "llm_only_with_context":
+                    llm_spec = replace(llm_spec, role=Role.SMALL_DEVICE)
                 llm = build_backend(llm_spec)
 
         template_dir = args.template_dir or config.templates_dir
         library = TemplateLibrary(template_dir) if template_dir else None
         audit_log = AuditLog() if config.audit else None
-        if audit_log is not None and llm is not None:
+        if audit_log is not None and llm is not None and llm.role == Role.LARGE_CLOUD:
             llm = AuditedBackend(llm, audit_log)
         session = session_for_record(record, mode, sampling, slm, llm)
         trace = WeightTrace(mode=mode.label(), seed=sampling.seed) if args.trace_out else None
@@ -280,8 +282,8 @@ def _cmd_generate(args) -> int:
     finally:
         if client is not None:
             client.close()
-    # slm_only sends the large backend nothing and its wrapper skips the
-    # waived llm_only_with_context upload, so an empty log has no verdict.
+    # slm_only sends the large backend nothing and llm_only_with_context
+    # runs it on the device, unwrapped, so an empty log has no verdict.
     if audit_log:
         verdict = privacy_audit(audit_log, record.context_bundle())
         if not verdict.passed:

@@ -33,9 +33,10 @@ union of at most ``2 * TOP_K`` ids, never over a vocabulary-long vector.
 With one cursor, the step picks from that side alone at weight 1.0
 (small) or 0.0 (large), spreading a sparse distribution, such as a
 remote reply, densely (``_dense``). slm-only never opens a large cursor.
-The llm-only baselines (either side's prompt) and both halves of
-sketch-then-fill (the large model's draft, the small model's fill) step
-one cursor through ``decode_single``.
+llm-with-context steps the large side alone, opened with the small
+side's prompt, which passes the privacy gate only on a device placement.
+llm-no-context and both halves of sketch-then-fill (the large model's
+draft, the small model's fill) step one cursor through ``decode_single``.
 """
 
 from __future__ import annotations
@@ -261,7 +262,6 @@ def decode_single(
     backend,
     prompt_parts: tuple[str, ContextBundle | None],
     sampling: SamplingConfig,
-    context_upload_waiver: bool = False,
     trace: WeightTrace | None = None,
     initial_prefix: tuple[int, ...] = (),
 ) -> list[int]:
@@ -290,7 +290,7 @@ def decode_single(
             for i, tid in enumerate(token_ids, start=1):
                 trace.steps.append(TraceStep(i, tid, backend.vocab.token(tid), w, 0.0, 0.0))
         return token_ids
-    cursor = open_cursor(backend, instruction, context, waiver=context_upload_waiver)
+    cursor = open_cursor(backend, instruction, context)
     for token_id in initial_prefix:
         cursor.push(token_id)
     sides = (cursor, None) if small else (None, cursor)
@@ -415,15 +415,12 @@ def decode(
                 library=template_library or DEFAULT_LIBRARY,
                 trace=trace,
             )
-        elif mode.kind in ("llm_only_with_context", "llm_only_no_context"):
-            with_ctx = mode.kind == "llm_only_with_context"
-            tokens = decode_single(
-                session.llm,
-                _side_prompt(record, small=with_ctx),
-                sampling,
-                context_upload_waiver=with_ctx,
-                trace=trace,
-            )
+        elif mode.kind == "llm_only_no_context":
+            tokens = decode_single(session.llm, _side_prompt(record, False), sampling, trace=trace)
+        elif mode.kind == "llm_only_with_context":
+            large = open_cursor(session.llm, *_side_prompt(record, True))
+            step = _step(None, large, None, None, False, trace)
+            tokens = _sample(step, sampling, session.llm.vocab, trace)
         else:
             fused_limit = 0 if mode.kind == "slm_only" else mode.first_k
             small, large = _open_sides(session.slm, session.llm, record, fused_limit)

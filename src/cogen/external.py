@@ -133,8 +133,8 @@ class ExternalBackend:
     """Backend facade over an external completions service.
 
     Role is fixed to large_cloud: a request carrying context is refused,
-    waiver or not, and the adapter only ever uploads the instruction plus
-    the emitted prefix.
+    and the adapter only ever uploads the instruction plus the emitted
+    prefix.
     """
 
     role = Role.LARGE_CLOUD

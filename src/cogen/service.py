@@ -461,7 +461,7 @@ class RemoteBackend:
     ``next_distribution`` returns the top-k slice of the server's dense
     distribution with bit patterns intact; the fused decoding path
     truncates its local operand identically, so placement is invisible.
-    A request carrying context is refused, waiver or not.
+    A request carrying context is refused.
     """
 
     role = Role.LARGE_CLOUD

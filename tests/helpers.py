@@ -5,13 +5,14 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import weakref
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from cogen.audit import MIN_MATCH_CHARS, AuditHit, AuditLog, AuditVerdict, normalize_for_audit
-from cogen.backends import ContextBundle, TableBackend, open_cursor
+from cogen.backends import ContextBundle, NGramBackend, Role, TableBackend, open_cursor
 from cogen.combmodel import (
     _PROB_FLOOR,
     CombExample,
@@ -59,6 +60,40 @@ class CountingBackend:
     def next_distribution(self, request):
         self.requests.append(request)
         return self.inner.next_distribution(request)
+
+
+_PLACED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def placed(llm, mode):
+    """The large backend a harness gives a session in ``mode``: for
+    llm-with-context, ``llm``'s n-gram model placed on the device, since
+    only a small_device backend may read the context; ``llm`` itself
+    otherwise. Each ``llm`` keeps one device copy while it lives, so a
+    second pass reads the memo the first one filled, as ``llm``'s does."""
+    if mode.kind != "llm_only_with_context":
+        return llm
+    if llm not in _PLACED:
+        _PLACED[llm] = NGramBackend(llm.model, Role.SMALL_DEVICE)
+    return _PLACED[llm]
+
+
+class FixedDraw:
+    """An RNG whose every float is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_float(self):
+        return self.u
+
+
+def outcome(fn, *args):
+    """(value, None) or (None, (error class, message)) for one call."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the comparison is over the exception itself
+        return None, (type(exc), str(exc))
 
 
 def session_trace(session) -> WeightTrace:

@@ -1,7 +1,8 @@
-"""The privacy audit, and the payloads it is given in process and over
-the wire."""
+"""The privacy audit, the payloads it is given in process and over the
+wire, and the gate that keeps context from every large_cloud backend."""
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -17,13 +18,24 @@ from cogen.audit import (
     payload_for_input,
     privacy_audit,
 )
-from cogen.backends import ContextBundle
+from cogen.backends import (
+    ConditioningInput,
+    ContextBundle,
+    NGramBackend,
+    Role,
+    TableBackend,
+    open_cursor,
+)
+from cogen.combmodel import comb_init
 from cogen.core import SamplingConfig
 from cogen.decoder import DecodeMode, decode, session_for_record
+from cogen.errors import CogenError, PrivacyContractError
+from cogen.external import ExternalBackend
 from cogen.fusion import FusionStrategy
 from cogen.service import RemoteBackend, ServeConfig, ServiceClient, encode_frame, serve
 from cogen.synthetic import build_world, large_backend, small_backends
-from helpers import reference_privacy_audit
+from helpers import CountingBackend, reference_privacy_audit
+from test_decode_golden import MODES
 
 
 PROFILE = "Amateur astronomer who logs every meteor shower in a leather notebook."
@@ -298,9 +310,9 @@ class TestAuditOverTheWire:
         assert {(h.request_index, h.field) for h in verdict.hits} == {(1, "profile"), (2, "history[0]")}
 
     def test_the_client_log_equals_the_server_capture(self, world0, world0_backends, capturing_service):
-        """``payload_for_input`` mirrors the wire request body: a fused
-        session audited on the client records the requests the service
-        captured, in order."""
+        """``payload_for_input`` holds what the wire request body holds: a
+        fused session audited on the client records the instruction and
+        prefix of each request the service captured, in order."""
         _, slms = world0_backends
         record = world0.test_records[1]
         client = ServiceClient(capturing_service.address, session_id="audit-mirror")
@@ -319,3 +331,167 @@ class TestAuditOverTheWire:
         assert [(p["instruction"], p["prefix_ids"]) for p in client_side] == [
             (body["instruction"], body["prefix_ids"]) for body in server_side[1:]
         ]
+
+
+# --- the gate has no bypass -------------------------------------------------
+
+
+PRIVATE = ContextBundle(profile="secret profile text", history=("an earlier private note",))
+GATE_SAMPLING = SamplingConfig(seed=2, max_new_tokens=12)
+
+
+class SeenNGram(NGramBackend):
+    """A large_cloud trigram backend that keeps, as a request, each
+    instruction and context it reads past its own gate: when a cursor
+    opens, and for a request whose prefix is shorter than its window."""
+
+    def __init__(self, model):
+        assert model.n == 3
+        super().__init__(model, Role.LARGE_CLOUD)
+        self.requests = []
+
+    def _stream_tail(self, instruction, context, k):
+        self.requests.append(ConditioningInput(instruction, (), context))
+        return super()._stream_tail(instruction, context, k)
+
+
+class NoCompletions:
+    """An external completions client that keeps each prompt it is sent."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, max_tokens, logprobs):
+        self.prompts.append(prompt)
+        raise AssertionError("the external service was called")
+
+
+def gate_session(world, slms, mode, llm):
+    record = world.test_records[0]
+    assert record.context_bundle()
+    return session_for_record(record, mode, GATE_SAMPLING, slms[record.user_id], llm)
+
+
+# Each path below hands a large_cloud backend the context: it yields the
+# action that does so and the large sides that keep what they receive,
+# and checks what else must hold once the action has run.
+
+
+@contextmanager
+def ngram_cursor(world, llm, slms):
+    side = SeenNGram(llm.model)
+    yield lambda: open_cursor(side, "a b", PRIVATE).distribution(), [side]
+
+
+@contextmanager
+def table_cursor(world, llm, slms):
+    side = CountingBackend(TableBackend(world.vocab, Role.LARGE_CLOUD))
+    yield lambda: open_cursor(side, "a b", PRIVATE).distribution(), [side]
+
+
+@contextmanager
+def audited_cursor(world, llm, slms):
+    log, side = AuditLog(), CountingBackend(TableBackend(world.vocab, Role.LARGE_CLOUD))
+    yield lambda: open_cursor(AuditedBackend(side, log), "a b", PRIVATE).distribution(), [side]
+    assert len(log) == 0
+
+
+@contextmanager
+def request_to_large_cloud(world, llm, slms):
+    side = CountingBackend(TableBackend(world.vocab, Role.LARGE_CLOUD))
+    yield lambda: side.next_distribution(ConditioningInput("a b", (), PRIVATE, Role.LARGE_CLOUD)), [side]
+
+
+@contextmanager
+def request_to_small_device(world, llm, slms):
+    side = SeenNGram(llm.model)
+    yield lambda: side.next_distribution(ConditioningInput("a b", (), PRIVATE, Role.SMALL_DEVICE)), [side]
+
+
+@contextmanager
+def remote_llm_ctx(world, llm, slms):
+    side = CountingBackend(llm)
+    with serve(side, ("127.0.0.1", 0)) as handle:
+        client = ServiceClient(handle.address)
+        try:
+            remote = RemoteBackend(client, world.vocab)
+            session = gate_session(world, slms, DecodeMode.llm_with_context(), remote)
+            yield lambda: decode(session), [side]
+            with pytest.raises(PrivacyContractError):
+                open_cursor(remote, "a b", PRIVATE)
+        finally:
+            client.close()
+        assert [entry.kind for entry in handle.service.entries] == ["hello"]
+
+
+@contextmanager
+def external_llm_ctx(world, llm, slms):
+    client = NoCompletions()
+    session = gate_session(world, slms, DecodeMode.llm_with_context(), ExternalBackend(client, world.vocab))
+    yield lambda: decode(session), []
+    assert client.prompts == []
+
+
+@contextmanager
+def audited_llm_ctx(world, llm, slms):
+    log, side = AuditLog(), CountingBackend(llm)
+    session = gate_session(world, slms, DecodeMode.llm_with_context(), AuditedBackend(side, log))
+    yield lambda: decode(session), [side]
+    assert len(log) == 0
+
+
+def decoding(name):
+    @contextmanager
+    def path(world, llm, slms):
+        side = CountingBackend(llm)
+        session = gate_session(world, slms, MODES[name](comb_init(0)), side)
+        yield lambda: decode(session), [side]
+
+    return path
+
+
+# Each path with what must follow: "refused" (PrivacyContractError before
+# the large side is called), "blind" (the large side is called, never
+# with context) or "untouched" (slm-only never calls it).
+GATE_PATHS = {
+    "open_cursor-ngram": (ngram_cursor, "refused"),
+    "open_cursor-table": (table_cursor, "refused"),
+    "open_cursor-audited": (audited_cursor, "refused"),
+    "request-to-large_cloud": (request_to_large_cloud, "refused"),
+    "request-to-small_device": (request_to_small_device, "refused"),
+    "remote-llm_only_with_context": (remote_llm_ctx, "refused"),
+    "external-llm_only_with_context": (external_llm_ctx, "refused"),
+    "audited-llm_only_with_context": (audited_llm_ctx, "refused"),
+    **{
+        f"decode-{name}": (
+            decoding(name),
+            {"slm_only": "untouched", "llm_only_with_context": "refused"}.get(name, "blind"),
+        )
+        for name in MODES
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_PATHS))
+def test_no_path_hands_a_large_cloud_backend_context(name, world0, world0_backends):
+    """Every way of giving a large_cloud backend context, in process, over
+    the wire and through the external adapter, in every decode mode, is
+    refused before the backend is called or sends it none."""
+    path, expected = GATE_PATHS[name]
+    llm, slms = world0_backends
+    with path(world0, llm, slms) as (action, sides):
+        outcome = "blind"
+        try:
+            action()
+        except PrivacyContractError as exc:
+            assert str(exc) == "large_cloud backend given context"
+            outcome = "refused"
+        except CogenError:
+            pass  # a session may fail after its large reads, as an unparsed sketch does
+        received = [request for side in sides for request in side.requests]
+        assert all(request.context is None for request in received)
+        if outcome == "refused":
+            assert received == []
+        elif not received:
+            outcome = "untouched"
+    assert outcome == expected

@@ -37,13 +37,6 @@ class TestConditioningInput:
         request = ConditioningInput("do things", (), ContextBundle(), Role.LARGE_CLOUD)
         assert request.context is not None and not request.context
 
-    def test_waiver_is_explicit(self):
-        ctx = ContextBundle(profile="secret profile text")
-        request = ConditioningInput(
-            "do things", (), ctx, Role.LARGE_CLOUD, context_upload_waiver=True
-        )
-        assert request.context_upload_waiver
-
 
 class TestTableBackend:
     def test_rule_lookup(self, abc_vocab):
@@ -269,17 +262,18 @@ class TestCursors:
     )
     def test_cursor_returns_the_requested_distribution(self, which, instruction, context, prefix):
         """After each push, the cursor answers with the very object a
-        direct request for the same prefix returns, short prefixes included."""
+        direct request for the same prefix returns, short prefixes included.
+        Context reaches the small_device copies of each model; a
+        large_cloud backend is sent none."""
         backend = CURSOR_BACKENDS[which]
-        waiver = backend.role == Role.LARGE_CLOUD
-        cursor = open_cursor(backend, instruction, context, waiver=waiver)
+        if backend.role == Role.LARGE_CLOUD:
+            context = None
+        cursor = open_cursor(backend, instruction, context)
         assert isinstance(cursor, RequestCursor) == isinstance(backend, TableBackend)
         for end in range(len(prefix) + 1):
             if end:
                 cursor.push(prefix[end - 1])
-            request = ConditioningInput(
-                instruction, tuple(prefix[:end]), context, backend.role, waiver
-            )
+            request = ConditioningInput(instruction, tuple(prefix[:end]), context, backend.role)
             assert cursor.distribution() is backend.next_distribution(request)
 
     @pytest.mark.parametrize("which", range(len(LARGE_BACKENDS)))
@@ -288,7 +282,6 @@ class TestCursors:
         context = ContextBundle(profile="secret profile text")
         with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
             open_cursor(large, "a b", context)
-        open_cursor(large, "a b", context, waiver=True).distribution()
         open_cursor(large, "a b", ContextBundle()).distribution()
 
     def test_a_backend_that_names_no_role_gets_no_context(self):

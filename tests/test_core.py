@@ -22,17 +22,7 @@ from cogen.errors import (
     InvalidInputError,
 )
 from cogen.rng import Splitmix64
-from helpers import softmax
-
-class FixedDraw:
-    """An RNG whose every float is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def next_float(self):
-        return self.u
-
+from helpers import FixedDraw, softmax
 
 finite_logits = st.lists(
     st.floats(min_value=-60, max_value=60, allow_nan=False, allow_infinity=False),

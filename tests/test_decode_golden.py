@@ -25,6 +25,7 @@ from cogen.decoder import DecodeMode, decode, fused_teacher_forced_ppl, session_
 from cogen.errors import CogenError
 from cogen.fusion import FusionStrategy
 from cogen.synthetic import build_world, large_backend, small_backends
+from helpers import placed
 
 GOLDEN = Path(__file__).parent / "goldens" / "decode_digests.json"
 WORLD_SEEDS = range(5)
@@ -71,7 +72,8 @@ def decode_digests(comb, worlds) -> dict[str, str]:
             slm = slms[record.user_id]
             sampling = SamplingConfig(seed=100 * world_seed + r, max_new_tokens=MAX_NEW_TOKENS)
             for name, make in MODES.items():
-                session = session_for_record(record, make(comb), sampling, slm, llm)
+                mode = make(comb)
+                session = session_for_record(record, mode, sampling, slm, placed(llm, mode))
                 try:
                     outcome = " ".join(map(str, decode(session).token_ids))
                 except CogenError as exc:

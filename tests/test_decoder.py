@@ -41,6 +41,7 @@ from cogen.errors import (
     CogenError,
     IncompatibleVocabError,
     InvalidConfigError,
+    PrivacyContractError,
     SessionError,
     TransportError,
 )
@@ -48,7 +49,7 @@ from cogen.fusion import FusionStrategy
 from cogen.service import RemoteBackend, ServiceClient, serve
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
-from helpers import CountingBackend, path_backend, perplexity, session_trace, traced_decode
+from helpers import CountingBackend, path_backend, perplexity, placed, session_trace, traced_decode
 from test_decode_golden import GOLDEN as DECODE_GOLDEN
 from test_decode_golden import MAX_NEW_TOKENS, MODES, RECORDS_PER_WORLD, golden_setup
 
@@ -262,7 +263,8 @@ def run_mode(name, comb, worlds, path=None) -> tuple[list[str], bytes]:
     for world_seed, world, llm, slms in worlds:
         for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
             sampling = SamplingConfig(seed=100 * world_seed + r, max_new_tokens=MAX_NEW_TOKENS)
-            session = session_for_record(record, MODES[name](comb), sampling, slms[record.user_id], llm)
+            mode = MODES[name](comb)
+            session = session_for_record(record, mode, sampling, slms[record.user_id], placed(llm, mode))
             trace = None if path is None else session_trace(session)
             try:
                 outcome = " ".join(map(str, decode(session, trace=trace).token_ids))
@@ -344,7 +346,9 @@ class TestUntracedDecode:
                 for r, record in enumerate(world.test_records[:RECORDS_PER_WORLD]):
                     sampling = SamplingConfig(seed=r, max_new_tokens=MAX_NEW_TOKENS)
                     for make in MODES.values():
-                        session = session_for_record(record, make(comb), sampling, slms[record.user_id], llm)
+                        mode = make(comb)
+                        large = llm if remote else placed(llm, mode)
+                        session = session_for_record(record, mode, sampling, slms[record.user_id], large)
                         try:
                             rows.append(decode(session).token_ids)
                         except CogenError as exc:
@@ -456,17 +460,23 @@ class TestSingleBackendModes:
             worse += without_ctx > with_ctx
         assert worse == len(world0.test_records)
 
-    def test_llm_with_context_uses_waiver(self, abc_vocab, simple_record):
-        llm = CountingBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"]))
+    def test_llm_with_context_runs_the_large_model_on_the_device(self, abc_vocab, simple_record):
+        # Placed on the device, the large model reads the personal task and
+        # the context and steps as the large side; placed in the cloud, it
+        # is refused before it gets a request.
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"])
         sampling = SamplingConfig(greedy=True, max_new_tokens=4)
-        session = session_for_record(
-            simple_record, DecodeMode.llm_with_context(), sampling, slm, llm
-        )
-        result, trace = traced_decode(session)
+        mode = DecodeMode.llm_with_context()
+        device = CountingBackend(path_backend(abc_vocab, Role.SMALL_DEVICE, ["A"]))
+        result, trace = traced_decode(session_for_record(simple_record, mode, sampling, slm, device))
         assert result.token_ids
-        assert all(r.context_upload_waiver for r in llm.requests)
-        assert all(s.w == 0.0 for s in trace.steps)
+        assert all(r.instruction == simple_record.task for r in device.requests)
+        assert all(r.context == simple_record.context_bundle() for r in device.requests)
+        assert all(s.w == 0.0 and s.p_s_top1 == 0.0 and s.p_l_top1 == 1.0 for s in trace.steps)
+        cloud = CountingBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A"]))
+        with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
+            decode(session_for_record(simple_record, mode, sampling, slm, cloud))
+        assert cloud.requests == []
 
     def test_a_sparse_backend_traces_its_own_top1_in_either_single_backend_step(
         self, abc_vocab, simple_record
@@ -539,9 +549,11 @@ class TestTransportPolicy:
     @pytest.mark.parametrize("mode", [DecodeMode.llm_no_context(), DecodeMode.llm_with_context()])
     def test_llm_only_aborts_under_either_policy(self, abc_vocab, simple_record, policy, mode):
         # No small model to fall back to: the failure is a session error
-        # carrying the two tokens emitted before it.
+        # carrying the two tokens emitted before it. llm-with-context's
+        # large model is placed on the device.
         slm = path_backend(abc_vocab, Role.SMALL_DEVICE, ["A", "B", "C"])
-        llm = FlakyBackend(path_backend(abc_vocab, Role.LARGE_CLOUD, ["A", "B", "D"]), 2)
+        role = Role.SMALL_DEVICE if mode.kind == "llm_only_with_context" else Role.LARGE_CLOUD
+        llm = FlakyBackend(path_backend(abc_vocab, role, ["A", "B", "D"]), 2)
         session = make_session(simple_record, mode, slm, llm)
         trace = session_trace(session)
         with pytest.raises(SessionError) as err:
@@ -757,11 +769,16 @@ class SharedLogBackend:
 
 
 def request_log_digest(log):
+    """A digest of each logged request, written as the decoder with an
+    upload waiver wrote it: a request the ``llm`` side received addressed
+    to the device (only llm-with-context sends one) as a waived
+    large_cloud request, every other one as not waived."""
     h = hashlib.sha256()
     for name, r in log:
         context = None if r.context is None else asdict(r.context)
-        row = [name, r.instruction, list(r.prefix_ids), context, r.receiver_role.value,
-               r.context_upload_waiver]
+        waived = name == "llm" and r.receiver_role == Role.SMALL_DEVICE
+        role = Role.LARGE_CLOUD if waived else r.receiver_role
+        row = [name, r.instruction, list(r.prefix_ids), context, role.value, waived]
         h.update((json.dumps(row, sort_keys=True) + "\n").encode())
     return h.hexdigest()
 
@@ -792,7 +809,7 @@ class TestCursorRequests:
                 for greedy in (False, True):
                     sampling = SamplingConfig(seed=5, max_new_tokens=20, greedy=greedy)
                     session = session_for_record(
-                        record, mode, sampling, slm, SharedLogBackend(llm, "llm", log)
+                        record, mode, sampling, slm, SharedLogBackend(placed(llm, mode), "llm", log)
                     )
                     try:
                         decode(session)
@@ -822,8 +839,9 @@ class TestCursorRequests:
     def test_audited_payloads_are_unchanged(self, world0, world0_backends):
         llm, slms = world0_backends
         audit = AuditLog()
-        # slm-only and llm-with-context audit nothing, so the count and
-        # digest are those of the other four modes.
+        # slm-only sends the large side nothing, and llm-with-context runs
+        # it on the device, unwrapped, as ``cogen generate`` does; so the
+        # count and digest are those of the other four modes.
         modes = (
             DecodeMode.slm_only(),
             DecodeMode.fusion(FusionStrategy.mean()),
@@ -835,9 +853,10 @@ class TestCursorRequests:
         for record in world0.test_records[:3]:
             for mode in modes:
                 sampling = SamplingConfig(seed=5, max_new_tokens=20)
-                session = session_for_record(
-                    record, mode, sampling, slms[record.user_id], AuditedBackend(llm, audit)
-                )
+                large = placed(llm, mode)
+                if large.role == Role.LARGE_CLOUD:
+                    large = AuditedBackend(large, audit)
+                session = session_for_record(record, mode, sampling, slms[record.user_id], large)
                 try:
                     decode(session)
                 except CogenError:

@@ -39,7 +39,15 @@ from cogen.fusion import AlignedPair, FusionStrategy, blend, fuse, fuse_views
 from cogen.rng import Splitmix64
 from cogen.synthetic import build_world, large_backend, small_backends
 from cogen.tokenizer import Tokenizer
-from helpers import CountedDraws, fsum_pick, fsum_sampler, perturbed_params, reference_forward
+from helpers import (
+    CountedDraws,
+    FixedDraw,
+    fsum_pick,
+    fsum_sampler,
+    outcome,
+    perturbed_params,
+    reference_forward,
+)
 
 # --- reference implementations -------------------------------------------
 
@@ -136,11 +144,7 @@ def ref_dense_from_sparse(dist):
 
 
 def ref_backend_check(backend, request):
-    if (
-        backend.role == Role.LARGE_CLOUD
-        and request.context
-        and not request.context_upload_waiver
-    ):
+    if backend.role == Role.LARGE_CLOUD and request.context:
         raise PrivacyContractError("large_cloud backend given context")
     for tid in request.prefix_ids:
         if not 0 <= tid < backend.vocab.size:
@@ -165,14 +169,6 @@ def ref_ngram_distribution(backend, request):
 
 
 # --- helpers ---------------------------------------------------------------
-
-
-def outcome(fn, *args):
-    """(value, None) or (None, (error class, message)) for one call."""
-    try:
-        return fn(*args), None
-    except Exception as exc:  # the comparison is over the exception itself
-        return None, (type(exc), str(exc))
 
 
 def same_bits(a, b):
@@ -240,16 +236,6 @@ def test_sample_top_p_matches(probs, temperature, top_p, seed):
         assert outcome(sample_top_p, dist, config, got) == outcome(
             ref_sample_top_p, dist, config, want
         )
-
-
-class FixedDraw:
-    """An RNG whose every float is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def next_float(self):
-        return self.u
 
 
 @settings(max_examples=300, deadline=None)
@@ -607,13 +593,11 @@ PREFIXES = st.lists(st.integers(-3, 10), max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(prefix=PREFIXES, use_large=st.booleans(), with_context=st.booleans(), waived=st.booleans())
-def test_backend_check_matches(ngram_pair, prefix, use_large, with_context, waived):
+@given(prefix=PREFIXES, use_large=st.booleans(), with_context=st.booleans())
+def test_backend_check_matches(ngram_pair, prefix, use_large, with_context):
     backend = ngram_pair[1] if use_large else ngram_pair[0]
     context = ContextBundle(profile="c d x") if with_context else None
-    request = ConditioningInput(
-        "a b", tuple(prefix), context, Role.SMALL_DEVICE, context_upload_waiver=waived
-    )
+    request = ConditioningInput("a b", tuple(prefix), context, Role.SMALL_DEVICE)
     assert outcome(backend._check, request) == outcome(ref_backend_check, backend, request)
 
 
@@ -664,13 +648,13 @@ def ngram_models(ngram_pair):
 )
 def test_ngram_distribution_matches_full_stream(ngram_models, requests, which):
     """Memo hits and misses, seen and unseen histories, and the short-prefix
-    path with and without context all return the freshly built bits."""
-    role = Role.LARGE_CLOUD if which == 1 else Role.SMALL_DEVICE
-    backend = NGramBackend(ngram_models[which], role)
+    path with and without context all return the freshly built bits. Each
+    model is placed on the device, the large pair's trigram too, since
+    only a small_device backend reads context."""
+    backend = NGramBackend(ngram_models[which], Role.SMALL_DEVICE)
     for prefix, instruction, context in requests:
         request = ConditioningInput(
-            instruction, tuple(np.int64(i) for i in prefix), context, backend.role,
-            context_upload_waiver=True,
+            instruction, tuple(np.int64(i) for i in prefix), context, backend.role
         )
         assert request.prefix_ids == tuple(prefix)
         assert all(type(i) is int for i in request.prefix_ids)

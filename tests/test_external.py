@@ -168,8 +168,8 @@ class TestExternalBackend:
         assert trace.events
 
     def test_context_upload_baseline_never_reaches_the_service(self):
-        # decode waives the gate for the in-process baseline, but the
-        # adapter refuses context regardless, before any upload
+        # the baseline opens the large side with the context, and the
+        # adapter's large_cloud role refuses it before any upload
         from cogen.core import SamplingConfig
         from cogen.corpus import CorpusRecord
         from cogen.decoder import DecodeMode, decode, session_for_record

@@ -26,27 +26,9 @@ from cogen import core, fusion
 from cogen.core import SamplingConfig, TokenDistribution, argmax_token, sample_top_p
 from cogen.errors import InvalidInputError
 from cogen.fusion import FusionStrategy, fuse_views
-from helpers import ConstantNet, fsum_pick, fsum_sampler, numpy_fused_chain
+from helpers import ConstantNet, FixedDraw, fsum_pick, fsum_sampler, numpy_fused_chain, outcome
 
 JUST_UNDER_ONE = math.nextafter(1.0, 0.0)
-
-
-class FixedDraw:
-    """An RNG whose every float is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def next_float(self):
-        return self.u
-
-
-def outcome(fn, *args):
-    """(value, None) or (None, (error class, message)) for one call."""
-    try:
-        return fn(*args), None
-    except Exception as exc:  # the comparison is over the exception itself
-        return None, (type(exc), str(exc))
 
 
 def bits(x) -> bytes:

@@ -753,8 +753,8 @@ def test_sampling_round_trips_through_a_generate_frame(config):
 
 
 class TestRemoteBackendPrivacy:
-    """The client refuses context itself, whatever the request's waiver
-    says: the context-upload baseline works in process only."""
+    """The client refuses context itself, whatever role the request is
+    addressed to: the context-upload baseline runs on the device only."""
 
     class StubClient:
         def __init__(self):
@@ -769,18 +769,17 @@ class TestRemoteBackendPrivacy:
         def generate(self, *args):
             self.calls.append(("generate", args))
 
-    @pytest.mark.parametrize("waived", [False, True])
-    def test_next_distribution_refuses_context(self, abc_vocab, waived):
+    @pytest.mark.parametrize("to_large", [False, True])
+    def test_next_distribution_refuses_context(self, abc_vocab, to_large):
+        # Addressed to the large side, the request cannot be built; one
+        # addressed to the small side is refused by the backend itself.
         client = self.StubClient()
         remote = RemoteBackend(client, abc_vocab)
-        # Without the waiver the request can only be built addressed to
-        # the small side; the backend must still refuse it.
-        role = Role.LARGE_CLOUD if waived else Role.SMALL_DEVICE
-        request = ConditioningInput(
-            "A", (), ContextBundle(profile="secret profile"), role, context_upload_waiver=waived
-        )
+        role = Role.LARGE_CLOUD if to_large else Role.SMALL_DEVICE
         with pytest.raises(PrivacyContractError, match="large_cloud backend given context"):
-            remote.next_distribution(request)
+            remote.next_distribution(
+                ConditioningInput("A", (), ContextBundle(profile="secret profile"), role)
+            )
         assert client.calls == []
 
     def test_context_upload_baseline_is_refused_before_generate(
